@@ -12,7 +12,9 @@ Envelope:
      "parameters": {...}, "results": {...}, "diagnostics": {...}}
 
 Exit codes: 0 success, 1 computational error (structured error object on
-stdout), 2 usage error.
+stdout), 2 usage error.  Output is strict JSON: a result or bound that is
+not finite becomes a RangeError object with exit code 1, and non-finite
+numeric arguments are usage errors.
 
 Configuration precedence: command-line flags, then ETA_FORGE_* environment
 variables, then a key=value config file (--config or ETA_FORGE_CONFIG),
@@ -22,9 +24,11 @@ then built-in defaults.
 from __future__ import annotations
 
 import argparse
+import cmath
 import csv
 import io
 import json
+import math
 import os
 import sys
 import time
@@ -33,7 +37,7 @@ from fractions import Fraction
 import mpmath as mp
 
 from . import __version__
-from .errors import EtaForgeError
+from .errors import EtaForgeError, RangeError
 from .finite_eta import Family, FiniteEtaSpec, evaluate, trivial_zero_report
 from .hasse_global import eta_global, functional_equation_residual, refine_zero, zeta_global
 from .kernel_integrals import integrate_L, verify_identity
@@ -113,9 +117,19 @@ def parse_complex(text: str) -> complex:
     else:
         t = t.replace("i", "j")  # interior form like 1i+2 is rejected by complex()
     try:
-        return complex(t)
+        z = complex(t)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"cannot parse complex number {text!r}") from exc
+    if not cmath.isfinite(z):
+        raise argparse.ArgumentTypeError(f"complex number must be finite, got {text!r}")
+    return z
+
+
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+    return value
 
 
 def _family(text: str) -> Family:
@@ -175,9 +189,9 @@ def _coerce_setting(key: str, raw):
     if key == "precision_bits":
         return int(raw)
     if key == "tol":
-        return float(raw)
+        return _finite_float(raw)
     if key == "jobs":
-        return int(raw)
+        return _pos_int(raw)
     if key == "no_timing":
         if isinstance(raw, bool):
             return raw
@@ -368,8 +382,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="target relative error")
     parser.add_argument("--format", choices=("json", "csv"), default=None,
                         help="output format (csv only for scan/list commands)")
-    parser.add_argument("--jobs", type=int, default=None,
-                        help="concurrent chunks for scan commands")
+    parser.add_argument("--jobs", type=_pos_int, default=None,
+                        help="accepted for compatibility; has no effect")
     parser.add_argument("--no-timing", action="store_const", const=True, default=None,
                         dest="no_timing", help="omit timing from diagnostics")
     parser.add_argument("--config", default=None, help="key=value configuration file")
@@ -397,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", required=True)
     p.add_argument("--n", type=_nonneg_int, required=True)
     p.add_argument("--s", required=True)
-    p.add_argument("--budget", type=int, default=200_000)
+    p.add_argument("--budget", type=_pos_int, default=200_000)
 
     g_ver = sub.add_parser("verify", help="integral-identity residuals").add_subparsers(
         dest="command", required=True)
@@ -406,7 +420,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = add(g_ver, name, fn, help=hlp)
         p.add_argument("--n", type=_nonneg_int, required=True)
         p.add_argument("--s", required=True)
-        p.add_argument("--budget", type=int, default=200_000)
+        p.add_argument("--budget", type=_pos_int, default=200_000)
 
     g_zeta = sub.add_parser("zeta", help="global zeta").add_subparsers(
         dest="command", required=True)
@@ -426,22 +440,22 @@ def build_parser() -> argparse.ArgumentParser:
     g_zero = sub.add_parser("zero", help="critical-line zeros").add_subparsers(
         dest="command", required=True)
     p = add(g_zero, "refine", cmd_zero_refine, help="Newton-refine an ordinate")
-    p.add_argument("--t0", type=float, required=True)
+    p.add_argument("--t0", type=_finite_float, required=True)
 
     g_proto = sub.add_parser("proto", help="proto-zero scanning").add_subparsers(
         dest="command", required=True)
     p = add(g_proto, "scan", cmd_proto_scan, help="scan a vertical line for minima")
     p.add_argument("--family", default="hasse")
     p.add_argument("--n", type=_nonneg_int, required=True)
-    p.add_argument("--sigma", type=float, required=True)
-    p.add_argument("--t-min", type=float, required=True, dest="t_min")
-    p.add_argument("--t-max", type=float, required=True, dest="t_max")
-    p.add_argument("--step", type=float, default=None)
+    p.add_argument("--sigma", type=_finite_float, required=True)
+    p.add_argument("--t-min", type=_finite_float, required=True, dest="t_min")
+    p.add_argument("--t-max", type=_finite_float, required=True, dest="t_max")
+    p.add_argument("--step", type=_finite_float, default=None)
     p = add(g_proto, "cloud", cmd_proto_cloud, help="union of scans for n = 1..n_max")
     p.add_argument("--n-max", type=_pos_int, required=True, dest="n_max")
-    p.add_argument("--sigma", type=float, required=True)
-    p.add_argument("--t-center", type=float, required=True, dest="t_center")
-    p.add_argument("--half-width", type=float, required=True, dest="half_width")
+    p.add_argument("--sigma", type=_finite_float, required=True)
+    p.add_argument("--t-center", type=_finite_float, required=True, dest="t_center")
+    p.add_argument("--half-width", type=_finite_float, required=True, dest="half_width")
 
     p = sub.add_parser("planck", help="local resolving power of a prime")
     p.set_defaults(handler=cmd_planck, command=None)
@@ -478,19 +492,42 @@ def _parameters_of(args: argparse.Namespace) -> dict:
     return {k: v for k, v in vars(args).items() if k not in skip and v is not None}
 
 
+def _emit(envelope: dict) -> None:
+    print(json.dumps(envelope, sort_keys=True, allow_nan=False))
+
+
+def _fail(command: str, args: argparse.Namespace, exc: EtaForgeError) -> int:
+    """Print the structured error envelope; exit code 1."""
+    envelope = {
+        "schema_version": SCHEMA_VERSION,
+        "command": command,
+        "parameters": _parameters_of(args),
+        "error": {
+            "type": type(exc).__name__,
+            "message": str(exc),
+        },
+    }
+    for attr in ("location", "center", "best"):
+        val = getattr(exc, attr, None)
+        if val is not None:
+            envelope["error"][attr] = str(val)
+    _emit(envelope)
+    return 1
+
+
 def run(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         settings = resolve_settings(args)
-    except (OSError, EtaForgeError, ValueError) as exc:
+        ctx = _context(settings)
+    except (OSError, EtaForgeError, ValueError, argparse.ArgumentTypeError) as exc:
         parser.error(f"bad configuration: {exc}")
 
     command = args.group + (f" {args.command}" if getattr(args, "command", None) else "")
     if settings["format"] == "csv" and (args.group, args.command) not in _CSV_COMMANDS:
         parser.error(f"--format csv is only available for scan/list commands, not '{command}'")
 
-    ctx = _context(settings)
     started = time.perf_counter()
     try:
         if ctx.is_fast:
@@ -501,21 +538,9 @@ def run(argv=None) -> int:
     except argparse.ArgumentTypeError as exc:
         parser.error(str(exc))
     except EtaForgeError as exc:
-        envelope = {
-            "schema_version": SCHEMA_VERSION,
-            "command": command,
-            "parameters": _parameters_of(args),
-            "error": {
-                "type": type(exc).__name__,
-                "message": str(exc),
-            },
-        }
-        for attr in ("location", "center", "best"):
-            val = getattr(exc, attr, None)
-            if val is not None:
-                envelope["error"][attr] = str(val)
-        print(json.dumps(envelope, sort_keys=True))
-        return 1
+        return _fail(command, args, exc)
+    except OverflowError as exc:
+        return _fail(command, args, RangeError(f"overflow: {exc}"))
 
     if settings["format"] == "csv":
         buf = io.StringIO()
@@ -535,7 +560,10 @@ def run(argv=None) -> int:
     if not settings["no_timing"]:
         envelope["diagnostics"]["timing_ms"] = round(
             (time.perf_counter() - started) * 1e3, 3)
-    print(json.dumps(envelope, sort_keys=True))
+    try:
+        _emit(envelope)
+    except ValueError:  # a float result or bound that JSON cannot carry
+        return _fail(command, args, RangeError("result or error bound is not finite"))
     return 0
 
 

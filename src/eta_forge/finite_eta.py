@@ -18,7 +18,8 @@ Cancellation policy: the binomial coefficients peak near C(2n, n) ~
 4^n / sqrt(n), so near a zero the alternating sum cancels almost all of
 its ~n bits.  The fast tier certifies its result against the accumulated
 term magnitude; when it cannot meet the requested tolerance it escalates
-to big-floats with 64 + log2(C(2n, n)) + 2|Im s| working bits.
+to big-floats.  Both tiers then sum at the context's working bits plus a
+guard of bitlen(C(2n, n)) + 2|Im s| + 16 bits (69 + ... on the fast tier).
 """
 
 from __future__ import annotations
@@ -96,13 +97,8 @@ def _terms(family: Family, n: int) -> tuple[tuple[int, int], ...]:
     return tuple(((-1) ** (k - 1) * math.comb(2 * n, n + k), k) for k in range(1, n + 1))
 
 
-def _escalation_bits(spec: FiniteEtaSpec, s: complex) -> int:
-    peak = math.comb(2 * spec.n, spec.n)
-    return 64 + peak.bit_length() + int(2 * abs(s.imag)) + 1
-
-
-def _cancellation_guard(spec: FiniteEtaSpec, s: complex) -> int:
-    """Extra bits an extended context needs on top of its own precision
+def _guard_bits(spec: FiniteEtaSpec, s: complex) -> int:
+    """Extra bits a big-float sum needs on top of the context's precision
     to survive the worst-case alternating cancellation."""
     peak = math.comb(2 * spec.n, spec.n)
     return peak.bit_length() + int(2 * abs(s.imag)) + 16
@@ -130,10 +126,10 @@ class _Neumaier:
         return self.s + self.c
 
 
-def _eval_fast(spec: FiniteEtaSpec, s: complex, order: int = 0):
+def _eval_fast(spec: FiniteEtaSpec, s: complex, order: int):
     """Fast-tier compensated sum.
 
-    Returns (value, sum_abs, max_term, abs_err_bound).  The bound covers
+    Returns (value, max_term, abs_err_bound).  The bound covers
     per-term transcendental error plus the compensated-summation residue;
     it is honest, not certified against the caller's tolerance.
     """
@@ -150,12 +146,11 @@ def _eval_fast(spec: FiniteEtaSpec, s: complex, order: int = 0):
             t = coef * base ** m
             total += t
             a = abs(float(t))
-            sum_abs += a
             max_term = max(max_term, a)
         val = complex(float(total), 0.0)
         # the integer sum is exact; only the final float conversion rounds
         err = 0.0 if abs(total) < 2 ** 53 else abs(val) * 2.0 ** -53
-        return val, sum_abs, max_term, err
+        return val, max_term, err
     max_log = 0.0
     for coef, base in _terms(spec.family, spec.n):
         lnb = math.log(base)
@@ -174,11 +169,12 @@ def _eval_fast(spec: FiniteEtaSpec, s: complex, order: int = 0):
     val = complex(re_acc.total, im_acc.total)
     per_term_rel = (2.0 * abs(s) * max_log + 4.0 + 2.0 * order) * 2.0 ** -53
     err = sum_abs * (per_term_rel + 2.0 ** -52)
-    return val, sum_abs, max_term, err
+    return val, max_term, err
 
 
-def _eval_extended(spec: FiniteEtaSpec, s: complex, bits: int, order: int = 0):
-    """Big-float summation at `bits` working bits."""
+def _eval_extended(spec: FiniteEtaSpec, s, bits: int, order: int):
+    """Big-float summation at `bits` working bits; same return shape as
+    :func:`_eval_fast`, with the value as an mpmath complex."""
     with mp.workprec(bits):
         sm = mp.mpc(s)
         total = mp.mpc(0)
@@ -199,13 +195,37 @@ def _eval_extended(spec: FiniteEtaSpec, s: complex, bits: int, order: int = 0):
         eps = mp.mpf(2) ** (1 - bits)
         per_term_rel = (2 * abs(sm) * max_log + 4 + 2 * order + spec.n) * eps
         err = float(sum_abs * per_term_rel)
-        return total, float(sum_abs), float(max_term), err
+        return total, float(max_term), err
 
 
 def _certified(err: float, value_mag: float, max_term: float, tol: float) -> bool:
     # relative target away from zeros, absolute target (scaled by the
     # largest term) when the sum cancels to nearly nothing
     return err <= max(tol * value_mag, tol * max_term)
+
+
+def _evaluate(spec: FiniteEtaSpec, s, ctx: PrecisionContext, order: int) -> EtaValue:
+    """The order-th termwise s-derivative (order 0: the value itself)."""
+    sc = _coerce_complex(s)
+    if ctx.is_fast:
+        try:
+            val, max_term, err = _eval_fast(spec, sc, order)
+        except OverflowError:
+            val, max_term, err = 0.0, math.inf, math.inf
+        if _certified(err, abs(val), max_term, ctx.target_rel_err):
+            return EtaValue(ComplexPoint(val.real, val.imag), err)
+        bits = ctx.working_bits + _guard_bits(spec, sc)
+        total, _max_term, err = _eval_extended(spec, sc, bits, order)
+        v = complex(total)
+        err += abs(v) * 2.0 ** -53  # final rounding back to doubles
+        return EtaValue(ComplexPoint(v.real, v.imag), err)
+    s_hi = s.to_mpc() if isinstance(s, ComplexPoint) else s  # keep full input precision
+    bits = ctx.working_bits + _guard_bits(spec, sc)
+    total, _max_term, err = _eval_extended(spec, s_hi, bits, order)
+    with mp.workprec(ctx.working_bits):
+        value = ComplexPoint(mp.mpf(total.real), mp.mpf(total.imag))
+        err += float(abs(total)) * 2.0 ** (1 - ctx.working_bits)
+        return EtaValue(value, err)
 
 
 def evaluate(spec: FiniteEtaSpec, s, ctx: PrecisionContext = PrecisionContext()) -> EtaValue:
@@ -215,26 +235,7 @@ def evaluate(spec: FiniteEtaSpec, s, ctx: PrecisionContext = PrecisionContext())
     largest term magnitude when the result is near zero; escalates to the
     extended tier when the fast tier cannot certify that.
     """
-    sc = _coerce_complex(s)
-    if ctx.is_fast:
-        try:
-            val, sum_abs, max_term, err = _eval_fast(spec, sc)
-        except OverflowError:
-            val, sum_abs, max_term, err = 0.0, math.inf, math.inf, math.inf
-        if _certified(err, abs(val), max_term, ctx.target_rel_err):
-            return EtaValue(ComplexPoint(val.real, val.imag), err)
-        bits = _escalation_bits(spec, sc)
-        total, sum_abs, max_term, err = _eval_extended(spec, sc, bits)
-        v = complex(total)
-        err += abs(v) * 2.0 ** -53  # final rounding back to doubles
-        return EtaValue(ComplexPoint(v.real, v.imag), err)
-    s_hi = s.to_mpc() if isinstance(s, ComplexPoint) else s  # keep full input precision
-    bits = ctx.working_bits + _cancellation_guard(spec, sc)
-    total, sum_abs, max_term, err = _eval_extended(spec, s_hi, bits)
-    with mp.workprec(ctx.working_bits):
-        value = ComplexPoint(mp.mpf(total.real), mp.mpf(total.imag))
-        err += float(abs(total)) * 2.0 ** (1 - ctx.working_bits)
-        return EtaValue(value, err)
+    return _evaluate(spec, s, ctx, 0)
 
 
 def derivative(spec: FiniteEtaSpec, s, ctx: PrecisionContext = PrecisionContext(),
@@ -245,25 +246,7 @@ def derivative(spec: FiniteEtaSpec, s, ctx: PrecisionContext = PrecisionContext(
     """
     if order < 1:
         raise DomainError("order must be >= 1")
-    sc = _coerce_complex(s)
-    if ctx.is_fast:
-        try:
-            val, sum_abs, max_term, err = _eval_fast(spec, sc, order=order)
-        except OverflowError:
-            val, sum_abs, max_term, err = 0.0, math.inf, math.inf, math.inf
-        if _certified(err, abs(val), max_term, ctx.target_rel_err):
-            return EtaValue(ComplexPoint(val.real, val.imag), err)
-        bits = _escalation_bits(spec, sc)
-        total, sum_abs, max_term, err = _eval_extended(spec, sc, bits, order=order)
-        v = complex(total)
-        return EtaValue(ComplexPoint(v.real, v.imag), err + abs(v) * 2.0 ** -53)
-    s_hi = s.to_mpc() if isinstance(s, ComplexPoint) else s  # keep full input precision
-    bits = ctx.working_bits + _cancellation_guard(spec, sc)
-    total, sum_abs, max_term, err = _eval_extended(spec, s_hi, bits, order=order)
-    with mp.workprec(ctx.working_bits):
-        value = ComplexPoint(mp.mpf(total.real), mp.mpf(total.imag))
-        err += float(abs(total)) * 2.0 ** (1 - ctx.working_bits)
-        return EtaValue(value, err)
+    return _evaluate(spec, s, ctx, order)
 
 
 def evaluate_exact(spec: FiniteEtaSpec, m: int) -> Fraction:
@@ -300,15 +283,3 @@ def trivial_zero_report(spec: FiniteEtaSpec) -> list[tuple[int, Fraction]]:
             )
     return report
 
-
-# Internal hooks for the global series: raw fast-tier sums without the
-# certification step.  The 2**-(n+1) weights there cancel the binomial
-# growth, so the *weighted* fast-tier error stays near machine epsilon
-# even when an individual eta value has lost every bit to cancellation.
-
-def _raw_fast(spec: FiniteEtaSpec, s: complex, order: int = 0):
-    return _eval_fast(spec, s, order=order)
-
-
-def _raw_extended(spec: FiniteEtaSpec, s, bits: int, order: int = 0):
-    return _eval_extended(spec, s, bits, order=order)

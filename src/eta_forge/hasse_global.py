@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import mpmath as mp
 
 from .errors import ConvergenceError, DomainError, SingularPrefactorError
-from .finite_eta import Family, FiniteEtaSpec, _raw_extended, _raw_fast
+from .finite_eta import Family, FiniteEtaSpec, _eval_extended, _eval_fast
 from .numerics import ComplexPoint, PrecisionContext, _coerce_complex, cgamma, csin
 
 __all__ = [
@@ -83,65 +83,41 @@ def _series(s, ctx: PrecisionContext, order: int = 0,
     sc = _coerce_complex(s)
     _check_envelope(sc, ctx)
     tol = ctx.target_rel_err
-    if ctx.is_fast:
-        total = 0.0 + 0.0j
+    with mp.workprec(ctx.working_bits + 16):
+        if ctx.is_fast:
+            def finite(spec):
+                return _eval_fast(spec, sc, order)
+            total, last, unit = 0.0 + 0.0j, 0.0, 2.0 ** -53
+        else:
+            # per-term guard bits cover the weighted cancellation
+            sm = mp.mpc(sc)
+            neg_sigma = max(0.0, -sc.real)
+
+            def finite(spec):
+                bits = ctx.working_bits + 48 + int(neg_sigma * math.log2(spec.n + 2))
+                return _eval_extended(spec, sm, bits, order)
+            total, last, unit = mp.mpc(0), mp.mpf(0), 0.0
         errsum = 0.0
         run = 0
-        n = 0
-        last = 0.0
-        while n <= series_cap:
-            spec = FiniteEtaSpec(Family.HASSE, n)
-            v, _sum_abs, _max_term, e = _raw_fast(spec, sc, order=order)
-            w = 0.5 ** (n + 1)
+        for n in range(series_cap + 1):
+            v, _max_term, e = finite(FiniteEtaSpec(Family.HASSE, n))
+            w = 0.5 ** (n + 1)  # exact in a double while n < 1074
             term = w * v
             total += term
-            noise = w * e + abs(total) * 2.0 ** -53
-            errsum += w * e
+            werr = w * e
+            errsum += werr
+            rounding = abs(total) * unit  # zero on the extended tier
             last = abs(term)
-            if last <= max(tol * abs(total), noise):
+            if last <= max(tol * abs(total), werr + rounding):
                 run += 1
                 if run == 3:
-                    return GlobalEvalResult(
-                        ComplexPoint(total.real, total.imag), n + 1,
-                        8.0 * last + errsum + abs(total) * 2.0 ** -50)
+                    return GlobalEvalResult(ComplexPoint(total.real, total.imag), n + 1,
+                                            float(8 * last) + errsum + float(8 * rounding))
             else:
                 run = 0
-            n += 1
         raise ConvergenceError(
             f"series cap {series_cap} reached without meeting the stopping rule",
             best=GlobalEvalResult(ComplexPoint(total.real, total.imag),
-                                  series_cap + 1, 8.0 * last + errsum))
-    # extended tier: per-term guard bits cover the weighted cancellation
-    with mp.workprec(ctx.working_bits + 16):
-        sm = mp.mpc(sc)
-        total = mp.mpc(0)
-        errsum = 0.0
-        run = 0
-        n = 0
-        last = mp.mpf(0)
-        neg_sigma = max(0.0, -sc.real)
-        while n <= series_cap:
-            bits = ctx.working_bits + 48 + int(neg_sigma * math.log2(n + 2))
-            spec = FiniteEtaSpec(Family.HASSE, n)
-            v, sum_abs, _max_term, e = _raw_extended(spec, sm, bits, order=order)
-            w = mp.mpf(2) ** (-(n + 1))
-            term = w * v
-            total += term
-            noise = float(w) * e
-            errsum += noise
-            last = abs(term)
-            if last <= max(mp.mpf(tol) * abs(total), mp.mpf(noise)):
-                run += 1
-                if run == 3:
-                    return GlobalEvalResult(
-                        ComplexPoint(mp.mpf(total.real), mp.mpf(total.imag)), n + 1,
-                        float(8 * last) + errsum)
-            else:
-                run = 0
-            n += 1
-        raise ConvergenceError(
-            f"series cap {series_cap} reached without meeting the stopping rule",
-            best=GlobalEvalResult(ComplexPoint(mp.mpf(total.real), mp.mpf(total.imag)),
                                   series_cap + 1, float(8 * last) + errsum))
 
 

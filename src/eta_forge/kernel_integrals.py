@@ -270,24 +270,18 @@ def _nearest_sine_pole(family: Family, sc: complex) -> complex:
 def _limit_expansion(family: Family, n: int, s0: int, eps: complex,
                      ctx: PrecisionContext) -> complex:
     """Three-term expansion of the 0/0 ratio around pole-free point s0."""
-    spec = FiniteEtaSpec(family, n)
+    # finite-sum base point, sine frequency, sign index, scale mult / m!
     if family is Family.HASSE:
-        w0 = 1 - s0
-        d1 = derivative(spec, complex(w0), ctx, order=1).value.to_complex()
-        d2 = derivative(spec, complex(w0), ctx, order=2).value.to_complex()
-        d3 = derivative(spec, complex(w0), ctx, order=3).value.to_complex()
-        num = -d1 + (eps / 2) * d2 - (eps * eps / 6) * d3
-        sine_corr = 1.0 + (math.pi * eps) ** 2 / 6.0
-        sign = -1.0 if s0 % 2 else 1.0
-        return sign * num * sine_corr / math.factorial(n)
-    w0 = -s0
-    d1 = derivative(spec, complex(w0), ctx, order=1).value.to_complex()
-    d2 = derivative(spec, complex(w0), ctx, order=2).value.to_complex()
-    d3 = derivative(spec, complex(w0), ctx, order=3).value.to_complex()
+        w0, freq, sign_index, mult, m = 1 - s0, math.pi, s0, 1.0, n
+    else:
+        w0, freq, sign_index, mult, m = -s0, math.pi / 2.0, s0 // 2, 2.0, 2 * n
+    spec = FiniteEtaSpec(family, n)
+    d1, d2, d3 = (derivative(spec, complex(w0), ctx, order=k).value.to_complex()
+                  for k in (1, 2, 3))
     num = -d1 + (eps / 2) * d2 - (eps * eps / 6) * d3
-    sine_corr = 1.0 + (math.pi * eps / 2.0) ** 2 / 6.0
-    sign = -1.0 if (s0 // 2) % 2 else 1.0
-    return sign * 2.0 * num * sine_corr / math.factorial(2 * n)
+    sine_corr = 1.0 + (freq * eps) ** 2 / 6.0
+    sign = -1.0 if sign_index % 2 else 1.0
+    return sign * mult * num * sine_corr / math.factorial(m)
 
 
 def rhs_closed_form(family: Family, n: int, s, ctx: PrecisionContext = PrecisionContext()) -> ComplexPoint:

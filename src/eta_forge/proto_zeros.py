@@ -16,7 +16,6 @@ validated against that scale.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .errors import DomainError
@@ -159,10 +158,10 @@ def scan_line(cfg: ScanConfig, ctx: PrecisionContext = PrecisionContext(),
               jobs: int = 1) -> list[ProtoZeroRecord]:
     """All strict grid minima of |eta(sigma+it)|, polished to step/100.
 
-    The grid is evaluated in chunks (optionally concurrently); detection
-    and polish are deterministic and independent of the chunking.  The
-    decay estimate is Re(eta / eta'), the imaginary part of the Newton
-    step in the complex ordinate t.
+    The grid is evaluated in order, one point at a time.  The decay
+    estimate is Re(eta / eta'), the imaginary part of the Newton step in
+    the complex ordinate t.  ``jobs`` is accepted for compatibility and
+    has no effect.
     """
     spec, sigma = cfg.spec, cfg.sigma
 
@@ -171,14 +170,7 @@ def scan_line(cfg: ScanConfig, ctx: PrecisionContext = PrecisionContext(),
 
     count = int(math.floor((cfg.t_max - cfg.t_min) / cfg.step + 1e-9)) + 1
     ts = [cfg.t_min + i * cfg.step for i in range(count)]
-    if jobs > 1 and count > 64:
-        chunk = (count + jobs - 1) // jobs
-        blocks = [ts[i:i + chunk] for i in range(0, count, chunk)]
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            vals_blocks = list(pool.map(lambda blk: [mag(t) for t in blk], blocks))
-        vals = [v for blk in vals_blocks for v in blk]
-    else:
-        vals = [mag(t) for t in ts]
+    vals = [mag(t) for t in ts]
 
     records = []
     xtol = cfg.step / 100.0
@@ -200,7 +192,8 @@ def proto_cloud(n_max: int, sigma: float, t_center: float, half_width: float,
                 jobs: int = 1) -> list[ProtoZeroRecord]:
     """Union of scan_line over n = 1..n_max around t_center, tagged by n.
 
-    A degenerate window (half_width = 0) yields an empty cloud.
+    A degenerate window (half_width = 0) yields an empty cloud.  ``jobs``
+    is accepted for compatibility and has no effect.
     """
     if n_max < 1:
         raise DomainError(f"n_max must be >= 1, got {n_max}")

@@ -123,20 +123,22 @@ def rational_eta_hstar(n: int, m: int) -> Fraction:
                 for k in range(1, n + 1)), Fraction(0))
 
 
-def eta_hasse_highprec(n: int, s, prec: int = 250):
+def eta_hasse_highprec(n: int, s, prec: int = 250, order: int = 0):
     """The HASSE finite sum at `prec` bits, summed naively (safe: the
-    precision dwarfs the cancellation for the n used in tests)."""
+    precision dwarfs the cancellation for the n used in tests).  With
+    order > 0, its order-th s-derivative: each summand (k+1)^(-s) gains
+    the factor (-ln(k+1))^order."""
     with mp.workprec(prec):
         sm = mp.mpc(s)
-        return sum(((-1) ** k * math.comb(n, k) * mp.exp(-sm * mp.log(k + 1))
-                    for k in range(n + 1)), mp.mpc(0))
+        return sum(((-1) ** k * math.comb(n, k) * (-mp.log(k + 1)) ** order
+                    * mp.exp(-sm * mp.log(k + 1)) for k in range(n + 1)), mp.mpc(0))
 
 
-def eta_hstar_highprec(n: int, s, prec: int = 250):
+def eta_hstar_highprec(n: int, s, prec: int = 250, order: int = 0):
     with mp.workprec(prec):
         sm = mp.mpc(s)
-        return sum(((-1) ** (k - 1) * math.comb(2 * n, n + k) * mp.exp(-sm * mp.log(k))
-                    for k in range(1, n + 1)), mp.mpc(0))
+        return sum(((-1) ** (k - 1) * math.comb(2 * n, n + k) * (-mp.log(k)) ** order
+                    * mp.exp(-sm * mp.log(k)) for k in range(1, n + 1)), mp.mpc(0))
 
 
 # ---------------------------------------------------------------------------

@@ -218,3 +218,58 @@ def test_integral_and_funceq_cli(capsys):
                              "--sigma", "0.5", "--t-center", "9.06",
                              "--half-width", "1"], capsys)
     assert code == 0 and len(env["results"]["records"]) == 1
+
+
+# ---------------------------------------------------------------------------
+# boundary: non-finite input and output, invalid settings
+# ---------------------------------------------------------------------------
+
+def _strict_json(text):
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+    return json.loads(text, parse_constant=reject)
+
+
+def _run_captured(argv, capsys):
+    try:
+        code = run(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["eta", "eval", "--family", "hasse", "--n", "3", "--s", "nan"], 2),
+    (["eta", "eval", "--family", "hasse", "--n", "3", "--s", "1e400"], 2),
+    (["zero", "refine", "--t0", "nan"], 2),
+    (["proto", "cloud", "--n-max", "2", "--sigma", "0.5", "--t-center", "14",
+      "--half-width", "inf"], 2),
+    (["--tol", "0", "planck", "--p", "3"], 2),
+    (["eta", "eval", "--family", "hasse", "--n", "3", "--s", "-800"], 1),
+    (["zeta", "eval", "--s", "-400"], 1),
+])
+def test_boundary_inputs_give_strict_json_or_usage_error(argv, expected, capsys):
+    code, out, err = _run_captured(["--no-timing"] + argv, capsys)
+    assert code in (1, 2) and code == expected
+    assert "Traceback" not in out and "Traceback" not in err
+    if code == 2:
+        assert out == ""  # usage errors go to stderr only
+    else:
+        env = _strict_json(out)
+        assert env["error"]["type"] == "RangeError"
+
+
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_jobs_and_budget_must_be_positive(value, capsys, tmp_path, monkeypatch):
+    planck = ["planck", "--p", "3"]
+    budget = ["integral", "compute", "--family", "hasse", "--n", "1", "--s", "0.5",
+              "--budget", value]
+    assert _run_captured(["--jobs", value] + planck, capsys)[0] == 2
+    assert _run_captured(budget, capsys)[0] == 2
+    monkeypatch.setenv("ETA_FORGE_JOBS", value)
+    assert _run_captured(planck, capsys)[0] == 2
+    monkeypatch.delenv("ETA_FORGE_JOBS")
+    cfg = tmp_path / "forge.conf"
+    cfg.write_text(f"jobs = {value}\n")
+    assert _run_captured(["--config", str(cfg)] + planck, capsys)[0] == 2

@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
+from eta_forge import finite_eta
 from eta_forge import (
     DomainError,
     Family,
@@ -215,6 +216,44 @@ def test_second_derivative_sign_structure():
     # eta_1(s) = 1 - 2^-s: every derivative is +-(ln 2)^k 2^-s
     d2 = derivative(spec(H, 1), 0.0, CTX, order=2).value.to_complex()
     assert abs(d2 + math.log(2) ** 2) < 1e-14
+
+
+@pytest.mark.parametrize("fam, oracle", [(H, oracles.eta_hasse_highprec),
+                                         (HS, oracles.eta_hstar_highprec)])
+def test_derivative_orders_extended_match_oracle(fam, oracle):
+    # orders 1-3 at 120 bits against a termwise sum at 300 bits
+    ext = PrecisionContext.extended(120)
+    for n, s in ((5, complex(0.5, 14.1)), (17, complex(-2.5, 3.0)), (30, complex(3.0, -7.0))):
+        for order in (1, 2, 3):
+            res = derivative(spec(fam, n), s, ext, order=order)
+            ref = oracle(n, s, 300, order)
+            with mp.workprec(300):
+                diff = abs(res.value.to_mpc() - ref)
+                assert diff <= res.abs_err
+                assert diff <= ext.target_rel_err * abs(ref)
+
+
+@pytest.mark.parametrize("fam, n, s", [(H, 24, complex(1.5, -60.0)),
+                                       (HS, 30, complex(-1.0, 42.0))])
+def test_derivative_escalated_fast_path_matches_oracle(fam, n, s, monkeypatch):
+    # the fast tier cannot certify these, so derivative escalates
+    calls = []
+    raw = finite_eta._eval_extended
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return raw(*args, **kwargs)
+
+    monkeypatch.setattr(finite_eta, "_eval_extended", counting)
+    oracle = oracles.eta_hasse_highprec if fam is H else oracles.eta_hstar_highprec
+    for order in (1, 2, 3):
+        before = len(calls)
+        res = derivative(spec(fam, n), s, CTX, order=order)
+        assert len(calls) == before + 1
+        ref = complex(oracle(n, s, 300, order))
+        diff = abs(res.value.to_complex() - ref)
+        assert diff <= res.abs_err
+        assert diff <= CTX.target_rel_err * abs(ref)
 
 
 # ---------------------------------------------------------------------------

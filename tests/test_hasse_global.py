@@ -14,6 +14,7 @@ from eta_forge import (
     refine_zero,
     zeta_global,
 )
+from eta_forge.hasse_global import _eta_global_d1
 
 CTX = PrecisionContext()
 
@@ -50,6 +51,20 @@ def test_eta_tail_bound_covers_truth():
         res = eta_global(s, CTX)
         ref = complex(oracles.em_eta(mp.mpc(s.real, s.imag)))
         assert abs(res.value.to_complex() - ref) <= res.tail_bound
+
+
+@pytest.mark.parametrize("s, bits", [
+    (complex(2.0, 3.0), 53), (complex(0.5, 14.134725), 53), (complex(-1.5, 2.0), 53),
+    (complex(0.5, 40.0), 53), (complex(1.0, 0.0), 53),
+    (complex(2.0, 1.0), 120), (complex(0.5, 5.0), 120),
+])
+def test_eta_derivative_series_matches_altzeta(s, bits):
+    # the termwise-differentiated series against mpmath's eta' at 250 bits
+    ctx = PrecisionContext() if bits == 53 else PrecisionContext.extended(bits)
+    res = _eta_global_d1(s, ctx)
+    with mp.workprec(250):
+        ref = mp.diff(mp.altzeta, mp.mpc(s))
+        assert abs(res.value.to_mpc() - ref) <= res.tail_bound
 
 
 def test_eta_series_cap_error_carries_best():
