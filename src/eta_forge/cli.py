@@ -84,7 +84,8 @@ ENVELOPE_SCHEMA = {
 }
 
 _SETTING_KEYS = ("precision_bits", "tol", "format", "jobs", "no_timing")
-_DEFAULTS = {"precision_bits": FAST_BITS, "tol": 1e-13, "format": "json",
+# tol None: 1e-13 on the fast tier, PrecisionContext.extended's 2^(8 - bits) above it
+_DEFAULTS = {"precision_bits": FAST_BITS, "tol": None, "format": "json",
              "jobs": 1, "no_timing": False}
 
 
@@ -222,7 +223,9 @@ def _context(settings: dict) -> PrecisionContext:
     bits = settings["precision_bits"]
     tol = settings["tol"]
     if bits <= FAST_BITS:
-        return PrecisionContext(FAST_BITS, tol)
+        return PrecisionContext(FAST_BITS, 1e-13 if tol is None else tol)
+    if tol is None:
+        return PrecisionContext.extended(bits)
     return PrecisionContext(bits, max(tol, 2.0 ** (1 - bits)))
 
 
@@ -379,7 +382,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--precision-bits", type=int, default=None, dest="precision_bits",
                         help="working mantissa bits (53 = fast tier)")
     parser.add_argument("--tol", type=float, default=None,
-                        help="target relative error")
+                        help="target relative error (default 1e-13 on the fast tier, "
+                             "2^(8 - bits) above it)")
     parser.add_argument("--format", choices=("json", "csv"), default=None,
                         help="output format (csv only for scan/list commands)")
     parser.add_argument("--jobs", type=_pos_int, default=None,

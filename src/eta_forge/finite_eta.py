@@ -14,12 +14,21 @@ entire in s.  HASSE vanishes exactly at s = 0, -1, ..., -(n-1); HSTAR at
 s = -2, -4, ..., -2(n-1).  Those zeros are checked in exact rational
 arithmetic, never in floating point.
 
+Summation: each tier fills a power table p_b = b^(-s) (-ln b)^order for
+the bases b = 1, 2, ..., one transcendental per base, then takes the dot
+product with the exact integer coefficients: ``math.fsum`` on the fast
+tier (each component rounded once), ``mp.fdot`` on the extended tier.  A
+table grows one base at a time, so the global series reuses one table for
+all its finite sums.
+
 Cancellation policy: the binomial coefficients peak near C(2n, n) ~
 4^n / sqrt(n), so near a zero the alternating sum cancels almost all of
-its ~n bits.  The fast tier certifies its result against the accumulated
-term magnitude; when it cannot meet the requested tolerance it escalates
-to big-floats.  Both tiers then sum at the context's working bits plus a
-guard of bitlen(C(2n, n)) + 2|Im s| + 16 bits (69 + ... on the fast tier).
+its ~n bits.  The fast tier certifies its result against the summed term
+magnitudes; when it cannot meet the requested tolerance, or a term leaves
+the double range, it escalates to big-floats.  Both tiers then sum at the
+context's working bits plus a guard of bitlen(C(2n, n)) + 2|Im s| + 16
+bits (69 + ... on the fast tier).  A value or bound that does not fit in
+a double raises RangeError.
 """
 
 from __future__ import annotations
@@ -30,11 +39,12 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 
 import mpmath as mp
 
-from .errors import DomainError, VerificationError
-from .numerics import ComplexPoint, PrecisionContext, _coerce_complex
+from .errors import DomainError, RangeError, VerificationError
+from .numerics import ComplexPoint, PrecisionContext, _coerce_complex, _is_finite
 
 __all__ = [
     "Family",
@@ -49,6 +59,9 @@ __all__ = [
 
 # Exact rationals are stdlib fractions: reduced, positive denominator.
 ExactRational = Fraction
+
+# A big-float sum that would need more working bits is refused (RangeError).
+_MAX_SUM_BITS = 1 << 16
 
 
 class Family(enum.Enum):
@@ -90,142 +103,157 @@ class EtaValue:
 
 
 @lru_cache(maxsize=None)
-def _terms(family: Family, n: int) -> tuple[tuple[int, int], ...]:
-    """(signed exact binomial coefficient, integer base) per summand."""
+def _terms(family: Family, n: int) -> tuple[int, ...]:
+    """Signed exact binomial coefficient of each base in ``spec.bases``, in order.
+
+    In both families the coefficient of base b has the sign (-1)**(b-1).
+    """
     if family is Family.HASSE:
-        return tuple(((-1) ** k * math.comb(n, k), k + 1) for k in range(n + 1))
-    return tuple(((-1) ** (k - 1) * math.comb(2 * n, n + k), k) for k in range(1, n + 1))
+        return tuple((-1) ** k * math.comb(n, k) for k in range(n + 1))
+    return tuple((-1) ** (k - 1) * math.comb(2 * n, n + k) for k in range(1, n + 1))
 
 
 def _guard_bits(spec: FiniteEtaSpec, s: complex) -> int:
     """Extra bits a big-float sum needs on top of the context's precision
     to survive the worst-case alternating cancellation."""
     peak = math.comb(2 * spec.n, spec.n)
-    return peak.bit_length() + int(2 * abs(s.imag)) + 16
+    t = min(abs(s.imag), _MAX_SUM_BITS)  # already refused beyond; keeps int() finite
+    return peak.bit_length() + int(2 * t) + 16
 
 
-class _Neumaier:
-    """Compensated accumulator (error-free transformation per add)."""
+class _FastPowers:
+    """Fast-tier power table p_b = b**(-s) * (-ln b)**order for b = 1, 2, ...
 
-    __slots__ = ("s", "c")
-
-    def __init__(self):
-        self.s = 0.0
-        self.c = 0.0
-
-    def add(self, x: float):
-        t = self.s + x
-        if abs(self.s) >= abs(x):
-            self.c += (self.s - t) + x
-        else:
-            self.c += (x - t) + self.s
-        self.s = t
-
-    @property
-    def total(self) -> float:
-        return self.s + self.c
-
-
-def _eval_fast(spec: FiniteEtaSpec, s: complex, order: int):
-    """Fast-tier compensated sum.
-
-    Returns (value, max_term, abs_err_bound).  The bound covers
-    per-term transcendental error plus the compensated-summation residue;
-    it is honest, not certified against the caller's tolerance.
+    The table grows one base at a time (one ``cmath.exp`` per base) as
+    :meth:`dot` asks for more, so the finite sums of one series share their
+    powers.  At an integer s <= 0 (order 0) the powers are exact integers
+    and the dot product is exact; at an integer 0 < s <= 512 they are
+    correctly rounded reciprocals.
     """
-    re_acc, im_acc = _Neumaier(), _Neumaier()
-    sum_abs = 0.0
-    max_term = 0.0
-    logs_needed = order > 0 or s.imag != 0.0 or s.real != int(s.real)
-    exact_int = not logs_needed and abs(s.real) <= 512
-    if exact_int and s.real <= 0:
-        # integer powers only: sum exactly in arbitrary-precision integers
-        m = -int(s.real)
-        total = 0
-        for coef, base in _terms(spec.family, spec.n):
-            t = coef * base ** m
-            total += t
-            a = abs(float(t))
-            max_term = max(max_term, a)
-        val = complex(float(total), 0.0)
-        # the integer sum is exact; only the final float conversion rounds
-        err = 0.0 if abs(total) < 2 ** 53 else abs(val) * 2.0 ** -53
-        return val, max_term, err
-    max_log = 0.0
-    for coef, base in _terms(spec.family, spec.n):
-        lnb = math.log(base)
-        max_log = max(max_log, lnb)
-        if exact_int:
-            term = complex(coef / base ** int(s.real), 0.0)
-        else:
-            term = coef * cmath.exp(-s * lnb)
-        if order:
-            term *= (-lnb) ** order
-        re_acc.add(term.real)
-        im_acc.add(term.imag)
-        a = abs(term)
-        sum_abs += a
-        max_term = max(max_term, a)
-    val = complex(re_acc.total, im_acc.total)
-    per_term_rel = (2.0 * abs(s) * max_log + 4.0 + 2.0 * order) * 2.0 ** -53
-    err = sum_abs * (per_term_rel + 2.0 ** -52)
-    return val, max_term, err
+
+    def __init__(self, s: complex, order: int):
+        self.s, self.order = s, order
+        integral = order == 0 and s.imag == 0.0 and s.real == int(s.real)
+        self.m = int(s.real) if integral and abs(s.real) <= 512 else None  # s, if no logs needed
+        self.re, self.im, self.mag = [], [], []
+
+    def _grow(self, size: int):
+        s, order, m = self.s, self.order, self.m
+        for b in range(len(self.re) + 1, size + 1):
+            if m is None:
+                lnb = math.log(b)
+                p = cmath.exp(-s * lnb)
+                if order:
+                    p *= (-lnb) ** order
+            else:
+                p = b ** -m if m <= 0 else 1 / b ** m
+            self.re.append(p.real)
+            self.im.append(p.imag)
+            self.mag.append(abs(p) if b % 2 else -abs(p))  # the sign of the coefficient
+
+    def dot(self, coefs: tuple[int, ...]) -> tuple[complex, float]:
+        """(value, abs_err bound) of sum_i coefs[i] * p_(i+1).
+
+        The bound is the per-term error model (transcendental and product
+        roundings) over the summed magnitudes; ``math.fsum`` rounds each
+        component once.  Raises OverflowError beyond the double range.
+        """
+        self._grow(len(coefs))
+        if self.m is not None and self.m <= 0:
+            total = sum(map(mul, coefs, self.re))
+            val = float(total)
+            # the integer sum is exact; only the final float conversion rounds
+            return complex(val, 0.0), 0.0 if abs(total) < 2 ** 53 else abs(val) * 2.0 ** -53
+        sum_abs = sum(map(mul, coefs, self.mag))
+        if sum_abs == math.inf:
+            raise OverflowError("finite sum beyond the double range")
+        val = complex(math.fsum(map(mul, coefs, self.re)), math.fsum(map(mul, coefs, self.im)))
+        max_log = math.log(len(coefs))
+        per_term_rel = (2.0 * abs(self.s) * max_log + 4.0 + 2.0 * self.order) * 2.0 ** -53
+        return val, sum_abs * (per_term_rel + 2.0 ** -52)
+
+    def max_term(self, coefs: tuple[int, ...]) -> float:
+        return max(map(mul, coefs, self.mag))
+
+
+class _ExtPowers:
+    """Extended-tier power table at ``bits`` working bits; the same
+    interface as :class:`_FastPowers`, with ``mp.fdot`` for the dot product."""
+
+    def __init__(self, s, order: int, bits: int):
+        self.order, self.bits = order, bits
+        with mp.workprec(bits):
+            self.s = mp.mpc(s)
+        self.p, self.mag = [], []
+
+    def _grow(self, size: int):
+        for b in range(len(self.p) + 1, size + 1):
+            lnb = mp.log(b)
+            p = mp.exp(-self.s * lnb)
+            if self.order:
+                p *= (-lnb) ** self.order
+            self.p.append(p)
+            self.mag.append(abs(p) if b % 2 else -abs(p))  # the sign of the coefficient
+
+    def dot(self, coefs: tuple[int, ...]):
+        """(value as an mpmath complex, abs_err bound as a float)."""
+        with mp.workprec(self.bits):
+            self._grow(len(coefs))
+            total = mp.fdot(coefs, self.p)
+            sum_abs = mp.fdot(coefs, self.mag)
+            max_log = mp.log(len(coefs))
+            per_term_rel = ((2 * abs(self.s) * max_log + 4 + 2 * self.order + len(coefs))
+                            * mp.mpf(2) ** (1 - self.bits))
+            return total, float(sum_abs * per_term_rel)
+
+
+def _eval_fast(spec: FiniteEtaSpec, s: complex, order: int, tol: float):
+    """Fast-tier sum as (value, abs_err bound) if it meets ``tol``, else None."""
+    coefs = _terms(spec.family, spec.n)
+    powers = _FastPowers(s, order)
+    try:
+        val, err = powers.dot(coefs)
+        # relative target away from zeros, absolute target (scaled by the
+        # largest term) when the sum cancels to nearly nothing
+        if err <= tol * abs(val) or err <= tol * powers.max_term(coefs):
+            return val, err
+    except OverflowError:  # a term or the sum beyond doubles
+        pass
+    return None
 
 
 def _eval_extended(spec: FiniteEtaSpec, s, bits: int, order: int):
-    """Big-float summation at `bits` working bits; same return shape as
-    :func:`_eval_fast`, with the value as an mpmath complex."""
-    with mp.workprec(bits):
-        sm = mp.mpc(s)
-        total = mp.mpc(0)
-        sum_abs = mp.mpf(0)
-        max_term = mp.mpf(0)
-        max_log = mp.mpf(0)
-        for coef, base in _terms(spec.family, spec.n):
-            lnb = mp.log(base)
-            max_log = max(max_log, lnb)
-            term = coef * mp.exp(-sm * lnb)
-            if order:
-                term *= (-lnb) ** order
-            total += term
-            a = abs(term)
-            sum_abs += a
-            if a > max_term:
-                max_term = a
-        eps = mp.mpf(2) ** (1 - bits)
-        per_term_rel = (2 * abs(sm) * max_log + 4 + 2 * order + spec.n) * eps
-        err = float(sum_abs * per_term_rel)
-        return total, float(max_term), err
-
-
-def _certified(err: float, value_mag: float, max_term: float, tol: float) -> bool:
-    # relative target away from zeros, absolute target (scaled by the
-    # largest term) when the sum cancels to nearly nothing
-    return err <= max(tol * value_mag, tol * max_term)
+    """Big-float sum at `bits` working bits: (mpmath value, abs_err bound)."""
+    return _ExtPowers(s, order, bits).dot(_terms(spec.family, spec.n))
 
 
 def _evaluate(spec: FiniteEtaSpec, s, ctx: PrecisionContext, order: int) -> EtaValue:
     """The order-th termwise s-derivative (order 0: the value itself)."""
     sc = _coerce_complex(s)
     if ctx.is_fast:
-        try:
-            val, max_term, err = _eval_fast(spec, sc, order)
-        except OverflowError:
-            val, max_term, err = 0.0, math.inf, math.inf
-        if _certified(err, abs(val), max_term, ctx.target_rel_err):
+        fast = _eval_fast(spec, sc, order, ctx.target_rel_err)
+        if fast is not None:
+            val, err = fast
             return EtaValue(ComplexPoint(val.real, val.imag), err)
-        bits = ctx.working_bits + _guard_bits(spec, sc)
-        total, _max_term, err = _eval_extended(spec, sc, bits, order)
-        v = complex(total)
-        err += abs(v) * 2.0 ** -53  # final rounding back to doubles
-        return EtaValue(ComplexPoint(v.real, v.imag), err)
-    s_hi = s.to_mpc() if isinstance(s, ComplexPoint) else s  # keep full input precision
     bits = ctx.working_bits + _guard_bits(spec, sc)
-    total, _max_term, err = _eval_extended(spec, s_hi, bits, order)
-    with mp.workprec(ctx.working_bits):
-        value = ComplexPoint(mp.mpf(total.real), mp.mpf(total.imag))
-        err += float(abs(total)) * 2.0 ** (1 - ctx.working_bits)
-        return EtaValue(value, err)
+    if bits > _MAX_SUM_BITS:
+        raise RangeError(f"{spec.family.value} n={spec.n} at s={sc} needs more than "
+                         f"{_MAX_SUM_BITS} working bits")
+    if ctx.is_fast:
+        total, err = _eval_extended(spec, sc, bits, order)
+        val = complex(total)
+        err += abs(val) * 2.0 ** -53  # final rounding back to doubles
+        value = (val.real, val.imag)
+    else:
+        s_hi = s.to_mpc() if isinstance(s, ComplexPoint) else s  # keep full input precision
+        total, err = _eval_extended(spec, s_hi, bits, order)
+        with mp.workprec(ctx.working_bits):
+            value = (mp.mpf(total.real), mp.mpf(total.imag))
+            err += float(abs(total)) * 2.0 ** (1 - ctx.working_bits)
+    if not (_is_finite(value[0]) and _is_finite(value[1]) and math.isfinite(err)):
+        raise RangeError(f"{spec.family.value} n={spec.n} at s={sc}: value or bound "
+                         "beyond the double range")
+    return EtaValue(ComplexPoint(*value), err)
 
 
 def evaluate(spec: FiniteEtaSpec, s, ctx: PrecisionContext = PrecisionContext()) -> EtaValue:
@@ -258,7 +286,7 @@ def evaluate_exact(spec: FiniteEtaSpec, m: int) -> Fraction:
     if not isinstance(m, int):
         raise DomainError(f"argument must be an integer, got {m!r}")
     total = Fraction(0)
-    for coef, base in _terms(spec.family, spec.n):
+    for coef, base in zip(_terms(spec.family, spec.n), spec.bases):
         total += Fraction(coef) * Fraction(base) ** (-m)
     return total
 

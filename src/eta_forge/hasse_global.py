@@ -12,6 +12,13 @@ the weighted fast-tier rounding error stays near machine epsilon even
 though an individual eta_n loses ~n bits to cancellation.  zeta is then
 eta(s) / (1 - 2^(1-s)).
 
+Cost: the finite sums of one series share one power table (see
+:mod:`eta_forge.finite_eta`); eta_n adds the base n + 1 to it.  A series of
+N terms thus makes N transcendental calls (N exp and N log) plus O(N^2)
+multiply-adds in the exact-coefficient dot products.  The extended tier
+builds its table at working_bits + 48 + max(0, -Re s) * log2(cap + 2)
+bits, enough for the weighted cancellation of every term up to the cap.
+
 Stopping rule: stop once three consecutive weighted terms fall below
 max(target_rel_err * |partial sum|, per-term noise floor); the noise
 floor is needed because at a zero of eta the relative test alone can
@@ -30,8 +37,8 @@ from dataclasses import dataclass
 
 import mpmath as mp
 
-from .errors import ConvergenceError, DomainError, SingularPrefactorError
-from .finite_eta import Family, FiniteEtaSpec, _eval_extended, _eval_fast
+from .errors import ConvergenceError, DomainError, RangeError, SingularPrefactorError
+from .finite_eta import _MAX_SUM_BITS, Family, _ExtPowers, _FastPowers, _terms
 from .numerics import ComplexPoint, PrecisionContext, _coerce_complex, cgamma, csin
 
 __all__ = [
@@ -85,22 +92,22 @@ def _series(s, ctx: PrecisionContext, order: int = 0,
     tol = ctx.target_rel_err
     with mp.workprec(ctx.working_bits + 16):
         if ctx.is_fast:
-            def finite(spec):
-                return _eval_fast(spec, sc, order)
+            powers = _FastPowers(sc, order)
             total, last, unit = 0.0 + 0.0j, 0.0, 2.0 ** -53
         else:
-            # per-term guard bits cover the weighted cancellation
-            sm = mp.mpc(sc)
-            neg_sigma = max(0.0, -sc.real)
-
-            def finite(spec):
-                bits = ctx.working_bits + 48 + int(neg_sigma * math.log2(spec.n + 2))
-                return _eval_extended(spec, sm, bits, order)
+            # guard bits cover the weighted cancellation of every term up to the cap
+            bits = ctx.working_bits + 48 + int(max(0.0, -sc.real) * math.log2(series_cap + 2))
+            if bits > _MAX_SUM_BITS:
+                raise RangeError(f"s={sc} needs more than {_MAX_SUM_BITS} working bits")
+            powers = _ExtPowers(sc, order, bits)
             total, last, unit = mp.mpc(0), mp.mpf(0), 0.0
         errsum = 0.0
         run = 0
         for n in range(series_cap + 1):
-            v, _max_term, e = finite(FiniteEtaSpec(Family.HASSE, n))
+            try:
+                v, e = powers.dot(_terms(Family.HASSE, n))  # adds the base n + 1
+            except OverflowError as exc:
+                raise RangeError(f"finite sum n={n} at s={sc} beyond the double range") from exc
             w = 0.5 ** (n + 1)  # exact in a double while n < 1074
             term = w * v
             total += term

@@ -1,6 +1,10 @@
 import json
+import math
 
+import mpmath as mp
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from eta_forge.cli import parse_complex, run
 
@@ -191,6 +195,23 @@ def test_precision_bits_flag(capsys):
     assert len(env["results"]["value"]["re"]) > 20  # extended-precision digits
 
 
+def test_precision_bits_sets_the_default_tolerance(capsys):
+    code, env = invoke_json(["--no-timing", "--precision-bits", "200",
+                             "zeta", "eval", "--s", "2"], capsys)
+    assert code == 0
+    tail = env["diagnostics"]["tail_bound"]
+    with mp.workprec(264):
+        value = mp.mpf(env["results"]["value"]["re"])
+        assert abs(value - mp.zeta(2)) <= tail
+        # the target is 2^(8 - 200); the series' tail bound is eight times a
+        # last term that met it, so it can reach eight times the target
+        assert tail <= 8 * 2.0 ** -192 * value
+    # an explicit tolerance still wins over the precision's default
+    code, env = invoke_json(["--no-timing", "--precision-bits", "200", "--tol", "1e-20",
+                             "zeta", "eval", "--s", "2"], capsys)
+    assert code == 0 and 1e-40 < env["diagnostics"]["tail_bound"] <= 1e-19
+
+
 def test_weyl_cli_surface(capsys):
     code, env = invoke_json(["--no-timing", "weyl", "normal-order", "--word", "BBAA"], capsys)
     assert code == 0
@@ -273,3 +294,23 @@ def test_jobs_and_budget_must_be_positive(value, capsys, tmp_path, monkeypatch):
     cfg = tmp_path / "forge.conf"
     cfg.write_text(f"jobs = {value}\n")
     assert _run_captured(["--config", str(cfg)] + planck, capsys)[0] == 2
+
+
+_S_PART = st.one_of(st.floats(-60, 60),
+                    st.sampled_from([1e17, -1e17, 1e300, -1e300, math.nan, math.inf, -math.inf]))
+
+
+@settings(max_examples=60, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(command=st.sampled_from([["eta", "eval", "--family", "hasse"],
+                                ["eta", "eval", "--family", "hstar"],
+                                ["zeta", "eval"], ["eta-global", "eval"]]),
+       n=st.integers(0, 8), re=_S_PART, im=_S_PART)
+def test_argv_fuzz_keeps_the_exit_contract(command, n, re, im, capsys):
+    argv = ["--no-timing"] + command + (["--n", str(n)] if command[0] == "eta" else [])
+    code, out, err = _run_captured(argv + [f"--s={re!r}{im:+}i"], capsys)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in out and "Traceback" not in err
+    if code == 2:
+        assert out == ""
+    else:
+        _strict_json(out)

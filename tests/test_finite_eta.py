@@ -14,6 +14,7 @@ from eta_forge import (
     Family,
     FiniteEtaSpec,
     PrecisionContext,
+    RangeError,
     VerificationError,
     derivative,
     evaluate,
@@ -286,3 +287,43 @@ def test_extended_context_returns_extended_values():
         diff = abs(res.value.to_mpc() - ref)
         assert diff <= res.abs_err
         assert diff / abs(ref) <= ext.target_rel_err
+
+
+# ---------------------------------------------------------------------------
+# power tables and range refusals
+# ---------------------------------------------------------------------------
+
+def test_hstar_power_tables_match_oracle():
+    # one table per tier grown across n, as the global series grows its HASSE
+    # table; each dot product must hold its own bound against a 400-bit sum
+    s = complex(0.5, 40.0)
+    for order in (0, 1, 2):
+        tables = (finite_eta._FastPowers(s, order), finite_eta._ExtPowers(s, order, 120))
+        for n in range(1, 61):
+            ref = oracles.eta_hstar_highprec(n, s, 400, order)
+            for powers in tables:
+                value, err = powers.dot(finite_eta._terms(HS, n))
+                with mp.workprec(400):
+                    assert abs(mp.mpc(value) - ref) <= err
+
+
+def test_sum_beyond_double_range_is_refused():
+    # about -4^800: the fast terms overflow, and so does the big-float value
+    with pytest.raises(RangeError):
+        evaluate(spec(H, 3), -800, CTX)
+    with pytest.raises(RangeError):
+        derivative(spec(H, 3), complex(-800.5, 1.0), CTX)
+
+
+def test_value_in_double_range_is_returned_when_terms_are_not():
+    # s = -250 is a trivial zero of HASSE n = 300, whose terms reach 301^250 ~ 1e619
+    res = evaluate(spec(H, 300), -250, CTX)
+    assert res.value.to_complex() == 0 and res.abs_err == 0.0
+
+
+def test_precision_beyond_the_big_float_limit_is_refused():
+    # the guard bits grow with 2|Im s|; a sum needing more than
+    # _MAX_SUM_BITS is refused instead of run
+    for t in (1e6, 1e300):
+        with pytest.raises(RangeError):
+            evaluate(spec(H, 3), complex(0.5, t), CTX)

@@ -1,4 +1,6 @@
+import cmath
 import math
+import types
 
 import mpmath as mp
 import pytest
@@ -7,14 +9,21 @@ import oracles
 from eta_forge import (
     ConvergenceError,
     DomainError,
+    Family,
+    FiniteEtaSpec,
     PrecisionContext,
+    RangeError,
     SingularPrefactorError,
+    derivative,
     eta_global,
+    evaluate,
+    finite_eta,
     functional_equation_residual,
+    hasse_global,
     refine_zero,
     zeta_global,
 )
-from eta_forge.hasse_global import _eta_global_d1
+from eta_forge.hasse_global import _eta_global_d1, _series
 
 CTX = PrecisionContext()
 
@@ -174,6 +183,77 @@ def test_funceq_precondition_near_zeta_zero():
 def test_funceq_mixed_points():
     for s in (complex(2.5, 0.5), complex(0.25, 1.0), complex(-1.5, 2.0)):
         assert functional_equation_residual(s, CTX) <= 1e-7
+
+
+# ---------------------------------------------------------------------------
+# the shared power table
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("bits", [53, 120])
+@pytest.mark.parametrize("order", [0, 1, 2])
+def test_series_finite_sums_match_evaluate(bits, order, monkeypatch):
+    # the per-n sums the series takes from its one power table, against each
+    # finite sum evaluated on its own, within the sum of both bounds
+    ctx = CTX if bits == 53 else PrecisionContext.extended(bits)
+    table = finite_eta._FastPowers if ctx.is_fast else finite_eta._ExtPowers
+    seen = []
+
+    class Recording(table):
+        def dot(self, coefs):
+            value, err = super().dot(coefs)
+            seen.append((len(coefs) - 1, value, err))
+            return value, err
+
+    monkeypatch.setattr(hasse_global, table.__name__, Recording)
+    s = complex(0.5, 14.13)  # at least 62 terms for every order and tier
+    _series(s, ctx, order)
+    assert [n for n, _, _ in seen[:61]] == list(range(61))
+    for n, value, err in seen[:61]:
+        spec = FiniteEtaSpec(Family.HASSE, n)
+        ref = evaluate(spec, s, ctx) if order == 0 else derivative(spec, s, ctx, order=order)
+        with mp.workprec(400):
+            assert abs(mp.mpc(value) - ref.value.to_mpc()) <= err + ref.abs_err
+
+
+def test_series_makes_one_exp_per_term(monkeypatch):
+    # one new base per finite sum: N transcendentals for N terms, not N^2/2
+    calls = []
+
+    def exp(z):
+        calls.append(z)
+        return cmath.exp(z)
+
+    counting = types.SimpleNamespace(**{k: getattr(cmath, k) for k in dir(cmath)
+                                        if not k.startswith("_")})
+    counting.exp = exp
+    monkeypatch.setattr(finite_eta, "cmath", counting)
+    res = eta_global(complex(0.5, 59.9), CTX)
+    assert len(calls) == res.terms_used == 115
+
+
+# terms_used per point on the fast tier and at 120 bits, frozen: how the
+# finite sums are summed must not move the series' stopping point
+FROZEN_TERMS = [
+    (complex(0.5, 14.13), 68, 138), (complex(0.5, 59.9), 115, 195),
+    (complex(2.0, 0.0), 43, 110), (complex(-5.5, 20.0), 62, 139),
+    (complex(0.3, 3.0), 44, 111), (complex(1.5, -11.0), 55, 124),
+]
+
+
+@pytest.mark.parametrize("s, fast, ext", FROZEN_TERMS)
+def test_series_terms_used_frozen(s, fast, ext):
+    assert eta_global(s, CTX).terms_used == fast
+    assert eta_global(s, PrecisionContext.extended(120)).terms_used == ext
+
+
+def test_series_beyond_double_range_is_refused():
+    # the finite sums eta_n(-400) leave the double range well before the cap
+    for fn in (eta_global, zeta_global):
+        with pytest.raises(RangeError):
+            fn(-400.0, CTX)
+    # the extended table's guard bits grow with -Re s
+    with pytest.raises(RangeError):
+        eta_global(-1e6, PrecisionContext.extended(120))
 
 
 # ---------------------------------------------------------------------------
