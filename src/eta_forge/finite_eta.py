@@ -21,14 +21,22 @@ tier (each component rounded once), ``mp.fdot`` on the extended tier.  A
 table grows one base at a time, so the global series reuses one table for
 all its finite sums.
 
-Cancellation policy: the binomial coefficients peak near C(2n, n) ~
-4^n / sqrt(n), so near a zero the alternating sum cancels almost all of
-its ~n bits.  The fast tier certifies its result against the summed term
-magnitudes; when it cannot meet the requested tolerance, or a term leaves
-the double range, it escalates to big-floats.  Both tiers then sum at the
-context's working bits plus a guard of bitlen(C(2n, n)) + 2|Im s| + 16
-bits (69 + ... on the fast tier).  A value or bound that does not fit in
-a double raises RangeError.
+Certification ladder: a fast-tier result is returned only when its error
+bound is within target_rel_err * |value|, relative to the value itself,
+so a sum that cancels is never passed on the strength of its largest
+term.  The fast tier tries (1) the plain table, whose rounding of s ln b
+charges about 2|s| ln n units of 2^-53 per term; (2) the exact-phase
+table, which forms t ln b in double-double and charges about
+2|Re s| ln n + 8 units at any practical t; (3) big-floats.  The global
+series uses the plain table alone: its sums need no certificate, and the
+exact-phase fill costs more per base.
+
+The binomial coefficients peak near C(2n, n) ~ 4^n / sqrt(n), so near a
+zero the alternating sum cancels almost all of its ~n bits.  The
+big-float sum (and the extended tier) runs at the context's working bits
+plus a guard of bitlen(C(2n, n)) + 2|Im s| + 16 bits (69 + ... on the
+fast tier).  A term beyond the double range also escalates; a value or
+bound that does not fit in a double raises RangeError.
 """
 
 from __future__ import annotations
@@ -121,6 +129,28 @@ def _guard_bits(spec: FiniteEtaSpec, s: complex) -> int:
     return peak.bit_length() + int(2 * t) + 16
 
 
+_SPLIT = 134217729.0  # 2**27 + 1: Veltkamp's constant for 53-bit doubles
+
+
+def _split(a: float) -> tuple[float, float]:
+    """a = hi + lo with 26-bit halves, so that products of halves are exact
+    (Veltkamp; the halves are NaN once |a| > 2**996)."""
+    c = _SPLIT * a
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+@lru_cache(maxsize=None)
+def _log_dd(b: int) -> tuple[float, float, float, float]:
+    """ln b as a double-double hi + lo (taken from mpmath at 128 bits), with
+    the Veltkamp halves of hi for Dekker's TwoProduct."""
+    with mp.workprec(128):
+        ln = mp.log(b)
+        hi = float(ln)
+        lo = float(ln - hi)
+    return (hi, lo) + _split(hi)
+
+
 class _FastPowers:
     """Fast-tier power table p_b = b**(-s) * (-ln b)**order for b = 1, 2, ...
 
@@ -129,24 +159,43 @@ class _FastPowers:
     powers.  At an integer s <= 0 (order 0) the powers are exact integers
     and the dot product is exact; at an integer 0 < s <= 512 they are
     correctly rounded reciprocals.
+
+    The plain table rounds s * ln b, an error that grows with |s|.  With
+    ``exact_phase`` the phase t * ln b (t = Im s) is formed as ph + pe in
+    double-double (Dekker's TwoProduct of t and the cached ln b, plus t
+    times its low part); one ``cmath.exp`` takes ph and the residue pe is
+    applied as a first-order rotation, so the per-term error no longer
+    grows with t until (|s| ln b 2**-52)**2 does.
     """
 
-    def __init__(self, s: complex, order: int):
-        self.s, self.order = s, order
+    def __init__(self, s: complex, order: int, exact_phase: bool = False):
+        self.s, self.order, self.exact_phase = s, order, exact_phase
         integral = order == 0 and s.imag == 0.0 and s.real == int(s.real)
         self.m = int(s.real) if integral and abs(s.real) <= 512 else None  # s, if no logs needed
         self.re, self.im, self.mag = [], [], []
 
     def _grow(self, size: int):
-        s, order, m = self.s, self.order, self.m
+        s, order, m, exact_phase = self.s, self.order, self.m, self.exact_phase
+        if exact_phase:
+            sigma, t = s.real, s.imag
+            t_hi, t_lo = _split(t)
         for b in range(len(self.re) + 1, size + 1):
-            if m is None:
+            if m is not None:
+                p = b ** -m if m <= 0 else 1 / b ** m
+            elif exact_phase:
+                hi, lo, h_hi, h_lo = _log_dd(b)
+                ph = t * hi
+                # t * ln b - ph: the exact rounding error of t * hi, plus t * lo
+                pe = (((t_hi * h_hi - ph) + t_hi * h_lo + t_lo * h_hi) + t_lo * h_lo) + t * lo
+                z = cmath.exp(complex(-sigma * hi, -ph))
+                p = complex(z.real + pe * z.imag, z.imag - pe * z.real)  # times exp(-i pe)
+                if order:
+                    p *= (-hi) ** order
+            else:
                 lnb = math.log(b)
                 p = cmath.exp(-s * lnb)
                 if order:
                     p *= (-lnb) ** order
-            else:
-                p = b ** -m if m <= 0 else 1 / b ** m
             self.re.append(p.real)
             self.im.append(p.imag)
             self.mag.append(abs(p) if b % 2 else -abs(p))  # the sign of the coefficient
@@ -154,9 +203,9 @@ class _FastPowers:
     def dot(self, coefs: tuple[int, ...]) -> tuple[complex, float]:
         """(value, abs_err bound) of sum_i coefs[i] * p_(i+1).
 
-        The bound is the per-term error model (transcendental and product
-        roundings) over the summed magnitudes; ``math.fsum`` rounds each
-        component once.  Raises OverflowError beyond the double range.
+        The bound is the per-term error model (transcendental, phase and
+        product roundings) over the summed magnitudes; ``math.fsum`` rounds
+        each component once.  Raises OverflowError beyond the double range.
         """
         self._grow(len(coefs))
         if self.m is not None and self.m <= 0:
@@ -169,11 +218,13 @@ class _FastPowers:
             raise OverflowError("finite sum beyond the double range")
         val = complex(math.fsum(map(mul, coefs, self.re)), math.fsum(map(mul, coefs, self.im)))
         max_log = math.log(len(coefs))
-        per_term_rel = (2.0 * abs(self.s) * max_log + 4.0 + 2.0 * self.order) * 2.0 ** -53
+        if self.exact_phase:
+            phase = abs(self.s) * max_log
+            per_term_rel = ((2.0 * abs(self.s.real) * max_log + 8.0 + 2.0 * self.order) * 2.0 ** -53
+                            + phase * 2.0 ** -100 + (phase * 2.0 ** -52) ** 2)
+        else:
+            per_term_rel = (2.0 * abs(self.s) * max_log + 4.0 + 2.0 * self.order) * 2.0 ** -53
         return val, sum_abs * (per_term_rel + 2.0 ** -52)
-
-    def max_term(self, coefs: tuple[int, ...]) -> float:
-        return max(map(mul, coefs, self.mag))
 
 
 class _ExtPowers:
@@ -208,17 +259,17 @@ class _ExtPowers:
 
 
 def _eval_fast(spec: FiniteEtaSpec, s: complex, order: int, tol: float):
-    """Fast-tier sum as (value, abs_err bound) if it meets ``tol``, else None."""
+    """Fast-tier sum as (value, abs_err bound) if the bound is within
+    ``tol * |value|``, else None.  The plain table is tried first, then the
+    exact-phase one, whose fill costs more."""
     coefs = _terms(spec.family, spec.n)
-    powers = _FastPowers(s, order)
-    try:
-        val, err = powers.dot(coefs)
-        # relative target away from zeros, absolute target (scaled by the
-        # largest term) when the sum cancels to nearly nothing
-        if err <= tol * abs(val) or err <= tol * powers.max_term(coefs):
+    for exact_phase in (False, True):
+        try:
+            val, err = _FastPowers(s, order, exact_phase).dot(coefs)
+        except (OverflowError, ValueError):  # a term, the sum or the phase beyond doubles
+            return None
+        if err <= tol * abs(val) < math.inf:  # a NaN or an infinity never certifies
             return val, err
-    except OverflowError:  # a term or the sum beyond doubles
-        pass
     return None
 
 
@@ -259,9 +310,8 @@ def _evaluate(spec: FiniteEtaSpec, s, ctx: PrecisionContext, order: int) -> EtaV
 def evaluate(spec: FiniteEtaSpec, s, ctx: PrecisionContext = PrecisionContext()) -> EtaValue:
     """Value of the finite sum with an attached absolute error bound.
 
-    Meets ``ctx.target_rel_err`` relatively, or absolutely relative to the
-    largest term magnitude when the result is near zero; escalates to the
-    extended tier when the fast tier cannot certify that.
+    Meets ``ctx.target_rel_err`` relative to |value| (an exact zero has
+    bound 0); escalates to big-floats when the fast tier cannot certify that.
     """
     return _evaluate(spec, s, ctx, 0)
 

@@ -234,10 +234,15 @@ def test_derivative_orders_extended_match_oracle(fam, oracle):
                 assert diff <= ext.target_rel_err * abs(ref)
 
 
-@pytest.mark.parametrize("fam, n, s", [(H, 24, complex(1.5, -60.0)),
-                                       (HS, 30, complex(-1.0, 42.0))])
-def test_derivative_escalated_fast_path_matches_oracle(fam, n, s, monkeypatch):
-    # the fast tier cannot certify these, so derivative escalates
+@pytest.mark.parametrize("fam, n, s, escalations", [
+    # the exact-phase table certifies these far up the line
+    (H, 24, complex(1.5, -60.0), 0),
+    (HS, 30, complex(-1.0, 42.0), 0),
+    # deep cancellation: no fast table meets the relative target
+    (H, 48, complex(0.5, 14.134725141734694), 1),
+    (HS, 30, complex(-3.0, 1.0), 1),
+])
+def test_derivative_fast_tier_matches_oracle(fam, n, s, escalations, monkeypatch):
     calls = []
     raw = finite_eta._eval_extended
 
@@ -250,11 +255,32 @@ def test_derivative_escalated_fast_path_matches_oracle(fam, n, s, monkeypatch):
     for order in (1, 2, 3):
         before = len(calls)
         res = derivative(spec(fam, n), s, CTX, order=order)
-        assert len(calls) == before + 1
+        assert len(calls) == before + escalations
         ref = complex(oracle(n, s, 300, order))
         diff = abs(res.value.to_complex() - ref)
         assert diff <= res.abs_err
         assert diff <= CTX.target_rel_err * abs(ref)
+
+
+def test_fast_tier_meets_the_relative_target():
+    # a seeded sample of fast-tier sums and derivatives against 500-bit sums;
+    # in the first two points the largest term dwarfs |value|, so a bound
+    # certified against the largest term would pass relative errors of
+    # 0.47 and 3.5e4
+    rng = random.Random(2013)
+    cases = [(H, 60, complex(2.0, 3.0), 0), (H, 45, complex(-3.0, 1.0), 0)]
+    for _ in range(300):
+        cases.append((rng.choice((H, HS)), rng.randint(1, 100),
+                      complex(rng.uniform(-4, 4), rng.uniform(-150, 150)), rng.randint(0, 2)))
+    for fam, n, s, order in cases:
+        res = (evaluate(spec(fam, n), s, CTX) if order == 0
+               else derivative(spec(fam, n), s, CTX, order=order))
+        oracle = oracles.eta_hasse_highprec if fam is H else oracles.eta_hstar_highprec
+        ref = oracle(n, s, 500, order)
+        with mp.workprec(500):
+            diff = abs(res.value.to_mpc() - ref)
+            assert diff <= res.abs_err, (fam, n, s, order)
+            assert diff <= 1e-13 * abs(ref), (fam, n, s, order)
 
 
 # ---------------------------------------------------------------------------
@@ -294,11 +320,13 @@ def test_extended_context_returns_extended_values():
 # ---------------------------------------------------------------------------
 
 def test_hstar_power_tables_match_oracle():
-    # one table per tier grown across n, as the global series grows its HASSE
-    # table; each dot product must hold its own bound against a 400-bit sum
+    # each table (plain and exact-phase fast, extended) grown across n, as the
+    # global series grows its HASSE table; each dot product must hold its own
+    # bound against a 400-bit sum
     s = complex(0.5, 40.0)
     for order in (0, 1, 2):
-        tables = (finite_eta._FastPowers(s, order), finite_eta._ExtPowers(s, order, 120))
+        tables = (finite_eta._FastPowers(s, order), finite_eta._FastPowers(s, order, True),
+                  finite_eta._ExtPowers(s, order, 120))
         for n in range(1, 61):
             ref = oracles.eta_hstar_highprec(n, s, 400, order)
             for powers in tables:
@@ -321,9 +349,21 @@ def test_value_in_double_range_is_returned_when_terms_are_not():
     assert res.value.to_complex() == 0 and res.abs_err == 0.0
 
 
+def test_fast_tier_far_up_the_line_matches_oracle(monkeypatch):
+    # the phase t ln b in double-double keeps the fast tier certified at t = 1e6
+    monkeypatch.setattr(finite_eta, "_eval_extended", None)  # escalating would fail
+    s = complex(0.5, 1e6)
+    res = evaluate(spec(H, 3), s, CTX)
+    ref = oracles.eta_hasse_highprec(3, s, 400)
+    with mp.workprec(400):
+        diff = abs(res.value.to_mpc() - ref)
+        assert diff <= res.abs_err <= CTX.target_rel_err * abs(ref)
+
+
 def test_precision_beyond_the_big_float_limit_is_refused():
-    # the guard bits grow with 2|Im s|; a sum needing more than
-    # _MAX_SUM_BITS is refused instead of run
-    for t in (1e6, 1e300):
+    # beyond the fast tier's reach the guard bits grow with 2|Im s|; a sum
+    # needing more than _MAX_SUM_BITS is refused instead of run, and a
+    # phase beyond the double range never certifies
+    for t in (1e12, 1e300, 1.7e308):
         with pytest.raises(RangeError):
             evaluate(spec(H, 3), complex(0.5, t), CTX)

@@ -14,6 +14,7 @@ from eta_forge import (
     proto_cloud,
     scan_line,
 )
+from eta_forge import finite_eta
 from eta_forge.proto_zeros import default_step, is_prime
 
 CTX = PrecisionContext()
@@ -170,6 +171,29 @@ def test_scan_n6_single_minimum_near_zeta_zero_window():
     recs = scan_line(cfg, CTX)
     assert len(recs) == 1
     assert abs(recs[0].t - oracle[0]) < 0.01
+
+
+def test_scan_far_up_the_line_stays_on_the_fast_tier(monkeypatch):
+    # beyond t = 40 the plain table's bound, which grows with |s|, certifies
+    # few points of this line; the exact-phase table must certify nearly all
+    evaluations, escalations = [], []
+    raw_evaluate, raw_extended = finite_eta._evaluate, finite_eta._eval_extended
+
+    def counting_evaluate(*args):
+        evaluations.append(args)
+        return raw_evaluate(*args)
+
+    def counting_extended(*args):
+        escalations.append(args)
+        return raw_extended(*args)
+
+    monkeypatch.setattr(finite_eta, "_evaluate", counting_evaluate)
+    monkeypatch.setattr(finite_eta, "_eval_extended", counting_extended)
+    spec = FiniteEtaSpec(Family.HASSE, 20)
+    records = scan_line(ScanConfig(spec, 0.5, 40.0, 100.0, default_step(spec)), CTX)
+    assert records
+    assert len(evaluations) > 600
+    assert len(escalations) <= 0.1 * len(evaluations)
 
 
 # ---------------------------------------------------------------------------
