@@ -266,7 +266,7 @@ def _cmd_verify(family: Family, args, ctx):
     results = {
         "lhs": _cplx(res.lhs) if res.lhs is not None else None,
         "rhs": _cplx(res.rhs) if res.rhs is not None else None,
-        "residual": res.residual,
+        "residual": None if res.rhs is None else res.residual,  # None at a genuine pole
         "skipped": res.skipped,
         "reason": res.reason,
     }

@@ -1,36 +1,39 @@
 """Kernel integrals L_n(s) and the closed-form identities they satisfy.
 
-For x > 0 the two kernels are, in factored form,
+Both finite families come from one construction over the bases b of
+their finite sum (``FiniteEtaSpec.bases``) and a pole spacing q:
 
-    HASSE:  (x+1)(x+2)...(x+n+1)            (degree n+1)
-    HSTAR:  (x^2+1)(x^2+4)...(x^2+n^2)      (degree 2n)
+    kernel(x)    = prod_b (x^q + b^q)
+    L_n(s)       = integral_0^infty x^(s-1) / kernel(x) dx,  0 < Re(s) < q * #bases
+    closed form  = pi / sin(pi s / q) * eta(w(s)) / m!
 
-and L_n(s) = integral_0^infty x^(s-1) / kernel(x) dx converges on the
-window 0 < Re(s) < n+1 (HASSE) resp. 0 < Re(s) < 2n (HSTAR).  The library
-checks these against their closed forms
+    HASSE:  q = 1, b = 1..n+1, w(s) = 1 - s, m = n    ((x+1)...(x+n+1))
+    HSTAR:  q = 2, b = 1..n,   w(s) = -s,    m = 2n   ((x^2+1)...(x^2+n^2))
 
-    HASSE:  pi / sin(pi s)     * eta_n(1-s)    / n!
-    HSTAR:  pi / sin(pi s / 2) * zhstar_n(-s)  / (2n)!
-
-where eta_n / zhstar_n are the finite sums of :mod:`eta_forge.finite_eta`.
+where eta is the family's finite sum from :mod:`eta_forge.finite_eta`.
+``_describe`` is the only place that tells the two families apart.
 
 Quadrature scheme: split the integral at x = 1, substitute x -> 1/x on
 the outer piece (which turns it into another endpoint-singular integral
-over (0, 1]), and apply tanh-sinh (double exponential) quadrature to each
-piece.  The singular factor u^(s-1) is evaluated in log space so that
-small Re(s) neither overflows nor loses the oscillatory phase.
+over (0, 1] with integrand u^(q #bases - s - 1) / prod_b (1 + b^q u^q)),
+and apply tanh-sinh (double exponential) quadrature to each piece.  The
+singular factor u^(s-1) is evaluated in log space so that small Re(s)
+neither overflows nor loses the oscillatory phase.
 
-Inside a guard radius of 1e-3 around an integer (HASSE) or even integer
-(HSTAR) the closed form is 0/0 at the pole-free points; there it is
-evaluated by a three-term local expansion of the finite sum against the
-sine factor.  Near any other integer the sine pole is genuine and a
-PoleError is raised.
+The sine poles are the multiples of q.  Those strictly inside the window
+are pole-free points: the finite sum vanishes there and cancels the pole.
+Inside a guard radius of 1e-3 around one of them the closed form is 0/0
+and is evaluated by a three-term local expansion of the finite sum
+against the sine factor.  Near any other multiple of q the sine pole is
+genuine and a PoleError is raised.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import operator
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from .errors import DomainError, PoleError, RangeError
@@ -72,36 +75,60 @@ class QuadratureResult:
 class IdentityResidual:
     lhs: ComplexPoint | None   # integral
     rhs: ComplexPoint | None   # closed form
-    residual: float            # |lhs - rhs| / max(1, |rhs|)
+    residual: float            # |lhs - rhs| / max(1, |rhs|); inf when rhs is None
     skipped: bool = False
     reason: str | None = None
+
+
+@dataclass(frozen=True)
+class _KernelFamily:
+    """One finite family as the kernel, window and closed form see it."""
+
+    spec: FiniteEtaSpec
+    q: int                                  # pole spacing, the power of x and b
+    powers: tuple[int, ...]                 # b^q for each base b, exact
+    argument: Callable[[complex], complex]  # finite-sum argument w(s)
+    m: int                                  # the closed form divides by m!
+
+    @property
+    def window(self) -> tuple[float, float]:
+        return (0.0, float(self.q * len(self.powers)))
+
+
+def _describe(family: Family, n: int) -> _KernelFamily:
+    """The one place that tells the families apart; FiniteEtaSpec checks n."""
+    spec = FiniteEtaSpec(family, n)
+    if family is Family.HASSE:
+        q, argument, m = 1, (lambda w: complex(1) - w), n
+    else:
+        q, argument, m = 2, operator.neg, 2 * n
+    return _KernelFamily(spec, q, tuple(b ** q for b in spec.bases), argument, m)
+
+
+def _power(x: float, q: int) -> float:
+    """x^q as a product, so x^2 rounds once like x * x (pow may not)."""
+    return x * x if q == 2 else x
+
+
+def _kernel(k: _KernelFamily, x: float) -> float:
+    xq = _power(x, k.q)
+    p = 1.0
+    for bq in k.powers:
+        p *= xq + bq
+    if math.isinf(p):
+        raise RangeError(f"kernel overflow at x={x}, n={k.spec.n}")
+    return p
 
 
 def kernel_value(family: Family, n: int, x: float) -> float:
     """Kernel at real x > 0, evaluated as the factored product."""
     if not x > 0:
         raise DomainError(f"kernel argument must be positive, got {x}")
-    if family is Family.HSTAR and n < 1:
-        raise DomainError("HSTAR requires n >= 1")
-    if n < 0:
-        raise DomainError("n must be >= 0")
-    p = 1.0
-    if family is Family.HASSE:
-        for j in range(1, n + 2):
-            p *= x + j
-    else:
-        x2 = x * x
-        for k in range(1, n + 1):
-            p *= x2 + k * k
-    if math.isinf(p):
-        raise RangeError(f"kernel overflow at x={x}, n={n}")
-    return p
+    return _kernel(_describe(family, n), x)
 
 
 def convergence_window(family: Family, n: int) -> tuple[float, float]:
-    if family is Family.HASSE:
-        return (0.0, float(n + 1))
-    return (0.0, float(2 * n))
+    return _describe(family, n).window
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +233,8 @@ def integrate_L(family: Family, n: int, s, ctx: PrecisionContext = PrecisionCont
     calls; exceeding it returns the best estimate with an inflated bound.
     """
     sc = _coerce_complex(s)
-    lo, hi = convergence_window(family, n)
+    k = _describe(family, n)
+    lo, hi = k.window
     if not (lo < sc.real < hi):
         raise DomainError(
             f"Re(s) = {sc.real} outside convergence window ({lo}, {hi}) "
@@ -216,32 +244,17 @@ def integrate_L(family: Family, n: int, s, ctx: PrecisionContext = PrecisionCont
     # at the 1e-12 floor is always at least as tight.
     tol = 1e-12 if tol_abs is None else tol_abs
 
-    if family is Family.HASSE:
-        def g1(u, _n=n):
-            return 1.0 / kernel_value(Family.HASSE, _n, u) if u > 0 else 1.0 / math.factorial(_n + 1)
+    def g1(u):  # 1 / kernel(u); at u = 0 the exact product of the b^q
+        return 1.0 / _kernel(k, u) if u > 0 else 1.0 / math.prod(k.powers)
 
-        def g2(u, _n=n):
-            p = 1.0
-            for j in range(1, _n + 2):
-                p *= 1.0 + j * u
-            return 1.0 / p
+    def g2(u):  # u^(q #bases) / kernel(1/u) = 1 / prod_b (1 + b^q u^q)
+        uq = _power(u, k.q)
+        p = 1.0
+        for bq in k.powers:
+            p *= 1.0 + bq * uq
+        return 1.0 / p
 
-        beta = complex(n + 1) - sc
-    else:
-        def g1(u, _n=n):
-            if u > 0:
-                return 1.0 / kernel_value(Family.HSTAR, _n, u)
-            return 1.0 / math.factorial(_n) ** 2
-
-        def g2(u, _n=n):
-            p = 1.0
-            u2 = u * u
-            for k in range(1, _n + 1):
-                p *= 1.0 + k * k * u2
-            return 1.0 / p
-
-        beta = complex(2 * n) - sc
-
+    beta = complex(hi) - sc
     half = budget // 2
     v1, e1, c1, _ = _tanh_sinh_power(g1, sc - 1.0, tol / 2, half)
     v2, e2, c2, _ = _tanh_sinh_power(g2, beta - 1.0, tol / 2, half)
@@ -253,35 +266,18 @@ def integrate_L(family: Family, n: int, s, ctx: PrecisionContext = PrecisionCont
 # closed form with guarded pole-free limits
 # ---------------------------------------------------------------------------
 
-def _pole_free_points(family: Family, n: int) -> set[int]:
-    """Integers inside the window where the finite-sum zero cancels the
-    sine pole: s = 1..n (HASSE), s = 2, 4, ..., 2n-2 (HSTAR)."""
-    if family is Family.HASSE:
-        return set(range(1, n + 1))
-    return set(range(2, 2 * n - 1, 2))
+def _nearest_sine_pole(k: _KernelFamily, sc: complex) -> complex:
+    return complex(k.q * round(sc.real / k.q), 0.0)
 
 
-def _nearest_sine_pole(family: Family, sc: complex) -> complex:
-    if family is Family.HASSE:
-        return complex(round(sc.real), 0.0)
-    return complex(2 * round(sc.real / 2), 0.0)
-
-
-def _limit_expansion(family: Family, n: int, s0: int, eps: complex,
-                     ctx: PrecisionContext) -> complex:
+def _limit_expansion(k: _KernelFamily, s0: int, eps: complex, ctx: PrecisionContext) -> complex:
     """Three-term expansion of the 0/0 ratio around pole-free point s0."""
-    # finite-sum base point, sine frequency, sign index, scale mult / m!
-    if family is Family.HASSE:
-        w0, freq, sign_index, mult, m = 1 - s0, math.pi, s0, 1.0, n
-    else:
-        w0, freq, sign_index, mult, m = -s0, math.pi / 2.0, s0 // 2, 2.0, 2 * n
-    spec = FiniteEtaSpec(family, n)
-    d1, d2, d3 = (derivative(spec, complex(w0), ctx, order=k).value.to_complex()
-                  for k in (1, 2, 3))
+    d1, d2, d3 = (derivative(k.spec, complex(k.argument(s0)), ctx, order=j).value.to_complex()
+                  for j in (1, 2, 3))
     num = -d1 + (eps / 2) * d2 - (eps * eps / 6) * d3
-    sine_corr = 1.0 + (freq * eps) ** 2 / 6.0
-    sign = -1.0 if sign_index % 2 else 1.0
-    return sign * mult * num * sine_corr / math.factorial(m)
+    sine_corr = 1.0 + (math.pi / k.q * eps) ** 2 / 6.0
+    sign = -1.0 if (s0 // k.q) % 2 else 1.0
+    return sign * float(k.q) * num * sine_corr / math.factorial(k.m)
 
 
 def rhs_closed_form(family: Family, n: int, s, ctx: PrecisionContext = PrecisionContext()) -> ComplexPoint:
@@ -290,27 +286,23 @@ def rhs_closed_form(family: Family, n: int, s, ctx: PrecisionContext = Precision
     Raises PoleError (with the nearest pole) inside the guard radius of a
     genuine pole of the sine prefactor.
     """
-    if family is Family.HSTAR and n < 1:
-        raise DomainError("HSTAR requires n >= 1")
+    k = _describe(family, n)
     sc = _coerce_complex(s)
-    pole = _nearest_sine_pole(family, sc)
-    dist = abs(sc - pole)
-    if dist < POLE_GUARD_RADIUS:
+    pole = _nearest_sine_pole(k, sc)
+    if abs(sc - pole) < POLE_GUARD_RADIUS:
         s0 = int(pole.real)
-        if s0 in _pole_free_points(family, n):
-            v = _limit_expansion(family, n, s0, sc - pole, ctx)
+        if 0 < s0 < k.window[1]:
+            v = _limit_expansion(k, s0, sc - pole, ctx)
             return ComplexPoint(v.real, v.imag)
         raise PoleError(
             f"closed form has a genuine pole at s = {s0} "
             f"(family {family.value}, n = {n})", location=pole,
         )
-    spec = FiniteEtaSpec(family, n)
-    if family is Family.HASSE:
-        eta = evaluate(spec, complex(1) - sc, ctx).value.to_complex()
-        v = math.pi / cmath.sin(math.pi * sc) * eta / math.factorial(n)
-    else:
-        zh = evaluate(spec, -sc, ctx).value.to_complex()
-        v = math.pi / cmath.sin(math.pi * sc / 2.0) * zh / math.factorial(2 * n)
+    eta = evaluate(k.spec, k.argument(sc), ctx).value.to_complex()
+    phase = math.pi * sc
+    if k.q != 1:  # a complex division by 1 would turn inf + iy into inf + i nan
+        phase /= k.q
+    v = math.pi / cmath.sin(phase) * eta / math.factorial(k.m)
     return ComplexPoint(v.real, v.imag)
 
 
@@ -321,23 +313,20 @@ def verify_identity(family: Family, n: int, s, ctx: PrecisionContext = Precision
     Identity failures are reported in the residual, never raised.  Points
     inside a pole-guard annulus are marked skipped (the closed form there
     is a 0/0 limit, still computed when possible, but the point does not
-    count toward a sweep).
+    count toward a sweep).  Near a genuine pole rhs_closed_form raises
+    PoleError; the point is skipped with rhs None and residual inf.
     """
     sc = _coerce_complex(s)
     lhs = integrate_L(family, n, sc, ctx, budget=budget)
-    pole = _nearest_sine_pole(family, sc)
-    dist = abs(sc - pole)
-    skipped = False
-    reason = None
-    if dist < POLE_GUARD_RADIUS:
-        skipped = True
-        s0 = int(pole.real)
-        if s0 in _pole_free_points(family, n):
-            reason = f"inside pole-guard annulus of pole-free point s = {s0} (0/0 limit)"
-        else:
-            reason = f"inside pole-guard radius of genuine pole at s = {s0}"
-            return IdentityResidual(lhs.value, None, math.inf, True, reason)
-    rhs = rhs_closed_form(family, n, sc, ctx)
+    try:
+        rhs = rhs_closed_form(family, n, sc, ctx)
+    except PoleError as exc:
+        reason = f"inside pole-guard radius of genuine pole at s = {int(exc.location.real)}"
+        return IdentityResidual(lhs.value, None, math.inf, True, reason)
+    pole = _nearest_sine_pole(_describe(family, n), sc)
+    skipped = abs(sc - pole) < POLE_GUARD_RADIUS
+    reason = (f"inside pole-guard annulus of pole-free point s = {int(pole.real)} (0/0 limit)"
+              if skipped else None)
     diff = abs(lhs.value.to_complex() - rhs.to_complex())
     residual = diff / max(1.0, abs(rhs.to_complex()))
     return IdentityResidual(lhs.value, rhs, residual, skipped, reason)

@@ -38,13 +38,15 @@ __all__ = [
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)  # deterministic far past 2^31
+# About 1000x the longest line a test or benchmark scans (n = 20 on [1, 100]).
+_MAX_GRID_POINTS = 1_000_000
 
 
 def is_prime(p: int) -> bool:
     """Deterministic Miller-Rabin (exact for everything we accept)."""
     if not isinstance(p, int) or p < 2:
         return False
-    for small in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for small in _MR_BASES:
         if p == small:
             return True
         if p % small == 0:
@@ -112,6 +114,10 @@ class ScanConfig:
             raise DomainError(f"need t_min < t_max, got [{self.t_min}, {self.t_max}]")
         if not self.step > 0:
             raise DomainError("step must be positive")
+        points = (self.t_max - self.t_min) / self.step + 1
+        if not points <= _MAX_GRID_POINTS:  # also refuses inf and nan
+            raise DomainError(
+                f"scan grid of {points:.6g} points exceeds the limit of {_MAX_GRID_POINTS}")
         p = _largest_participating_prime(self.spec)
         if p is not None:
             limit = planck_resolution(p).resolution / 10.0

@@ -56,6 +56,25 @@ def test_verify_thm1_residual(capsys):
     assert env["results"]["residual"] <= 1e-10
 
 
+@pytest.mark.parametrize("argv, reason", [
+    (["verify", "thm2", "--n", "3", "--s", "0.0005"],
+     "inside pole-guard radius of genuine pole at s = 0"),
+    (["verify", "thm1", "--n", "2", "--s", "3.9996"],
+     "inside pole-guard radius of genuine pole at s = 4"),
+    (["verify", "thm2", "--n", "3", "--s", "2.0001"],
+     "inside pole-guard annulus of pole-free point s = 2 (0/0 limit)"),
+])
+def test_verify_skips_are_strict_json(argv, reason, capsys):
+    code, out = invoke(["--no-timing"] + argv, capsys)
+    assert code == 0
+    res = _strict_json(out)["results"]
+    assert res["skipped"] is True and res["reason"] == reason
+    if "genuine" in reason:  # no closed form, so no residual
+        assert res["residual"] is None and res["rhs"] is None
+    else:  # the 0/0 limit still agrees with the quadrature
+        assert res["residual"] <= 1e-6
+
+
 def test_usage_error_exit_two(capsys):
     with pytest.raises(SystemExit) as exc:
         run(["eta", "eval", "--family", "hasse", "--n", "not-an-int", "--s", "1"])
@@ -308,6 +327,47 @@ _S_PART = st.one_of(st.floats(-60, 60),
 def test_argv_fuzz_keeps_the_exit_contract(command, n, re, im, capsys):
     argv = ["--no-timing"] + command + (["--n", str(n)] if command[0] == "eta" else [])
     code, out, err = _run_captured(argv + [f"--s={re!r}{im:+}i"], capsys)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in out and "Traceback" not in err
+    if code == 2:
+        assert out == ""
+    else:
+        _strict_json(out)
+
+
+_REAL_ARG = st.one_of(st.floats(-60, 60), st.sampled_from([1e17, -1e17, 1e300, -1e300, math.nan]))
+_S_ARG = st.builds(lambda re, im: f"--s={re!r}{im:+}i", _S_PART, _S_PART)
+_N_ARG = st.integers(0, 4).map(str)
+_BUDGET_ARG = st.integers(1, 400).map(str)
+
+
+def _scan_argv(family, n, sigma, t_min, width):
+    return ["proto", "scan", "--family", family, "--n", n, f"--sigma={sigma!r}",
+            f"--t-min={t_min!r}", f"--t-max={t_min + width!r}"]
+
+
+_NUMERIC_ARGV = st.one_of(
+    st.builds(lambda fam, n, s, b: ["integral", "compute", "--family", fam, "--n", n, s,
+                                    "--budget", b],
+              st.sampled_from(["hasse", "hstar"]), _N_ARG, _S_ARG, _BUDGET_ARG),
+    st.builds(lambda thm, n, s, b: ["verify", thm, "--n", n, s, "--budget", b],
+              st.sampled_from(["thm1", "thm2"]), _N_ARG, _S_ARG, _BUDGET_ARG),
+    st.builds(lambda s: ["funceq", "check", s], _S_ARG),
+    st.builds(lambda t: ["zero", "refine", f"--t0={t!r}"], _REAL_ARG),
+    st.builds(lambda s: ["apow", "pi-s", s], _S_ARG),
+    st.builds(lambda s, side: ["apow", "clifford", s, "--side", side],
+              _S_ARG, st.sampled_from(["a", "b"])),
+    st.builds(_scan_argv, st.sampled_from(["hasse", "hstar"]), _N_ARG, _REAL_ARG, _REAL_ARG,
+              st.floats(0, 3)),
+    st.builds(lambda p: ["planck", "--p", str(p)], st.integers(-10, 10 ** 12)),
+)
+
+
+@settings(max_examples=120, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=_NUMERIC_ARGV)
+def test_argv_fuzz_every_numeric_subcommand(argv, capsys):
+    code, out, err = _run_captured(["--no-timing"] + argv, capsys)
     assert code in (0, 1, 2)
     assert "Traceback" not in out and "Traceback" not in err
     if code == 2:

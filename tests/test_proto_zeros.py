@@ -73,6 +73,18 @@ def test_scan_config_validation():
         ScanConfig(H1, 0.5, 1.0, 30.0, 1.0)
 
 
+def test_scan_config_refuses_an_oversized_grid():
+    # constructed only: a config that passed would allocate the whole grid
+    spec = FiniteEtaSpec(Family.HASSE, 4)
+    with pytest.raises(DomainError, match="exceeds the limit"):
+        ScanConfig(spec, 0.5, 0.0, 1e15, default_step(spec))
+    with pytest.raises(DomainError, match="exceeds the limit"):
+        ScanConfig(spec, 0.5, 0.0, 1.0, 5e-324)        # (t_max - t_min) / step = inf
+    with pytest.raises(DomainError, match="exceeds the limit"):
+        ScanConfig(spec, 0.5, -1e308, 1e308, 0.05)     # t_max - t_min = inf
+    ScanConfig(spec, 0.5, 0.0, 999_999 * 0.0625, 0.0625)  # exactly 10^6 points
+
+
 def test_default_step_scales_with_prime():
     s1 = default_step(FiniteEtaSpec(Family.HASSE, 1))   # prime 2
     s4 = default_step(FiniteEtaSpec(Family.HASSE, 4))   # prime 5
