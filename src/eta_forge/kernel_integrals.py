@@ -302,7 +302,10 @@ def rhs_closed_form(family: Family, n: int, s, ctx: PrecisionContext = Precision
     phase = math.pi * sc
     if k.q != 1:  # a complex division by 1 would turn inf + iy into inf + i nan
         phase /= k.q
-    v = math.pi / cmath.sin(phase) * eta / math.factorial(k.m)
+    try:
+        v = math.pi / cmath.sin(phase) * eta / math.factorial(k.m)
+    except (ValueError, OverflowError):  # pi s beyond double range
+        raise RangeError(f"the closed form's sine factor is out of double range at s = {sc}") from None
     return ComplexPoint(v.real, v.imag)
 
 

@@ -7,6 +7,12 @@ generator, and normal ordering is the confluent rewrite b a -> a b + u.
 The canonical form of any element is a finite sum of monomials a^i b^j
 (all a's to the left) with coefficients polynomial in u.
 
+Both hot paths work on plain ints and build exact objects once, at the
+end: normal ordering merges equal intermediate words (each distinct word
+is rewritten once, so the cost follows the number of distinct words, not
+of rewrite paths), and products sum integer numerators over one common
+denominator per operand.
+
 Reductions: the vacuum submodule is everything ending in b (dropping all
 monomials with j > 0); the observer submodule additionally kills leading
 a's, so only the scalar part survives.
@@ -48,19 +54,22 @@ __all__ = [
 # exact scalars
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+_F0 = Fraction(0)  # one shared zero part: real coefficients are the common case
+
+
+@dataclass(frozen=True, slots=True)
 class GaussRat:
     """Gaussian rational re + im*i with exact Fraction components."""
 
-    re: Fraction = Fraction(0)
-    im: Fraction = Fraction(0)
+    re: Fraction = _F0
+    im: Fraction = _F0
 
     @classmethod
     def of(cls, x) -> "GaussRat":
         if isinstance(x, GaussRat):
             return x
         if isinstance(x, (int, Fraction)):
-            return cls(Fraction(x), Fraction(0))
+            return cls(Fraction(x))
         if isinstance(x, complex):
             raise DomainError("floating complex is not exact; build GaussRat from Fractions")
         raise DomainError(f"cannot make an exact scalar from {x!r}")
@@ -170,12 +179,8 @@ class _SymbolPoly:
         other = self._coerce(other)
         out = dict(self.coeffs)
         for k, v in other.coeffs.items():
-            w = out.get(k, _ZERO) + v
-            if w.is_zero:
-                out.pop(k, None)
-            else:
-                out[k] = w
-        return type(self)(out)
+            out[k] = out.get(k, _ZERO) + v
+        return type(self)(out)  # the constructor drops zero coefficients
 
     __radd__ = __add__
 
@@ -193,12 +198,7 @@ class _SymbolPoly:
         out: dict[int, GaussRat] = {}
         for k1, v1 in self.coeffs.items():
             for k2, v2 in other.coeffs.items():
-                k = k1 + k2
-                w = out.get(k, _ZERO) + v1 * v2
-                if w.is_zero:
-                    out.pop(k, None)
-                else:
-                    out[k] = w
+                out[k1 + k2] = out.get(k1 + k2, _ZERO) + v1 * v2
         return type(self)(out)
 
     __rmul__ = __mul__
@@ -258,20 +258,14 @@ class UPoly(_SymbolPoly):
     """Exact polynomial in the central phase u."""
 
     SYMBOL = "u"
-
-    @classmethod
-    def u_power(cls, r: int) -> "UPoly":
-        return cls({r: _ONE})
+    U_DEGREE = 1  # degree of one factor of u in this ring
 
 
 class SPoly(_SymbolPoly):
     """Exact polynomial in the formal exponent s (u normalized to 1)."""
 
     SYMBOL = "s"
-
-    @classmethod
-    def u_power(cls, r: int) -> "SPoly":
-        return cls.one()
+    U_DEGREE = 0  # u is normalized to 1
 
 
 def _format_sym_factor(c: GaussRat, sym: str, k: int, lead: bool) -> str:
@@ -324,18 +318,16 @@ class WeylPoly:
 
     def __init__(self, terms=None, coeff_cls=UPoly):
         self.coeff_cls = coeff_cls
-        clean: dict[tuple[int, int], _SymbolPoly] = {}
-        if terms:
-            for (i, j), c in terms.items():
-                if not isinstance(c, coeff_cls):
-                    c = coeff_cls.const(c) if not isinstance(c, _SymbolPoly) else c
-                if isinstance(c, _SymbolPoly) and not isinstance(c, coeff_cls):
-                    raise DomainError("coefficient class mismatch")
-                if i < 0 or j < 0:
-                    raise DomainError("monomial exponents must be non-negative")
-                if not c.is_zero:
-                    clean[(int(i), int(j))] = c
-        self.terms = clean
+        self.terms = {}
+        for (i, j), c in (terms or {}).items():
+            if not isinstance(c, _SymbolPoly):
+                c = coeff_cls.const(c)
+            elif not isinstance(c, coeff_cls):
+                raise DomainError("coefficient class mismatch")
+            if i < 0 or j < 0:
+                raise DomainError("monomial exponents must be non-negative")
+            if not c.is_zero:
+                self.terms[(int(i), int(j))] = c
 
     # constructors ----------------------------------------------------------
     @classmethod
@@ -374,12 +366,8 @@ class WeylPoly:
         self._check(other)
         out = dict(self.terms)
         for ij, c in other.terms.items():
-            w = out.get(ij, self.coeff_cls.zero()) + c
-            if w.is_zero:
-                out.pop(ij, None)
-            else:
-                out[ij] = w
-        return WeylPoly(out, self.coeff_cls)
+            out[ij] = out.get(ij, self.coeff_cls.zero()) + c
+        return WeylPoly(out, self.coeff_cls)  # the constructor drops zero terms
 
     __radd__ = __add__
 
@@ -401,24 +389,49 @@ class WeylPoly:
 
         Crossing b^j past a^k uses the closed form
         b^j a^k = sum_r r! C(j,r) C(k,r) u^r a^(k-r) b^(j-r).
+        Each operand is written as integer numerators over one common
+        denominator, the integer products are summed, and one Fraction is
+        made per output coefficient.
         """
         if not isinstance(other, WeylPoly):
             return self.scale(other)
         self._check(other)
-        out: dict[tuple[int, int], _SymbolPoly] = {}
-        for (i1, j1), c1 in self.terms.items():
-            for (i2, j2), c2 in other.terms.items():
-                base = c1 * c2
-                for r in range(0, min(j1, i2) + 1):
-                    coef = math.factorial(r) * math.comb(j1, r) * math.comb(i2, r)
-                    c = base * self.coeff_cls.u_power(r) * coef
-                    ij = (i1 + i2 - r, j1 + j2 - r)
-                    w = out.get(ij, self.coeff_cls.zero()) + c
-                    if w.is_zero:
-                        out.pop(ij, None)
-                    else:
-                        out[ij] = w
-        return WeylPoly(out, self.coeff_cls)
+        d1, left = self._numerators()
+        d2, right = other._numerators()
+        shift = self.coeff_cls.U_DEGREE
+        out: dict[tuple[int, int, int], list[int]] = {}  # (i, j, u^k) -> [re, im]
+        for (i1, j1), c1 in left:
+            for (i2, j2), c2 in right:
+                base: dict[int, list[int]] = {}  # c1 * c2
+                for k1, a1, b1 in c1:
+                    for k2, a2, b2 in c2:
+                        acc = base.setdefault(k1 + k2, [0, 0])
+                        acc[0] += a1 * a2 - b1 * b2
+                        acc[1] += a1 * b2 + b1 * a2
+                for r in range(min(j1, i2) + 1):
+                    w = math.factorial(r) * math.comb(j1, r) * math.comb(i2, r)
+                    for k, (re, im) in base.items():
+                        acc = out.setdefault((i1 + i2 - r, j1 + j2 - r, k + r * shift), [0, 0])
+                        acc[0] += w * re
+                        acc[1] += w * im
+        den = d1 * d2
+        terms: dict[tuple[int, int], dict[int, GaussRat]] = {}
+        while out:  # popping frees each sum as its Fractions are made
+            (i, j, k), (re, im) = out.popitem()
+            if re or im:
+                g = GaussRat(Fraction(re, den) if re else _F0, Fraction(im, den) if im else _F0)
+                terms.setdefault((i, j), {})[k] = g
+        return WeylPoly({ij: self.coeff_cls(c) for ij, c in terms.items()}, self.coeff_cls)
+
+    def _numerators(self):
+        """(D, [((i, j), [(k, re * D, im * D), ...]), ...]) with D the lcm of
+        every coefficient's denominators, so the numerators are ints."""
+        den = math.lcm(*(x.denominator for poly in self.terms.values()
+                         for g in poly.coeffs.values() for x in (g.re, g.im)))
+        return den, [(ij, [(k, g.re.numerator * (den // g.re.denominator),
+                            g.im.numerator * (den // g.im.denominator))
+                           for k, g in poly.coeffs.items()])
+                     for ij, poly in self.terms.items()]
 
     def __rmul__(self, other):
         # scalars commute; everything else goes through __mul__
@@ -599,28 +612,43 @@ def parse_weyl_poly(text: str, coeff_cls=UPoly) -> WeylPoly:
 def normal_order(word, choose=None) -> WeylPoly:
     """Canonical form of a word by the rewrite  B A -> A B + u.
 
-    ``choose(positions, letters)`` may pick which redex to rewrite next
-    (used to exercise confluence); the result never depends on it.
+    Equal intermediate words are merged, each carrying a {u-exponent:
+    integer multiplicity} map.  Both rewrites strictly lower the number of
+    (B, A) inversions, so words are expanded in decreasing inversion count,
+    each distinct word once; the cost follows the number of distinct words
+    (B^20 A^20 in milliseconds), not the exponential number of rewrite paths.
+
+    ``choose(positions, letters)`` may pick which redex to rewrite next; it
+    is called once per distinct word (used to exercise confluence), and
+    the result never depends on it.
     """
     if isinstance(word, str):
         word = WeylWord(word)
-    letters = tuple(word.letters)
-    acc = WeylPoly.zero(UPoly)
-    stack = [(letters, 0, 1)]  # (word, u-exponent, integer multiplicity)
-    while stack:
-        w, upow, mult = stack.pop()
-        redexes = [k for k in range(len(w) - 1) if w[k] == "B" and w[k + 1] == "A"]
-        if not redexes:
-            i = w.count("A")
-            j = len(w) - i
-            acc = acc + WeylPoly({(i, j): UPoly({upow: Fraction(mult)})}, UPoly)
-            continue
-        k = redexes[0] if choose is None else choose(redexes, w)
-        swapped = w[:k] + ("A", "B") + w[k + 2:]
-        contracted = w[:k] + w[k + 2:]
-        stack.append((swapped, upow, mult))
-        stack.append((contracted, upow + 1, mult))
-    return acc
+    w0 = word.letters
+    inversions = sum(w0.count("B", 0, k) for k, x in enumerate(w0) if x == "A")
+    # pending[c] maps each word with c inversions to {u-exponent: multiplicity}
+    pending: dict[int, dict[str, dict[int, int]]] = {inversions: {w0: {0: 1}}}
+
+    def push(c, w, mults, shift):
+        acc = pending.setdefault(c, {}).setdefault(w, {})
+        for e, m in mults.items():
+            acc[e + shift] = acc.get(e + shift, 0) + m
+
+    for c in range(inversions, 0, -1):
+        for w, mults in pending.pop(c, {}).items():
+            if choose is None:
+                k = w.find("BA")
+            else:
+                k = choose([p for p in range(len(w) - 1) if w[p:p + 2] == "BA"], tuple(w))
+            push(c - 1, w[:k] + "AB" + w[k + 2:], mults, 0)
+            # contracting drops the inversions of w[k] and of w[k + 1], one shared
+            lost = w.count("A", k + 1) + w.count("B", 0, k + 1) - 1
+            push(c - lost, w[:k] + w[k + 2:], mults, 1)
+    terms = {}
+    for w, mults in pending.get(0, {}).items():
+        i = w.count("A")
+        terms[(i, len(w) - i)] = UPoly({e: Fraction(m) for e, m in mults.items()})
+    return WeylPoly(terms, UPoly)
 
 
 def mod_vacuum(p: WeylPoly) -> WeylPoly:

@@ -20,13 +20,14 @@ surviving scalar is exactly 1 + 2s(s-1).
 
 from __future__ import annotations
 
+import cmath
 import enum
 import math
 from fractions import Fraction
 
 import mpmath as mp
 
-from .errors import DomainError, VerificationError
+from .errors import DomainError, RangeError, VerificationError
 from .hasse_global import GlobalEvalResult
 from .numerics import ComplexPoint, PrecisionContext, _coerce_complex
 from .weyl_algebra import SPoly, WeylPoly, mod_observer
@@ -94,7 +95,12 @@ def pi_s(s, ctx: PrecisionContext = PrecisionContext()) -> GlobalEvalResult:
     risks divergence there).  The eventually alternating tail is summed
     with iterated averaging of partial sums; the reported tail bound is
     eight times the last averaging correction plus a rounding floor.
+    Double precision only: an extended context raises DomainError, and
+    terms beyond double range raise RangeError.
     """
+    if not ctx.is_fast:
+        raise DomainError(
+            f"pi_s is fast-tier only; a {ctx.working_bits}-bit context was requested")
     sc = _coerce_complex(s)
     if not sc.real > 0:
         raise DomainError(
@@ -123,6 +129,8 @@ def pi_s(s, ctx: PrecisionContext = PrecisionContext()) -> GlobalEvalResult:
         prev_top = row[0]
     value = row[0]
     tail = 8.0 * last_change + scale * total_terms * 2.0 ** -52
+    if not (cmath.isfinite(value) and math.isfinite(tail)):
+        raise RangeError(f"pi_s at s = {sc}: the terms C(s, k) exceed double range")
     return GlobalEvalResult(ComplexPoint(value.real, value.imag), total_terms, tail)
 
 
@@ -140,40 +148,52 @@ def clifford_contains(s, side=CliffordSide.A_SIDE) -> bool:
     sigma, t = sc.real, sc.imag
     if side is CliffordSide.B_SIDE:
         sigma = 1.0 - sigma
-    return ((sigma - 1.0) ** 2 + t * t < 1.0
-            and 0.25 <= sigma <= 0.75
-            and 0.0 <= t <= 0.5)
+    # the bands first: they bound sigma and t before anything is squared
+    return (0.25 <= sigma <= 0.75
+            and 0.0 <= t <= 0.5
+            and (sigma - 1.0) ** 2 + t * t < 1.0)
+
+
+def _falling_factorial(k: int) -> list[int]:
+    """Integer coefficients of s(s-1)...(s-k+1), lowest degree first."""
+    coeffs = [1]
+    for j in range(k):
+        coeffs = [lower - j * c for lower, c in zip([0] + coeffs, coeffs + [0])]
+    return coeffs
 
 
 def binom_spoly(k: int) -> SPoly:
     """C(s, k) expanded as an exact polynomial in the formal symbol s."""
     if k < 0:
         raise DomainError("k must be >= 0")
-    poly = SPoly.one()
-    for j in range(k):
-        poly = poly * SPoly({1: Fraction(1), 0: Fraction(-j)})
-    inv = Fraction(1, math.factorial(k))
-    return SPoly({deg: c * inv for deg, c in poly.coeffs.items()})
+    den = math.factorial(k)
+    return SPoly({deg: Fraction(c, den) for deg, c in enumerate(_falling_factorial(k))})
 
 
 def operator_power_truncated(base, K: int) -> WeylPoly:
     """Truncated binomial power sum_{k<=K} C(s,k) (base - 1)^k.
 
     Returns the canonical WeylPoly with SPoly coefficients (the phase u
-    is normalized to 1 in this symbolic-s setting).
+    is normalized to 1 in this symbolic-s setting).  The coefficients are
+    summed as integer numerators over K! and divided once.
     """
     base = _coerce_generator(base)
     if K < 0:
         raise DomainError("truncation order K must be >= 0")
-    out = WeylPoly.zero(SPoly)
+    den = math.factorial(K)
+    num: dict[int, dict[int, int]] = {}  # power of the generator -> {deg: numerator}
     for k in range(K + 1):
-        ck = binom_spoly(k)
+        ck = _falling_factorial(k)
+        scale = den // math.factorial(k)
         # (X - 1)^k for a single generator X expands commutatively
         for j in range(k + 1):
-            coef = math.comb(k, j) * (-1) ** (k - j)
-            ij = (j, 0) if base is Generator.A else (0, j)
-            out = out + WeylPoly({ij: ck * coef}, SPoly)
-    return out
+            coef = math.comb(k, j) * (-1) ** (k - j) * scale
+            acc = num.setdefault(j, {})
+            for deg, c in enumerate(ck):
+                acc[deg] = acc.get(deg, 0) + coef * c
+    return WeylPoly({(j, 0) if base is Generator.A else (0, j):
+                     SPoly({deg: Fraction(c, den) for deg, c in acc.items()})
+                     for j, acc in num.items()}, SPoly)
 
 
 def equilibrium_identity_check() -> SPoly:

@@ -231,6 +231,14 @@ def test_precision_bits_sets_the_default_tolerance(capsys):
     assert code == 0 and 1e-40 < env["diagnostics"]["tail_bound"] <= 1e-19
 
 
+def test_pi_s_refuses_a_requested_precision(capsys):
+    code, env = invoke_json(["--no-timing", "--precision-bits", "200",
+                             "apow", "pi-s", "--s", "0.5+1i"], capsys)
+    assert code == 1
+    assert env["error"]["type"] == "DomainError"
+    assert "fast-tier only" in env["error"]["message"]
+
+
 def test_weyl_cli_surface(capsys):
     code, env = invoke_json(["--no-timing", "weyl", "normal-order", "--word", "BBAA"], capsys)
     assert code == 0
@@ -244,6 +252,8 @@ def test_weyl_cli_surface(capsys):
     code, env = invoke_json(["--no-timing", "apow", "clifford", "--s", "0.5",
                              "--side", "b"], capsys)
     assert code == 0 and env["results"]["contains"] is True
+    code, env = invoke_json(["--no-timing", "apow", "clifford", "--s", "1e300"], capsys)
+    assert code == 0 and env["results"]["contains"] is False
 
 
 def test_integral_and_funceq_cli(capsys):
@@ -288,6 +298,7 @@ def _run_captured(argv, capsys):
     (["--tol", "0", "planck", "--p", "3"], 2),
     (["eta", "eval", "--family", "hasse", "--n", "3", "--s", "-800"], 1),
     (["zeta", "eval", "--s", "-400"], 1),
+    (["apow", "pi-s", "--s", "1e300"], 1),
 ])
 def test_boundary_inputs_give_strict_json_or_usage_error(argv, expected, capsys):
     code, out, err = _run_captured(["--no-timing"] + argv, capsys)

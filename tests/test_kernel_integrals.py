@@ -145,6 +145,12 @@ def test_rhs_genuine_pole_raises():
         rhs_closed_form(HS, 2, 2e-4, CTX)  # s=0 is a genuine pole
 
 
+def test_rhs_out_of_double_range_is_a_range_error():
+    for fam, n, s in ((H, 0, 1e308 + 5j), (H, 1, -1e308 + 2j), (H, 3, -1e308 + 2j)):
+        with pytest.raises(RangeError):
+            rhs_closed_form(fam, n, s, CTX)
+
+
 def test_rhs_limit_expansion_continuity():
     # value just inside the guard radius matches value just outside
     for fam, n, s0 in ((H, 3, 2.0), (HS, 3, 2.0)):

@@ -8,6 +8,7 @@ import oracles
 from eta_forge import (
     DomainError,
     GaussRat,
+    SPoly,
     UnitPhase,
     UPoly,
     WeylPoly,
@@ -132,6 +133,100 @@ def test_matrix_model_oracle():
         for col in range(span):
             for row in range(dim):
                 assert got[row][col] == want[row][col], (w, row, col)
+
+
+def _word_product(word):
+    acc = WeylPoly.one()
+    for letter in word:
+        acc = acc * (A if letter == "A" else B)
+    return acc
+
+
+def _nearly_sorted_word(rng, length, swaps):
+    """A^i B^j with a few random adjacent AB -> BA swaps (at most `swaps`
+    inversions)."""
+    w = sorted(rng.choice("AB") for _ in range(length))
+    for _ in range(swaps):
+        k = rng.randrange(max(length - 1, 1))
+        if w[k:k + 2] == ["A", "B"]:
+            w[k:k + 2] = ["B", "A"]
+    return "".join(w)
+
+
+def test_merged_rewrite_equals_generator_product():
+    rng = random.Random(2024)
+    for length in range(41):
+        w = "".join(rng.choice("AB") for _ in range(length))
+        want = _word_product(w)
+        for choose in (None, lambda r, _w: r[0], lambda r, _w: r[-1]):
+            assert normal_order(w, choose=choose) == want, w
+        # a random pick per word reaches most words that any rewrite order
+        # reaches, a number exponential in the inversions, so the random
+        # strategy runs on a nearly sorted word of the same length
+        v = _nearly_sorted_word(rng, length, 10)
+        assert normal_order(v, choose=lambda r, _w: rng.choice(r)) == _word_product(v), v
+
+
+def test_choose_is_called_once_per_distinct_word():
+    seen = []
+
+    def choose(redexes, letters):
+        seen.append("".join(letters))
+        return redexes[0]
+
+    normal_order("BBBAAA", choose=choose)
+    assert seen and len(seen) == len(set(seen))
+
+
+@pytest.mark.parametrize("k", range(21))
+def test_b_power_times_a_power_closed_form(k):
+    want = WeylPoly({(k - r, k - r): UPoly({r: math.factorial(r) * math.comb(k, r) ** 2})
+                     for r in range(k + 1)})
+    assert normal_order("B" * k + "A" * k) == want
+
+
+def _naive_product(p, q):
+    """The product term by term in GaussRat, without shared denominators."""
+    out = {}
+    for (i1, j1), c1 in p.terms.items():
+        for (i2, j2), c2 in q.terms.items():
+            for r in range(min(j1, i2) + 1):
+                weight = math.factorial(r) * math.comb(j1, r) * math.comb(i2, r)
+                ij = (i1 + i2 - r, j1 + j2 - r)
+                acc = out.setdefault(ij, {})
+                for k1, g1 in c1.coeffs.items():
+                    for k2, g2 in c2.coeffs.items():
+                        k = k1 + k2 + r * p.coeff_cls.U_DEGREE
+                        acc[k] = acc.get(k, GaussRat()) + g1 * g2 * weight
+    return WeylPoly({ij: p.coeff_cls(c) for ij, c in out.items()}, p.coeff_cls)
+
+
+@pytest.mark.parametrize("cls", [UPoly, SPoly])
+def test_product_matches_naive_gauss_rational_product(cls):
+    rng = random.Random(77)
+
+    def rand_poly():
+        terms = {}
+        for _ in range(rng.randint(1, 4)):
+            terms[(rng.randint(0, 4), rng.randint(0, 4))] = cls({
+                rng.randint(0, 3): GaussRat(Fraction(rng.randint(-9, 9), rng.randint(1, 12)),
+                                            Fraction(rng.randint(-9, 9), rng.randint(1, 12)))
+                for _ in range(rng.randint(1, 3))})
+        return WeylPoly(terms, cls)
+
+    for _ in range(60):
+        p, q = rand_poly(), rand_poly()
+        for x, y in ((p, q), (p, -p), (p - q, p + q)):
+            got, want = x * y, _naive_product(x, y)
+            assert got == want and str(got) == str(want)
+        assert (p * WeylPoly.zero(cls)).is_zero
+    # the a b terms of (b - i a)(b + i a) cancel and must not be stored
+    a, b = WeylPoly.gen_a(cls), WeylPoly.gen_b(cls)
+    i = GaussRat(Fraction(0), Fraction(1))
+    got = (b - a.scale(i)) * (b + a.scale(i))
+    assert (1, 1) not in got.terms
+    assert str(got) == ("a^2 + b^2 + iu" if cls is UPoly else "a^2 + b^2 + i")
+    assert got == _naive_product(b - a.scale(i), b + a.scale(i))
 
 
 # ---------------------------------------------------------------------------

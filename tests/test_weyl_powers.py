@@ -8,6 +8,7 @@ import oracles
 from eta_forge import (
     DomainError,
     PrecisionContext,
+    RangeError,
     SPoly,
     WeylPoly,
     binom_coeff,
@@ -87,6 +88,16 @@ def test_pi_s_refuses_left_half_plane():
         pi_s(complex(-0.5, 1.0), CTX)
 
 
+def test_pi_s_refuses_extended_contexts():
+    with pytest.raises(DomainError, match="fast-tier only"):
+        pi_s(complex(0.5, 1.0), PrecisionContext.extended(200))
+
+
+def test_pi_s_overflow_is_a_range_error_naming_s():
+    with pytest.raises(RangeError, match="1e\\+300"):
+        pi_s(1e300, CTX)
+
+
 def test_pi_s_agrees_with_two_to_the_s():
     pts = [complex(0.1, 0.0), complex(0.1, 1.0), complex(0.1, -1.0),
            complex(0.25, 0.5), complex(0.5, 0.0), complex(0.5, -0.9),
@@ -122,6 +133,12 @@ def test_clifford_three_conditions_directly():
         direct = ((s.real - 1.0) ** 2 + s.imag ** 2 < 1.0
                   and 0.25 <= s.real <= 0.75 and 0.0 <= s.imag <= 0.5)
         assert clifford_contains(s) == direct
+
+
+def test_clifford_huge_s_is_outside_without_overflow():
+    for s in (1e300, complex(0.5, 1e300), complex(-1e300, 0.1)):
+        assert not clifford_contains(s)
+        assert not clifford_contains(s, "b")
 
 
 def test_clifford_mirror_side():
