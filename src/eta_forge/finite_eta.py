@@ -28,8 +28,7 @@ term.  The fast tier tries (1) the plain table, whose rounding of s ln b
 charges about 2|s| ln n units of 2^-53 per term; (2) the exact-phase
 table, which forms t ln b in double-double and charges about
 2|Re s| ln n + 8 units at any practical t; (3) big-floats.  The global
-series uses the plain table alone: its sums need no certificate, and the
-exact-phase fill costs more per base.
+series takes the exact-phase table with its own remainder certificate.
 
 The binomial coefficients peak near C(2n, n) ~ 4^n / sqrt(n), so near a
 zero the alternating sum cancels almost all of its ~n bits.  The
@@ -155,7 +154,7 @@ class _FastPowers:
     """Fast-tier power table p_b = b**(-s) * (-ln b)**order for b = 1, 2, ...
 
     The table grows one base at a time (one ``cmath.exp`` per base) as
-    :meth:`dot` asks for more, so the finite sums of one series share their
+    :meth:`dot` asks for more, so a global series that lengthens keeps its
     powers.  At an integer s <= 0 (order 0) the powers are exact integers
     and the dot product is exact; at an integer 0 < s <= 512 they are
     correctly rounded reciprocals.

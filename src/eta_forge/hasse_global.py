@@ -2,31 +2,31 @@
 induces, the reflection identity residual, and Newton refinement of
 critical-line zeros.
 
-The global eta is summed as
+eta(s) = sum_{n>=0} 2^-(n+1) eta_n(s) over the HASSE finite sums converges
+for every s, and zeta = eta(s) / (1 - 2^(1-s)).  The partial sum is Euler's
+transform of eta (Sondow 1994), one weighted Dirichlet sum
 
-    eta(s) = sum_{n>=0} 2^(-(n+1)) * eta_n(s)
+    S_N(s) = 2^-(N+1) sum_{k<=N} (-1)^k W_k (k+1)^-s,   W_k = sum_{j>k} C(N+1, j),
 
-where eta_n are the HASSE finite sums.  The series converges for every s;
-the weights 2^(-(n+1)) also cancel the binomial growth of the terms, so
-the weighted fast-tier rounding error stays near machine epsilon even
-though an individual eta_n loses ~n bits to cancellation.  zeta is then
-eta(s) / (1 - 2^(1-s)).
+taken as one dot product of exact integers with one power table of
+:mod:`eta_forge.finite_eta`: N + 1 transcendentals and O(N) multiply-adds.
 
-Cost: the finite sums of one series share one power table (see
-:mod:`eta_forge.finite_eta`); eta_n adds the base n + 1 to it.  A series of
-N terms thus makes N transcendental calls (N exp and N log) plus O(N^2)
-multiply-adds in the exact-coefficient dot products.  The extended tier
-builds its table at working_bits + 48 + max(0, -Re s) * log2(cap + 2)
-bits, enough for the weighted cancellation of every term up to the cap.
+Length, chosen before summing: for Re s > -(N+1),
+eta(s) - S_N(s) = Gamma(s)^-1 int_0^1 (-ln y)^(s-1) ((1-y)/2)^(N+1) / (1+y) dy,
+so |eta - S_N| <= 2^-(N+1) (1/(sigma+N+1) + Gamma(sigma, 1)) / |Gamma(s)|, and
+|Gamma(x)/Gamma(x+it)|^2 = prod_k (1 + t^2/(x+k)^2) <= (1 + t^2/x^2) sinh(pi t)/(pi t)
+bounds 1/|Gamma| after a shift to x >= 1 (it is 0 at the poles of Gamma,
+where the sum is exact).  N makes this half the target with |value|
+guessed as 1; a smaller |value| first gets a longer sum, within the cap,
+then more bits.  Derivatives take Cauchy's estimate on a circle of radius 1/2.
 
-Stopping rule: stop once three consecutive weighted terms fall below
-max(target_rel_err * |partial sum|, per-term noise floor); the noise
-floor is needed because at a zero of eta the relative test alone can
-never trigger.  The claimed tail bound is eight times the last term
-magnitude plus the accumulated rounding bound.
-
-Fast-tier validity envelope: |Im s| <= 60.  Beyond that the guard digits
-erode and an extended-precision context is required.
+Ladder: the fast tier accepts the exact-phase double table when remainder
++ rounding <= target, else takes big floats at the working bits plus
+log2(sum |terms| / |value|) + 16, which is how Re s << 0 gets honest
+values; the extended tier starts there.  A length beyond the cap raises
+ConvergenceError (best: the sum at the cap); fast-tier terms beyond the
+double range, or more than 65536 bits, raise RangeError.  Fast-tier
+envelope: |Im s| <= 150, where N + 1 stays below 400.
 """
 
 from __future__ import annotations
@@ -34,11 +34,13 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import lru_cache
+from operator import mul
 
 import mpmath as mp
 
 from .errors import ConvergenceError, DomainError, RangeError, SingularPrefactorError
-from .finite_eta import _MAX_SUM_BITS, Family, _ExtPowers, _FastPowers, _terms
+from .finite_eta import _MAX_SUM_BITS, _ExtPowers, _FastPowers
 from .numerics import ComplexPoint, PrecisionContext, _coerce_complex, cgamma, csin
 
 __all__ = [
@@ -53,7 +55,7 @@ __all__ = [
 ]
 
 SERIES_CAP = 400
-FAST_T_ENVELOPE = 60.0
+FAST_T_ENVELOPE = 150.0
 CAPTURE_THRESHOLD = 0.5   # |eta| at the Newton start must be below this
 NEWTON_MAX_STEP = 0.5
 NEWTON_MAX_ITER = 50
@@ -61,6 +63,7 @@ CAPTURE_RADIUS = 1.0      # escape beyond |t - t0| > this aborts
 REFINE_TOL = 1e-10
 EXCLUSION_RADIUS = 1e-6   # around zeros of the prefactor 1 - 2^(1-s)
 _LN2 = math.log(2.0)
+_GAMMA_MIN = 0.8856  # Gamma(x) > 0.8856 for every x > 0 (its minimum is 0.885603...)
 
 
 @dataclass(frozen=True)
@@ -77,66 +80,121 @@ class ZeroRecord:
     iterations: int
 
 
-def _check_envelope(sc: complex, ctx: PrecisionContext):
-    if ctx.is_fast and abs(sc.imag) > FAST_T_ENVELOPE:
-        raise DomainError(
-            f"|Im s| = {abs(sc.imag)} beyond the fast-tier envelope {FAST_T_ENVELOPE}; "
-            "use an extended PrecisionContext"
-        )
+@lru_cache(maxsize=64)
+def _weights(n: int) -> tuple[int, ...]:
+    """(-1)^k W_k for k < n, where W_k = sum_{j>k} C(n, j) is a tail of binomial row n."""
+    out, tail, c = [], 0, 1  # c = C(n, j) for j = n, n - 1, ..., 1
+    for j in range(n, 0, -1):
+        tail += c
+        out.append(-tail if j % 2 == 0 else tail)  # base j has the sign (-1)^(j-1)
+        c = c * j // (n - j + 1)
+    return tuple(reversed(out))
 
 
-def _series(s, ctx: PrecisionContext, order: int = 0,
-            series_cap: int = SERIES_CAP) -> GlobalEvalResult:
+def _remainder(sc: complex, order: int, n: int) -> float:
+    """The bound on |eta^(k) - S^(k)| for S of n = N + 1 terms (module docstring);
+    for k = order >= 1, Cauchy's k! 2^k max |R| on the circle of radius 1/2,
+    with R bounded over the box lo <= Re z <= hi, |Im z| <= tau around it."""
+    r = 0.5 if order else 0.0
+    lo, hi, tau = sc.real - r, sc.real + r, abs(sc.imag) + r
+    if lo + n <= 0:
+        return math.inf  # the remainder integral diverges
+    m = max(0, math.ceil(1.0 - lo))  # 1/Gamma(z) = z (z+1) ... (z+m-1) / Gamma(z+m)
+    y = math.pi * tau  # log sinh(y)/y, bounded above
+    log_g = (y - math.log(2.0 * y) if y > 20.0 else math.log(math.sinh(y) / y) if y else 0.0)
+    x = (math.lgamma(order + 1) + order * _LN2 - n * _LN2
+         + math.log(math.hypot(1.0, tau / (lo + m))) + 0.5 * log_g)
+    for j in range(m):
+        d = math.hypot(max(abs(lo + j), abs(hi + j)), tau)
+        if d == 0.0:
+            return 0.0  # a pole of Gamma: the sum is exact
+        x += math.log(d)
+    # Gamma(x, 1) <= Gamma(x) (m = 0), 1/e (x <= 1) or 2/e (x <= 2); Gamma >= 0.8856
+    gamma_1 = 1.0 if m == 0 else (2.0 if hi > 1.0 else 1.0) / math.e / _GAMMA_MIN
+    x += math.log(1.0 / (_GAMMA_MIN * (lo + n)) + gamma_1)
+    return math.exp(x) if x < 709.0 else math.inf
+
+
+def _length(sc: complex, order: int, goal: float, series_cap: int) -> int:
+    """The least n = N + 1 whose remainder bound is within ``goal``, or
+    series_cap + 2 beyond the cap."""
+    beyond = series_cap + 2
+    lowest = n = max(1, math.floor((0.5 if order else 0.0) - sc.real) + 1)
+    if n < beyond:  # the bound falls by at least 2 per term: one jump, then steps back
+        ratio = _remainder(sc, order, n) / goal if goal > 0.0 else math.inf
+        n += math.ceil(min(math.log2(max(ratio, 1.0)), beyond))
+    while lowest < n < beyond and _remainder(sc, order, n - 1) <= goal:
+        n -= 1
+    return min(n, beyond)
+
+
+def _series(s, ctx: PrecisionContext, order: int = 0, series_cap: int = SERIES_CAP,
+            tol: float | None = None, floor: float = 0.0) -> GlobalEvalResult:
+    """S_N (order k: its k-th s-derivative) within tol * max(|value|, floor):
+    ``floor`` 0 asks for a relative bound, 1 for an absolute one."""
     sc = _coerce_complex(s)
-    _check_envelope(sc, ctx)
-    tol = ctx.target_rel_err
-    with mp.workprec(ctx.working_bits + 16):
-        if ctx.is_fast:
-            powers = _FastPowers(sc, order)
-            total, last, unit = 0.0 + 0.0j, 0.0, 2.0 ** -53
-        else:
-            # guard bits cover the weighted cancellation of every term up to the cap
-            bits = ctx.working_bits + 48 + int(max(0.0, -sc.real) * math.log2(series_cap + 2))
-            if bits > _MAX_SUM_BITS:
-                raise RangeError(f"s={sc} needs more than {_MAX_SUM_BITS} working bits")
-            powers = _ExtPowers(sc, order, bits)
-            total, last, unit = mp.mpc(0), mp.mpf(0), 0.0
-        errsum = 0.0
-        run = 0
-        for n in range(series_cap + 1):
-            try:
-                v, e = powers.dot(_terms(Family.HASSE, n))  # adds the base n + 1
-            except OverflowError as exc:
-                raise RangeError(f"finite sum n={n} at s={sc} beyond the double range") from exc
-            w = 0.5 ** (n + 1)  # exact in a double while n < 1074
-            term = w * v
-            total += term
-            werr = w * e
-            errsum += werr
-            rounding = abs(total) * unit  # zero on the extended tier
-            last = abs(term)
-            if last <= max(tol * abs(total), werr + rounding):
-                run += 1
-                if run == 3:
-                    return GlobalEvalResult(ComplexPoint(total.real, total.imag), n + 1,
-                                            float(8 * last) + errsum + float(8 * rounding))
+    if ctx.is_fast and abs(sc.imag) > FAST_T_ENVELOPE:
+        raise DomainError(f"|Im s| = {abs(sc.imag)} beyond the fast-tier envelope "
+                          f"{FAST_T_ENVELOPE}; use an extended PrecisionContext")
+    tol, wb, neg = ctx.target_rel_err if tol is None else tol, ctx.working_bits, max(0.0, -sc.real)
+    n = _length(sc, order, 0.5 * tol * max(1.0, floor), series_cap)  # |value| guessed as 1
+    # big floats start from terms up to n^neg and a value near 1
+    powers, bits = None, None if ctx.is_fast else wb + 16 + math.ceil((1 + neg) * math.log2(n))
+    while True:
+        m = min(n, series_cap + 1)
+        coefs, w = _weights(m), 0.5 ** m  # w scales exactly
+        if bits is not None and not bits <= _MAX_SUM_BITS:
+            raise RangeError(f"s={sc} needs more than {_MAX_SUM_BITS} working bits")
+        try:
+            if bits is None:  # the doubles must hold every partial sum of the terms
+                if m * _LN2 + (1 + neg) * math.log(m) + order * math.log1p(math.log(m)) > 709:
+                    raise OverflowError
+                powers = powers or _FastPowers(sc, order, exact_phase=True)
+                val, err = powers.dot(coefs)
+                value, err = complex(val.real * w, val.imag * w), err * w
+            elif order == 0 and sc.imag == 0 and sc.real == int(sc.real) <= 0:  # in integers
+                total, err = sum(c * b ** -int(sc.real) for b, c in enumerate(coefs, 1)), 0.0
             else:
-                run = 0
-        raise ConvergenceError(
-            f"series cap {series_cap} reached without meeting the stopping rule",
-            best=GlobalEvalResult(ComplexPoint(total.real, total.imag),
-                                  series_cap + 1, float(8 * last) + errsum))
+                powers = powers or _ExtPowers(sc, order, bits)
+                total, err = powers.dot(coefs)
+            if bits is not None:
+                with mp.workprec(wb):  # the final rounding to the working precision
+                    value = mp.mpmathify(total) * w
+                value = complex(value) if ctx.is_fast else value
+                err = err * w + float(abs(value)) * 2.0 ** (1 - wb)
+            if not math.isfinite(mag := float(abs(value))):
+                raise OverflowError
+        except OverflowError as exc:
+            raise RangeError(f"the series at s={sc} leaves the double range") from exc
+        rem = _remainder(sc, order, m)
+        result = GlobalEvalResult(ComplexPoint(value.real, value.imag), m, rem + err)
+        if n > m:
+            raise ConvergenceError(f"s={sc} needs more than the {m} terms of series cap "
+                                   f"{series_cap} for a bound within the target", best=result)
+        target = tol * max(mag, floor)
+        if rem + err <= target:
+            return result
+        if err < target:  # the value is smaller than guessed: a longer sum spares the bits
+            longer = _length(sc, order, 0.9 * (target - err), series_cap)
+            if longer <= series_cap + 1:
+                n = max(n + 1, longer)
+                continue
+        if rem > 0.5 * target:  # else a remainder that leaves half the target to the rounding
+            n = max(n + 1, _length(sc, order, 0.5 * target, series_cap))
+            continue
+        if not target > 0.0:
+            raise RangeError(f"eta at s={sc} vanishes in doubles: no relative bound")
+        if bits is None:  # a guard of log2(sum |terms| / |value|) + 16 bits
+            step = wb + 16 + math.log2(float(sum(map(mul, coefs, powers.mag))) * w * tol / target)
+        else:  # the big-float bound falls as 2^-bits
+            step = bits + max(16.0, 8 + math.log2(err / target))
+        bits, powers = math.ceil(step) if step <= _MAX_SUM_BITS else math.inf, None
 
 
 def eta_global(s, ctx: PrecisionContext = PrecisionContext(),
                series_cap: int = SERIES_CAP) -> GlobalEvalResult:
     """Partial sum of the weighted series with its claimed tail bound."""
     return _series(s, ctx, order=0, series_cap=series_cap)
-
-
-def _eta_global_d1(s, ctx: PrecisionContext) -> GlobalEvalResult:
-    """Termwise-differentiated series (d/ds of every finite sum)."""
-    return _series(s, ctx, order=1)
 
 
 def _prefactor_center(sc: complex) -> complex | None:
@@ -162,18 +220,29 @@ def zeta_global(s, ctx: PrecisionContext = PrecisionContext(),
         raise SingularPrefactorError(
             f"s = {sc} lies inside the exclusion disk around the prefactor zero "
             f"at {center}", center=center)
-    eta = eta_global(sc, ctx, series_cap=series_cap)
+    # 1 - 2^(1-s) and a bound on its relative error: w = (1 - s) ln 2 rounds by
+    # about |w| units, which |e^w / (1 - e^w)| scales; in doubles, else big floats
+    tol, rel, w = ctx.target_rel_err, math.inf, (1.0 - sc) * _LN2
+    if ctx.is_fast and w.real < 709.0:
+        e = cmath.exp(w)
+        pref, rel = 1.0 - e, 2.0 ** -49 * (1.0 + abs(e) * (1.0 + abs(w)) / abs(1.0 - e))
+    if not rel < 0.25 * tol:
+        with mp.workprec(ctx.working_bits + 32):
+            w = (1 - mp.mpc(sc)) * mp.ln2
+            e = mp.exp(w)
+            pref = 1 - e
+            rel = 2.0 ** (4 - ctx.working_bits) * (
+                1.0 + float(abs(e) * (1 + abs(w)) / abs(pref)) * 2.0 ** -26)
+    if not rel < 0.25 * tol:
+        raise ConvergenceError(f"zeta at s={sc}: 1 - 2^(1-s) is not known within the target")
+    eta = _series(sc, ctx, series_cap=series_cap, tol=tol - 2.0 * rel)
     if ctx.is_fast:
-        pref = 1.0 - cmath.exp((1.0 - sc) * _LN2)
-        v = eta.value.to_complex() / pref
-        tail = eta.tail_bound / abs(pref) + abs(v) * 2.4e-16 * (3.0 + abs(1.0 - sc))
-        return GlobalEvalResult(ComplexPoint(v.real, v.imag), eta.terms_used, tail)
-    with mp.workprec(ctx.working_bits + 8):
-        pref = 1 - mp.exp((1 - mp.mpc(sc)) * mp.log(2))
-        v = eta.value.to_mpc() / pref
-        tail = eta.tail_bound / float(abs(pref)) + float(abs(v)) * float(mp.mpf(2) ** (4 - ctx.working_bits))
-        return GlobalEvalResult(ComplexPoint(mp.mpf(v.real), mp.mpf(v.imag)),
-                                eta.terms_used, tail)
+        v = eta.value.to_complex() / complex(pref)
+    else:
+        with mp.workprec(ctx.working_bits + 32):
+            v = eta.value.to_mpc() / pref
+    tail = eta.tail_bound / float(abs(pref)) + float(abs(v)) * rel
+    return GlobalEvalResult(ComplexPoint(v.real, v.imag), eta.terms_used, tail)
 
 
 # ---------------------------------------------------------------------------
@@ -225,7 +294,11 @@ def refine_zero(t_initial: float, ctx: PrecisionContext = PrecisionContext()) ->
     residual 1e-10 in 50 iterations raises ConvergenceError.
     """
     t0 = float(t_initial)
-    start = eta_global(complex(0.5, t0), ctx).value.to_complex()
+
+    def eta(s, order=0):  # an absolute bound: a zero admits no relative one
+        return _series(s, ctx, order, floor=1.0).value.to_complex()
+
+    start = eta(complex(0.5, t0))
     if abs(start) > CAPTURE_THRESHOLD:
         raise DomainError(
             f"|eta(1/2 + {t0}i)| = {abs(start):.3g} above capture threshold "
@@ -234,8 +307,7 @@ def refine_zero(t_initial: float, ctx: PrecisionContext = PrecisionContext()) ->
     iterations = 0
     for _ in range(NEWTON_MAX_ITER):
         s = complex(0.5 - t.imag, t.real)  # s = 1/2 + i t with complex t
-        g = eta_global(s, ctx).value.to_complex()
-        gp = _eta_global_d1(s, ctx).value.to_complex()
+        g, gp = eta(s), eta(s, 1)
         if gp == 0:
             raise ConvergenceError("derivative vanished during refinement", best=t.real)
         dt = 1j * g / gp
@@ -250,7 +322,7 @@ def refine_zero(t_initial: float, ctx: PrecisionContext = PrecisionContext()) ->
         if abs(dt) < 1e-13 * max(1.0, abs(t)):
             break
     t_ref = t.real
-    residual = abs(eta_global(complex(0.5, t_ref), ctx).value.to_complex())
+    residual = abs(eta(complex(0.5, t_ref)))
     if residual > REFINE_TOL:
         raise ConvergenceError(
             f"no convergence: residual {residual:.3g} above {REFINE_TOL} "

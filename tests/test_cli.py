@@ -222,9 +222,8 @@ def test_precision_bits_sets_the_default_tolerance(capsys):
     with mp.workprec(264):
         value = mp.mpf(env["results"]["value"]["re"])
         assert abs(value - mp.zeta(2)) <= tail
-        # the target is 2^(8 - 200); the series' tail bound is eight times a
-        # last term that met it, so it can reach eight times the target
-        assert tail <= 8 * 2.0 ** -192 * value
+        # the target is 2^(8 - 200), and the bound meets it
+        assert tail <= 2.0 ** -192 * value
     # an explicit tolerance still wins over the precision's default
     code, env = invoke_json(["--no-timing", "--precision-bits", "200", "--tol", "1e-20",
                              "zeta", "eval", "--s", "2"], capsys)
@@ -343,7 +342,24 @@ def test_argv_fuzz_keeps_the_exit_contract(command, n, re, im, capsys):
     if code == 2:
         assert out == ""
     else:
-        _strict_json(out)
+        env = _strict_json(out)
+        if code == 0 and command[0] != "eta":  # the global series meets its target
+            value = complex(float(env["results"]["value"]["re"]),
+                            float(env["results"]["value"]["im"]))
+            assert env["diagnostics"]["tail_bound"] <= 1e-13 * abs(value)
+
+
+@pytest.mark.parametrize("s", ["-20+0.5i", "-10+3i", "1e17"])
+def test_global_series_meets_its_target(s, capsys):
+    # the left half-plane and huge real s, where a heuristic stopping rule failed
+    code, out, _ = _run_captured(["--no-timing", "eta-global", "eval", f"--s={s}"], capsys)
+    assert code == 0
+    env = _strict_json(out)
+    value = complex(float(env["results"]["value"]["re"]), float(env["results"]["value"]["im"]))
+    tail = env["diagnostics"]["tail_bound"]
+    with mp.workprec(300):
+        ref = mp.altzeta(mp.mpc(parse_complex(s)))
+        assert abs(mp.mpc(value) - ref) <= tail <= 1e-13 * abs(ref)
 
 
 _REAL_ARG = st.one_of(st.floats(-60, 60), st.sampled_from([1e17, -1e17, 1e300, -1e300, math.nan]))

@@ -1,6 +1,7 @@
 import cmath
 import math
 import types
+from fractions import Fraction
 
 import mpmath as mp
 import pytest
@@ -23,7 +24,7 @@ from eta_forge import (
     refine_zero,
     zeta_global,
 )
-from eta_forge.hasse_global import _eta_global_d1, _series
+from eta_forge.hasse_global import SERIES_CAP, _series
 
 CTX = PrecisionContext()
 
@@ -70,7 +71,7 @@ def test_eta_tail_bound_covers_truth():
 def test_eta_derivative_series_matches_altzeta(s, bits):
     # the termwise-differentiated series against mpmath's eta' at 250 bits
     ctx = PrecisionContext() if bits == 53 else PrecisionContext.extended(bits)
-    res = _eta_global_d1(s, ctx)
+    res = _series(s, ctx, order=1)
     with mp.workprec(250):
         ref = mp.diff(mp.altzeta, mp.mpc(s))
         assert abs(res.value.to_mpc() - ref) <= res.tail_bound
@@ -106,7 +107,7 @@ def test_eta_double_cap_agreement():
 
 def test_eta_envelope_guard():
     with pytest.raises(DomainError):
-        eta_global(complex(0.5, 80.0), CTX)
+        eta_global(complex(0.5, 160.0), CTX)
     # but fine on the extended tier
     ext = PrecisionContext.extended(140)
     res = eta_global(complex(0.5, 80.0), ext)
@@ -186,37 +187,46 @@ def test_funceq_mixed_points():
 
 
 # ---------------------------------------------------------------------------
-# the shared power table
+# the series as one weighted sum
 # ---------------------------------------------------------------------------
+
+def test_weights_are_the_hasse_series():
+    # sum_{n<=N} 2^-(n+1) eta_n(s) = 2^-(N+1) sum_k (-1)^k W_k (k+1)^-s with W_k the
+    # tail sum_{j>k} C(N+1, j), base by base in exact rationals
+    for big_n in range(61):
+        weights = hasse_global._weights(big_n + 1)
+        assert len(weights) == big_n + 1
+        for k, w in enumerate(weights):
+            want = sum(Fraction((-1) ** k * math.comb(n, k), 2 ** (n + 1))
+                       for n in range(k, big_n + 1))
+            assert Fraction(w, 2 ** (big_n + 1)) == want
+
 
 @pytest.mark.parametrize("bits", [53, 120])
 @pytest.mark.parametrize("order", [0, 1, 2])
-def test_series_finite_sums_match_evaluate(bits, order, monkeypatch):
-    # the per-n sums the series takes from its one power table, against each
-    # finite sum evaluated on its own, within the sum of both bounds
+def test_series_finite_sums_match_evaluate(bits, order):
+    # the one weighted sum of 61 terms (the best value at series cap 60) against
+    # sum_{n<=60} 2^-(n+1) eta_n, each finite sum evaluated on its own, within
+    # the sum's rounding bound plus the finite sums' bounds
     ctx = CTX if bits == 53 else PrecisionContext.extended(bits)
-    table = finite_eta._FastPowers if ctx.is_fast else finite_eta._ExtPowers
-    seen = []
-
-    class Recording(table):
-        def dot(self, coefs):
-            value, err = super().dot(coefs)
-            seen.append((len(coefs) - 1, value, err))
-            return value, err
-
-    monkeypatch.setattr(hasse_global, table.__name__, Recording)
-    s = complex(0.5, 14.13)  # at least 62 terms for every order and tier
-    _series(s, ctx, order)
-    assert [n for n, _, _ in seen[:61]] == list(range(61))
-    for n, value, err in seen[:61]:
-        spec = FiniteEtaSpec(Family.HASSE, n)
-        ref = evaluate(spec, s, ctx) if order == 0 else derivative(spec, s, ctx, order=order)
-        with mp.workprec(400):
-            assert abs(mp.mpc(value) - ref.value.to_mpc()) <= err + ref.abs_err
+    s = complex(0.5, 14.13)
+    with pytest.raises(ConvergenceError) as err:
+        _series(s, ctx, order, series_cap=60)
+    best = err.value.best
+    assert best.terms_used == 61
+    rounding = best.tail_bound - hasse_global._remainder(s, order, 61)
+    with mp.workprec(400):
+        total, bound = mp.mpc(0), 0.0
+        for n in range(61):
+            spec = FiniteEtaSpec(Family.HASSE, n)
+            ref = evaluate(spec, s, ctx) if order == 0 else derivative(spec, s, ctx, order=order)
+            total += ref.value.to_mpc() / 2 ** (n + 1)
+            bound += ref.abs_err / 2 ** (n + 1)
+        assert abs(best.value.to_mpc() - total) <= rounding * (1 + 1e-9) + bound
 
 
 def test_series_makes_one_exp_per_term(monkeypatch):
-    # one new base per finite sum: N transcendentals for N terms, not N^2/2
+    # one exp per base of the one power table: N + 1 transcendentals for N + 1 terms
     calls = []
 
     def exp(z):
@@ -228,26 +238,84 @@ def test_series_makes_one_exp_per_term(monkeypatch):
     counting.exp = exp
     monkeypatch.setattr(finite_eta, "cmath", counting)
     res = eta_global(complex(0.5, 59.9), CTX)
-    assert len(calls) == res.terms_used == 115
+    assert len(calls) == res.terms_used == 186
 
 
-# terms_used per point on the fast tier and at 120 bits, frozen: how the
-# finite sums are summed must not move the series' stopping point
-FROZEN_TERMS = [
-    (complex(0.5, 14.13), 68, 138), (complex(0.5, 59.9), 115, 195),
-    (complex(2.0, 0.0), 43, 110), (complex(-5.5, 20.0), 62, 139),
-    (complex(0.3, 3.0), 44, 111), (complex(1.5, -11.0), 55, 124),
+# N + 1 per point on the fast tier and at 120 bits, from the a-priori
+# remainder bound (a relative target met in one pass, or after a longer sum when |value| < 1)
+A_PRIORI_TERMS = [
+    (complex(0.5, 14.13), 86, 154), (complex(0.5, 59.9), 186, 255),
+    (complex(2.0, 0.0), 45, 114), (complex(-5.5, 20.0), 119, 188),
+    (complex(0.3, 3.0), 51, 120), (complex(1.5, -11.0), 69, 138),
 ]
 
 
-@pytest.mark.parametrize("s, fast, ext", FROZEN_TERMS)
-def test_series_terms_used_frozen(s, fast, ext):
+@pytest.mark.parametrize("s, fast, ext", A_PRIORI_TERMS)
+def test_series_terms_used_a_priori(s, fast, ext):
     assert eta_global(s, CTX).terms_used == fast
     assert eta_global(s, PrecisionContext.extended(120)).terms_used == ext
 
 
+def _sum_at(s, order, n, bits):
+    """S_N (n = N + 1 terms) in big floats, with guard bits for the cancellation."""
+    table = finite_eta._ExtPowers(s, order, bits + math.ceil((1 - min(0, s.real)) * math.log2(n)))
+    return table.dot(hasse_global._weights(n))[0] / mp.mpf(2) ** n
+
+
+@pytest.mark.parametrize("sigma", [-20.0, -10.0, -5.5, -1.5, 0.0, 0.01, 0.5, 2.0, 6.0])
+def test_remainder_bound_covers_altzeta(sigma):
+    # |S_N - eta| within the remainder bound at 300 bits, at the a-priori length
+    # of the fast tier and at about half of it; eta' too, through Cauchy's estimate
+    with mp.workprec(300):
+        for t in (-60.0, -20.0, -3.0, 0.5, 20.0, 60.0):
+            s = complex(sigma, t)
+            ref = mp.altzeta(mp.mpc(s))
+            ref_d1 = mp.diff(mp.altzeta, mp.mpc(s)) if abs(t) < 30 else None
+            for order, want in ((0, ref), (1, ref_d1)):
+                if want is None:
+                    continue
+                full = hasse_global._length(s, order, 0.5e-13, SERIES_CAP)
+                for n in {full, max(1 + math.floor(0.5 - sigma), full // 2)}:
+                    if n <= SERIES_CAP + 1:
+                        bound = hasse_global._remainder(s, order, n)
+                        assert abs(_sum_at(s, order, n, 300) - want) <= bound, (s, order, n)
+
+
+def test_remainder_vanishes_at_the_trivial_zeros_of_gamma():
+    # 1/Gamma(s) = 0 at s = 0, -1, -2, ...: the sum is exact from N + 1 > -s on
+    for m in range(6):
+        assert hasse_global._remainder(complex(-m, 0.0), 0, m + 1) == 0.0
+    assert eta_global(0.0, CTX).terms_used == 1
+    assert zeta_global(-2.0, CTX).tail_bound == 0.0
+
+
+@pytest.mark.parametrize("s", [complex(-20.0, 0.5), complex(-10.0, 3.0), complex(-1.5, 100.0),
+                               complex(0.5, 100.0), complex(0.5, 150.0), complex(2.0, -150.0),
+                               complex(1e17, 0.0)])
+def test_fast_series_meets_its_target(s):
+    # the left half-plane escalates to big floats, |Im s| up to the fast envelope
+    # keeps the exact-phase table, and huge real s needs no noise floor
+    res = eta_global(s, CTX)
+    with mp.workprec(300):
+        ref = mp.altzeta(mp.mpc(s))
+        err = abs(res.value.to_mpc() - ref)
+        assert err <= res.tail_bound <= CTX.target_rel_err * abs(ref), s
+
+
+def test_zeta_prefactor_near_its_zeros():
+    # near s = 1 and near 1 + 2 pi i k / ln 2 high on the line, 1 - 2^(1-s) loses
+    # digits in doubles: the bound sees that and big floats supply them
+    k3 = complex(1.0, 6.0 * math.pi / math.log(2.0))
+    for s in (complex(1.0 + 1e-5, 0.0), k3 + 0.05, k3 + 0.05j, complex(1.0, 60.0)):
+        res = zeta_global(s, CTX)
+        with mp.workprec(300):
+            ref = mp.zeta(mp.mpc(s))
+            err = abs(res.value.to_mpc() - ref)
+            assert err <= res.tail_bound <= CTX.target_rel_err * abs(ref), s
+
+
 def test_series_beyond_double_range_is_refused():
-    # the finite sums eta_n(-400) leave the double range well before the cap
+    # the terms (k+1)^400 of the series at s = -400 leave the double range
     for fn in (eta_global, zeta_global):
         with pytest.raises(RangeError):
             fn(-400.0, CTX)
