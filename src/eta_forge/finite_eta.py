@@ -18,24 +18,24 @@ Summation: each tier fills a power table p_b = b^(-s) (-ln b)^order for
 the bases b = 1, 2, ..., one transcendental per base, then takes the dot
 product with the exact integer coefficients: ``math.fsum`` on the fast
 tier (each component rounded once), ``mp.fdot`` on the extended tier.  A
-table grows one base at a time, so the global series reuses one table for
-all its finite sums.
+table grows one base at a time, so a global series that lengthens keeps
+its powers.
 
-Certification ladder: a fast-tier result is returned only when its error
-bound is within target_rel_err * |value|, relative to the value itself,
-so a sum that cancels is never passed on the strength of its largest
-term.  The fast tier tries (1) the plain table, whose rounding of s ln b
-charges about 2|s| ln n units of 2^-53 per term; (2) the exact-phase
-table, which forms t ln b in double-double and charges about
-2|Re s| ln n + 8 units at any practical t; (3) big-floats.  The global
-series takes the exact-phase table with its own remainder certificate.
-
-The binomial coefficients peak near C(2n, n) ~ 4^n / sqrt(n), so near a
-zero the alternating sum cancels almost all of its ~n bits.  The
-big-float sum (and the extended tier) runs at the context's working bits
-plus a guard of bitlen(C(2n, n)) + 2|Im s| + 16 bits (69 + ... on the
-fast tier).  A term beyond the double range also escalates; a value or
-bound that does not fit in a double raises RangeError.
+Certification ladder: a result is returned only when its error bound is
+within target_rel_err * |value|, relative to the value itself, so a sum
+that cancels is never passed on the strength of its largest term.  The
+fast tier takes (1) the double table, which forms t ln b in double-double
+and charges about 2|Re s| ln n + 8 units of 2^-53 per term at any
+practical t; (2) big floats.  Big floats start at the context's working
+bits plus a guard of bitlen(C(2n, n)) + 2|Im s| + 16 bits (the binomial
+coefficients peak near C(2n, n) ~ 4^n / sqrt(n), so near a zero the
+alternating sum cancels almost all of its ~n bits), and retry with more
+bits while the bound misses the target.  The extended tier starts at (2).
+At order 0 and an integer s <= 0 both tiers instead sum the integer
+powers exactly (``_integer_sum``, which the global series shares), so a
+trivial zero is an exact 0 with bound 0.  A term beyond the double range
+escalates; a value or bound that does not fit in a double, or a sum that
+needs more than 65536 bits, raises RangeError.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ from operator import mul
 import mpmath as mp
 
 from .errors import DomainError, RangeError, VerificationError
-from .numerics import ComplexPoint, PrecisionContext, _coerce_complex, _is_finite
+from .numerics import ComplexPoint, PrecisionContext, _coerce_complex
 
 __all__ = [
     "Family",
@@ -155,46 +155,29 @@ class _FastPowers:
 
     The table grows one base at a time (one ``cmath.exp`` per base) as
     :meth:`dot` asks for more, so a global series that lengthens keeps its
-    powers.  At an integer s <= 0 (order 0) the powers are exact integers
-    and the dot product is exact; at an integer 0 < s <= 512 they are
-    correctly rounded reciprocals.
-
-    The plain table rounds s * ln b, an error that grows with |s|.  With
-    ``exact_phase`` the phase t * ln b (t = Im s) is formed as ph + pe in
+    powers.  The phase t * ln b (t = Im s) is formed as ph + pe in
     double-double (Dekker's TwoProduct of t and the cached ln b, plus t
     times its low part); one ``cmath.exp`` takes ph and the residue pe is
-    applied as a first-order rotation, so the per-term error no longer
-    grows with t until (|s| ln b 2**-52)**2 does.
+    applied as a first-order rotation, so the per-term error does not grow
+    with t until (|s| ln b 2**-52)**2 does.
     """
 
-    def __init__(self, s: complex, order: int, exact_phase: bool = False):
-        self.s, self.order, self.exact_phase = s, order, exact_phase
-        integral = order == 0 and s.imag == 0.0 and s.real == int(s.real)
-        self.m = int(s.real) if integral and abs(s.real) <= 512 else None  # s, if no logs needed
+    def __init__(self, s: complex, order: int):
+        self.s, self.order = s, order
         self.re, self.im, self.mag = [], [], []
 
     def _grow(self, size: int):
-        s, order, m, exact_phase = self.s, self.order, self.m, self.exact_phase
-        if exact_phase:
-            sigma, t = s.real, s.imag
-            t_hi, t_lo = _split(t)
+        sigma, t = self.s.real, self.s.imag
+        t_hi, t_lo = _split(t)
         for b in range(len(self.re) + 1, size + 1):
-            if m is not None:
-                p = b ** -m if m <= 0 else 1 / b ** m
-            elif exact_phase:
-                hi, lo, h_hi, h_lo = _log_dd(b)
-                ph = t * hi
-                # t * ln b - ph: the exact rounding error of t * hi, plus t * lo
-                pe = (((t_hi * h_hi - ph) + t_hi * h_lo + t_lo * h_hi) + t_lo * h_lo) + t * lo
-                z = cmath.exp(complex(-sigma * hi, -ph))
-                p = complex(z.real + pe * z.imag, z.imag - pe * z.real)  # times exp(-i pe)
-                if order:
-                    p *= (-hi) ** order
-            else:
-                lnb = math.log(b)
-                p = cmath.exp(-s * lnb)
-                if order:
-                    p *= (-lnb) ** order
+            hi, lo, h_hi, h_lo = _log_dd(b)
+            ph = t * hi
+            # t * ln b - ph: the exact rounding error of t * hi, plus t * lo
+            pe = (((t_hi * h_hi - ph) + t_hi * h_lo + t_lo * h_hi) + t_lo * h_lo) + t * lo
+            z = cmath.exp(complex(-sigma * hi, -ph))
+            p = complex(z.real + pe * z.imag, z.imag - pe * z.real)  # times exp(-i pe)
+            if self.order:
+                p *= (-hi) ** self.order
             self.re.append(p.real)
             self.im.append(p.imag)
             self.mag.append(abs(p) if b % 2 else -abs(p))  # the sign of the coefficient
@@ -207,22 +190,14 @@ class _FastPowers:
         each component once.  Raises OverflowError beyond the double range.
         """
         self._grow(len(coefs))
-        if self.m is not None and self.m <= 0:
-            total = sum(map(mul, coefs, self.re))
-            val = float(total)
-            # the integer sum is exact; only the final float conversion rounds
-            return complex(val, 0.0), 0.0 if abs(total) < 2 ** 53 else abs(val) * 2.0 ** -53
         sum_abs = sum(map(mul, coefs, self.mag))
         if sum_abs == math.inf:
             raise OverflowError("finite sum beyond the double range")
         val = complex(math.fsum(map(mul, coefs, self.re)), math.fsum(map(mul, coefs, self.im)))
         max_log = math.log(len(coefs))
-        if self.exact_phase:
-            phase = abs(self.s) * max_log
-            per_term_rel = ((2.0 * abs(self.s.real) * max_log + 8.0 + 2.0 * self.order) * 2.0 ** -53
-                            + phase * 2.0 ** -100 + (phase * 2.0 ** -52) ** 2)
-        else:
-            per_term_rel = (2.0 * abs(self.s) * max_log + 4.0 + 2.0 * self.order) * 2.0 ** -53
+        phase = abs(self.s) * max_log
+        per_term_rel = ((2.0 * abs(self.s.real) * max_log + 8.0 + 2.0 * self.order) * 2.0 ** -53
+                        + phase * 2.0 ** -100 + (phase * 2.0 ** -52) ** 2)
         return val, sum_abs * (per_term_rel + 2.0 ** -52)
 
 
@@ -257,19 +232,20 @@ class _ExtPowers:
             return total, float(sum_abs * per_term_rel)
 
 
-def _eval_fast(spec: FiniteEtaSpec, s: complex, order: int, tol: float):
-    """Fast-tier sum as (value, abs_err bound) if the bound is within
-    ``tol * |value|``, else None.  The plain table is tried first, then the
-    exact-phase one, whose fill costs more."""
-    coefs = _terms(spec.family, spec.n)
-    for exact_phase in (False, True):
-        try:
-            val, err = _FastPowers(s, order, exact_phase).dot(coefs)
-        except (OverflowError, ValueError):  # a term, the sum or the phase beyond doubles
-            return None
-        if err <= tol * abs(val) < math.inf:  # a NaN or an infinity never certifies
-            return val, err
-    return None
+def _integer_sum(coefs: tuple[int, ...], s, order: int) -> int | None:
+    """sum_b coefs[b-1] * b**(-s) in exact integers, when order is 0 and s
+    is an integer <= 0 whose terms have at most _MAX_SUM_BITS bits; else None."""
+    if order or s.imag != 0 or s.real > 0 or s.real != int(s.real) \
+            or -s.real * math.log2(len(coefs)) > _MAX_SUM_BITS:
+        return None
+    m = -int(s.real)
+    return sum(c * b ** m for b, c in enumerate(coefs, 1))
+
+
+def _more_bits(bits: float, err: float, target: float) -> float:
+    """Working bits for the next big-float sum, whose bound falls as
+    2**-bits, after one at ``bits`` gave the bound ``err`` above ``target``."""
+    return bits + max(16.0, 8.0 + math.log2(err / target)) if target > 0.0 else math.inf
 
 
 def _eval_extended(spec: FiniteEtaSpec, s, bits: int, order: int):
@@ -280,30 +256,34 @@ def _eval_extended(spec: FiniteEtaSpec, s, bits: int, order: int):
 def _evaluate(spec: FiniteEtaSpec, s, ctx: PrecisionContext, order: int) -> EtaValue:
     """The order-th termwise s-derivative (order 0: the value itself)."""
     sc = _coerce_complex(s)
-    if ctx.is_fast:
-        fast = _eval_fast(spec, sc, order, ctx.target_rel_err)
-        if fast is not None:
-            val, err = fast
+    s_hi = sc if ctx.is_fast else s.to_mpc() if isinstance(s, ComplexPoint) else s  # full precision
+    coefs, tol, wb = _terms(spec.family, spec.n), ctx.target_rel_err, ctx.working_bits
+    total, err, bits = _integer_sum(coefs, s_hi, order), 0.0, wb + _guard_bits(spec, sc)
+    if total is None and ctx.is_fast:
+        try:
+            val, err = _FastPowers(sc, order).dot(coefs)
+        except (OverflowError, ValueError):  # a term, the sum or the phase beyond doubles
+            val, err = 0j, math.inf
+        if err <= tol * abs(val) < math.inf:  # a NaN or an infinity never certifies
             return EtaValue(ComplexPoint(val.real, val.imag), err)
-    bits = ctx.working_bits + _guard_bits(spec, sc)
-    if bits > _MAX_SUM_BITS:
-        raise RangeError(f"{spec.family.value} n={spec.n} at s={sc} needs more than "
-                         f"{_MAX_SUM_BITS} working bits")
-    if ctx.is_fast:
-        total, err = _eval_extended(spec, sc, bits, order)
-        val = complex(total)
-        err += abs(val) * 2.0 ** -53  # final rounding back to doubles
-        value = (val.real, val.imag)
-    else:
-        s_hi = s.to_mpc() if isinstance(s, ComplexPoint) else s  # keep full input precision
-        total, err = _eval_extended(spec, s_hi, bits, order)
-        with mp.workprec(ctx.working_bits):
-            value = (mp.mpf(total.real), mp.mpf(total.imag))
-            err += float(abs(total)) * 2.0 ** (1 - ctx.working_bits)
-    if not (_is_finite(value[0]) and _is_finite(value[1]) and math.isfinite(err)):
-        raise RangeError(f"{spec.family.value} n={spec.n} at s={sc}: value or bound "
-                         "beyond the double range")
-    return EtaValue(ComplexPoint(*value), err)
+    while True:
+        if total is None:  # big floats, with more bits while the bound misses the target
+            if not bits <= _MAX_SUM_BITS:
+                raise RangeError(f"{spec.family.value} n={spec.n} at s={sc} needs more than "
+                                 f"{_MAX_SUM_BITS} working bits")
+            total, err = _eval_extended(spec, s_hi, math.ceil(bits), order)
+        with mp.workprec(wb):  # the final rounding to the working precision
+            v = mp.mpc(total)
+        mag = float(abs(v))
+        if v != total:
+            err += mag * 2.0 ** -wb
+        if not (math.isfinite(mag) and math.isfinite(err)):
+            raise RangeError(f"{spec.family.value} n={spec.n} at s={sc}: value or bound "
+                             "beyond the double range")
+        if err <= tol * mag:
+            value = (float(v.real), float(v.imag)) if ctx.is_fast else (v.real, v.imag)
+            return EtaValue(ComplexPoint(*value), err)
+        bits, total = _more_bits(bits, err, tol * mag), None
 
 
 def evaluate(spec: FiniteEtaSpec, s, ctx: PrecisionContext = PrecisionContext()) -> EtaValue:

@@ -20,10 +20,11 @@ where the sum is exact).  N makes this half the target with |value|
 guessed as 1; a smaller |value| first gets a longer sum, within the cap,
 then more bits.  Derivatives take Cauchy's estimate on a circle of radius 1/2.
 
-Ladder: the fast tier accepts the exact-phase double table when remainder
-+ rounding <= target, else takes big floats at the working bits plus
+Ladder: the fast tier accepts the double table when remainder + rounding
+<= target, else takes big floats at the working bits plus
 log2(sum |terms| / |value|) + 16, which is how Re s << 0 gets honest
-values; the extended tier starts there.  A length beyond the cap raises
+values; the extended tier starts there.  An integer s <= 0 is summed in
+exact integers on both tiers.  A length beyond the cap raises
 ConvergenceError (best: the sum at the cap); fast-tier terms beyond the
 double range, or more than 65536 bits, raise RangeError.  Fast-tier
 envelope: |Im s| <= 150, where N + 1 stays below 400.
@@ -40,7 +41,7 @@ from operator import mul
 import mpmath as mp
 
 from .errors import ConvergenceError, DomainError, RangeError, SingularPrefactorError
-from .finite_eta import _MAX_SUM_BITS, _ExtPowers, _FastPowers
+from .finite_eta import _MAX_SUM_BITS, _ExtPowers, _FastPowers, _integer_sum, _more_bits
 from .numerics import ComplexPoint, PrecisionContext, _coerce_complex, cgamma, csin
 
 __all__ = [
@@ -149,15 +150,16 @@ def _series(s, ctx: PrecisionContext, order: int = 0, series_cap: int = SERIES_C
             if bits is None:  # the doubles must hold every partial sum of the terms
                 if m * _LN2 + (1 + neg) * math.log(m) + order * math.log1p(math.log(m)) > 709:
                     raise OverflowError
-                powers = powers or _FastPowers(sc, order, exact_phase=True)
-                val, err = powers.dot(coefs)
-                value, err = complex(val.real * w, val.imag * w), err * w
-            elif order == 0 and sc.imag == 0 and sc.real == int(sc.real) <= 0:  # in integers
-                total, err = sum(c * b ** -int(sc.real) for b, c in enumerate(coefs, 1)), 0.0
-            else:
-                powers = powers or _ExtPowers(sc, order, bits)
+            total, err = _integer_sum(coefs, sc, order), 0.0
+            if total is None:
+                powers = powers or (_FastPowers(sc, order) if bits is None
+                                    else _ExtPowers(sc, order, bits))
                 total, err = powers.dot(coefs)
-            if bits is not None:
+            elif bits is None and abs(total) >= 2 ** 53:  # its rounding to a double
+                err = abs(float(total)) * 2.0 ** -53
+            if bits is None:
+                value, err = complex(total.real * w, total.imag * w), err * w
+            else:
                 with mp.workprec(wb):  # the final rounding to the working precision
                     value = mp.mpmathify(total) * w
                 value = complex(value) if ctx.is_fast else value
@@ -186,8 +188,8 @@ def _series(s, ctx: PrecisionContext, order: int = 0, series_cap: int = SERIES_C
             raise RangeError(f"eta at s={sc} vanishes in doubles: no relative bound")
         if bits is None:  # a guard of log2(sum |terms| / |value|) + 16 bits
             step = wb + 16 + math.log2(float(sum(map(mul, coefs, powers.mag))) * w * tol / target)
-        else:  # the big-float bound falls as 2^-bits
-            step = bits + max(16.0, 8 + math.log2(err / target))
+        else:
+            step = _more_bits(bits, err, target)
         bits, powers = math.ceil(step) if step <= _MAX_SUM_BITS else math.inf, None
 
 

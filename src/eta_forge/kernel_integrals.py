@@ -231,7 +231,11 @@ def integrate_L(family: Family, n: int, s, ctx: PrecisionContext = PrecisionCont
     The absolute error estimate targets max(1e-12, target_rel_err * |value|)
     unless ``tol_abs`` overrides it.  The evaluation budget caps integrand
     calls; exceeding it returns the best estimate with an inflated bound.
+    Double precision only: an extended context raises DomainError.
     """
+    if not ctx.is_fast:
+        raise DomainError(
+            f"integrate_L is fast-tier only; a {ctx.working_bits}-bit context was requested")
     sc = _coerce_complex(s)
     k = _describe(family, n)
     lo, hi = k.window
@@ -284,8 +288,12 @@ def rhs_closed_form(family: Family, n: int, s, ctx: PrecisionContext = Precision
     """Closed form of L_n(s); takes the finite limit at pole-free points.
 
     Raises PoleError (with the nearest pole) inside the guard radius of a
-    genuine pole of the sine prefactor.
+    genuine pole of the sine prefactor.  Double precision only: an extended
+    context raises DomainError.
     """
+    if not ctx.is_fast:
+        raise DomainError(
+            f"rhs_closed_form is fast-tier only; a {ctx.working_bits}-bit context was requested")
     k = _describe(family, n)
     sc = _coerce_complex(s)
     pole = _nearest_sine_pole(k, sc)

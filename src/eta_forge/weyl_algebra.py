@@ -248,8 +248,8 @@ class _SymbolPoly:
             return "0"
         bits = []
         for k in sorted(self.coeffs, reverse=True):
-            bits.append(_format_sym_factor(self.coeffs[k], self.SYMBOL, k, lead=not bits))
-        return " ".join(bits).replace("+ -", "- ")
+            bits.append(_format_term(self.coeffs[k], self.SYMBOL, k, 0, 0, lead=not bits))
+        return " ".join(bits)
 
     __repr__ = __str__
 
@@ -266,24 +266,6 @@ class SPoly(_SymbolPoly):
 
     SYMBOL = "s"
     U_DEGREE = 0  # u is normalized to 1
-
-
-def _format_sym_factor(c: GaussRat, sym: str, k: int, lead: bool) -> str:
-    if k == 0:
-        body = str(c)
-    else:
-        spow = sym if k == 1 else f"{sym}^{k}"
-        if c == _ONE:
-            body = spow
-        elif c == -_ONE:
-            body = f"-{spow}"
-        else:
-            body = f"{c}{spow}"
-    if lead:
-        return body
-    if body.startswith("-"):
-        return f"+ -{body[1:]}"
-    return f"+ {body}"
 
 
 # ---------------------------------------------------------------------------

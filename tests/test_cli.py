@@ -238,6 +238,17 @@ def test_pi_s_refuses_a_requested_precision(capsys):
     assert "fast-tier only" in env["error"]["message"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["integral", "compute", "--family", "hasse", "--n", "3", "--s", "0.5+1i"],
+    ["verify", "thm2", "--n", "3", "--s", "0.5+1i"],
+])
+def test_kernel_commands_refuse_a_requested_precision(argv, capsys):
+    code, env = invoke_json(["--no-timing", "--precision-bits", "200"] + argv, capsys)
+    assert code == 1
+    assert env["error"]["type"] == "DomainError"
+    assert "fast-tier only" in env["error"]["message"]
+
+
 def test_weyl_cli_surface(capsys):
     code, env = invoke_json(["--no-timing", "weyl", "normal-order", "--word", "BBAA"], capsys)
     assert code == 0
@@ -343,10 +354,11 @@ def test_argv_fuzz_keeps_the_exit_contract(command, n, re, im, capsys):
         assert out == ""
     else:
         env = _strict_json(out)
-        if code == 0 and command[0] != "eta":  # the global series meets its target
+        if code == 0:  # the finite sums and the global series meet their target
             value = complex(float(env["results"]["value"]["re"]),
                             float(env["results"]["value"]["im"]))
-            assert env["diagnostics"]["tail_bound"] <= 1e-13 * abs(value)
+            bound = env["diagnostics"]["abs_err_bound" if command[0] == "eta" else "tail_bound"]
+            assert bound <= 1e-13 * abs(value)
 
 
 @pytest.mark.parametrize("s", ["-20+0.5i", "-10+3i", "1e17"])

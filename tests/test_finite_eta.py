@@ -61,6 +61,28 @@ def test_hstar_n2_zero_at_minus_two():
     assert res.value.to_complex() == 0.0
 
 
+@pytest.mark.parametrize("ctx", [CTX, PrecisionContext.extended(120)])
+def test_integer_arguments_sum_exactly_on_both_tiers(ctx):
+    # trivial zeros: one exact integer route on both tiers, so 0 with bound 0
+    for fam in (H, HS):
+        res = evaluate(spec(fam, 3), -2, ctx)
+        assert res.value.re == 0 and res.value.im == 0 and res.abs_err == 0.0
+
+
+def test_near_integer_argument_keeps_its_full_precision():
+    # -2 + 2^-100 rounds to the trivial zero -2 as a double; at 200 bits it
+    # must be summed as given, not as an integer
+    ctx = PrecisionContext.extended(200)
+    with mp.workprec(200):
+        s = mp.mpf(-2) + mp.mpf(2) ** -100
+    res = evaluate(spec(H, 3), s, ctx)
+    ref = oracles.eta_hasse_highprec(3, s, 400)
+    with mp.workprec(400):
+        assert ref != 0 and res.value.to_mpc() != 0
+        diff = abs(res.value.to_mpc() - ref)
+        assert diff <= res.abs_err <= ctx.target_rel_err * abs(res.value.to_mpc())
+
+
 def test_hasse_n2_at_two_matches_rational():
     want = oracles.rational_eta_hasse(2, 2)
     assert want == Fraction(11, 18)
@@ -320,13 +342,12 @@ def test_extended_context_returns_extended_values():
 # ---------------------------------------------------------------------------
 
 def test_hstar_power_tables_match_oracle():
-    # each table (plain and exact-phase fast, extended) grown across n, as the
-    # global series grows its HASSE table; each dot product must hold its own
-    # bound against a 400-bit sum
+    # each table (fast and extended) grown across n, as the global series
+    # grows its HASSE table; each dot product must hold its own bound
+    # against a 400-bit sum
     s = complex(0.5, 40.0)
     for order in (0, 1, 2):
-        tables = (finite_eta._FastPowers(s, order), finite_eta._FastPowers(s, order, True),
-                  finite_eta._ExtPowers(s, order, 120))
+        tables = (finite_eta._FastPowers(s, order), finite_eta._ExtPowers(s, order, 120))
         for n in range(1, 61):
             ref = oracles.eta_hstar_highprec(n, s, 400, order)
             for powers in tables:

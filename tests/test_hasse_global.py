@@ -287,6 +287,8 @@ def test_remainder_vanishes_at_the_trivial_zeros_of_gamma():
         assert hasse_global._remainder(complex(-m, 0.0), 0, m + 1) == 0.0
     assert eta_global(0.0, CTX).terms_used == 1
     assert zeta_global(-2.0, CTX).tail_bound == 0.0
+    ext = zeta_global(-2, PrecisionContext.extended(120))
+    assert ext.value.re == 0 and ext.value.im == 0 and ext.tail_bound == 0.0
 
 
 @pytest.mark.parametrize("s", [complex(-20.0, 0.5), complex(-10.0, 3.0), complex(-1.5, 100.0),

@@ -180,6 +180,15 @@ def test_verify_precondition_outside_window():
         verify_identity(H, 1, 5.0, CTX)
 
 
+def test_extended_contexts_are_refused():
+    # the quadrature and the closed form run in doubles: a requested
+    # precision is refused, not quietly dropped
+    ext = PrecisionContext.extended(200)
+    for call in (integrate_L, rhs_closed_form, verify_identity):
+        with pytest.raises(DomainError, match="fast-tier only"):
+            call(H, 3, complex(0.5, 1.0), ext)
+
+
 def test_identity_sweep_small():
     # a reduced sweep here; the full n <= 8 sweep lives in the acceptance suite
     for fam, n_lo in ((H, 0), (HS, 1)):

@@ -186,8 +186,8 @@ def test_scan_n6_single_minimum_near_zeta_zero_window():
 
 
 def test_scan_far_up_the_line_stays_on_the_fast_tier(monkeypatch):
-    # beyond t = 40 the plain table's bound, which grows with |s|, certifies
-    # few points of this line; the exact-phase table must certify nearly all
+    # beyond t = 40 a bound that grows with |s| would certify few points of
+    # this line; the double table's exact phase must certify nearly all
     evaluations, escalations = [], []
     raw_evaluate, raw_extended = finite_eta._evaluate, finite_eta._eval_extended
 

@@ -226,6 +226,15 @@ def test_product_matches_naive_gauss_rational_product(cls):
     got = (b - a.scale(i)) * (b + a.scale(i))
     assert (1, 1) not in got.terms
     assert str(got) == ("a^2 + b^2 + iu" if cls is UPoly else "a^2 + b^2 + i")
+    # the coefficient ring's own text, with complex coefficients and folded signs
+    x, f = cls.SYMBOL, Fraction
+    for coeffs, text in (
+            ({3: GaussRat(f(-1), f(2)), 1: GaussRat(f(0), f(-1)), 0: GaussRat(f(-3, 2))},
+             f"(-1+2i){x}^3 - i{x} - 3/2"),
+            ({2: GaussRat(f(0), f(-1, 2)), 0: GaussRat(f(0), f(1))}, f"(-1/2)i{x}^2 + i"),
+            ({1: GaussRat(f(-1)), 0: GaussRat(f(2), f(-1))}, f"-{x} + (2-i)"),
+            ({4: GaussRat(f(0), f(-2)), 0: GaussRat(f(-1))}, f"-2i{x}^4 - 1")):
+        assert str(cls(coeffs)) == text
     assert got == _naive_product(b - a.scale(i), b + a.scale(i))
 
 
