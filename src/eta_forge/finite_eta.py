@@ -19,23 +19,26 @@ the bases b = 1, 2, ..., one transcendental per base, then takes the dot
 product with the exact integer coefficients: ``math.fsum`` on the fast
 tier (each component rounded once), ``mp.fdot`` on the extended tier.  A
 table grows one base at a time, so a global series that lengthens keeps
-its powers.
+its powers.  One rung (``_rung``) takes each such sum, for these finite
+sums and for the global series alike: the double table at s rounded to a
+double (t ln b in double-double, about 2|Re s| ln n + 8 units of 2^-53 per
+term at any practical t), or big floats at given bits with s at full
+precision.  At order 0 and an integer s <= 0 it sums the integer powers
+exactly, so a trivial zero is an exact 0 with bound 0.  It rounds the
+value to the working precision, charged only when inexact.  A term beyond
+the double range gives the double table an infinite bound; a value or
+bound that does not fit in a double, or a sum that needs more than 65536
+bits, raises RangeError.
 
 Certification ladder: a result is returned only when its error bound is
 within target_rel_err * |value|, relative to the value itself, so a sum
 that cancels is never passed on the strength of its largest term.  The
-fast tier takes (1) the double table, which forms t ln b in double-double
-and charges about 2|Re s| ln n + 8 units of 2^-53 per term at any
-practical t; (2) big floats.  Big floats start at the context's working
-bits plus a guard of bitlen(C(2n, n)) + 2|Im s| + 16 bits (the binomial
-coefficients peak near C(2n, n) ~ 4^n / sqrt(n), so near a zero the
-alternating sum cancels almost all of its ~n bits), and retry with more
-bits while the bound misses the target.  The extended tier starts at (2).
-At order 0 and an integer s <= 0 both tiers instead sum the integer
-powers exactly (``_integer_sum``, which the global series shares), so a
-trivial zero is an exact 0 with bound 0.  A term beyond the double range
-escalates; a value or bound that does not fit in a double, or a sum that
-needs more than 65536 bits, raises RangeError.
+fast tier tries the double table, then big floats; the extended tier
+starts with big floats, at the context's working bits plus a guard of
+bitlen(C(2n, n)) + 2|Im s| + 16 bits (the binomial coefficients peak near
+C(2n, n) ~ 4^n / sqrt(n), so near a zero the alternating sum cancels
+almost all of its ~n bits), and retries with more bits while the bound
+misses the target.
 """
 
 from __future__ import annotations
@@ -51,7 +54,7 @@ from operator import mul
 import mpmath as mp
 
 from .errors import DomainError, RangeError, VerificationError
-from .numerics import ComplexPoint, PrecisionContext, _coerce_complex
+from .numerics import ComplexPoint, PrecisionContext, _coerce_complex, _coerce_mpc
 
 __all__ = [
     "Family",
@@ -196,8 +199,9 @@ class _FastPowers:
         val = complex(math.fsum(map(mul, coefs, self.re)), math.fsum(map(mul, coefs, self.im)))
         max_log = math.log(len(coefs))
         phase = abs(self.s) * max_log
+        drift = phase * 2.0 ** -52  # squared as a product: inf, not OverflowError, at huge |s|
         per_term_rel = ((2.0 * abs(self.s.real) * max_log + 8.0 + 2.0 * self.order) * 2.0 ** -53
-                        + phase * 2.0 ** -100 + (phase * 2.0 ** -52) ** 2)
+                        + phase * 2.0 ** -100 + drift * drift)
         return val, sum_abs * (per_term_rel + 2.0 ** -52)
 
 
@@ -220,8 +224,9 @@ class _ExtPowers:
             self.p.append(p)
             self.mag.append(abs(p) if b % 2 else -abs(p))  # the sign of the coefficient
 
-    def dot(self, coefs: tuple[int, ...]):
-        """(value as an mpmath complex, abs_err bound as a float)."""
+    def dot(self, coefs: tuple[int, ...], scale: float = 1.0):
+        """(value as an mpmath complex, abs_err bound as a float); the bound
+        is multiplied by ``scale``, a power of two, before it becomes a float."""
         with mp.workprec(self.bits):
             self._grow(len(coefs))
             total = mp.fdot(coefs, self.p)
@@ -229,7 +234,7 @@ class _ExtPowers:
             max_log = mp.log(len(coefs))
             per_term_rel = ((2 * abs(self.s) * max_log + 4 + 2 * self.order + len(coefs))
                             * mp.mpf(2) ** (1 - self.bits))
-            return total, float(sum_abs * per_term_rel)
+            return total, float(sum_abs * per_term_rel * scale)
 
 
 def _integer_sum(coefs: tuple[int, ...], s, order: int) -> int | None:
@@ -248,42 +253,51 @@ def _more_bits(bits: float, err: float, target: float) -> float:
     return bits + max(16.0, 8.0 + math.log2(err / target)) if target > 0.0 else math.inf
 
 
-def _eval_extended(spec: FiniteEtaSpec, s, bits: int, order: int):
-    """Big-float sum at `bits` working bits: (mpmath value, abs_err bound)."""
-    return _ExtPowers(s, order, bits).dot(_terms(spec.family, spec.n))
+def _rung(coefs: tuple[int, ...], s, order: int, wb: int, bits: float | None = None,
+          powers=None, scale: float = 1.0):
+    """One rung (module docstring): (value, abs_err bound, power table) of
+    ``scale``, an exact power of two, times sum_b coefs[b-1] b**(-s) (-ln b)**order,
+    rounded to ``wb`` bits.  ``bits`` None takes the double table, else big
+    floats at ceil(bits) bits; a table passed back in ``powers`` is grown."""
+    total, err = _integer_sum(coefs, s, order), 0.0
+    if total is None and bits is None:
+        try:
+            powers = powers or _FastPowers(complex(s), order)
+            total, err = powers.dot(coefs)
+        except (OverflowError, ValueError):  # a term, the sum or the phase beyond doubles
+            return 0j, math.inf, powers
+        return complex(total.real * scale, total.imag * scale), err * scale, powers
+    if total is None:
+        if not bits <= _MAX_SUM_BITS:
+            raise RangeError(f"a sum of {len(coefs)} terms at s={s} needs more than "
+                             f"{_MAX_SUM_BITS} working bits")
+        powers = powers or _ExtPowers(s, order, math.ceil(bits))
+        total, err = powers.dot(coefs, scale)
+    with mp.workprec(wb):  # the final rounding to the working precision
+        v = mp.mpc(total)
+        inexact = v != total
+        v *= scale
+    mag = float(abs(v))
+    if inexact:
+        err += mag * 2.0 ** -wb
+    if not (math.isfinite(mag) and math.isfinite(err)):
+        raise RangeError(f"a sum of {len(coefs)} terms at s={s}: value or bound beyond the "
+                         "double range")
+    return v, err, powers
 
 
 def _evaluate(spec: FiniteEtaSpec, s, ctx: PrecisionContext, order: int) -> EtaValue:
     """The order-th termwise s-derivative (order 0: the value itself)."""
     sc = _coerce_complex(s)
-    s_hi = sc if ctx.is_fast else s.to_mpc() if isinstance(s, ComplexPoint) else s  # full precision
     coefs, tol, wb = _terms(spec.family, spec.n), ctx.target_rel_err, ctx.working_bits
-    total, err, bits = _integer_sum(coefs, s_hi, order), 0.0, wb + _guard_bits(spec, sc)
-    if total is None and ctx.is_fast:
-        try:
-            val, err = _FastPowers(sc, order).dot(coefs)
-        except (OverflowError, ValueError):  # a term, the sum or the phase beyond doubles
-            val, err = 0j, math.inf
-        if err <= tol * abs(val) < math.inf:  # a NaN or an infinity never certifies
-            return EtaValue(ComplexPoint(val.real, val.imag), err)
-    while True:
-        if total is None:  # big floats, with more bits while the bound misses the target
-            if not bits <= _MAX_SUM_BITS:
-                raise RangeError(f"{spec.family.value} n={spec.n} at s={sc} needs more than "
-                                 f"{_MAX_SUM_BITS} working bits")
-            total, err = _eval_extended(spec, s_hi, math.ceil(bits), order)
-        with mp.workprec(wb):  # the final rounding to the working precision
-            v = mp.mpc(total)
+    s_hi, bits = (sc, None) if ctx.is_fast else (_coerce_mpc(s), wb + _guard_bits(spec, sc))
+    while True:  # big floats with more bits while the bound misses the target
+        v, err, _ = _rung(coefs, s_hi, order, wb, bits)
         mag = float(abs(v))
-        if v != total:
-            err += mag * 2.0 ** -wb
-        if not (math.isfinite(mag) and math.isfinite(err)):
-            raise RangeError(f"{spec.family.value} n={spec.n} at s={sc}: value or bound "
-                             "beyond the double range")
-        if err <= tol * mag:
+        if err <= tol * mag < math.inf:  # a NaN or an infinity never certifies
             value = (float(v.real), float(v.imag)) if ctx.is_fast else (v.real, v.imag)
             return EtaValue(ComplexPoint(*value), err)
-        bits, total = _more_bits(bits, err, tol * mag), None
+        bits = wb + _guard_bits(spec, sc) if bits is None else _more_bits(bits, err, tol * mag)
 
 
 def evaluate(spec: FiniteEtaSpec, s, ctx: PrecisionContext = PrecisionContext()) -> EtaValue:

@@ -20,11 +20,12 @@ where the sum is exact).  N makes this half the target with |value|
 guessed as 1; a smaller |value| first gets a longer sum, within the cap,
 then more bits.  Derivatives take Cauchy's estimate on a circle of radius 1/2.
 
-Ladder: the fast tier accepts the double table when remainder + rounding
+Ladder: each pass is one rung of :mod:`eta_forge.finite_eta` over the
+weights, scaled exactly by 2^-(N+1), with s at full precision in big
+floats.  The fast tier accepts the double table when remainder + rounding
 <= target, else takes big floats at the working bits plus
 log2(sum |terms| / |value|) + 16, which is how Re s << 0 gets honest
-values; the extended tier starts there.  An integer s <= 0 is summed in
-exact integers on both tiers.  A length beyond the cap raises
+values; the extended tier starts there.  A length beyond the cap raises
 ConvergenceError (best: the sum at the cap); fast-tier terms beyond the
 double range, or more than 65536 bits, raise RangeError.  Fast-tier
 envelope: |Im s| <= 150, where N + 1 stays below 400.
@@ -41,8 +42,8 @@ from operator import mul
 import mpmath as mp
 
 from .errors import ConvergenceError, DomainError, RangeError, SingularPrefactorError
-from .finite_eta import _MAX_SUM_BITS, _ExtPowers, _FastPowers, _integer_sum, _more_bits
-from .numerics import ComplexPoint, PrecisionContext, _coerce_complex, cgamma, csin
+from .finite_eta import _MAX_SUM_BITS, _more_bits, _rung
+from .numerics import ComplexPoint, PrecisionContext, _coerce_complex, _coerce_mpc, cgamma, csin
 
 __all__ = [
     "GlobalEvalResult",
@@ -138,36 +139,19 @@ def _series(s, ctx: PrecisionContext, order: int = 0, series_cap: int = SERIES_C
         raise DomainError(f"|Im s| = {abs(sc.imag)} beyond the fast-tier envelope "
                           f"{FAST_T_ENVELOPE}; use an extended PrecisionContext")
     tol, wb, neg = ctx.target_rel_err if tol is None else tol, ctx.working_bits, max(0.0, -sc.real)
+    s_hi = sc if ctx.is_fast else _coerce_mpc(s)
     n = _length(sc, order, 0.5 * tol * max(1.0, floor), series_cap)  # |value| guessed as 1
     # big floats start from terms up to n^neg and a value near 1
     powers, bits = None, None if ctx.is_fast else wb + 16 + math.ceil((1 + neg) * math.log2(n))
     while True:
         m = min(n, series_cap + 1)
         coefs, w = _weights(m), 0.5 ** m  # w scales exactly
-        if bits is not None and not bits <= _MAX_SUM_BITS:
-            raise RangeError(f"s={sc} needs more than {_MAX_SUM_BITS} working bits")
-        try:
-            if bits is None:  # the doubles must hold every partial sum of the terms
-                if m * _LN2 + (1 + neg) * math.log(m) + order * math.log1p(math.log(m)) > 709:
-                    raise OverflowError
-            total, err = _integer_sum(coefs, sc, order), 0.0
-            if total is None:
-                powers = powers or (_FastPowers(sc, order) if bits is None
-                                    else _ExtPowers(sc, order, bits))
-                total, err = powers.dot(coefs)
-            elif bits is None and abs(total) >= 2 ** 53:  # its rounding to a double
-                err = abs(float(total)) * 2.0 ** -53
-            if bits is None:
-                value, err = complex(total.real * w, total.imag * w), err * w
-            else:
-                with mp.workprec(wb):  # the final rounding to the working precision
-                    value = mp.mpmathify(total) * w
-                value = complex(value) if ctx.is_fast else value
-                err = err * w + float(abs(value)) * 2.0 ** (1 - wb)
-            if not math.isfinite(mag := float(abs(value))):
-                raise OverflowError
-        except OverflowError as exc:
-            raise RangeError(f"the series at s={sc} leaves the double range") from exc
+        if bits is None:  # the doubles must hold every partial sum of the terms
+            if m * _LN2 + (1 + neg) * math.log(m) + order * math.log1p(math.log(m)) > 709:
+                raise RangeError(f"the series at s={sc} leaves the double range")
+        value, err, powers = _rung(coefs, s_hi, order, wb, bits, powers, w)
+        value = complex(value) if ctx.is_fast else value
+        mag = float(abs(value))
         rem = _remainder(sc, order, m)
         result = GlobalEvalResult(ComplexPoint(value.real, value.imag), m, rem + err)
         if n > m:
@@ -230,14 +214,14 @@ def zeta_global(s, ctx: PrecisionContext = PrecisionContext(),
         pref, rel = 1.0 - e, 2.0 ** -49 * (1.0 + abs(e) * (1.0 + abs(w)) / abs(1.0 - e))
     if not rel < 0.25 * tol:
         with mp.workprec(ctx.working_bits + 32):
-            w = (1 - mp.mpc(sc)) * mp.ln2
+            w = (1 - _coerce_mpc(s)) * mp.ln2
             e = mp.exp(w)
             pref = 1 - e
             rel = 2.0 ** (4 - ctx.working_bits) * (
                 1.0 + float(abs(e) * (1 + abs(w)) / abs(pref)) * 2.0 ** -26)
     if not rel < 0.25 * tol:
         raise ConvergenceError(f"zeta at s={sc}: 1 - 2^(1-s) is not known within the target")
-    eta = _series(sc, ctx, series_cap=series_cap, tol=tol - 2.0 * rel)
+    eta = _series(s, ctx, series_cap=series_cap, tol=tol - 2.0 * rel)
     if ctx.is_fast:
         v = eta.value.to_complex() / complex(pref)
     else:

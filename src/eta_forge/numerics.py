@@ -116,13 +116,7 @@ class ComplexPoint:
 
     def to_mpc(self):
         """Precision-preserving: never rounds to the ambient mpmath prec."""
-        def _bits(x):
-            try:
-                return x._mpf_[3]  # mantissa bit count of an mpf
-            except (AttributeError, TypeError, IndexError):
-                return 53
-        with mp.workprec(max(53, _bits(self.re), _bits(self.im)) + 8):
-            return mp.mpc(self.re, self.im)
+        return _coerce_mpc(self)
 
     def conjugate(self) -> "ComplexPoint":
         return ComplexPoint(self.re, -self.im)
@@ -142,10 +136,14 @@ def _coerce_complex(z) -> complex:
 
 
 def _coerce_mpc(z):
-    if isinstance(z, ComplexPoint):
-        return z.to_mpc()
-    z = complex(z) if not isinstance(z, (mp.mpc, mp.mpf)) else z
-    return mp.mpc(z)
+    """Accept ComplexPoint, mpmath number, complex, or real; return an mpmath
+    complex that is never rounded to the ambient mpmath prec."""
+    if not isinstance(z, (ComplexPoint, mp.mpc, mp.mpf)):
+        z = complex(z)
+    re, im = (z.re, z.im) if isinstance(z, ComplexPoint) else (z.real, z.imag)
+    bits = max(getattr(x, "_mpf_", (0, 0, 0, 53))[3] for x in (re, im))  # mantissa bit count
+    with mp.workprec(max(53, bits) + 8):
+        return mp.mpc(re, im)
 
 
 def _wrap(z, ctx: PrecisionContext) -> ComplexPoint:

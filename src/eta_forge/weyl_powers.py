@@ -29,7 +29,7 @@ import mpmath as mp
 
 from .errors import DomainError, RangeError, VerificationError
 from .hasse_global import GlobalEvalResult
-from .numerics import ComplexPoint, PrecisionContext, _coerce_complex
+from .numerics import ComplexPoint, PrecisionContext, _coerce_complex, _coerce_mpc
 from .weyl_algebra import SPoly, WeylPoly, mod_observer
 
 __all__ = [
@@ -77,7 +77,7 @@ def binom_coeff(s, k: int, ctx: PrecisionContext = PrecisionContext()) -> Comple
             acc *= (sc - j) / (j + 1)
         return ComplexPoint(acc.real, acc.imag)
     with mp.workprec(ctx.working_bits):
-        sm = mp.mpc(s.to_mpc() if isinstance(s, ComplexPoint) else s)
+        sm = _coerce_mpc(s)
         acc = mp.mpc(1)
         for j in range(k):
             acc *= (sm - j) / (j + 1)

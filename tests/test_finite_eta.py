@@ -265,14 +265,14 @@ def test_derivative_orders_extended_match_oracle(fam, oracle):
     (HS, 30, complex(-3.0, 1.0), 1),
 ])
 def test_derivative_fast_tier_matches_oracle(fam, n, s, escalations, monkeypatch):
-    calls = []
-    raw = finite_eta._eval_extended
+    calls = []  # one big-float power table per escalated rung
+    raw = finite_eta._ExtPowers
 
     def counting(*args, **kwargs):
         calls.append(args)
         return raw(*args, **kwargs)
 
-    monkeypatch.setattr(finite_eta, "_eval_extended", counting)
+    monkeypatch.setattr(finite_eta, "_ExtPowers", counting)
     oracle = oracles.eta_hasse_highprec if fam is H else oracles.eta_hstar_highprec
     for order in (1, 2, 3):
         before = len(calls)
@@ -372,7 +372,7 @@ def test_value_in_double_range_is_returned_when_terms_are_not():
 
 def test_fast_tier_far_up_the_line_matches_oracle(monkeypatch):
     # the phase t ln b in double-double keeps the fast tier certified at t = 1e6
-    monkeypatch.setattr(finite_eta, "_eval_extended", None)  # escalating would fail
+    monkeypatch.setattr(finite_eta, "_ExtPowers", None)  # escalating would fail
     s = complex(0.5, 1e6)
     res = evaluate(spec(H, 3), s, CTX)
     ref = oracles.eta_hasse_highprec(3, s, 400)

@@ -8,6 +8,7 @@ import pytest
 
 import oracles
 from eta_forge import (
+    ComplexPoint,
     ConvergenceError,
     DomainError,
     Family,
@@ -289,19 +290,37 @@ def test_remainder_vanishes_at_the_trivial_zeros_of_gamma():
     assert zeta_global(-2.0, CTX).tail_bound == 0.0
     ext = zeta_global(-2, PrecisionContext.extended(120))
     assert ext.value.re == 0 and ext.value.im == 0 and ext.tail_bound == 0.0
+    # summed in integers and scaled exactly: no rounding to charge
+    ext = eta_global(-3, PrecisionContext.extended(120))
+    assert ext.value.to_mpc() == mp.mpf("-0.125") and ext.tail_bound == 0.0
 
 
 @pytest.mark.parametrize("s", [complex(-20.0, 0.5), complex(-10.0, 3.0), complex(-1.5, 100.0),
                                complex(0.5, 100.0), complex(0.5, 150.0), complex(2.0, -150.0),
-                               complex(1e17, 0.0)])
+                               complex(1e17, 0.0), complex(1e300, 0.0), complex(1e300, 50.0)])
 def test_fast_series_meets_its_target(s):
     # the left half-plane escalates to big floats, |Im s| up to the fast envelope
-    # keeps the exact-phase table, and huge real s needs no noise floor
+    # keeps the exact-phase table, and huge |s| needs no noise floor, where eta is 1
     res = eta_global(s, CTX)
     with mp.workprec(300):
         ref = mp.altzeta(mp.mpc(s))
         err = abs(res.value.to_mpc() - ref)
         assert err <= res.tail_bound <= CTX.target_rel_err * abs(ref), s
+
+
+def test_extended_series_keeps_full_precision_arguments():
+    # s = 2 + 2^-80 + 14i carries 82 bits: rounding it to a double would move
+    # eta by about 1e-25, far above the 200-bit bounds
+    ctx = PrecisionContext.extended(200)
+    with mp.workprec(200):
+        s = ComplexPoint(2 + mp.mpf(2) ** -80, mp.mpf(14))
+    for fn, ref in ((eta_global, mp.altzeta), (zeta_global, mp.zeta),
+                    (lambda z, c: _series(z, c, order=1), lambda z: mp.diff(mp.altzeta, z))):
+        res = fn(s, ctx)
+        with mp.workprec(400):
+            want = ref(s.to_mpc())
+            err = abs(res.value.to_mpc() - want)
+            assert err <= res.tail_bound <= ctx.target_rel_err * abs(want), fn
 
 
 def test_zeta_prefactor_near_its_zeros():

@@ -189,7 +189,7 @@ def test_scan_far_up_the_line_stays_on_the_fast_tier(monkeypatch):
     # beyond t = 40 a bound that grows with |s| would certify few points of
     # this line; the double table's exact phase must certify nearly all
     evaluations, escalations = [], []
-    raw_evaluate, raw_extended = finite_eta._evaluate, finite_eta._eval_extended
+    raw_evaluate, raw_extended = finite_eta._evaluate, finite_eta._ExtPowers
 
     def counting_evaluate(*args):
         evaluations.append(args)
@@ -200,7 +200,7 @@ def test_scan_far_up_the_line_stays_on_the_fast_tier(monkeypatch):
         return raw_extended(*args)
 
     monkeypatch.setattr(finite_eta, "_evaluate", counting_evaluate)
-    monkeypatch.setattr(finite_eta, "_eval_extended", counting_extended)
+    monkeypatch.setattr(finite_eta, "_ExtPowers", counting_extended)
     spec = FiniteEtaSpec(Family.HASSE, 20)
     records = scan_line(ScanConfig(spec, 0.5, 40.0, 100.0, default_step(spec)), CTX)
     assert records
