@@ -25,20 +25,19 @@ double (t ln b in double-double, about 2|Re s| ln n + 8 units of 2^-53 per
 term at any practical t), or big floats at given bits with s at full
 precision.  At order 0 and an integer s <= 0 it sums the integer powers
 exactly, so a trivial zero is an exact 0 with bound 0.  It rounds the
-value to the working precision, charged only when inexact.  A term beyond
-the double range gives the double table an infinite bound; a value or
-bound that does not fit in a double, or a sum that needs more than 65536
-bits, raises RangeError.
+value to the working precision, charged only when inexact.  A double
+table with a term beyond the double range, or a value below its normal
+range, cannot measure: its bound is infinite.  A big-float value outside
+the normal double range (a flush to 0 would look exact), a bound beyond
+it, or a sum needing over 65536 bits raises RangeError.
 
-Certification ladder: a result is returned only when its error bound is
-within target_rel_err * |value|, relative to the value itself, so a sum
-that cancels is never passed on the strength of its largest term.  The
-fast tier tries the double table, then big floats; the extended tier
-starts with big floats, at the context's working bits plus a guard of
-bitlen(C(2n, n)) + 2|Im s| + 16 bits (the binomial coefficients peak near
-C(2n, n) ~ 4^n / sqrt(n), so near a zero the alternating sum cancels
-almost all of its ~n bits), and retries with more bits while the bound
-misses the target.
+Certification ladder (``_evaluate``), for any sum with integer
+coefficients: a result is returned only when its bound is within
+tol * |value|, so a sum that cancels is never passed on the strength of
+its largest term.  The double table runs first on both tiers; on the
+fast tier it may be the answer, on both it measures the cancellation.
+Big floats start at wb + 16 + log2(sum |terms| / |value|) bits read off
+it (``_first_bits``), and retry with more bits while the bound misses.
 """
 
 from __future__ import annotations
@@ -72,6 +71,7 @@ ExactRational = Fraction
 
 # A big-float sum that would need more working bits is refused (RangeError).
 _MAX_SUM_BITS = 1 << 16
+_TINY = 2.0 ** -1022  # the smallest normal double
 
 
 class Family(enum.Enum):
@@ -121,14 +121,6 @@ def _terms(family: Family, n: int) -> tuple[int, ...]:
     if family is Family.HASSE:
         return tuple((-1) ** k * math.comb(n, k) for k in range(n + 1))
     return tuple((-1) ** (k - 1) * math.comb(2 * n, n + k) for k in range(1, n + 1))
-
-
-def _guard_bits(spec: FiniteEtaSpec, s: complex) -> int:
-    """Extra bits a big-float sum needs on top of the context's precision
-    to survive the worst-case alternating cancellation."""
-    peak = math.comb(2 * spec.n, spec.n)
-    t = min(abs(s.imag), _MAX_SUM_BITS)  # already refused beyond; keeps int() finite
-    return peak.bit_length() + int(2 * t) + 16
 
 
 _SPLIT = 134217729.0  # 2**27 + 1: Veltkamp's constant for 53-bit doubles
@@ -225,8 +217,8 @@ class _ExtPowers:
             self.mag.append(abs(p) if b % 2 else -abs(p))  # the sign of the coefficient
 
     def dot(self, coefs: tuple[int, ...], scale: float = 1.0):
-        """(value as an mpmath complex, abs_err bound as a float); the bound
-        is multiplied by ``scale``, a power of two, before it becomes a float."""
+        """(value, abs_err bound), both in mpmath; the bound is multiplied
+        by ``scale``, a power of two."""
         with mp.workprec(self.bits):
             self._grow(len(coefs))
             total = mp.fdot(coefs, self.p)
@@ -234,7 +226,7 @@ class _ExtPowers:
             max_log = mp.log(len(coefs))
             per_term_rel = ((2 * abs(self.s) * max_log + 4 + 2 * self.order + len(coefs))
                             * mp.mpf(2) ** (1 - self.bits))
-            return total, float(sum_abs * per_term_rel * scale)
+            return total, sum_abs * per_term_rel * scale
 
 
 def _integer_sum(coefs: tuple[int, ...], s, order: int) -> int | None:
@@ -253,20 +245,31 @@ def _more_bits(bits: float, err: float, target: float) -> float:
     return bits + max(16.0, 8.0 + math.log2(err / target)) if target > 0.0 else math.inf
 
 
+def _first_bits(wb: int, coefs: tuple[int, ...], powers, mag: float, scale: float = 1.0) -> float:
+    """The first big-float precision after the double table ``powers`` measured
+    |value| = ``mag`` for ``scale`` times the sum: wb + 16 plus the log2(sum |terms|
+    / |value|) bits that cancel; wb + 16 when it could not measure (None, or 0)."""
+    if powers is None or not mag > 0.0:
+        return wb + 16.0
+    return wb + 16 + math.log2(float(sum(map(mul, coefs, powers.mag))) * scale / mag)
+
+
 def _rung(coefs: tuple[int, ...], s, order: int, wb: int, bits: float | None = None,
           powers=None, scale: float = 1.0):
     """One rung (module docstring): (value, abs_err bound, power table) of
     ``scale``, an exact power of two, times sum_b coefs[b-1] b**(-s) (-ln b)**order,
     rounded to ``wb`` bits.  ``bits`` None takes the double table, else big
-    floats at ceil(bits) bits; a table passed back in ``powers`` is grown."""
+    floats at ceil(bits) bits; a table passed back in ``powers`` is grown,
+    and a double table that cannot measure is dropped (None)."""
     total, err = _integer_sum(coefs, s, order), 0.0
     if total is None and bits is None:
         try:
             powers = powers or _FastPowers(complex(s), order)
             total, err = powers.dot(coefs)
         except (OverflowError, ValueError):  # a term, the sum or the phase beyond doubles
-            return 0j, math.inf, powers
-        return complex(total.real * scale, total.imag * scale), err * scale, powers
+            return 0j, math.inf, None
+        v = complex(total.real * scale, total.imag * scale)  # below _TINY it may have flushed
+        return (v, err * scale, powers) if abs(v) >= _TINY else (0j, math.inf, None)
     if total is None:
         if not bits <= _MAX_SUM_BITS:
             raise RangeError(f"a sum of {len(coefs)} terms at s={s} needs more than "
@@ -277,27 +280,32 @@ def _rung(coefs: tuple[int, ...], s, order: int, wb: int, bits: float | None = N
         v = mp.mpc(total)
         inexact = v != total
         v *= scale
-    mag = float(abs(v))
+    mag, bound = float(abs(v)), float(err)
     if inexact:
-        err += mag * 2.0 ** -wb
-    if not (math.isfinite(mag) and math.isfinite(err)):
-        raise RangeError(f"a sum of {len(coefs)} terms at s={s}: value or bound beyond the "
-                         "double range")
-    return v, err, powers
+        bound += mag * 2.0 ** -wb
+    if (err or inexact) and bound < _TINY:  # rounded below the normal range: cover that
+        bound += 2.0 ** -1073
+    if not (math.isfinite(mag) and math.isfinite(bound)) or (v and mag < _TINY):
+        raise RangeError(f"a sum of {len(coefs)} terms at s={s}: value or bound outside the "
+                         "normal double range")
+    return v, bound, powers
 
 
-def _evaluate(spec: FiniteEtaSpec, s, ctx: PrecisionContext, order: int) -> EtaValue:
-    """The order-th termwise s-derivative (order 0: the value itself)."""
-    sc = _coerce_complex(s)
-    coefs, tol, wb = _terms(spec.family, spec.n), ctx.target_rel_err, ctx.working_bits
-    s_hi, bits = (sc, None) if ctx.is_fast else (_coerce_mpc(s), wb + _guard_bits(spec, sc))
-    while True:  # big floats with more bits while the bound misses the target
-        v, err, _ = _rung(coefs, s_hi, order, wb, bits)
+def _evaluate(coefs: tuple[int, ...], s, ctx: PrecisionContext, order: int, tol: float):
+    """(value, abs_err bound) of sum_b coefs[b-1] b**(-s) (-ln b)**order within
+    tol * |value| (the ladder of the module docstring); the value is a complex
+    on the fast tier and an mpmath complex on the extended tier."""
+    wb = ctx.working_bits
+    s_hi = _coerce_complex(s) if ctx.is_fast else _coerce_mpc(s)
+    bits = None  # first the integer route or the double table
+    while True:  # then big floats with more bits while the bound misses the target
+        v, err, powers = _rung(coefs, s_hi, order, wb, bits)
         mag = float(abs(v))
-        if err <= tol * mag < math.inf:  # a NaN or an infinity never certifies
-            value = (float(v.real), float(v.imag)) if ctx.is_fast else (v.real, v.imag)
-            return EtaValue(ComplexPoint(*value), err)
-        bits = wb + _guard_bits(spec, sc) if bits is None else _more_bits(bits, err, tol * mag)
+        # a NaN or an infinity never certifies; on the extended tier the double table only measures
+        if err <= tol * mag < math.inf and (ctx.is_fast or not isinstance(powers, _FastPowers)):
+            return (complex(v) if ctx.is_fast else v), err
+        bits = (_first_bits(wb, coefs, powers, mag) if bits is None
+                else _more_bits(bits, err, tol * mag))
 
 
 def evaluate(spec: FiniteEtaSpec, s, ctx: PrecisionContext = PrecisionContext()) -> EtaValue:
@@ -306,7 +314,8 @@ def evaluate(spec: FiniteEtaSpec, s, ctx: PrecisionContext = PrecisionContext())
     Meets ``ctx.target_rel_err`` relative to |value| (an exact zero has
     bound 0); escalates to big-floats when the fast tier cannot certify that.
     """
-    return _evaluate(spec, s, ctx, 0)
+    v, err = _evaluate(_terms(spec.family, spec.n), s, ctx, 0, ctx.target_rel_err)
+    return EtaValue(ComplexPoint(v.real, v.imag), err)
 
 
 def derivative(spec: FiniteEtaSpec, s, ctx: PrecisionContext = PrecisionContext(),
@@ -317,7 +326,8 @@ def derivative(spec: FiniteEtaSpec, s, ctx: PrecisionContext = PrecisionContext(
     """
     if order < 1:
         raise DomainError("order must be >= 1")
-    return _evaluate(spec, s, ctx, order)
+    v, err = _evaluate(_terms(spec.family, spec.n), s, ctx, order, ctx.target_rel_err)
+    return EtaValue(ComplexPoint(v.real, v.imag), err)
 
 
 def evaluate_exact(spec: FiniteEtaSpec, m: int) -> Fraction:

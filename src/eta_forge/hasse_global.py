@@ -23,12 +23,12 @@ then more bits.  Derivatives take Cauchy's estimate on a circle of radius 1/2.
 Ladder: each pass is one rung of :mod:`eta_forge.finite_eta` over the
 weights, scaled exactly by 2^-(N+1), with s at full precision in big
 floats.  The fast tier accepts the double table when remainder + rounding
-<= target, else takes big floats at the working bits plus
-log2(sum |terms| / |value|) + 16, which is how Re s << 0 gets honest
-values; the extended tier starts there.  A length beyond the cap raises
-ConvergenceError (best: the sum at the cap); fast-tier terms beyond the
-double range, or more than 65536 bits, raise RangeError.  Fast-tier
-envelope: |Im s| <= 150, where N + 1 stays below 400.
+<= target, else takes big floats at the finite sums' first precision
+(``_first_bits``, read off the double table), which is how Re s << 0 gets
+honest values; the extended tier starts in big floats.  A length beyond
+the cap raises ConvergenceError (best: the sum at the cap); fast-tier
+terms beyond the double range, or more than 65536 bits, raise RangeError.
+Fast-tier envelope: |Im s| <= 150, where N + 1 stays below 400.
 """
 
 from __future__ import annotations
@@ -37,12 +37,11 @@ import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import mul
 
 import mpmath as mp
 
 from .errors import ConvergenceError, DomainError, RangeError, SingularPrefactorError
-from .finite_eta import _MAX_SUM_BITS, _more_bits, _rung
+from .finite_eta import _MAX_SUM_BITS, _evaluate, _first_bits, _more_bits, _rung
 from .numerics import ComplexPoint, PrecisionContext, _coerce_complex, _coerce_mpc, cgamma, csin
 
 __all__ = [
@@ -170,10 +169,8 @@ def _series(s, ctx: PrecisionContext, order: int = 0, series_cap: int = SERIES_C
             continue
         if not target > 0.0:
             raise RangeError(f"eta at s={sc} vanishes in doubles: no relative bound")
-        if bits is None:  # a guard of log2(sum |terms| / |value|) + 16 bits
-            step = wb + 16 + math.log2(float(sum(map(mul, coefs, powers.mag))) * w * tol / target)
-        else:
-            step = _more_bits(bits, err, target)
+        step = (_first_bits(wb, coefs, powers, max(mag, floor), w) if bits is None
+                else _more_bits(bits, err, target))
         bits, powers = math.ceil(step) if step <= _MAX_SUM_BITS else math.inf, None
 
 
@@ -196,9 +193,12 @@ def zeta_global(s, ctx: PrecisionContext = PrecisionContext(),
                 series_cap: int = SERIES_CAP) -> GlobalEvalResult:
     """zeta via eta(s) / (1 - 2^(1-s)).
 
-    Refuses the exclusion disks (radius 1e-6) around the prefactor zeros
-    s = 1 and s = 1 + 2 pi i k / ln 2: no removable-singularity limits
-    are attempted there.
+    The prefactor is the Dirichlet sum 1^-s - 2 * 2^-s on the finite sums'
+    ladder, within a quarter of the target; the division is charged
+    2^(3 - wb) |zeta| at the working bits wb, and eta gets what both leave (a
+    target below 2^(6 - wb) is refused).  Refuses the exclusion disks (radius
+    1e-6) around the prefactor zeros s = 1 and s = 1 + 2 pi i k / ln 2: no
+    removable-singularity limits are attempted there.
     """
     sc = _coerce_complex(s)
     center = _prefactor_center(sc)
@@ -206,28 +206,15 @@ def zeta_global(s, ctx: PrecisionContext = PrecisionContext(),
         raise SingularPrefactorError(
             f"s = {sc} lies inside the exclusion disk around the prefactor zero "
             f"at {center}", center=center)
-    # 1 - 2^(1-s) and a bound on its relative error: w = (1 - s) ln 2 rounds by
-    # about |w| units, which |e^w / (1 - e^w)| scales; in doubles, else big floats
-    tol, rel, w = ctx.target_rel_err, math.inf, (1.0 - sc) * _LN2
-    if ctx.is_fast and w.real < 709.0:
-        e = cmath.exp(w)
-        pref, rel = 1.0 - e, 2.0 ** -49 * (1.0 + abs(e) * (1.0 + abs(w)) / abs(1.0 - e))
-    if not rel < 0.25 * tol:
-        with mp.workprec(ctx.working_bits + 32):
-            w = (1 - _coerce_mpc(s)) * mp.ln2
-            e = mp.exp(w)
-            pref = 1 - e
-            rel = 2.0 ** (4 - ctx.working_bits) * (
-                1.0 + float(abs(e) * (1 + abs(w)) / abs(pref)) * 2.0 ** -26)
-    if not rel < 0.25 * tol:
-        raise ConvergenceError(f"zeta at s={sc}: 1 - 2^(1-s) is not known within the target")
-    eta = _series(s, ctx, series_cap=series_cap, tol=tol - 2.0 * rel)
-    if ctx.is_fast:
-        v = eta.value.to_complex() / complex(pref)
-    else:
-        with mp.workprec(ctx.working_bits + 32):
-            v = eta.value.to_mpc() / pref
-    tail = eta.tail_bound / float(abs(pref)) + float(abs(v)) * rel
+    tol, wb = ctx.target_rel_err, ctx.working_bits
+    if not tol >= 2.0 ** (6 - wb):  # else the roundings below would fill the target
+        raise DomainError(f"zeta needs target_rel_err >= 2^(6 - {wb}), got {tol}")
+    pref, pref_err = _evaluate((1, -2), s, ctx, 0, tol / 4)
+    pref_mag, div = float(abs(pref)), 2.0 ** (3 - wb)  # Smith's division in doubles: < 7 ulp
+    eta = _series(s, ctx, series_cap=series_cap, tol=tol - 2.0 * (pref_err / pref_mag + div))
+    v = eta.value.to_complex() / pref if ctx.is_fast else mp.fdiv(eta.value.to_mpc(), pref, prec=wb)
+    mag = float(abs(v))
+    tail = (eta.tail_bound + mag * pref_err) / (pref_mag - pref_err) + mag * div
     return GlobalEvalResult(ComplexPoint(v.real, v.imag), eta.terms_used, tail)
 
 

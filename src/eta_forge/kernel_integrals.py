@@ -36,7 +36,7 @@ import operator
 from collections.abc import Callable
 from dataclasses import dataclass
 
-from .errors import DomainError, PoleError, RangeError
+from .errors import ConvergenceError, DomainError, PoleError, RangeError
 from .finite_eta import Family, FiniteEtaSpec, derivative, evaluate
 from .numerics import ComplexPoint, PrecisionContext, _coerce_complex
 
@@ -61,7 +61,7 @@ _MAX_LEVEL = 11
 @dataclass(frozen=True)
 class QuadratureResult:
     value: ComplexPoint
-    abs_err_estimate: float  # >= 0, inflated when the budget was exhausted
+    abs_err_estimate: float  # >= 0
     evaluations: int
 
     def __post_init__(self):
@@ -173,16 +173,15 @@ def _nodes(level: int):
 def _tanh_sinh_power(g, s_minus_1: complex, tol: float, budget: int):
     """integral_0^1 u^(s-1) g(u) du.
 
-    Returns (value, err_estimate, evals, exhausted).  g must be smooth and
-    bounded on [0, 1]; the singular endpoint factor is folded into the
-    weight in log space.
+    Returns (value, err_estimate, evals); evals reaches ``budget`` only
+    when the budget ran out.  g must be smooth and bounded on [0, 1]; the
+    singular endpoint factor is folded into the weight in log space.
     """
     evals = 0
     prev = None
     value = 0.0 + 0.0j
     delta = math.inf
     abs_acc = 0.0
-    exhausted = False
     for level in range(_MAX_LEVEL + 1):
         h = 1.0 / (1 << level)
         total = 0.0 + 0.0j
@@ -206,22 +205,16 @@ def _tanh_sinh_power(g, s_minus_1: complex, tol: float, budget: int):
             else:
                 small_run = 0
             if evals >= budget:
-                exhausted = True
                 break
         value = total
         if prev is not None:
             delta = abs(value - prev)
-            if delta <= tol:
-                break
-        if exhausted:
+        if delta <= tol or evals >= budget:
             break
         prev = value
     floor = abs_acc * 2.0 ** -50
     base = delta if math.isfinite(delta) else abs(value)
-    err = base + floor
-    if exhausted:
-        err = 8.0 * err + abs(value) * 1e-6  # inflated: budget ran out
-    return value, err, evals, exhausted
+    return value, base + floor, evals
 
 
 def integrate_L(family: Family, n: int, s, ctx: PrecisionContext = PrecisionContext(),
@@ -230,7 +223,8 @@ def integrate_L(family: Family, n: int, s, ctx: PrecisionContext = PrecisionCont
 
     The absolute error estimate targets max(1e-12, target_rel_err * |value|)
     unless ``tol_abs`` overrides it.  The evaluation budget caps integrand
-    calls; exceeding it returns the best estimate with an inflated bound.
+    calls; when it runs out, ConvergenceError carries the estimate reached
+    (``best``, a QuadratureResult).
     Double precision only: an extended context raises DomainError.
     """
     if not ctx.is_fast:
@@ -260,10 +254,14 @@ def integrate_L(family: Family, n: int, s, ctx: PrecisionContext = PrecisionCont
 
     beta = complex(hi) - sc
     half = budget // 2
-    v1, e1, c1, _ = _tanh_sinh_power(g1, sc - 1.0, tol / 2, half)
-    v2, e2, c2, _ = _tanh_sinh_power(g2, beta - 1.0, tol / 2, half)
+    v1, e1, c1 = _tanh_sinh_power(g1, sc - 1.0, tol / 2, half)
+    v2, e2, c2 = _tanh_sinh_power(g2, beta - 1.0, tol / 2, half)
     value = v1 + v2
-    return QuadratureResult(ComplexPoint(value.real, value.imag), e1 + e2, c1 + c2)
+    result = QuadratureResult(ComplexPoint(value.real, value.imag), e1 + e2, c1 + c2)
+    if max(c1, c2) >= half:
+        raise ConvergenceError(f"L_n(s) at s={sc}: the budget of {budget} evaluations ran out",
+                               best=result)
+    return result
 
 
 # ---------------------------------------------------------------------------

@@ -129,17 +129,20 @@ class ComplexPoint:
 
 
 def _coerce_complex(z) -> complex:
-    """Accept ComplexPoint, complex, or real; return a hardware complex."""
+    """Accept ComplexPoint, complex, or real; return a hardware complex (NaN, inf: DomainError)."""
     if isinstance(z, ComplexPoint):
-        return z.to_complex()
-    return complex(z)
+        return z.to_complex()  # finite components, though they may overflow a double
+    w = complex(z)
+    if not cmath.isfinite(w):
+        raise DomainError(f"non-finite argument {z!r}")
+    return w
 
 
 def _coerce_mpc(z):
     """Accept ComplexPoint, mpmath number, complex, or real; return an mpmath
     complex that is never rounded to the ambient mpmath prec."""
     if not isinstance(z, (ComplexPoint, mp.mpc, mp.mpf)):
-        z = complex(z)
+        z = _coerce_complex(z)
     re, im = (z.re, z.im) if isinstance(z, ComplexPoint) else (z.real, z.imag)
     bits = max(getattr(x, "_mpf_", (0, 0, 0, 53))[3] for x in (re, im))  # mantissa bit count
     with mp.workprec(max(53, bits) + 8):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 import oracles
 from eta_forge import finite_eta
 from eta_forge import (
+    ComplexPoint,
     DomainError,
     Family,
     FiniteEtaSpec,
@@ -17,6 +18,7 @@ from eta_forge import (
     RangeError,
     VerificationError,
     derivative,
+    eta_global,
     evaluate,
     evaluate_exact,
     trivial_zero_report,
@@ -381,10 +383,56 @@ def test_fast_tier_far_up_the_line_matches_oracle(monkeypatch):
         assert diff <= res.abs_err <= CTX.target_rel_err * abs(ref)
 
 
-def test_precision_beyond_the_big_float_limit_is_refused():
-    # beyond the fast tier's reach the guard bits grow with 2|Im s|; a sum
-    # needing more than _MAX_SUM_BITS is refused instead of run, and a
-    # phase beyond the double range never certifies
+@pytest.mark.parametrize("ctx", [CTX, PrecisionContext.extended(120)])
+def test_huge_imaginary_parts_are_delivered_on_both_tiers(ctx):
+    # a second big-float sum, at the bits its first bound asks for, carries
+    # the phase t ln b (about 1050 bits at t = 1e300)
     for t in (1e12, 1e300, 1.7e308):
-        with pytest.raises(RangeError):
-            evaluate(spec(H, 3), complex(0.5, t), CTX)
+        s = complex(0.5, t)
+        res = evaluate(spec(H, 3), s, ctx)
+        ref = oracles.eta_hasse_highprec(3, s, 4000)
+        with mp.workprec(4000):
+            diff = abs(res.value.to_mpc() - ref)
+            assert diff <= res.abs_err <= ctx.target_rel_err * abs(ref), t
+
+
+def test_precision_beyond_the_big_float_limit_is_refused():
+    # a phase of 2^70000 needs more bits than any sum is given
+    with mp.workprec(120):
+        s = ComplexPoint(mp.mpf(0.5), mp.mpf(2) ** 70000)
+    with pytest.raises(RangeError):
+        evaluate(spec(H, 3), s, PrecisionContext.extended(120))
+
+
+@pytest.mark.parametrize("n, s, bits, first", [
+    (60, complex(2.0, 3.0), 200, 268),
+    (60, complex(0.5, 14.134725), 120, 178),
+    (20, complex(0.5, 2.0), 53, 90),
+    (48, complex(0.5, 14.134725141734694), 53, 100),
+])
+def test_first_big_float_precision_is_measured(n, s, bits, first, monkeypatch):
+    # one big-float table, at the working bits + 16 + log2(sum |terms| / |value|)
+    # as the double table measured it
+    tables, raw = [], finite_eta._ExtPowers
+
+    def recording(s, order, table_bits):
+        tables.append(table_bits)
+        return raw(s, order, table_bits)
+
+    monkeypatch.setattr(finite_eta, "_ExtPowers", recording)
+    ctx = CTX if bits == 53 else PrecisionContext.extended(bits)
+    evaluate(spec(H, n), s, ctx)
+    assert tables == [first]
+
+
+@pytest.mark.parametrize("ctx", [CTX, PrecisionContext.extended(120)])
+def test_values_below_the_double_range_are_refused(ctx):
+    # eta_4'(1e300) = 4 ln 2 2^-1e300 + ... is not 0, but it and its bound
+    # flush to 0 as doubles, where 0 <= 0 would certify an exact-looking 0
+    with pytest.raises(RangeError, match="normal double range"):
+        derivative(spec(H, 4), 1e300, ctx)
+    # an exact zero, and a value of 1 whose far terms flush, still pass
+    res = evaluate(spec(H, 300), -250, ctx)
+    assert res.value.re == 0 and res.value.im == 0 and res.abs_err == 0.0
+    res = eta_global(1e300, ctx)
+    assert abs(res.value.to_complex() - 1.0) <= res.tail_bound <= ctx.target_rel_err

@@ -134,6 +134,22 @@ def test_zeta_two():
     assert abs(ref - math.pi ** 2 / 6) < 1e-15
 
 
+@pytest.mark.parametrize("ctx", [CTX, PrecisionContext.extended(120)])
+def test_zeta_at_integers_is_bounded_on_both_tiers(ctx):
+    # zeta(-3) = 1/120 is an exact eta over an exact prefactor, -1/8 / -15:
+    # only the division rounds, and the bound must charge it
+    for s in (-3, 3):
+        res = zeta_global(s, ctx)
+        with mp.workprec(400):
+            ref = mp.zeta(s)
+            err = abs(res.value.to_mpc() - ref)
+            assert err <= res.tail_bound <= ctx.target_rel_err * abs(ref), s
+    assert zeta_global(-2, ctx).tail_bound == 0.0
+    # a target below 64 units of 2^-wb leaves the quotient's roundings no room
+    with pytest.raises(DomainError):
+        zeta_global(3, PrecisionContext(ctx.working_bits, 2.0 ** (5 - ctx.working_bits)))
+
+
 def test_zeta_trivial_zero():
     res = zeta_global(-2.0, CTX)
     assert abs(res.value.to_complex()) == 0.0

@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 from eta_forge import (
     ComplexPoint,
     DomainError,
+    Family,
+    FiniteEtaSpec,
     PoleError,
     PrecisionContext,
     RangeError,
@@ -18,6 +20,10 @@ from eta_forge import (
     cln,
     cpow,
     csin,
+    derivative,
+    eta_global,
+    evaluate,
+    zeta_global,
 )
 
 CTX = PrecisionContext()
@@ -47,6 +53,22 @@ def test_point_rejects_nonfinite():
         ComplexPoint(float("nan"), 0.0)
     with pytest.raises(DomainError):
         ComplexPoint(0.0, float("inf"))
+
+
+_HASSE_3 = FiniteEtaSpec(Family.HASSE, 3)
+
+
+@pytest.mark.parametrize("fn", [lambda s, ctx: evaluate(_HASSE_3, s, ctx),
+                                lambda s, ctx: derivative(_HASSE_3, s, ctx),
+                                eta_global, zeta_global],
+                         ids=["evaluate", "derivative", "eta_global", "zeta_global"])
+@pytest.mark.parametrize("ctx", [CTX, EXT], ids=["fast", "extended"])
+@pytest.mark.parametrize("s", [complex(-math.inf, 0.0), complex(math.nan, 0.0),
+                               complex(0.5, math.inf), math.nan])
+def test_nonfinite_arguments_are_a_domain_error(fn, ctx, s):
+    # the shared coercion refuses them, as ComplexPoint does, on both tiers
+    with pytest.raises(DomainError):
+        fn(s, ctx)
 
 
 # ---------------------------------------------------------------------------
