@@ -14,14 +14,15 @@ entire in s.  HASSE vanishes exactly at s = 0, -1, ..., -(n-1); HSTAR at
 s = -2, -4, ..., -2(n-1).  Those zeros are checked in exact rational
 arithmetic, never in floating point.
 
-Summation: each tier fills a power table p_b = b^(-s) (-ln b)^order for
-the bases b = 1, 2, ..., one transcendental per base, then takes the dot
-product with the exact integer coefficients: ``math.fsum`` on the fast
-tier (each component rounded once), ``mp.fdot`` on the extended tier.  A
-table grows one base at a time, so a global series that lengthens keeps
-its powers.  One rung (``_rung``) takes each such sum, for these finite
-sums and for the global series alike: the double table at s rounded to a
-double (t ln b in double-double, about 2|Re s| ln n + 8 units of 2^-53 per
+Summation: each tier fills a power table p_b = b^(-s), with ln b, for the
+bases b = 1, 2, ..., one transcendental per base, then takes the dot
+product with the exact integer coefficients (times (-ln b)^k at order k):
+``math.fsum`` on the fast tier (each component rounded once), ``mp.fdot``
+on the extended tier.  A table grows one base at a time, so a global
+series that lengthens keeps its powers, and one table serves every order.
+One rung (``_rung``) takes each such sum, for these finite sums and for
+the global series alike: the double table at s rounded to a double
+(t ln b in double-double, about 2|Re s| ln n + 8 units of 2^-53 per
 term at any practical t), or big floats at given bits with s at full
 precision.  At order 0 and an integer s <= 0 it sums the integer powers
 exactly, so a trivial zero is an exact 0 with bound 0.  It rounds the
@@ -146,20 +147,20 @@ def _log_dd(b: int) -> tuple[float, float, float, float]:
 
 
 class _FastPowers:
-    """Fast-tier power table p_b = b**(-s) * (-ln b)**order for b = 1, 2, ...
+    """Fast-tier power table p_b = b**(-s) for b = 1, 2, ..., with ln b.
 
     The table grows one base at a time (one ``cmath.exp`` per base) as
     :meth:`dot` asks for more, so a global series that lengthens keeps its
-    powers.  The phase t * ln b (t = Im s) is formed as ph + pe in
-    double-double (Dekker's TwoProduct of t and the cached ln b, plus t
-    times its low part); one ``cmath.exp`` takes ph and the residue pe is
-    applied as a first-order rotation, so the per-term error does not grow
-    with t until (|s| ln b 2**-52)**2 does.
+    powers, and every order k sums over the same table.  The phase t * ln b
+    (t = Im s) is formed as ph + pe in double-double (Dekker's TwoProduct
+    of t and the cached ln b, plus t times its low part); one ``cmath.exp``
+    takes ph and the residue pe is applied as a first-order rotation, so
+    the per-term error does not grow with t until (|s| ln b 2**-52)**2 does.
     """
 
-    def __init__(self, s: complex, order: int):
-        self.s, self.order = s, order
-        self.re, self.im, self.mag = [], [], []
+    def __init__(self, s: complex):
+        self.s = s
+        self.re, self.im, self.mag, self.log = [], [], [], []
 
     def _grow(self, size: int):
         sigma, t = self.s.real, self.s.imag
@@ -171,60 +172,63 @@ class _FastPowers:
             pe = (((t_hi * h_hi - ph) + t_hi * h_lo + t_lo * h_hi) + t_lo * h_lo) + t * lo
             z = cmath.exp(complex(-sigma * hi, -ph))
             p = complex(z.real + pe * z.imag, z.imag - pe * z.real)  # times exp(-i pe)
-            if self.order:
-                p *= (-hi) ** self.order
             self.re.append(p.real)
             self.im.append(p.imag)
             self.mag.append(abs(p) if b % 2 else -abs(p))  # the sign of the coefficient
+            self.log.append(hi)
 
-    def dot(self, coefs: tuple[int, ...]) -> tuple[complex, float]:
-        """(value, abs_err bound) of sum_i coefs[i] * p_(i+1).
+    def dot(self, coefs: tuple[int, ...], order: int = 0) -> tuple[complex, float]:
+        """(value, abs_err bound) of sum_i coefs[i] * p_(i+1) * (-ln(i+1))**order.
 
         The bound is the per-term error model (transcendental, phase and
-        product roundings) over the summed magnitudes; ``math.fsum`` rounds
-        each component once.  Raises OverflowError beyond the double range.
+        product roundings) over the summed magnitudes, kept as ``sum_abs``
+        for :func:`_first_bits`; ``math.fsum`` rounds each component once.
+        Raises OverflowError beyond the double range.
         """
         self._grow(len(coefs))
-        sum_abs = sum(map(mul, coefs, self.mag))
-        if sum_abs == math.inf:
+        if order:
+            coefs = [c * (-x) ** order for c, x in zip(coefs, self.log)]
+        self.sum_abs = abs(sum(map(mul, coefs, self.mag)))
+        if self.sum_abs == math.inf:
             raise OverflowError("finite sum beyond the double range")
         val = complex(math.fsum(map(mul, coefs, self.re)), math.fsum(map(mul, coefs, self.im)))
         max_log = math.log(len(coefs))
         phase = abs(self.s) * max_log
         drift = phase * 2.0 ** -52  # squared as a product: inf, not OverflowError, at huge |s|
-        per_term_rel = ((2.0 * abs(self.s.real) * max_log + 8.0 + 2.0 * self.order) * 2.0 ** -53
+        per_term_rel = ((2.0 * abs(self.s.real) * max_log + 8.0 + 2.0 * order) * 2.0 ** -53
                         + phase * 2.0 ** -100 + drift * drift)
-        return val, sum_abs * (per_term_rel + 2.0 ** -52)
+        return val, self.sum_abs * (per_term_rel + 2.0 ** -52)
 
 
 class _ExtPowers:
     """Extended-tier power table at ``bits`` working bits; the same
     interface as :class:`_FastPowers`, with ``mp.fdot`` for the dot product."""
 
-    def __init__(self, s, order: int, bits: int):
-        self.order, self.bits = order, bits
+    def __init__(self, s, bits: int):
+        self.bits = bits
         with mp.workprec(bits):
             self.s = mp.mpc(s)
-        self.p, self.mag = [], []
+        self.p, self.mag, self.log = [], [], []
 
     def _grow(self, size: int):
         for b in range(len(self.p) + 1, size + 1):
             lnb = mp.log(b)
             p = mp.exp(-self.s * lnb)
-            if self.order:
-                p *= (-lnb) ** self.order
             self.p.append(p)
             self.mag.append(abs(p) if b % 2 else -abs(p))  # the sign of the coefficient
+            self.log.append(lnb)
 
-    def dot(self, coefs: tuple[int, ...], scale: float = 1.0):
+    def dot(self, coefs: tuple[int, ...], order: int = 0, scale: float = 1.0):
         """(value, abs_err bound), both in mpmath; the bound is multiplied
         by ``scale``, a power of two."""
         with mp.workprec(self.bits):
             self._grow(len(coefs))
+            if order:
+                coefs = [c * (-x) ** order for c, x in zip(coefs, self.log)]
             total = mp.fdot(coefs, self.p)
-            sum_abs = mp.fdot(coefs, self.mag)
+            sum_abs = abs(mp.fdot(coefs, self.mag))
             max_log = mp.log(len(coefs))
-            per_term_rel = ((2 * abs(self.s) * max_log + 4 + 2 * self.order + len(coefs))
+            per_term_rel = ((2 * abs(self.s) * max_log + 4 + 2 * order + len(coefs))
                             * mp.mpf(2) ** (1 - self.bits))
             return total, sum_abs * per_term_rel * scale
 
@@ -245,13 +249,13 @@ def _more_bits(bits: float, err: float, target: float) -> float:
     return bits + max(16.0, 8.0 + math.log2(err / target)) if target > 0.0 else math.inf
 
 
-def _first_bits(wb: int, coefs: tuple[int, ...], powers, mag: float, scale: float = 1.0) -> float:
-    """The first big-float precision after the double table ``powers`` measured
-    |value| = ``mag`` for ``scale`` times the sum: wb + 16 plus the log2(sum |terms|
-    / |value|) bits that cancel; wb + 16 when it could not measure (None, or 0)."""
+def _first_bits(wb: int, powers, mag: float, scale: float = 1.0) -> float:
+    """The first big-float precision after the double table ``powers`` measured |value|
+    = ``mag`` for ``scale`` times its last sum: wb + 16 plus the log2(sum |terms| /
+    |value|) bits that cancel; wb + 16 when it could not measure (None, or 0)."""
     if powers is None or not mag > 0.0:
         return wb + 16.0
-    return wb + 16 + math.log2(float(sum(map(mul, coefs, powers.mag))) * scale / mag)
+    return wb + 16 + math.log2(powers.sum_abs * scale / mag)
 
 
 def _rung(coefs: tuple[int, ...], s, order: int, wb: int, bits: float | None = None,
@@ -264,8 +268,8 @@ def _rung(coefs: tuple[int, ...], s, order: int, wb: int, bits: float | None = N
     total, err = _integer_sum(coefs, s, order), 0.0
     if total is None and bits is None:
         try:
-            powers = powers or _FastPowers(complex(s), order)
-            total, err = powers.dot(coefs)
+            powers = powers or _FastPowers(complex(s))
+            total, err = powers.dot(coefs, order)
         except (OverflowError, ValueError):  # a term, the sum or the phase beyond doubles
             return 0j, math.inf, None
         v = complex(total.real * scale, total.imag * scale)  # below _TINY it may have flushed
@@ -274,8 +278,8 @@ def _rung(coefs: tuple[int, ...], s, order: int, wb: int, bits: float | None = N
         if not bits <= _MAX_SUM_BITS:
             raise RangeError(f"a sum of {len(coefs)} terms at s={s} needs more than "
                              f"{_MAX_SUM_BITS} working bits")
-        powers = powers or _ExtPowers(s, order, math.ceil(bits))
-        total, err = powers.dot(coefs, scale)
+        powers = powers or _ExtPowers(s, math.ceil(bits))
+        total, err = powers.dot(coefs, order, scale)
     with mp.workprec(wb):  # the final rounding to the working precision
         v = mp.mpc(total)
         inexact = v != total
@@ -304,7 +308,7 @@ def _evaluate(coefs: tuple[int, ...], s, ctx: PrecisionContext, order: int, tol:
         # a NaN or an infinity never certifies; on the extended tier the double table only measures
         if err <= tol * mag < math.inf and (ctx.is_fast or not isinstance(powers, _FastPowers)):
             return (complex(v) if ctx.is_fast else v), err
-        bits = (_first_bits(wb, coefs, powers, mag) if bits is None
+        bits = (_first_bits(wb, powers, mag) if bits is None
                 else _more_bits(bits, err, tol * mag))
 
 

@@ -18,7 +18,7 @@ so |eta - S_N| <= 2^-(N+1) (1/(sigma+N+1) + Gamma(sigma, 1)) / |Gamma(s)|, and
 bounds 1/|Gamma| after a shift to x >= 1 (it is 0 at the poles of Gamma,
 where the sum is exact).  N makes this half the target with |value|
 guessed as 1; a smaller |value| first gets a longer sum, within the cap,
-then more bits.  Derivatives take Cauchy's estimate on a circle of radius 1/2.
+then more bits.  Newton's slope S_N' (order 1 on S_N's table) is not certified.
 
 Ladder: each pass is one rung of :mod:`eta_forge.finite_eta` over the
 weights, scaled exactly by 2^-(N+1), with s at full precision in big
@@ -26,7 +26,7 @@ floats.  The fast tier accepts the double table when remainder + rounding
 <= target, else takes big floats at the finite sums' first precision
 (``_first_bits``, read off the double table), which is how Re s << 0 gets
 honest values; the extended tier starts in big floats.  A length beyond
-the cap raises ConvergenceError (best: the sum at the cap); fast-tier
+the cap raises ConvergenceError (best: the sum at the cap); s or fast-tier
 terms beyond the double range, or more than 65536 bits, raise RangeError.
 Fast-tier envelope: |Im s| <= 150, where N + 1 stays below 400.
 """
@@ -41,7 +41,7 @@ from functools import lru_cache
 import mpmath as mp
 
 from .errors import ConvergenceError, DomainError, RangeError, SingularPrefactorError
-from .finite_eta import _MAX_SUM_BITS, _evaluate, _first_bits, _more_bits, _rung
+from .finite_eta import _MAX_SUM_BITS, _FastPowers, _evaluate, _first_bits, _more_bits, _rung
 from .numerics import ComplexPoint, PrecisionContext, _coerce_complex, _coerce_mpc, cgamma, csin
 
 __all__ = [
@@ -92,66 +92,63 @@ def _weights(n: int) -> tuple[int, ...]:
     return tuple(reversed(out))
 
 
-def _remainder(sc: complex, order: int, n: int) -> float:
-    """The bound on |eta^(k) - S^(k)| for S of n = N + 1 terms (module docstring);
-    for k = order >= 1, Cauchy's k! 2^k max |R| on the circle of radius 1/2,
-    with R bounded over the box lo <= Re z <= hi, |Im z| <= tau around it."""
-    r = 0.5 if order else 0.0
-    lo, hi, tau = sc.real - r, sc.real + r, abs(sc.imag) + r
-    if lo + n <= 0:
+def _remainder(sc: complex, n: int) -> float:
+    """The bound on |eta - S| for S of n = N + 1 terms (module docstring)."""
+    sigma, tau = sc.real, abs(sc.imag)
+    if sigma + n <= 0:
         return math.inf  # the remainder integral diverges
-    m = max(0, math.ceil(1.0 - lo))  # 1/Gamma(z) = z (z+1) ... (z+m-1) / Gamma(z+m)
+    m = max(0, math.ceil(1.0 - sigma))  # 1/Gamma(z) = z (z+1) ... (z+m-1) / Gamma(z+m)
     y = math.pi * tau  # log sinh(y)/y, bounded above
     log_g = (y - math.log(2.0 * y) if y > 20.0 else math.log(math.sinh(y) / y) if y else 0.0)
-    x = (math.lgamma(order + 1) + order * _LN2 - n * _LN2
-         + math.log(math.hypot(1.0, tau / (lo + m))) + 0.5 * log_g)
+    x = -n * _LN2 + math.log(math.hypot(1.0, tau / (sigma + m))) + 0.5 * log_g
     for j in range(m):
-        d = math.hypot(max(abs(lo + j), abs(hi + j)), tau)
+        d = math.hypot(sigma + j, tau)
         if d == 0.0:
             return 0.0  # a pole of Gamma: the sum is exact
         x += math.log(d)
-    # Gamma(x, 1) <= Gamma(x) (m = 0), 1/e (x <= 1) or 2/e (x <= 2); Gamma >= 0.8856
-    gamma_1 = 1.0 if m == 0 else (2.0 if hi > 1.0 else 1.0) / math.e / _GAMMA_MIN
-    x += math.log(1.0 / (_GAMMA_MIN * (lo + n)) + gamma_1)
+    # Gamma(x, 1) <= Gamma(x) (m = 0) or 1/e (x <= 1); Gamma >= 0.8856
+    gamma_1 = 1.0 if m == 0 else 1.0 / math.e / _GAMMA_MIN
+    x += math.log(1.0 / (_GAMMA_MIN * (sigma + n)) + gamma_1)
     return math.exp(x) if x < 709.0 else math.inf
 
 
-def _length(sc: complex, order: int, goal: float, series_cap: int) -> int:
+def _length(sc: complex, goal: float, series_cap: int) -> int:
     """The least n = N + 1 whose remainder bound is within ``goal``, or
     series_cap + 2 beyond the cap."""
     beyond = series_cap + 2
-    lowest = n = max(1, math.floor((0.5 if order else 0.0) - sc.real) + 1)
+    lowest = n = max(1, math.floor(-sc.real) + 1)
     if n < beyond:  # the bound falls by at least 2 per term: one jump, then steps back
-        ratio = _remainder(sc, order, n) / goal if goal > 0.0 else math.inf
+        ratio = _remainder(sc, n) / goal if goal > 0.0 else math.inf
         n += math.ceil(min(math.log2(max(ratio, 1.0)), beyond))
-    while lowest < n < beyond and _remainder(sc, order, n - 1) <= goal:
+    while lowest < n < beyond and _remainder(sc, n - 1) <= goal:
         n -= 1
     return min(n, beyond)
 
 
-def _series(s, ctx: PrecisionContext, order: int = 0, series_cap: int = SERIES_CAP,
+def _series(s, ctx: PrecisionContext, series_cap: int = SERIES_CAP,
             tol: float | None = None, floor: float = 0.0) -> GlobalEvalResult:
-    """S_N (order k: its k-th s-derivative) within tol * max(|value|, floor):
-    ``floor`` 0 asks for a relative bound, 1 for an absolute one."""
+    """S_N within tol * max(|value|, floor): ``floor`` 0 asks for a relative
+    bound, 1 for an absolute one."""
     sc = _coerce_complex(s)
+    if not cmath.isfinite(sc):  # a finite ComplexPoint beyond the double range
+        raise RangeError(f"s = {s} is beyond the double range of the series length")
     if ctx.is_fast and abs(sc.imag) > FAST_T_ENVELOPE:
         raise DomainError(f"|Im s| = {abs(sc.imag)} beyond the fast-tier envelope "
                           f"{FAST_T_ENVELOPE}; use an extended PrecisionContext")
     tol, wb, neg = ctx.target_rel_err if tol is None else tol, ctx.working_bits, max(0.0, -sc.real)
     s_hi = sc if ctx.is_fast else _coerce_mpc(s)
-    n = _length(sc, order, 0.5 * tol * max(1.0, floor), series_cap)  # |value| guessed as 1
+    n = _length(sc, 0.5 * tol * max(1.0, floor), series_cap)  # |value| guessed as 1
     # big floats start from terms up to n^neg and a value near 1
     powers, bits = None, None if ctx.is_fast else wb + 16 + math.ceil((1 + neg) * math.log2(n))
     while True:
         m = min(n, series_cap + 1)
         coefs, w = _weights(m), 0.5 ** m  # w scales exactly
-        if bits is None:  # the doubles must hold every partial sum of the terms
-            if m * _LN2 + (1 + neg) * math.log(m) + order * math.log1p(math.log(m)) > 709:
-                raise RangeError(f"the series at s={sc} leaves the double range")
-        value, err, powers = _rung(coefs, s_hi, order, wb, bits, powers, w)
+        if bits is None and m * _LN2 + (1 + neg) * math.log(m) > 709:  # every partial sum
+            raise RangeError(f"the series at s={sc} leaves the double range")
+        value, err, powers = _rung(coefs, s_hi, 0, wb, bits, powers, w)
         value = complex(value) if ctx.is_fast else value
         mag = float(abs(value))
-        rem = _remainder(sc, order, m)
+        rem = _remainder(sc, m)
         result = GlobalEvalResult(ComplexPoint(value.real, value.imag), m, rem + err)
         if n > m:
             raise ConvergenceError(f"s={sc} needs more than the {m} terms of series cap "
@@ -160,16 +157,16 @@ def _series(s, ctx: PrecisionContext, order: int = 0, series_cap: int = SERIES_C
         if rem + err <= target:
             return result
         if err < target:  # the value is smaller than guessed: a longer sum spares the bits
-            longer = _length(sc, order, 0.9 * (target - err), series_cap)
+            longer = _length(sc, 0.9 * (target - err), series_cap)
             if longer <= series_cap + 1:
                 n = max(n + 1, longer)
                 continue
         if rem > 0.5 * target:  # else a remainder that leaves half the target to the rounding
-            n = max(n + 1, _length(sc, order, 0.5 * target, series_cap))
+            n = max(n + 1, _length(sc, 0.5 * target, series_cap))
             continue
         if not target > 0.0:
             raise RangeError(f"eta at s={sc} vanishes in doubles: no relative bound")
-        step = (_first_bits(wb, coefs, powers, max(mag, floor), w) if bits is None
+        step = (_first_bits(wb, powers, max(mag, floor), w) if bits is None
                 else _more_bits(bits, err, target))
         bits, powers = math.ceil(step) if step <= _MAX_SUM_BITS else math.inf, None
 
@@ -177,7 +174,7 @@ def _series(s, ctx: PrecisionContext, order: int = 0, series_cap: int = SERIES_C
 def eta_global(s, ctx: PrecisionContext = PrecisionContext(),
                series_cap: int = SERIES_CAP) -> GlobalEvalResult:
     """Partial sum of the weighted series with its claimed tail bound."""
-    return _series(s, ctx, order=0, series_cap=series_cap)
+    return _series(s, ctx, series_cap=series_cap)
 
 
 def _prefactor_center(sc: complex) -> complex | None:
@@ -263,41 +260,45 @@ def refine_zero(t_initial: float, ctx: PrecisionContext = PrecisionContext()) ->
 
     Requires |eta(1/2 + i t_initial)| <= 0.5 (ordinate already near a
     zero).  Each step is the complex Newton update for t -> eta(1/2+it),
-    clamped to |dt| <= 0.5; escaping |t - t0| > 1 or failing to reach
-    residual 1e-10 in 50 iterations raises ConvergenceError.
+    clamped to |dt| <= 0.5, with S_N and its slope from one double table;
+    only the final residual is certified.  Escaping |t - t0| > 1, a zero
+    slope or failing to reach residual 1e-10 in 50 iterations raises
+    ConvergenceError; an extended context raises DomainError (fast tier only).
     """
+    if not ctx.is_fast:
+        raise DomainError(
+            f"refine_zero is fast-tier only; a {ctx.working_bits}-bit context was requested")
     t0 = float(t_initial)
 
-    def eta(s, order=0):  # an absolute bound: a zero admits no relative one
-        return _series(s, ctx, order, floor=1.0).value.to_complex()
+    def eta(t):  # an absolute bound: a zero admits no relative one
+        return _series(complex(0.5, t), ctx, floor=1.0).value.to_complex()
 
-    start = eta(complex(0.5, t0))
+    start = eta(t0)
     if abs(start) > CAPTURE_THRESHOLD:
         raise DomainError(
             f"|eta(1/2 + {t0}i)| = {abs(start):.3g} above capture threshold "
             f"{CAPTURE_THRESHOLD}; start closer to a zero")
     t = complex(t0, 0.0)
-    iterations = 0
-    for _ in range(NEWTON_MAX_ITER):
+    for iterations in range(1, NEWTON_MAX_ITER + 1):
         s = complex(0.5 - t.imag, t.real)  # s = 1/2 + i t with complex t
-        g, gp = eta(s), eta(s, 1)
-        if gp == 0:
-            raise ConvergenceError("derivative vanished during refinement", best=t.real)
+        n = _length(s, 0.5 * ctx.target_rel_err, SERIES_CAP)
+        table, coefs = _FastPowers(s), _weights(min(n, SERIES_CAP + 1))
+        (g, _), (gp, _) = table.dot(coefs), table.dot(coefs, 1)  # 2^-(N+1) cancels in g / gp
+        if gp == 0 or not cmath.isfinite(gp):
+            raise ConvergenceError(f"slope {gp} during refinement", best=t.real)
         dt = 1j * g / gp
         if abs(dt) > NEWTON_MAX_STEP:
             dt *= NEWTON_MAX_STEP / abs(dt)
         t += dt
-        iterations += 1
         if abs(t.real - t0) > CAPTURE_RADIUS:
             raise ConvergenceError(
                 f"escaped capture interval around t0 = {t0} (reached {t.real})",
                 best=t.real)
         if abs(dt) < 1e-13 * max(1.0, abs(t)):
             break
-    t_ref = t.real
-    residual = abs(eta(complex(0.5, t_ref)))
+    residual = abs(eta(t.real))
     if residual > REFINE_TOL:
         raise ConvergenceError(
             f"no convergence: residual {residual:.3g} above {REFINE_TOL} "
-            f"after {iterations} iterations", best=t_ref)
-    return ZeroRecord(t=t_ref, residual_eta=residual, iterations=iterations)
+            f"after {iterations} iterations", best=t.real)
+    return ZeroRecord(t=t.real, residual_eta=residual, iterations=iterations)

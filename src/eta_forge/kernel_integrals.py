@@ -35,6 +35,7 @@ import math
 import operator
 from collections.abc import Callable
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import ConvergenceError, DomainError, PoleError, RangeError
 from .finite_eta import Family, FiniteEtaSpec, derivative, evaluate
@@ -135,14 +136,9 @@ def convergence_window(family: Family, n: int) -> tuple[float, float]:
 # tanh-sinh quadrature on (0, 1) for integrands u^(s-1) * g(u)
 # ---------------------------------------------------------------------------
 
-_node_cache: dict[int, list[tuple[float, float, float, float]]] = {}
-
-
-def _nodes(level: int):
+@lru_cache(maxsize=None)
+def _nodes(level: int) -> tuple[tuple[float, float, float, float], ...]:
     """Nodes ordered center-outward: (u, ln_u, ln_u + ln(1-u), pi*cosh t)."""
-    cached = _node_cache.get(level)
-    if cached is not None:
-        return cached
     h = 1.0 / (1 << level)
     out = []
     j = 0
@@ -166,8 +162,7 @@ def _nodes(level: int):
             u_neg = math.exp(ln_1mu)
             out.append((u_neg, ln_1mu, ln_u + ln_1mu, pc))
         j += 1
-    _node_cache[level] = out
-    return out
+    return tuple(out)
 
 
 def _tanh_sinh_power(g, s_minus_1: complex, tol: float, budget: int):

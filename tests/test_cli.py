@@ -241,6 +241,7 @@ def test_pi_s_refuses_a_requested_precision(capsys):
 @pytest.mark.parametrize("argv", [
     ["integral", "compute", "--family", "hasse", "--n", "3", "--s", "0.5+1i"],
     ["verify", "thm2", "--n", "3", "--s", "0.5+1i"],
+    ["zero", "refine", "--t0", "14.13"],  # Newton runs on the double table
 ])
 def test_kernel_commands_refuse_a_requested_precision(argv, capsys):
     code, env = invoke_json(["--no-timing", "--precision-bits", "200"] + argv, capsys)

@@ -344,18 +344,18 @@ def test_extended_context_returns_extended_values():
 # ---------------------------------------------------------------------------
 
 def test_hstar_power_tables_match_oracle():
-    # each table (fast and extended) grown across n, as the global series
-    # grows its HASSE table; each dot product must hold its own bound
-    # against a 400-bit sum
+    # one table per tier (fast and extended), grown across n as the global
+    # series grows its HASSE table, and dotted at orders 0-3; each dot product
+    # must hold its own bound against a 400-bit sum
     s = complex(0.5, 40.0)
-    for order in (0, 1, 2):
-        tables = (finite_eta._FastPowers(s, order), finite_eta._ExtPowers(s, order, 120))
-        for n in range(1, 61):
+    tables = (finite_eta._FastPowers(s), finite_eta._ExtPowers(s, 120))
+    for n in range(1, 61):
+        for order in (0, 1, 2, 3):
             ref = oracles.eta_hstar_highprec(n, s, 400, order)
             for powers in tables:
-                value, err = powers.dot(finite_eta._terms(HS, n))
+                value, err = powers.dot(finite_eta._terms(HS, n), order)
                 with mp.workprec(400):
-                    assert abs(mp.mpc(value) - ref) <= err
+                    assert abs(mp.mpc(value) - ref) <= err, (n, order)
 
 
 def test_sum_beyond_double_range_is_refused():
@@ -415,9 +415,9 @@ def test_first_big_float_precision_is_measured(n, s, bits, first, monkeypatch):
     # as the double table measured it
     tables, raw = [], finite_eta._ExtPowers
 
-    def recording(s, order, table_bits):
+    def recording(s, table_bits):
         tables.append(table_bits)
-        return raw(s, order, table_bits)
+        return raw(s, table_bits)
 
     monkeypatch.setattr(finite_eta, "_ExtPowers", recording)
     ctx = CTX if bits == 53 else PrecisionContext.extended(bits)

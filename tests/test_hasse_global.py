@@ -64,20 +64,6 @@ def test_eta_tail_bound_covers_truth():
         assert abs(res.value.to_complex() - ref) <= res.tail_bound
 
 
-@pytest.mark.parametrize("s, bits", [
-    (complex(2.0, 3.0), 53), (complex(0.5, 14.134725), 53), (complex(-1.5, 2.0), 53),
-    (complex(0.5, 40.0), 53), (complex(1.0, 0.0), 53),
-    (complex(2.0, 1.0), 120), (complex(0.5, 5.0), 120),
-])
-def test_eta_derivative_series_matches_altzeta(s, bits):
-    # the termwise-differentiated series against mpmath's eta' at 250 bits
-    ctx = PrecisionContext() if bits == 53 else PrecisionContext.extended(bits)
-    res = _series(s, ctx, order=1)
-    with mp.workprec(250):
-        ref = mp.diff(mp.altzeta, mp.mpc(s))
-        assert abs(res.value.to_mpc() - ref) <= res.tail_bound
-
-
 def test_eta_series_cap_error_carries_best():
     with pytest.raises(ConvergenceError) as err:
         eta_global(1.0, CTX, series_cap=3)
@@ -222,16 +208,24 @@ def test_weights_are_the_hasse_series():
 @pytest.mark.parametrize("bits", [53, 120])
 @pytest.mark.parametrize("order", [0, 1, 2])
 def test_series_finite_sums_match_evaluate(bits, order):
-    # the one weighted sum of 61 terms (the best value at series cap 60) against
-    # sum_{n<=60} 2^-(n+1) eta_n, each finite sum evaluated on its own, within
-    # the sum's rounding bound plus the finite sums' bounds
+    # the one weighted sum of 61 terms against sum_{n<=60} 2^-(n+1) eta_n^(order),
+    # each finite sum evaluated on its own, within the sum's rounding bound plus
+    # the finite sums' bounds: at order 0 the best value at series cap 60, at
+    # higher orders the weights dotted at that order on one table, which is how
+    # refine_zero takes its Newton slope
     ctx = CTX if bits == 53 else PrecisionContext.extended(bits)
     s = complex(0.5, 14.13)
-    with pytest.raises(ConvergenceError) as err:
-        _series(s, ctx, order, series_cap=60)
-    best = err.value.best
-    assert best.terms_used == 61
-    rounding = best.tail_bound - hasse_global._remainder(s, order, 61)
+    if order == 0:
+        with pytest.raises(ConvergenceError) as err:
+            _series(s, ctx, series_cap=60)
+        best = err.value.best
+        assert best.terms_used == 61
+        value, rounding = best.value.to_mpc(), best.tail_bound - hasse_global._remainder(s, 61)
+    else:
+        table = finite_eta._FastPowers(s) if bits == 53 else finite_eta._ExtPowers(s, bits + 16)
+        value, rounding = table.dot(hasse_global._weights(61), order)
+        with mp.workprec(400):  # scaled by 2^-61 exactly
+            value, rounding = mp.mpc(value) / 2 ** 61, float(rounding) / 2 ** 61
     with mp.workprec(400):
         total, bound = mp.mpc(0), 0.0
         for n in range(61):
@@ -239,7 +233,7 @@ def test_series_finite_sums_match_evaluate(bits, order):
             ref = evaluate(spec, s, ctx) if order == 0 else derivative(spec, s, ctx, order=order)
             total += ref.value.to_mpc() / 2 ** (n + 1)
             bound += ref.abs_err / 2 ** (n + 1)
-        assert abs(best.value.to_mpc() - total) <= rounding * (1 + 1e-9) + bound
+        assert abs(value - total) <= rounding * (1 + 1e-9) + bound
 
 
 def test_series_makes_one_exp_per_term(monkeypatch):
@@ -273,35 +267,31 @@ def test_series_terms_used_a_priori(s, fast, ext):
     assert eta_global(s, PrecisionContext.extended(120)).terms_used == ext
 
 
-def _sum_at(s, order, n, bits):
+def _sum_at(s, n, bits):
     """S_N (n = N + 1 terms) in big floats, with guard bits for the cancellation."""
-    table = finite_eta._ExtPowers(s, order, bits + math.ceil((1 - min(0, s.real)) * math.log2(n)))
+    table = finite_eta._ExtPowers(s, bits + math.ceil((1 - min(0, s.real)) * math.log2(n)))
     return table.dot(hasse_global._weights(n))[0] / mp.mpf(2) ** n
 
 
 @pytest.mark.parametrize("sigma", [-20.0, -10.0, -5.5, -1.5, 0.0, 0.01, 0.5, 2.0, 6.0])
 def test_remainder_bound_covers_altzeta(sigma):
     # |S_N - eta| within the remainder bound at 300 bits, at the a-priori length
-    # of the fast tier and at about half of it; eta' too, through Cauchy's estimate
+    # of the fast tier and at about half of it
     with mp.workprec(300):
         for t in (-60.0, -20.0, -3.0, 0.5, 20.0, 60.0):
             s = complex(sigma, t)
-            ref = mp.altzeta(mp.mpc(s))
-            ref_d1 = mp.diff(mp.altzeta, mp.mpc(s)) if abs(t) < 30 else None
-            for order, want in ((0, ref), (1, ref_d1)):
-                if want is None:
-                    continue
-                full = hasse_global._length(s, order, 0.5e-13, SERIES_CAP)
-                for n in {full, max(1 + math.floor(0.5 - sigma), full // 2)}:
-                    if n <= SERIES_CAP + 1:
-                        bound = hasse_global._remainder(s, order, n)
-                        assert abs(_sum_at(s, order, n, 300) - want) <= bound, (s, order, n)
+            want = mp.altzeta(mp.mpc(s))
+            full = hasse_global._length(s, 0.5e-13, SERIES_CAP)
+            for n in {full, max(1 + math.floor(0.5 - sigma), full // 2)}:
+                if n <= SERIES_CAP + 1:
+                    bound = hasse_global._remainder(s, n)
+                    assert abs(_sum_at(s, n, 300) - want) <= bound, (s, n)
 
 
 def test_remainder_vanishes_at_the_trivial_zeros_of_gamma():
     # 1/Gamma(s) = 0 at s = 0, -1, -2, ...: the sum is exact from N + 1 > -s on
     for m in range(6):
-        assert hasse_global._remainder(complex(-m, 0.0), 0, m + 1) == 0.0
+        assert hasse_global._remainder(complex(-m, 0.0), m + 1) == 0.0
     assert eta_global(0.0, CTX).terms_used == 1
     assert zeta_global(-2.0, CTX).tail_bound == 0.0
     ext = zeta_global(-2, PrecisionContext.extended(120))
@@ -330,8 +320,7 @@ def test_extended_series_keeps_full_precision_arguments():
     ctx = PrecisionContext.extended(200)
     with mp.workprec(200):
         s = ComplexPoint(2 + mp.mpf(2) ** -80, mp.mpf(14))
-    for fn, ref in ((eta_global, mp.altzeta), (zeta_global, mp.zeta),
-                    (lambda z, c: _series(z, c, order=1), lambda z: mp.diff(mp.altzeta, z))):
+    for fn, ref in ((eta_global, mp.altzeta), (zeta_global, mp.zeta)):
         res = fn(s, ctx)
         with mp.workprec(400):
             want = ref(s.to_mpc())
@@ -385,3 +374,38 @@ def test_refined_zero_matches_conjugate_side():
     rec = refine_zero(14.1, CTX)
     v = eta_global(complex(0.5, -rec.t), CTX).value.to_complex()
     assert abs(v) <= 1e-9
+
+
+@pytest.mark.parametrize("t0, t, residual", [
+    (14.09, 14.134725141734693, 1.4902155513738535e-15),
+    (59.30, 59.34704400260235, 2.2559454766509836e-15),
+])
+def test_refine_takes_value_and_slope_from_one_table(t0, t, residual, monkeypatch):
+    # one double table per Newton step, plus the capture check and the certified
+    # final residual: 7 tables over 5 steps, where value and slope on tables of
+    # their own took 12; t and the residual are those of the two-table steps
+    tables, raw = [], finite_eta._FastPowers.__init__
+
+    def counting(self, s):
+        tables.append(s)
+        raw(self, s)
+
+    monkeypatch.setattr(finite_eta._FastPowers, "__init__", counting)
+    rec = refine_zero(t0, CTX)
+    assert (rec.t, rec.residual_eta, rec.iterations) == (t, residual, 5)
+    assert len(tables) == rec.iterations + 2
+
+
+def test_refine_refuses_extended_contexts():
+    # Newton runs on the double table: a 120-bit t cannot be delivered
+    with pytest.raises(DomainError, match="fast-tier only"):
+        refine_zero(14.13, PrecisionContext.extended(120))
+
+
+@pytest.mark.parametrize("ctx", [CTX, PrecisionContext.extended(120)])
+def test_series_beyond_the_double_length_range_is_refused(ctx):
+    # the series length is chosen at s rounded to a double, which is inf here
+    with mp.workprec(120):
+        s = ComplexPoint(mp.mpf(2) ** 70000, mp.mpf(1))
+    with pytest.raises(RangeError):
+        eta_global(s, ctx)
