@@ -15,8 +15,9 @@ s = -2, -4, ..., -2(n-1).  Those zeros are checked in exact rational
 arithmetic, never in floating point.
 
 Summation: each tier fills a power table p_b = b^(-s), with ln b, for the
-bases b = 1, 2, ..., one transcendental per base, then takes the dot
-product with the exact integer coefficients (times (-ln b)^k at order k):
+bases b = 1, 2, ...: one transcendental per base on the fast tier, one per
+prime base in big floats (b^(-s) is completely multiplicative), then takes
+the dot product with the exact integer coefficients (times (-ln b)^k at order k):
 ``math.fsum`` on the fast tier (each component rounded once), ``mp.fdot``
 on the extended tier.  A table grows one base at a time, so a global
 series that lengthens keeps its powers, and one table serves every order.
@@ -174,7 +175,7 @@ class _FastPowers:
             p = complex(z.real + pe * z.imag, z.imag - pe * z.real)  # times exp(-i pe)
             self.re.append(p.real)
             self.im.append(p.imag)
-            self.mag.append(abs(p) if b % 2 else -abs(p))  # the sign of the coefficient
+            self.mag.append(abs(p))
             self.log.append(hi)
 
     def dot(self, coefs: tuple[int, ...], order: int = 0) -> tuple[complex, float]:
@@ -188,7 +189,7 @@ class _FastPowers:
         self._grow(len(coefs))
         if order:
             coefs = [c * (-x) ** order for c, x in zip(coefs, self.log)]
-        self.sum_abs = abs(sum(map(mul, coefs, self.mag)))
+        self.sum_abs = sum(map(mul, map(abs, coefs), self.mag))
         if self.sum_abs == math.inf:
             raise OverflowError("finite sum beyond the double range")
         val = complex(math.fsum(map(mul, coefs, self.re)), math.fsum(map(mul, coefs, self.im)))
@@ -200,36 +201,54 @@ class _FastPowers:
         return val, self.sum_abs * (per_term_rel + 2.0 ** -52)
 
 
+@lru_cache(maxsize=None)
+def _least_factor(b: int) -> int:
+    """The least prime factor of b >= 2."""
+    return next((q for q in range(2, math.isqrt(b) + 1) if b % q == 0), b)
+
+
 class _ExtPowers:
     """Extended-tier power table at ``bits`` working bits; the same
-    interface as :class:`_FastPowers`, with ``mp.fdot`` for the dot product."""
+    interface as :class:`_FastPowers`, with ``mp.fdot`` for the dot product.
+    b**(-s) is completely multiplicative, so only a prime base takes ``mp.log``
+    and ``mp.exp``; a composite b = q r, q its least prime factor, takes
+    p_q p_r, ln q + ln r and |p_q| |p_r| from the bases before it (a sieve)."""
 
     def __init__(self, s, bits: int):
         self.bits = bits
         with mp.workprec(bits):
             self.s = mp.mpc(s)
-        self.p, self.mag, self.log = [], [], []
+        self.p, self.mag, self.log = [mp.mpc(1)], [mp.mpf(1)], [mp.mpf(0)]  # base 1
 
     def _grow(self, size: int):
         for b in range(len(self.p) + 1, size + 1):
-            lnb = mp.log(b)
-            p = mp.exp(-self.s * lnb)
+            q = _least_factor(b)
+            if q == b:  # a prime: one log and one exp
+                lnb = mp.log(b)
+                p = mp.exp(-self.s * lnb)
+                self.mag.append(abs(p))
+            else:  # b = q r: the product of the entries of q and r
+                i, j = q - 1, b // q - 1
+                p, lnb = self.p[i] * self.p[j], self.log[i] + self.log[j]
+                self.mag.append(self.mag[i] * self.mag[j])
             self.p.append(p)
-            self.mag.append(abs(p) if b % 2 else -abs(p))  # the sign of the coefficient
             self.log.append(lnb)
 
     def dot(self, coefs: tuple[int, ...], order: int = 0, scale: float = 1.0):
         """(value, abs_err bound), both in mpmath; the bound is multiplied
-        by ``scale``, a power of two."""
+        by ``scale``, a power of two.  A base of Omega(b) <= log2 b prime
+        factors carries an exp and a product rounding per factor, and at
+        order k its summed logarithm k times over."""
         with mp.workprec(self.bits):
             self._grow(len(coefs))
             if order:
                 coefs = [c * (-x) ** order for c, x in zip(coefs, self.log)]
             total = mp.fdot(coefs, self.p)
-            sum_abs = abs(mp.fdot(coefs, self.mag))
+            sum_abs = mp.fdot(map(abs, coefs), self.mag)
             max_log = mp.log(len(coefs))
-            per_term_rel = ((2 * abs(self.s) * max_log + 4 + 2 * order + len(coefs))
-                            * mp.mpf(2) ** (1 - self.bits))
+            depth = len(coefs).bit_length() - 1
+            per_term_rel = ((2 * abs(self.s) * max_log + 4 + 2 * order + len(coefs)
+                             + (6 + order) * depth) * mp.mpf(2) ** (1 - self.bits))
             return total, sum_abs * per_term_rel * scale
 
 

@@ -9,7 +9,8 @@ transform of eta (Sondow 1994), one weighted Dirichlet sum
     S_N(s) = 2^-(N+1) sum_{k<=N} (-1)^k W_k (k+1)^-s,   W_k = sum_{j>k} C(N+1, j),
 
 taken as one dot product of exact integers with one power table of
-:mod:`eta_forge.finite_eta`: N + 1 transcendentals and O(N) multiply-adds.
+:mod:`eta_forge.finite_eta`: N + 1 transcendentals on the double table,
+one per prime base in big floats, and O(N) multiply-adds.
 
 Length, chosen before summing: for Re s > -(N+1),
 eta(s) - S_N(s) = Gamma(s)^-1 int_0^1 (-ln y)^(s-1) ((1-y)/2)^(N+1) / (1+y) dy,

@@ -141,6 +141,15 @@ def eta_hstar_highprec(n: int, s, prec: int = 250, order: int = 0):
                     * mp.exp(-sm * mp.log(k)) for k in range(1, n + 1)), mp.mpc(0))
 
 
+def dirichlet_highprec(coefs, s, prec: int = 250, order: int = 0):
+    """sum_b coefs[b-1] b^(-s) (-ln b)^order at `prec` bits, every base
+    from its own exp and log (no multiplicativity), summed naively."""
+    with mp.workprec(prec):
+        sm = mp.mpc(s)
+        return sum((c * (-mp.log(b)) ** order * mp.exp(-sm * mp.log(b))
+                    for b, c in enumerate(coefs, 1) if c), mp.mpc(0))
+
+
 # ---------------------------------------------------------------------------
 # truncated polynomial-space matrix model of the algebra ([b, a] = u)
 # ---------------------------------------------------------------------------

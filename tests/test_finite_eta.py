@@ -358,6 +358,42 @@ def test_hstar_power_tables_match_oracle():
                     assert abs(mp.mpc(value) - ref) <= err, (n, order)
 
 
+@pytest.mark.parametrize("s, bits", [
+    (complex(-3.0, 100.0), 64), (complex(0.5, 14.13), 120), (complex(3.0, -60.0), 160),
+    (complex(0.5, 80.0), 200), (complex(-1.5, -3.0), 260),
+])
+def test_sieved_power_table_matches_oracle(s, bits):
+    # the big-float table fills a composite base from two earlier ones, to
+    # Omega(b) = 8 prime factors at b = 256 and 384; grown to N = 430 (the 200-bit
+    # series near its cap), each dot product at orders 0-3 holds its own bound
+    # against a 640-bit sum that takes every base from its own exp
+    rng = random.Random(f"{s}:{bits}")
+    table = finite_eta._ExtPowers(s, bits)
+    for n in (2, 17, 64, 256, 384, 430):
+        single = (0,) * (n - 1) + (1,)  # one term: the per-term model alone
+        mixed = tuple(rng.randrange(-10 ** 6, 10 ** 6) for _ in range(n))
+        for coefs in (single, mixed):
+            for order in (0, 1, 2, 3):
+                value, err = table.dot(coefs, order)
+                ref = oracles.dirichlet_highprec(coefs, s, 640, order)
+                with mp.workprec(640):
+                    assert abs(mp.mpc(value) - ref) <= err, (n, order, coefs is single)
+
+
+def test_magnitude_sums_need_no_sign_pattern():
+    # coefficients (1, 1, -1, -1) x 5 do not alternate with the base: sum |terms|
+    # is 7.60 at 1/2 + 3i whatever the signs, and both ladders hold their bound
+    coefs, s = (1, 1, -1, -1) * 5, complex(0.5, 3.0)
+    ref = oracles.dirichlet_highprec(coefs, s, 400)
+    fast = finite_eta._FastPowers(s)
+    fast.dot(coefs)
+    assert fast.sum_abs == pytest.approx(sum(b ** -0.5 for b in range(1, 21)), rel=1e-12)
+    for ctx in (CTX, PrecisionContext.extended(120)):
+        value, err = finite_eta._evaluate(coefs, s, ctx, 0, ctx.target_rel_err)
+        with mp.workprec(400):
+            assert abs(mp.mpc(value) - ref) <= err <= ctx.target_rel_err * abs(ref)
+
+
 def test_sum_beyond_double_range_is_refused():
     # about -4^800: the fast terms overflow, and so does the big-float value
     with pytest.raises(RangeError):

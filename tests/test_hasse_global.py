@@ -252,6 +252,25 @@ def test_series_makes_one_exp_per_term(monkeypatch):
     assert len(calls) == res.terms_used == 186
 
 
+def test_extended_series_makes_one_exp_per_prime(monkeypatch):
+    # the big-float table pays mp.exp only at the prime bases, and fills each
+    # composite from two earlier ones: pi(N + 1) = 36 exps for N + 1 = 154 terms
+    calls = []
+
+    def exp(z):
+        calls.append(z)
+        return mp.exp(z)
+
+    counting = types.SimpleNamespace(**{k: getattr(mp, k) for k in dir(mp)
+                                        if not k.startswith("_")})
+    counting.exp = exp
+    monkeypatch.setattr(finite_eta, "mp", counting)
+    res = eta_global(complex(0.5, 14.13), PrecisionContext.extended(120))
+    primes = [b for b in range(2, res.terms_used + 1) if all(b % q for q in range(2, b))]
+    assert res.terms_used == 154
+    assert len(calls) == len(primes) == 36
+
+
 # N + 1 per point on the fast tier and at 120 bits, from the a-priori
 # remainder bound (a relative target met in one pass, or after a longer sum when |value| < 1)
 A_PRIORI_TERMS = [
