@@ -40,6 +40,17 @@ its largest term.  The double table runs first on both tiers; on the
 fast tier it may be the answer, on both it measures the cancellation.
 Big floats start at wb + 16 + log2(sum |terms| / |value|) bits read off
 it (``_first_bits``), and retry with more bits while the bound misses.
+
+Line kernel (``_line``, fast tier): a grid point of sigma + it keeps its double
+table under the ladder's test.  Each run of misses is cut into disks of radius
+about 0.55, and a big-float table at each centre s_c (``_first_bits`` plus
+2 log2 n) gives the Taylor model of ``_disk`` (Odlyzko and Schoenhage 1988):
+eta(s_c + i d) = sum_(j<=K) a_j (i d)^j + R_K, a_j = sum_b c_b (-ln b)^j b^(-s_c) / j!
+by running products in fixed-point integers, |R_K| <= sum_b |c_b| b^(-sigma)
+(|d| ln b)^(K+1) / (K+1)! e^(|d| ln b).  Horner's sum in doubles is bounded by
+the a_j's errors (the table's model, ln b's, one unit per truncation), their
+rounding and Horner's (2K + 2 units over sum |a_j| |d|^j), and R_K; a point
+whose bound misses tol * |value|, or a disk with no model, takes ``_evaluate``.
 """
 
 from __future__ import annotations
@@ -50,9 +61,11 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import groupby
 from operator import mul
 
 import mpmath as mp
+from mpmath.libmp import to_fixed
 
 from .errors import DomainError, RangeError, VerificationError
 from .numerics import ComplexPoint, PrecisionContext, _coerce_complex, _coerce_mpc
@@ -74,6 +87,7 @@ ExactRational = Fraction
 # A big-float sum that would need more working bits is refused (RangeError).
 _MAX_SUM_BITS = 1 << 16
 _TINY = 2.0 ** -1022  # the smallest normal double
+_DISK, _MAX_ORDER = 0.55, 60  # the line kernel's Taylor models: radius in t, top degree
 
 
 class Family(enum.Enum):
@@ -312,6 +326,74 @@ def _rung(coefs: tuple[int, ...], s, order: int, wb: int, bits: float | None = N
         raise RangeError(f"a sum of {len(coefs)} terms at s={s}: value or bound outside the "
                          "normal double range")
     return v, bound, powers
+
+
+def _disk(coefs: tuple[int, ...], sigma: float, ts, first_bits: float, tol: float):
+    """[(value, bound)] at each sigma + i t of the Taylor model about the middle tc of
+    ``ts`` (module docstring); None if a t - tc is inexact or no model is in reach."""
+    n, tc = len(coefs), 0.5 * (ts[0] + ts[-1])
+    ds, bits = [t - tc for t in ts], math.ceil(first_bits) + 2 * n.bit_length()
+    if any(Fraction(t) - Fraction(tc) != d for t, d in zip(ts, ds)):
+        return None
+    powers = _ExtPowers(complex(sigma, tc), bits)
+    fill = float(powers.dot(coefs)[1])  # fills the table: its model's error at order 0
+    logs = [float(x) for x in powers.log]
+    mags = [abs(c) * math.exp(-sigma * x) for c, x in zip(coefs, logs)]  # |c_b| b**-sigma
+    f = bits - math.frexp(max(mags))[1]  # units of 2**-f: c_b p_b (-ln b)**j, then // j!
+    xs = [c * to_fixed(p.real._mpf_, f) for c, p in zip(coefs, powers.p)]
+    ys = [c * to_fixed(p.imag._mpf_, f) for c, p in zip(coefs, powers.p)]
+    neg_logs = [-to_fixed(x._mpf_, bits) for x in powers.log]
+    re, im, fact, z = [sum(xs)], [sum(ys)], 1, [max(map(abs, ds)) * x for x in logs]
+    rest = [m * math.exp(v) * v for m, v in zip(mags, z)]  # R_0's terms at the radius
+    while sum(rest) > 2.0 ** -16 * tol * math.ldexp(math.hypot(re[0], im[0]), -f):
+        if len(re) > _MAX_ORDER:
+            return None
+        fact *= len(re)
+        xs = [x * g >> bits for x, g in zip(xs, neg_logs)]
+        ys = [y * g >> bits for y, g in zip(ys, neg_logs)]
+        re.append(sum(xs) // fact)
+        im.append(sum(ys) // fact)
+        rest = [q * v / len(re) for q, v in zip(rest, z)]
+    coef = [complex(math.ldexp(float(x), -f), math.ldexp(float(y), -f)) * 1j ** (j % 4)
+            for j, (x, y) in enumerate(zip(re, im))]  # a_j i**j, of d**j
+    # the a_j's errors: the table's and the fixed-point conversion's (carried up the orders
+    # by e**(top |d|)), ln b's in the shifts, a sqrt(2) unit per truncation (carried by e**top)
+    top = logs[-1] * (1 + 2.0 ** -50)  # >= every ln b, in the table or in fixed point
+    fill += math.ldexp(1.5 * sum(map(abs, coefs)), -f)
+    shift = (n.bit_length() * top + 1) * sum(mags) * 2.0 ** (2 - bits)
+    trunc = math.ldexp(1.5 * (n + 1) * math.exp(top), -f)
+    tail = sum(rest)  # R_K at the radius bounds it at every point
+
+    def horner(d: float):  # the model in doubles at d, with its bound
+        rho, val, size, geo = abs(d), coef[-1], abs(coef[-1]), 0.0
+        for a in reversed(coef[:-1]):
+            val, size, geo = val * d + a, size * rho + abs(a), geo * rho + rho
+        return val, ((fill + shift * rho) * math.exp(top * rho) + trunc * geo + tail
+                     + 2 * len(coef) * (2.0 ** -53 * size + 2.0 ** -1074))
+    return [horner(d) for d in ds]
+
+
+def _line(coefs: tuple[int, ...], sigma: float, ts, ctx: PrecisionContext):
+    """Fast-tier values of sum_b coefs[b-1] b**(-(sigma + i t)) at the increasing
+    ordinates ``ts``, each within ctx.target_rel_err * |value| (module docstring)."""
+    vals, bits, tol = [], {}, ctx.target_rel_err
+    for i, t in enumerate(ts):
+        v, err, powers = _rung(coefs, _coerce_complex(complex(sigma, t)), 0, ctx.working_bits)
+        vals.append(complex(v))
+        if not err <= tol * float(abs(v)) < math.inf:  # _evaluate's test on the fast tier
+            bits[i] = _first_bits(ctx.working_bits, powers, float(abs(v)))
+    for _, run in groupby(enumerate(bits), lambda p: p[1] - p[0]):  # the runs of misses
+        run = [i for _, i in run]
+        count = 1 + int((ts[run[-1]] - ts[run[0]]) // (2 * _DISK))
+        for disk in (run[c * len(run) // count:(c + 1) * len(run) // count] for c in range(count)):
+            try:
+                model = _disk(coefs, sigma, [ts[i] for i in disk], max(bits[i] for i in disk), tol)
+            except OverflowError:  # a term or a coefficient beyond the double range
+                model = None
+            for i, (v, bound) in zip(disk, model or [(0j, math.inf)] * len(disk)):
+                vals[i] = v if bound <= tol * abs(v) < math.inf else \
+                    _evaluate(coefs, complex(sigma, ts[i]), ctx, 0, tol)[0]
+    return vals
 
 
 def _evaluate(coefs: tuple[int, ...], s, ctx: PrecisionContext, order: int, tol: float):

@@ -43,7 +43,8 @@ import mpmath as mp
 
 from .errors import ConvergenceError, DomainError, RangeError, SingularPrefactorError
 from .finite_eta import _MAX_SUM_BITS, _FastPowers, _evaluate, _first_bits, _more_bits, _rung
-from .numerics import ComplexPoint, PrecisionContext, _coerce_complex, _coerce_mpc, cgamma, csin
+from .numerics import (ComplexPoint, PrecisionContext, _coerce_complex, _coerce_mpc, _fast_only,
+                       cgamma, csin)
 
 __all__ = [
     "GlobalEvalResult",
@@ -266,9 +267,7 @@ def refine_zero(t_initial: float, ctx: PrecisionContext = PrecisionContext()) ->
     slope or failing to reach residual 1e-10 in 50 iterations raises
     ConvergenceError; an extended context raises DomainError (fast tier only).
     """
-    if not ctx.is_fast:
-        raise DomainError(
-            f"refine_zero is fast-tier only; a {ctx.working_bits}-bit context was requested")
+    _fast_only(ctx, "refine_zero")
     t0 = float(t_initial)
 
     def eta(t):  # an absolute bound: a zero admits no relative one

@@ -39,7 +39,7 @@ from functools import lru_cache
 
 from .errors import ConvergenceError, DomainError, PoleError, RangeError
 from .finite_eta import Family, FiniteEtaSpec, derivative, evaluate
-from .numerics import ComplexPoint, PrecisionContext, _coerce_complex
+from .numerics import ComplexPoint, PrecisionContext, _coerce_complex, _fast_only
 
 __all__ = [
     "QuadratureResult",
@@ -222,9 +222,7 @@ def integrate_L(family: Family, n: int, s, ctx: PrecisionContext = PrecisionCont
     (``best``, a QuadratureResult).
     Double precision only: an extended context raises DomainError.
     """
-    if not ctx.is_fast:
-        raise DomainError(
-            f"integrate_L is fast-tier only; a {ctx.working_bits}-bit context was requested")
+    _fast_only(ctx, "integrate_L")
     sc = _coerce_complex(s)
     k = _describe(family, n)
     lo, hi = k.window
@@ -284,9 +282,7 @@ def rhs_closed_form(family: Family, n: int, s, ctx: PrecisionContext = Precision
     genuine pole of the sine prefactor.  Double precision only: an extended
     context raises DomainError.
     """
-    if not ctx.is_fast:
-        raise DomainError(
-            f"rhs_closed_form is fast-tier only; a {ctx.working_bits}-bit context was requested")
+    _fast_only(ctx, "rhs_closed_form")
     k = _describe(family, n)
     sc = _coerce_complex(s)
     pole = _nearest_sine_pole(k, sc)

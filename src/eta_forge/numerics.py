@@ -128,6 +128,13 @@ class ComplexPoint:
         return f"({self.re} + {self.im}i)"
 
 
+def _fast_only(ctx: PrecisionContext, name: str):
+    """Refuse an extended context: ``name`` computes in doubles only."""
+    if not ctx.is_fast:
+        raise DomainError(
+            f"{name} is fast-tier only; a {ctx.working_bits}-bit context was requested")
+
+
 def _coerce_complex(z) -> complex:
     """Accept ComplexPoint, complex, or real; return a hardware complex (NaN, inf: DomainError)."""
     if isinstance(z, ComplexPoint):

@@ -2,10 +2,10 @@
 
 A proto-zero at fixed sigma is a strict local minimum of |eta_n(sigma+it)|
 on the t-grid, polished by golden-section search to one hundredth of the
-grid step.  The "decay" attached to each record is the imaginary offset d
-such that evaluating at complex ordinate t + i*d would deepen the minimum;
-it is estimated from the first-order Newton step of the analytic function
-(see ``scan_line``).
+grid step.  The grid values come from ``finite_eta._line``: the double table
+where it certifies, one Taylor model per disk of cancelling points elsewhere.
+The "decay" of a record is the imaginary offset d of the ordinate that would
+deepen the minimum, from the first-order Newton step (see ``scan_line``).
 
 The resolving power of a finite eta is set by its largest participating
 prime p through the local constant hbar_p = ln(p) / (2 pi): the smallest
@@ -19,9 +19,9 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError
-from .finite_eta import Family, FiniteEtaSpec, derivative, evaluate
+from .finite_eta import Family, FiniteEtaSpec, _line, _terms, derivative, evaluate
 from .hasse_global import ZeroRecord
-from .numerics import PrecisionContext
+from .numerics import PrecisionContext, _fast_only
 
 __all__ = [
     "PlanckInfo",
@@ -164,11 +164,12 @@ def scan_line(cfg: ScanConfig, ctx: PrecisionContext = PrecisionContext(),
               jobs: int = 1) -> list[ProtoZeroRecord]:
     """All strict grid minima of |eta(sigma+it)|, polished to step/100.
 
-    The grid is evaluated in order, one point at a time.  The decay
-    estimate is Re(eta / eta'), the imaginary part of the Newton step in
-    the complex ordinate t.  ``jobs`` is accepted for compatibility and
-    has no effect.
+    The grid values come from the line kernel, the polish and the decay from
+    ``evaluate`` and ``derivative``: the decay is Re(eta / eta'), the imaginary
+    part of the Newton step in the complex ordinate t.  Fast tier only: an
+    extended context raises DomainError.  ``jobs`` has no effect.
     """
+    _fast_only(ctx, "scan_line")
     spec, sigma = cfg.spec, cfg.sigma
 
     def mag(t: float) -> float:
@@ -176,7 +177,7 @@ def scan_line(cfg: ScanConfig, ctx: PrecisionContext = PrecisionContext(),
 
     count = int(math.floor((cfg.t_max - cfg.t_min) / cfg.step + 1e-9)) + 1
     ts = [cfg.t_min + i * cfg.step for i in range(count)]
-    vals = [mag(t) for t in ts]
+    vals = list(map(abs, _line(_terms(spec.family, spec.n), sigma, ts, ctx)))
 
     records = []
     xtol = cfg.step / 100.0
@@ -198,9 +199,10 @@ def proto_cloud(n_max: int, sigma: float, t_center: float, half_width: float,
                 jobs: int = 1) -> list[ProtoZeroRecord]:
     """Union of scan_line over n = 1..n_max around t_center, tagged by n.
 
-    A degenerate window (half_width = 0) yields an empty cloud.  ``jobs``
-    is accepted for compatibility and has no effect.
+    A degenerate window (half_width = 0) yields an empty cloud.  Fast tier
+    only, as ``scan_line``.  ``jobs`` has no effect.
     """
+    _fast_only(ctx, "proto_cloud")
     if n_max < 1:
         raise DomainError(f"n_max must be >= 1, got {n_max}")
     if half_width < 0:

@@ -29,7 +29,7 @@ import mpmath as mp
 
 from .errors import DomainError, RangeError, VerificationError
 from .hasse_global import GlobalEvalResult
-from .numerics import ComplexPoint, PrecisionContext, _coerce_complex, _coerce_mpc
+from .numerics import ComplexPoint, PrecisionContext, _coerce_complex, _coerce_mpc, _fast_only
 from .weyl_algebra import SPoly, WeylPoly, mod_observer
 
 __all__ = [
@@ -98,9 +98,7 @@ def pi_s(s, ctx: PrecisionContext = PrecisionContext()) -> GlobalEvalResult:
     Double precision only: an extended context raises DomainError, and
     terms beyond double range raise RangeError.
     """
-    if not ctx.is_fast:
-        raise DomainError(
-            f"pi_s is fast-tier only; a {ctx.working_bits}-bit context was requested")
+    _fast_only(ctx, "pi_s")
     sc = _coerce_complex(s)
     if not sc.real > 0:
         raise DomainError(

@@ -242,6 +242,10 @@ def test_pi_s_refuses_a_requested_precision(capsys):
     ["integral", "compute", "--family", "hasse", "--n", "3", "--s", "0.5+1i"],
     ["verify", "thm2", "--n", "3", "--s", "0.5+1i"],
     ["zero", "refine", "--t0", "14.13"],  # Newton runs on the double table
+    # grid values come from the double table or a Taylor model rounded to doubles
+    ["proto", "scan", "--n", "4", "--sigma", "0.5", "--t-min", "5", "--t-max", "12"],
+    ["proto", "cloud", "--n-max", "2", "--sigma", "0.5", "--t-center", "9.06",
+     "--half-width", "1"],
 ])
 def test_kernel_commands_refuse_a_requested_precision(argv, capsys):
     code, env = invoke_json(["--no-timing", "--precision-bits", "200"] + argv, capsys)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import oracles
 from eta_forge import finite_eta
+from eta_forge.proto_zeros import default_step
 from eta_forge import (
     ComplexPoint,
     DomainError,
@@ -472,3 +473,68 @@ def test_values_below_the_double_range_are_refused(ctx):
     assert res.value.re == 0 and res.value.im == 0 and res.abs_err == 0.0
     res = eta_global(1e300, ctx)
     assert abs(res.value.to_complex() - 1.0) <= res.tail_bound <= ctx.target_rel_err
+
+
+# ---------------------------------------------------------------------------
+# line kernel: one Taylor model per disk of cancelling grid points
+# ---------------------------------------------------------------------------
+
+def _grid(n: int, t_min: float = 1.0, t_max: float = 14.0) -> list[float]:
+    step = default_step(spec(H, n))
+    return [t_min + i * step for i in range(int((t_max - t_min) / step) + 1)]
+
+
+@pytest.mark.parametrize("sigma", [0.25, 0.5, 0.75])
+@pytest.mark.parametrize("n", [8, 10, 12, 20])
+def test_line_kernel_models_are_within_their_bounds(n, sigma, monkeypatch):
+    models = []
+    raw_disk = finite_eta._disk
+
+    def recording_disk(coefs, sg, ts, first_bits, tol):
+        out = raw_disk(coefs, sg, ts, first_bits, tol)
+        models.append((ts, out))
+        return out
+
+    monkeypatch.setattr(finite_eta, "_disk", recording_disk)
+    ts = _grid(n)
+    vals = dict(zip(ts, finite_eta._line(finite_eta._terms(H, n), sigma, ts, CTX)))
+    assert models  # these lines cancel too deeply for the double table below t = 14
+    for disk, out in models:
+        assert out is not None
+        for t, (v, bound) in zip(disk, out):
+            assert bound <= CTX.target_rel_err * abs(v)  # the model serves every point
+            assert vals[t] == v
+            ref = oracles.eta_hasse_highprec(n, mp.mpc(sigma, t))
+            assert float(abs(mp.mpc(v) - ref)) <= bound
+
+
+def test_line_kernel_disk_on_hstar_matches_oracle():
+    coefs, sigma, tol = finite_eta._terms(HS, 10), 0.5, CTX.target_rel_err
+    ts = [2.0 + 0.1 * i for i in range(11)]
+    v, _, powers = finite_eta._rung(coefs, complex(sigma, 2.5), 0, 53)
+    first = finite_eta._first_bits(53, powers, abs(v))
+    out = finite_eta._disk(coefs, sigma, ts, first, tol)
+    assert out is not None
+    for t, (v, bound) in zip(ts, out):
+        ref = oracles.eta_hstar_highprec(10, mp.mpc(sigma, t))
+        assert float(abs(mp.mpc(v) - ref)) <= bound <= tol * abs(v)
+
+
+def test_line_kernel_falls_back_to_evaluate(monkeypatch):
+    # a target of one ulp leaves no room for Horner's rounding: every model
+    # misses, and each grid value is evaluate's, to the last bit
+    ctx, n = PrecisionContext.fast(2.0 ** -52), 12
+    built = []
+    raw_disk = finite_eta._disk
+
+    def recording_disk(*args):
+        out = raw_disk(*args)
+        built.append(out)
+        return out
+
+    monkeypatch.setattr(finite_eta, "_disk", recording_disk)
+    ts = _grid(n, 1.0, 8.0)
+    vals = finite_eta._line(finite_eta._terms(H, n), 0.5, ts, ctx)
+    assert built and all(out is not None for out in built)
+    assert all(bound > ctx.target_rel_err * abs(v) for out in built for v, bound in out)
+    assert vals == [evaluate(spec(H, n), complex(0.5, t), ctx).value.to_complex() for t in ts]

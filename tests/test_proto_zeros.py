@@ -188,24 +188,64 @@ def test_scan_n6_single_minimum_near_zeta_zero_window():
 def test_scan_far_up_the_line_stays_on_the_fast_tier(monkeypatch):
     # beyond t = 40 a bound that grows with |s| would certify few points of
     # this line; the double table's exact phase must certify nearly all
-    evaluations, escalations = [], []
-    raw_evaluate, raw_extended = finite_eta._evaluate, finite_eta._ExtPowers
+    attempts, escalations = [], []
+    raw_fast, raw_extended = finite_eta._FastPowers, finite_eta._ExtPowers
 
-    def counting_evaluate(*args):
-        evaluations.append(args)
-        return raw_evaluate(*args)
+    def counting_fast(*args):
+        attempts.append(args)
+        return raw_fast(*args)
 
     def counting_extended(*args):
         escalations.append(args)
         return raw_extended(*args)
 
-    monkeypatch.setattr(finite_eta, "_evaluate", counting_evaluate)
+    monkeypatch.setattr(finite_eta, "_FastPowers", counting_fast)
     monkeypatch.setattr(finite_eta, "_ExtPowers", counting_extended)
     spec = FiniteEtaSpec(Family.HASSE, 20)
     records = scan_line(ScanConfig(spec, 0.5, 40.0, 100.0, default_step(spec)), CTX)
     assert records
-    assert len(evaluations) > 600
-    assert len(escalations) <= 0.1 * len(evaluations)
+    assert len(attempts) > 600
+    assert len(escalations) <= 0.1 * len(attempts)
+
+
+def test_cancelling_stretch_takes_one_table_per_disk(monkeypatch):
+    # all 122 grid points of this line below t = 14 cancel too deeply for the
+    # double table; one big-float table per disk of about ten of them serves them
+    tables = []
+    raw_extended = finite_eta._ExtPowers
+
+    def counting_extended(*args):
+        tables.append(args)
+        return raw_extended(*args)
+
+    monkeypatch.setattr(finite_eta, "_ExtPowers", counting_extended)
+    spec = FiniteEtaSpec(Family.HASSE, 20)
+    scan_line(ScanConfig(spec, 0.5, 1.0, 14.0, default_step(spec)), CTX)
+    assert 0 < len(tables) <= 15
+
+
+@pytest.mark.parametrize("n, t_max, expected", [
+    (12, 35.0, [("32.47825782353254", "343.3291480462965", "-0.41936510794179555")]),
+    (20, 100.0, [("55.72891999176136", "10215.647749106809", "-0.2666116053341615"),
+                 ("62.01595973468481", "18491.059518409616", "-0.6258602377020815"),
+                 ("90.49159265324181", "119799.14276511052", "-0.4364282514036789")]),
+])
+def test_scan_records_are_frozen(n, t_max, expected):
+    # the grid values of a cancelling stretch come from a Taylor model, the
+    # polish and the decay from evaluate and derivative: the records are
+    # those of a grid evaluated point by point, to the last bit
+    spec = FiniteEtaSpec(Family.HASSE, n)
+    records = scan_line(ScanConfig(spec, 0.5, 1.0, t_max, default_step(spec)), CTX)
+    assert [(repr(r.t), repr(r.magnitude), repr(r.decay)) for r in records] == expected
+
+
+def test_scans_refuse_a_requested_precision():
+    spec = FiniteEtaSpec(Family.HASSE, 4)
+    ext = PrecisionContext.extended(120)
+    with pytest.raises(DomainError, match="fast-tier only"):
+        scan_line(ScanConfig(spec, 0.5, 5.0, 12.0, default_step(spec)), ext)
+    with pytest.raises(DomainError, match="fast-tier only"):
+        proto_cloud(2, 0.5, 9.06, 1.0, ext)
 
 
 # ---------------------------------------------------------------------------
