@@ -49,7 +49,9 @@ eta(s_c + i d) = sum_(j<=K) a_j (i d)^j + R_K, a_j = sum_b c_b (-ln b)^j b^(-s_c
 by running products in fixed-point integers, |R_K| <= sum_b |c_b| b^(-sigma)
 (|d| ln b)^(K+1) / (K+1)! e^(|d| ln b).  Horner's sum in doubles is bounded by
 the a_j's errors (the table's model, ln b's, one unit per truncation), their
-rounding and Horner's (2K + 2 units over sum |a_j| |d|^j), and R_K; a point
+rounding and Horner's (2K + 2 units over sum |a_j| |d|^j), and R_K.  Horner runs
+at the offset d rounded to a double; an inexact one is charged its rounding
+times the model's slope, sum j |a_j| |d|^(j-1), from the same pass.  A point
 whose bound misses tol * |value|, or a disk with no model, takes ``_evaluate``.
 """
 
@@ -330,11 +332,11 @@ def _rung(coefs: tuple[int, ...], s, order: int, wb: int, bits: float | None = N
 
 def _disk(coefs: tuple[int, ...], sigma: float, ts, first_bits: float, tol: float):
     """[(value, bound)] at each sigma + i t of the Taylor model about the middle tc of
-    ``ts`` (module docstring); None if a t - tc is inexact or no model is in reach."""
+    ``ts`` (module docstring); None if no model is in reach."""
     n, tc = len(coefs), 0.5 * (ts[0] + ts[-1])
     ds, bits = [t - tc for t in ts], math.ceil(first_bits) + 2 * n.bit_length()
-    if any(Fraction(t) - Fraction(tc) != d for t, d in zip(ts, ds)):
-        return None
+    es = [float(Fraction(t) - Fraction(tc) - Fraction(d)) for t, d in zip(ts, ds)]  # doubles
+    rhos = [math.nextafter(abs(d), math.inf) if e else abs(d) for d, e in zip(ds, es)]
     powers = _ExtPowers(complex(sigma, tc), bits)
     fill = float(powers.dot(coefs)[1])  # fills the table: its model's error at order 0
     logs = [float(x) for x in powers.log]
@@ -343,7 +345,7 @@ def _disk(coefs: tuple[int, ...], sigma: float, ts, first_bits: float, tol: floa
     xs = [c * to_fixed(p.real._mpf_, f) for c, p in zip(coefs, powers.p)]
     ys = [c * to_fixed(p.imag._mpf_, f) for c, p in zip(coefs, powers.p)]
     neg_logs = [-to_fixed(x._mpf_, bits) for x in powers.log]
-    re, im, fact, z = [sum(xs)], [sum(ys)], 1, [max(map(abs, ds)) * x for x in logs]
+    re, im, fact, z = [sum(xs)], [sum(ys)], 1, [max(rhos) * x for x in logs]
     rest = [m * math.exp(v) * v for m, v in zip(mags, z)]  # R_0's terms at the radius
     while sum(rest) > 2.0 ** -16 * tol * math.ldexp(math.hypot(re[0], im[0]), -f):
         if len(re) > _MAX_ORDER:
@@ -364,13 +366,17 @@ def _disk(coefs: tuple[int, ...], sigma: float, ts, first_bits: float, tol: floa
     trunc = math.ldexp(1.5 * (n + 1) * math.exp(top), -f)
     tail = sum(rest)  # R_K at the radius bounds it at every point
 
-    def horner(d: float):  # the model in doubles at d, with its bound
-        rho, val, size, geo = abs(d), coef[-1], abs(coef[-1]), 0.0
+    def horner(d: float, e: float, rho: float):  # the model in doubles at d, with its bound
+        val, size, slope, geo = coef[-1], abs(coef[-1]), 0.0, 0.0
         for a in reversed(coef[:-1]):
-            val, size, geo = val * d + a, size * rho + abs(a), geo * rho + rho
-        return val, ((fill + shift * rho) * math.exp(top * rho) + trunc * geo + tail
-                     + 2 * len(coef) * (2.0 ** -53 * size + 2.0 ** -1074))
-    return [horner(d) for d in ds]
+            val, size, slope, geo = (val * d + a, size * rho + abs(a), slope * rho + size,
+                                     geo * rho + rho)
+        model = (fill + shift * rho) * math.exp(top * rho) + trunc * geo  # the a_j's errors
+        # the offset's rounding e: |e| times the slope, sum j |a_j| rho**(j-1), plus the a_j's
+        # errors' share, at most len(coef) * model / rho
+        moved = abs(e) * (slope + len(coef) * model / rho) if e else 0.0
+        return val, model + tail + moved + 2 * len(coef) * (2.0 ** -53 * size + 2.0 ** -1074)
+    return [horner(*x) for x in zip(ds, es, rhos)]
 
 
 def _line(coefs: tuple[int, ...], sigma: float, ts, ctx: PrecisionContext):

@@ -18,7 +18,13 @@ the outer piece (which turns it into another endpoint-singular integral
 over (0, 1] with integrand u^(q #bases - s - 1) / prod_b (1 + b^q u^q)),
 and apply tanh-sinh (double exponential) quadrature to each piece.  The
 singular factor u^(s-1) is evaluated in log space so that small Re(s)
-neither overflows nor loses the oscillatory phase.
+neither overflows nor loses the oscillatory phase.  The levels are nested
+(Takahasi and Mori 1974; Bailey, Jeyabalan and Li 2005): level L at
+spacing 2^-L sums only the nodes it adds to level L-1 (``_nodes``), and
+the s-independent factor pi cosh(t) g(u) of each node is one table per
+kernel, piece and level (``_weights``), so a node costs one complex exp
+and one multiply per s.  When the level cap (or the budget) ends a piece
+with the error estimate above the target, integrate_L refuses.
 
 The sine poles are the multiples of q.  Those strictly inside the window
 are pole-free points: the finite sum vanishes there and cancels the pole.
@@ -33,9 +39,10 @@ from __future__ import annotations
 import cmath
 import math
 import operator
+from array import array
 from collections.abc import Callable
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from .errors import ConvergenceError, DomainError, PoleError, RangeError
 from .finite_eta import Family, FiniteEtaSpec, derivative, evaluate
@@ -133,67 +140,71 @@ def convergence_window(family: Family, n: int) -> tuple[float, float]:
 
 
 # ---------------------------------------------------------------------------
-# tanh-sinh quadrature on (0, 1) for integrands u^(s-1) * g(u)
+# nested tanh-sinh quadrature on (0, 1) for integrands u^(s-1) * g(u)
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def _nodes(level: int) -> tuple[tuple[float, float, float, float], ...]:
-    """Nodes ordered center-outward: (u, ln_u, ln_u + ln(1-u), pi*cosh t)."""
+def _nodes(level: int) -> tuple[array, array, array]:
+    """The nodes ``level`` adds, t = j 2^-level for every j at level 0 and odd j
+    above, ordered center-outward: (ln u, ln u + ln(1-u), pi cosh t) as arrays."""
     h = 1.0 / (1 << level)
-    out = []
-    j = 0
-    while True:
+    ln_us, ln_ws, pcs = array("d"), array("d"), array("d")
+    j = 0 if level == 0 else 1
+    while j == 0 or j * h <= _T_CUTOFF:
         t = j * h
-        if j > 0 and t > _T_CUTOFF:
-            break
-        ch = math.cosh(t)
         m = math.pi * math.sinh(t)
         # u = 1/(1+e^-m); computed through logs so tiny u keeps full accuracy
-        if m < 700:
-            ln_u = -math.log1p(math.exp(-m))
-        else:
-            ln_u = -math.exp(-m)
+        ln_u = -math.log1p(math.exp(-m)) if m < 700 else -math.exp(-m)
         ln_1mu = -m + ln_u
+        for a in ((ln_u, ln_1mu) if j else (ln_u,)):  # the node at -t swaps u and 1-u
+            ln_us.append(a)
+            ln_ws.append(ln_u + ln_1mu)
+            pcs.append(math.pi * math.cosh(t))
+        j += 1 if level == 0 else 2
+    return ln_us, ln_ws, pcs
+
+
+@lru_cache(maxsize=512)
+def _weights(family: Family, n: int, outer: bool, level: int) -> array:
+    """pi cosh(t) g(u) at the nodes of ``_nodes(level)``, for one kernel's piece:
+    g(u) = 1 / kernel(u) inside (at u = 0 the exact product of the b^q), and
+    g(u) = u^(q #bases) / kernel(1/u) = 1 / prod_b (1 + b^q u^q) outside."""
+    k = _describe(family, n)
+    ln_us, _, pcs = _nodes(level)
+    out = array("d")
+    for ln_u, pc in zip(ln_us, pcs):
         u = math.exp(ln_u)
-        pc = math.pi * ch
-        out.append((u, ln_u, ln_u + ln_1mu, pc))
-        if j > 0:
-            # mirror node at -t: u and 1-u swap roles
-            u_neg = math.exp(ln_1mu)
-            out.append((u_neg, ln_1mu, ln_u + ln_1mu, pc))
-        j += 1
-    return tuple(out)
+        if outer:
+            out.append(pc / math.prod(1.0 + bq * _power(u, k.q) for bq in k.powers))
+        else:
+            out.append(pc / (_kernel(k, u) if u > 0 else math.prod(k.powers)))
+    return out
 
 
-def _tanh_sinh_power(g, s_minus_1: complex, tol: float, budget: int):
-    """integral_0^1 u^(s-1) g(u) du.
+def _tanh_sinh_power(weights, s_minus_1: complex, tol: float, budget: int):
+    """integral_0^1 u^(s-1) g(u) du, where ``weights(level)`` is the table of
+    pi cosh(t) g(u) at the nodes of ``_nodes(level)``; g smooth and bounded.
 
-    Returns (value, err_estimate, evals); evals reaches ``budget`` only
-    when the budget ran out.  g must be smooth and bounded on [0, 1]; the
-    singular endpoint factor is folded into the weight in log space.
+    Nested levels (module docstring): T_L is 2^-L times the running sum of
+    every term so far, and a term is exp((s-1) ln u + ln(u(1-u))) times its
+    table entry.  Each level's outward run stops after four terms below 1e-18
+    of the running sum of |terms|; the levels stop once |T_L - T_(L-1)| <= tol,
+    at the budget, or at _MAX_LEVEL.  Returns (value, err_estimate, evals): the
+    last change plus 2^-50 h sum |terms|, and the terms summed, which reach
+    ``budget`` only when the budget ran out.
     """
-    evals = 0
-    prev = None
-    value = 0.0 + 0.0j
-    delta = math.inf
-    abs_acc = 0.0
+    evals, total, abs_acc, delta = 0, 0j, 0.0, math.inf
     for level in range(_MAX_LEVEL + 1):
-        h = 1.0 / (1 << level)
-        total = 0.0 + 0.0j
-        abs_acc = 0.0
+        ln_us, ln_ws, _ = _nodes(level)
         small_run = 0
-        cutoff = 1e-18
-        for u, ln_u, ln_w, pc in _nodes(level):
+        for ln_u, ln_w, w in zip(ln_us, ln_ws, weights(level)):
             expo = s_minus_1 * ln_u + ln_w
-            if expo.real < -745.0:
-                term = 0.0 + 0.0j
-            else:
-                term = cmath.exp(expo) * (pc * h) * g(u)
+            term = cmath.exp(expo) * w if expo.real >= -745.0 else 0j
             evals += 1
             total += term
             mag = abs(term)
             abs_acc += mag
-            if mag < cutoff * (abs_acc + 1e-300):
+            if mag < 1e-18 * (abs_acc + 1e-300):
                 small_run += 1
                 if small_run >= 4:
                     break
@@ -201,31 +212,30 @@ def _tanh_sinh_power(g, s_minus_1: complex, tol: float, budget: int):
                 small_run = 0
             if evals >= budget:
                 break
-        value = total
-        if prev is not None:
+        value = total / (1 << level)
+        if level:
             delta = abs(value - prev)
         if delta <= tol or evals >= budget:
             break
         prev = value
-    floor = abs_acc * 2.0 ** -50
     base = delta if math.isfinite(delta) else abs(value)
-    return value, base + floor, evals
+    return value, base + abs_acc / (1 << level) * 2.0 ** -50, evals
 
 
 def integrate_L(family: Family, n: int, s, ctx: PrecisionContext = PrecisionContext(),
                 tol_abs: float | None = None, budget: int = EVALUATION_BUDGET) -> QuadratureResult:
     """Quadrature value of L_n(s) inside the convergence window.
 
-    The absolute error estimate targets max(1e-12, target_rel_err * |value|)
-    unless ``tol_abs`` overrides it.  The evaluation budget caps integrand
-    calls; when it runs out, ConvergenceError carries the estimate reached
-    (``best``, a QuadratureResult).
+    The absolute error estimate meets max(tol_abs or 1e-12, target_rel_err *
+    |value|), or ConvergenceError carries the result reached (``best``, a
+    QuadratureResult): when the evaluation budget, which caps the integrand
+    terms summed, runs out, or when the estimate misses that target, as when
+    the level cap stops a piece before its stopping rule.
     Double precision only: an extended context raises DomainError.
     """
     _fast_only(ctx, "integrate_L")
     sc = _coerce_complex(s)
-    k = _describe(family, n)
-    lo, hi = k.window
+    lo, hi = _describe(family, n).window
     if not (lo < sc.real < hi):
         raise DomainError(
             f"Re(s) = {sc.real} outside convergence window ({lo}, {hi}) "
@@ -234,26 +244,19 @@ def integrate_L(family: Family, n: int, s, ctx: PrecisionContext = PrecisionCont
     # The post-condition allows max(1e-12, target_rel_err * |value|); aiming
     # at the 1e-12 floor is always at least as tight.
     tol = 1e-12 if tol_abs is None else tol_abs
-
-    def g1(u):  # 1 / kernel(u); at u = 0 the exact product of the b^q
-        return 1.0 / _kernel(k, u) if u > 0 else 1.0 / math.prod(k.powers)
-
-    def g2(u):  # u^(q #bases) / kernel(1/u) = 1 / prod_b (1 + b^q u^q)
-        uq = _power(u, k.q)
-        p = 1.0
-        for bq in k.powers:
-            p *= 1.0 + bq * uq
-        return 1.0 / p
-
-    beta = complex(hi) - sc
     half = budget // 2
-    v1, e1, c1 = _tanh_sinh_power(g1, sc - 1.0, tol / 2, half)
-    v2, e2, c2 = _tanh_sinh_power(g2, beta - 1.0, tol / 2, half)
+    v1, e1, c1 = _tanh_sinh_power(partial(_weights, family, n, False), sc - 1.0, tol / 2, half)
+    v2, e2, c2 = _tanh_sinh_power(partial(_weights, family, n, True), complex(hi) - sc - 1.0,
+                                  tol / 2, half)
     value = v1 + v2
     result = QuadratureResult(ComplexPoint(value.real, value.imag), e1 + e2, c1 + c2)
     if max(c1, c2) >= half:
         raise ConvergenceError(f"L_n(s) at s={sc}: the budget of {budget} evaluations ran out",
                                best=result)
+    target = max(tol, ctx.target_rel_err * abs(value))
+    if not e1 + e2 <= target:
+        raise ConvergenceError(f"L_n(s) at s={sc}: the error estimate {e1 + e2:.3g} is above "
+                               f"the target {target:.3g}", best=result)
     return result
 
 
@@ -314,15 +317,22 @@ def verify_identity(family: Family, n: int, s, ctx: PrecisionContext = Precision
     inside a pole-guard annulus are marked skipped (the closed form there
     is a 0/0 limit, still computed when possible, but the point does not
     count toward a sweep).  Near a genuine pole rhs_closed_form raises
-    PoleError; the point is skipped with rhs None and residual inf.
+    PoleError; the point is skipped with rhs None and residual inf, and lhs
+    is the quadrature's value, or its ``best`` if integrate_L refused.
     """
     sc = _coerce_complex(s)
-    lhs = integrate_L(family, n, sc, ctx, budget=budget)
+    refusal = None
+    try:
+        lhs = integrate_L(family, n, sc, ctx, budget=budget)
+    except ConvergenceError as exc:  # refused unless a genuine pole skips the point
+        lhs, refusal = exc.best, exc
     try:
         rhs = rhs_closed_form(family, n, sc, ctx)
     except PoleError as exc:
         reason = f"inside pole-guard radius of genuine pole at s = {int(exc.location.real)}"
         return IdentityResidual(lhs.value, None, math.inf, True, reason)
+    if refusal is not None:
+        raise refusal
     pole = _nearest_sine_pole(_describe(family, n), sc)
     skipped = abs(sc - pole) < POLE_GUARD_RADIUS
     reason = (f"inside pole-guard annulus of pole-free point s = {int(pole.real)} (0/0 limit)"

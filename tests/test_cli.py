@@ -416,5 +416,10 @@ def test_argv_fuzz_every_numeric_subcommand(argv, capsys):
     assert "Traceback" not in out and "Traceback" not in err
     if code == 2:
         assert out == ""
-    else:
-        _strict_json(out)
+        return
+    env = _strict_json(out)
+    if code == 0 and argv[:2] == ["integral", "compute"]:  # the quadrature meets its target
+        value = complex(float(env["results"]["value"]["re"]), float(env["results"]["value"]["im"]))
+        assert env["diagnostics"]["abs_err_estimate"] <= max(1e-12, 1e-13 * abs(value))
+    if code == 0 and argv[:2] == ["zero", "refine"]:
+        assert env["results"]["residual_eta"] <= 1e-10

@@ -484,9 +484,9 @@ def _grid(n: int, t_min: float = 1.0, t_max: float = 14.0) -> list[float]:
     return [t_min + i * step for i in range(int((t_max - t_min) / step) + 1)]
 
 
-@pytest.mark.parametrize("sigma", [0.25, 0.5, 0.75])
-@pytest.mark.parametrize("n", [8, 10, 12, 20])
-def test_line_kernel_models_are_within_their_bounds(n, sigma, monkeypatch):
+def _check_line_models(n: int, sigma: float, ts: list[float], monkeypatch):
+    """Run the line kernel on ``ts``: every disk has a model that serves each of its
+    points within the target and within its bound of the oracle."""
     models = []
     raw_disk = finite_eta._disk
 
@@ -496,9 +496,8 @@ def test_line_kernel_models_are_within_their_bounds(n, sigma, monkeypatch):
         return out
 
     monkeypatch.setattr(finite_eta, "_disk", recording_disk)
-    ts = _grid(n)
     vals = dict(zip(ts, finite_eta._line(finite_eta._terms(H, n), sigma, ts, CTX)))
-    assert models  # these lines cancel too deeply for the double table below t = 14
+    assert models  # these lines cancel too deeply for the double table
     for disk, out in models:
         assert out is not None
         for t, (v, bound) in zip(disk, out):
@@ -506,6 +505,23 @@ def test_line_kernel_models_are_within_their_bounds(n, sigma, monkeypatch):
             assert vals[t] == v
             ref = oracles.eta_hasse_highprec(n, mp.mpc(sigma, t))
             assert float(abs(mp.mpc(v) - ref)) <= bound
+
+
+@pytest.mark.parametrize("sigma", [0.25, 0.5, 0.75])
+@pytest.mark.parametrize("n", [8, 10, 12, 20])
+def test_line_kernel_models_are_within_their_bounds(n, sigma, monkeypatch):
+    _check_line_models(n, sigma, _grid(n), monkeypatch)  # cancelling below t = 14
+
+
+@pytest.mark.parametrize("n", [12, 20])
+def test_line_kernel_keeps_inexact_offsets_on_the_model(n, monkeypatch):
+    # near t = 0 an offset t - tc is not a double: Horner runs at the rounded
+    # offset and charges the rounding, so no grid point needs a big-float sum
+    calls = []
+    raw_evaluate = finite_eta._evaluate
+    monkeypatch.setattr(finite_eta, "_evaluate", lambda *a: calls.append(a) or raw_evaluate(*a))
+    _check_line_models(n, 0.5, _grid(n, 0.05, 5.0), monkeypatch)
+    assert calls == []
 
 
 def test_line_kernel_disk_on_hstar_matches_oracle():

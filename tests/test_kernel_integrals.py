@@ -1,6 +1,10 @@
 import math
+import random
 
+import mpmath as mp
 import pytest
+
+import oracles
 
 from eta_forge import (
     ConvergenceError,
@@ -15,6 +19,7 @@ from eta_forge import (
     rhs_closed_form,
     verify_identity,
 )
+from eta_forge import kernel_integrals
 from eta_forge.kernel_integrals import POLE_GUARD_RADIUS, convergence_window
 
 CTX = PrecisionContext()
@@ -82,6 +87,75 @@ def test_budget_exhaustion_raises_with_the_estimate_reached():
         integrate_L(H, 2, complex(1.5, 0.5), CTX, budget=60)
     assert isinstance(err.value.best, QuadratureResult)
     assert err.value.best.evaluations <= 62
+
+
+def test_level_cap_refuses_a_loose_estimate():
+    # the integrand oscillates too fast for the level cap: the estimate stays far
+    # above the target, so the result is refused with the estimate reached
+    s = complex(0.06810602103827845, -53.43488247709101)
+    with pytest.raises(ConvergenceError) as err:
+        integrate_L(H, 0, s, CTX)
+    best = err.value.best
+    assert isinstance(best, QuadratureResult)
+    assert best.abs_err_estimate > max(1e-12, CTX.target_rel_err * abs(best.value.to_complex()))
+    with pytest.raises(ConvergenceError):  # no pole nearby: the identity check refuses too
+        verify_identity(H, 0, s, CTX)
+
+
+def test_genuine_pole_skip_reports_the_estimate_reached():
+    # Re s = 0.0005 is too close to the window's edge for the level cap; the closed
+    # form's genuine pole at 0 skips the point, with the quadrature's best as lhs
+    with pytest.raises(ConvergenceError) as err:
+        integrate_L(H, 3, 0.0005, CTX)
+    res = verify_identity(H, 3, 0.0005, CTX)
+    assert res.skipped and "genuine" in res.reason
+    assert res.lhs == err.value.best.value and res.rhs is None
+
+
+def test_each_node_is_summed_once():
+    # nested levels: level L sums only the nodes it adds to level L - 1
+    assert integrate_L(H, 4, complex(2.5, 1.0), CTX).evaluations <= 250
+
+
+def test_kernel_factor_is_computed_once_per_kernel(monkeypatch):
+    calls = []
+    raw_kernel = kernel_integrals._kernel
+    monkeypatch.setattr(kernel_integrals, "_kernel", lambda k, x: calls.append(x) or raw_kernel(k, x))
+    kernel_integrals._weights.cache_clear()
+    rng = random.Random(4)
+    sweep = [complex(j % 5 + rng.uniform(0.15, 0.85), rng.uniform(-1.5, 1.5)) for j in range(16)]
+    integrate_L(H, 4, sweep[0], CTX)
+    first = len(calls)
+    for s in sweep[1:]:
+        integrate_L(H, 4, s, CTX)
+    assert 0 < len(calls) <= first
+
+
+def _closed_form(family, n: int, s: complex) -> complex:
+    """pi / sin(pi s / q) * eta(w(s)) / m! in mpmath, from the oracle's finite sums."""
+    with mp.workprec(160):
+        sm = mp.mpc(s)
+        if family is H:
+            eta, q, m = oracles.eta_hasse_highprec(n, 1 - sm, 160), 1, n
+        else:
+            eta, q, m = oracles.eta_hstar_highprec(n, -sm, 160), 2, 2 * n
+        return complex(mp.pi / mp.sin(mp.pi * sm / q) * eta / mp.factorial(m))
+
+
+@pytest.mark.parametrize("family, ns", [(H, range(0, 7)), (HS, range(1, 5))])
+def test_quadrature_matches_closed_form_across_the_window(family, ns):
+    # 48 seeded points, one per 48th of the window; 0.03 from its edges, where
+    # the singular endpoint factor outgrows the level cap (and is refused)
+    rng = random.Random(15)
+    for i in range(48):
+        n = rng.choice(ns)
+        lo, hi = convergence_window(family, n)
+        s = complex(lo + 0.03 + (hi - lo - 0.06) * (i + rng.random()) / 48, rng.uniform(-2, 2))
+        res = integrate_L(family, n, s, CTX)
+        ref = _closed_form(family, n, s)
+        err = abs(res.value.to_complex() - ref)
+        assert err <= 1e-10 * max(1.0, abs(ref)), (family, n, s)
+        assert err <= res.abs_err_estimate, (family, n, s)
 
 
 def test_quadrature_self_consistency_under_tolerance_halving():
