@@ -217,6 +217,25 @@ class _FastPowers:
         return val, self.sum_abs * (per_term_rel + 2.0 ** -52)
 
 
+def _newton_model(powers: _FastPowers, coefs: tuple[int, ...], max_step: float):
+    """(a, rho): a_j = sum_b c_b p_b (-ln b)**j / j! for j <= K, so that the table's sum
+    at s + d is sum_j a_j d**j; rho = 2 min(|a_0 / a_1|, max_step) holds Newton's iterates
+    when they converge quadratically (Kantorovich), and K is the first order whose tail
+    sum_b |c_b p_b| (rho ln b)**(K+1) / (K+1)! e**(rho ln b) is below 2**-60 sum_b |c_b p_b|."""
+    a0 = powers.dot(coefs)[0]  # fills the table to len(coefs), and its sum_abs
+    xs, ys = (list(map(mul, map(mul, coefs, col), powers.log)) for col in (powers.re, powers.im))
+    a = [a0, -complex(math.fsum(xs), math.fsum(ys))]  # xs, ys: c_b p_b (ln b)**j
+    rho = 2.0 * (min(abs(a0 / a[1]), max_step) if a[1] else max_step)
+    z, fact = [rho * x for x in powers.log], -1  # fact = (-1)**K K!
+    rest = [abs(c) * m * math.exp(v) * v * v for c, m, v in zip(coefs, powers.mag, z)]
+    while sum(rest) > 2.0 ** -60 * powers.sum_abs * abs(fact) * len(a):  # rest: tail * (K+1)!
+        fact *= -len(a)
+        xs, ys = list(map(mul, xs, powers.log)), list(map(mul, ys, powers.log))
+        a.append(complex(math.fsum(xs), math.fsum(ys)) / fact)
+        rest = list(map(mul, rest, z))
+    return a, rho
+
+
 @lru_cache(maxsize=None)
 def _least_factor(b: int) -> int:
     """The least prime factor of b >= 2."""

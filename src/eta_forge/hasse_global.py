@@ -19,7 +19,7 @@ so |eta - S_N| <= 2^-(N+1) (1/(sigma+N+1) + Gamma(sigma, 1)) / |Gamma(s)|, and
 bounds 1/|Gamma| after a shift to x >= 1 (it is 0 at the poles of Gamma,
 where the sum is exact).  N makes this half the target with |value|
 guessed as 1; a smaller |value| first gets a longer sum, within the cap,
-then more bits.  Newton's slope S_N' (order 1 on S_N's table) is not certified.
+then more bits.  Newton runs on a Taylor model of S_N, uncertified.
 
 Ladder: each pass is one rung of :mod:`eta_forge.finite_eta` over the
 weights, scaled exactly by 2^-(N+1), with s at full precision in big
@@ -42,7 +42,8 @@ from functools import lru_cache
 import mpmath as mp
 
 from .errors import ConvergenceError, DomainError, RangeError, SingularPrefactorError
-from .finite_eta import _MAX_SUM_BITS, _FastPowers, _evaluate, _first_bits, _more_bits, _rung
+from .finite_eta import (_MAX_SUM_BITS, _FastPowers, _evaluate, _first_bits, _more_bits,
+                         _newton_model, _rung)
 from .numerics import (ComplexPoint, PrecisionContext, _coerce_complex, _coerce_mpc, _fast_only,
                        cgamma, csin)
 
@@ -127,10 +128,10 @@ def _length(sc: complex, goal: float, series_cap: int) -> int:
     return min(n, beyond)
 
 
-def _series(s, ctx: PrecisionContext, series_cap: int = SERIES_CAP,
-            tol: float | None = None, floor: float = 0.0) -> GlobalEvalResult:
-    """S_N within tol * max(|value|, floor): ``floor`` 0 asks for a relative
-    bound, 1 for an absolute one."""
+def _series(s, ctx: PrecisionContext, series_cap: int = SERIES_CAP, tol: float | None = None,
+            floor: float = 0.0, powers: _FastPowers | None = None) -> GlobalEvalResult:
+    """S_N within tol * max(|value|, floor): ``floor`` 0 asks for a relative bound, 1
+    for an absolute one; a double table passed in ``powers`` takes the first rung."""
     sc = _coerce_complex(s)
     if not cmath.isfinite(sc):  # a finite ComplexPoint beyond the double range
         raise RangeError(f"s = {s} is beyond the double range of the series length")
@@ -141,7 +142,7 @@ def _series(s, ctx: PrecisionContext, series_cap: int = SERIES_CAP,
     s_hi = sc if ctx.is_fast else _coerce_mpc(s)
     n = _length(sc, 0.5 * tol * max(1.0, floor), series_cap)  # |value| guessed as 1
     # big floats start from terms up to n^neg and a value near 1
-    powers, bits = None, None if ctx.is_fast else wb + 16 + math.ceil((1 + neg) * math.log2(n))
+    bits = None if ctx.is_fast else wb + 16 + math.ceil((1 + neg) * math.log2(n))
     while True:
         m = min(n, series_cap + 1)
         coefs, w = _weights(m), 0.5 ** m  # w scales exactly
@@ -260,30 +261,29 @@ def functional_equation_residual(s, ctx: PrecisionContext = PrecisionContext()) 
 def refine_zero(t_initial: float, ctx: PrecisionContext = PrecisionContext()) -> ZeroRecord:
     """Newton-refine a critical-line ordinate from a capture point.
 
-    Requires |eta(1/2 + i t_initial)| <= 0.5 (ordinate already near a
-    zero).  Each step is the complex Newton update for t -> eta(1/2+it),
-    clamped to |dt| <= 0.5, with S_N and its slope from one double table;
-    only the final residual is certified.  Escaping |t - t0| > 1, a zero
-    slope or failing to reach residual 1e-10 in 50 iterations raises
-    ConvergenceError; an extended context raises DomainError (fast tier only).
+    Requires |eta(1/2 + i t_initial)| <= 0.5 (ordinate already near a zero).  Each
+    step is the complex Newton update for t -> eta(1/2+it), clamped to |dt| <= 0.5,
+    with S_N and its slope by Horner on one Taylor model per disk (a new one where
+    an iterate leaves it); only the final residual is certified.  Escaping
+    |t - t0| > 1, a zero slope or failing to reach residual 1e-10 in 50 iterations
+    raises ConvergenceError; an extended context raises DomainError (fast tier only).
     """
     _fast_only(ctx, "refine_zero")
     t0 = float(t_initial)
-
-    def eta(t):  # an absolute bound: a zero admits no relative one
-        return _series(complex(0.5, t), ctx, floor=1.0).value.to_complex()
-
-    start = eta(t0)
-    if abs(start) > CAPTURE_THRESHOLD:
-        raise DomainError(
-            f"|eta(1/2 + {t0}i)| = {abs(start):.3g} above capture threshold "
-            f"{CAPTURE_THRESHOLD}; start closer to a zero")
-    t = complex(t0, 0.0)
+    t, tc = complex(t0, 0.0), None
     for iterations in range(1, NEWTON_MAX_ITER + 1):
-        s = complex(0.5 - t.imag, t.real)  # s = 1/2 + i t with complex t
-        n = _length(s, 0.5 * ctx.target_rel_err, SERIES_CAP)
-        table, coefs = _FastPowers(s), _weights(min(n, SERIES_CAP + 1))
-        (g, _), (gp, _) = table.dot(coefs), table.dot(coefs, 1)  # 2^-(N+1) cancels in g / gp
+        if tc is None or abs(t - tc) > rho:  # no model yet, or the iterate left its disk
+            table = _FastPowers(complex(0.5 - t.imag, t.real))  # filled by _series' first rung
+            # an absolute bound: a zero admits no relative one
+            start = _series(table.s, ctx, floor=1.0, powers=table).value.to_complex()
+            if tc is None and abs(start) > CAPTURE_THRESHOLD:  # the capture check
+                raise DomainError(
+                    f"|eta(1/2 + {t0}i)| = {abs(start):.3g} above capture threshold "
+                    f"{CAPTURE_THRESHOLD}; start closer to a zero")
+            tc, (coef, rho) = t, _newton_model(table, _weights(len(table.re)), NEWTON_MAX_STEP)
+        d, g, gp = 1j * (t - tc), coef[-1], 0j  # d = s - s_c; 2^-(N+1) cancels in g / gp
+        for a in reversed(coef[:-1]):
+            g, gp = g * d + a, gp * d + g
         if gp == 0 or not cmath.isfinite(gp):
             raise ConvergenceError(f"slope {gp} during refinement", best=t.real)
         dt = 1j * g / gp
@@ -296,7 +296,7 @@ def refine_zero(t_initial: float, ctx: PrecisionContext = PrecisionContext()) ->
                 best=t.real)
         if abs(dt) < 1e-13 * max(1.0, abs(t)):
             break
-    residual = abs(eta(t.real))
+    residual = abs(_series(complex(0.5, t.real), ctx, floor=1.0).value.to_complex())
     if residual > REFINE_TOL:
         raise ConvergenceError(
             f"no convergence: residual {residual:.3g} above {REFINE_TOL} "

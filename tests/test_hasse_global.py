@@ -1,4 +1,5 @@
 import cmath
+import functools
 import math
 import types
 from fractions import Fraction
@@ -395,24 +396,85 @@ def test_refined_zero_matches_conjugate_side():
     assert abs(v) <= 1e-9
 
 
-@pytest.mark.parametrize("t0, t, residual", [
-    (14.09, 14.134725141734693, 1.4902155513738535e-15),
-    (59.30, 59.34704400260235, 2.2559454766509836e-15),
-])
-def test_refine_takes_value_and_slope_from_one_table(t0, t, residual, monkeypatch):
-    # one double table per Newton step, plus the capture check and the certified
-    # final residual: 7 tables over 5 steps, where value and slope on tables of
-    # their own took 12; t and the residual are those of the two-table steps
-    tables, raw = [], finite_eta._FastPowers.__init__
+# the first 29 zero ordinates to three decimals: starts for the oracle
+APPROX_ZEROS = (14.135, 21.022, 25.011, 30.425, 32.935, 37.586, 40.919, 43.327, 48.005,
+                49.774, 52.970, 56.446, 59.347, 60.832, 65.113, 67.080, 69.546, 72.067,
+                75.705, 77.145, 79.337, 82.910, 84.735, 87.425, 88.809, 92.492, 94.651,
+                95.871, 98.831)
+
+
+@functools.lru_cache(maxsize=None)
+def _oracle_zero(k: int) -> float:
+    """The k-th zero ordinate from the Euler-Maclaurin oracle at 100 bits."""
+    return float(oracles.em_critical_zero(APPROX_ZEROS[k - 1]))
+
+
+def _nearest_zero(t: float) -> float:
+    return _oracle_zero(min(range(1, 30), key=lambda k: abs(APPROX_ZEROS[k - 1] - t)))
+
+
+def _traced_refine(t0, monkeypatch):
+    """refine_zero(t0) with the double tables it fills and the (centre, radius)
+    of each Newton model it builds."""
+    tables, models = [], []
+    raw_init, raw_model = finite_eta._FastPowers.__init__, hasse_global._newton_model
 
     def counting(self, s):
         tables.append(s)
-        raw(self, s)
+        raw_init(self, s)
+
+    def recording(powers, coefs, max_step):
+        a, rho = raw_model(powers, coefs, max_step)
+        models.append((powers.s, rho))
+        return a, rho
 
     monkeypatch.setattr(finite_eta._FastPowers, "__init__", counting)
-    rec = refine_zero(t0, CTX)
+    monkeypatch.setattr(hasse_global, "_newton_model", recording)
+    return refine_zero(t0, CTX), tables, models
+
+
+@pytest.mark.parametrize("t0, t, residual", [
+    (14.09, 14.134725141734695, 1.9269014248098517e-15),
+    (59.30, 59.34704400260235, 2.2559454766509836e-15),
+])
+def test_refine_runs_newton_on_one_model(t0, t, residual, monkeypatch):
+    # one double table for the Taylor model at the capture point, which also serves the
+    # capture check, and one for the certified final residual: 2 tables over 5 steps,
+    # where a table per step took 7; t and the residual are those of the model's steps
+    rec, tables, models = _traced_refine(t0, monkeypatch)
     assert (rec.t, rec.residual_eta, rec.iterations) == (t, residual, 5)
-    assert len(tables) == rec.iterations + 2
+    assert len(tables) == 2 and len(models) == 1
+    assert abs(rec.t - _nearest_zero(t0)) <= 1e-12
+
+
+@pytest.mark.parametrize("t0, iterations, models", [
+    (13.885, 6, 1),   # 0.25 below the first zero: the model's radius holds every step
+    (59.497, 6, 1),   # 0.15 above the 13th
+    (72.337, 9, 2),   # above the 18th, where the first step falls short: the iterates
+    (72.367, 14, 4),  # leave the disk, and each exit builds one more model
+])
+def test_refine_leaves_the_disk(t0, iterations, models, monkeypatch):
+    rec, tables, built = _traced_refine(t0, monkeypatch)
+    assert abs(rec.t - _nearest_zero(t0)) <= 1e-12
+    assert rec.iterations == iterations  # as with a table per step
+    assert len(built) == models and len(tables) == models + 1
+    for (centre, rho), (later, _) in zip(built, built[1:]):
+        assert abs(later - centre) > rho  # a new model only once an iterate leaves the disk
+
+
+def test_refine_escape_is_a_convergence_error(monkeypatch):
+    # no start on a 0.01 grid over [10, 100] escapes; narrowed to 0.01, the capture
+    # interval is left by the first step from 14.3 (about -0.17)
+    monkeypatch.setattr(hasse_global, "CAPTURE_RADIUS", 0.01)
+    with pytest.raises(ConvergenceError, match="escaped capture interval"):
+        refine_zero(14.3, CTX)
+
+
+@pytest.mark.parametrize("k", range(1, 30))
+def test_refine_sweep_of_the_first_zeros(k):
+    zero = _oracle_zero(k)
+    for d in (-0.05, -0.02, 0.02, 0.05):
+        assert abs(refine_zero(zero + d, CTX).t - zero) <= 1e-12, d
 
 
 def test_refine_refuses_extended_contexts():

@@ -210,6 +210,24 @@ def test_extended_tier_elementary_ops():
         assert abs(back - z.to_mpc()) < mp.mpf(2) ** (-130)
 
 
+@pytest.mark.parametrize("ctx", [CTX, PrecisionContext.extended(120), PrecisionContext.extended(200)],
+                         ids=["fast", "120", "200"])
+def test_elementary_functions_meet_their_target(ctx):
+    # cexp, cln, cpow and csin return no bound, so each is pinned to its context's target
+    # against mpmath at 400 bits on seeded points: z in [-10, 10]^2, the exponent in [-5, 5]^2
+    rng = random.Random(20261019)
+    fns = ((cexp, mp.exp, 1), (cln, mp.log, 1), (cpow, mp.power, 2), (csin, mp.sin, 1))
+    for _ in range(200):
+        args = (c(rng.uniform(-10, 10), rng.uniform(-10, 10)),
+                c(rng.uniform(-5, 5), rng.uniform(-5, 5)))
+        for ours, ref, arity in fns:
+            got = ours(*args[:arity], ctx).to_mpc()
+            with mp.workprec(400):
+                want = ref(*(a.to_mpc() for a in args[:arity]))
+                err = abs(got - want) / abs(want)
+            assert err <= ctx.target_rel_err, (ours.__name__, args[:arity], err)
+
+
 # ---------------------------------------------------------------------------
 # properties
 # ---------------------------------------------------------------------------
