@@ -69,7 +69,7 @@ from operator import mul
 import mpmath as mp
 from mpmath.libmp import to_fixed
 
-from .errors import DomainError, RangeError, VerificationError
+from .errors import ConvergenceError, DomainError, RangeError, VerificationError
 from .numerics import ComplexPoint, PrecisionContext, _coerce_complex, _coerce_mpc
 
 __all__ = [
@@ -219,9 +219,10 @@ class _FastPowers:
 
 def _newton_model(powers: _FastPowers, coefs: tuple[int, ...], max_step: float):
     """(a, rho): a_j = sum_b c_b p_b (-ln b)**j / j! for j <= K, so that the table's sum
-    at s + d is sum_j a_j d**j; rho = 2 min(|a_0 / a_1|, max_step) holds Newton's iterates
-    when they converge quadratically (Kantorovich), and K is the first order whose tail
-    sum_b |c_b p_b| (rho ln b)**(K+1) / (K+1)! e**(rho ln b) is below 2**-60 sum_b |c_b p_b|."""
+    at s + d is sum_j a_j d**j, to the first K whose tail sum_b |c_b p_b| (rho ln b)**(K+1)
+    / (K+1)! e**(rho ln b) is below 2**-60 sum_b |c_b p_b|.  rho = 2 min(|a_0 / a_1|, max_step)
+    bounds ``_line_newton`` on the model: iterates that converge quadratically to a zero of S_N
+    in ``hasse_global.refine_zero`` (Kantorovich), at most two grid steps in ``scan_line``."""
     a0 = powers.dot(coefs)[0]  # fills the table to len(coefs), and its sum_abs
     xs, ys = (list(map(mul, map(mul, coefs, col), powers.log)) for col in (powers.re, powers.im))
     a = [a0, -complex(math.fsum(xs), math.fsum(ys))]  # xs, ys: c_b p_b (ln b)**j
@@ -234,6 +235,34 @@ def _newton_model(powers: _FastPowers, coefs: tuple[int, ...], max_step: float):
         a.append(complex(math.fsum(xs), math.fsum(ys)) / fact)
         rest = list(map(mul, rest, z))
     return a, rho
+
+
+def _line_newton(model_at, t0: float, max_step: float, radius: float, max_iter: int = 50):
+    """(t, iterations): Newton on h'(t) = 0, h(t) = |f(sigma + i t)|**2, over real t from t0;
+    ``model_at(t)`` gives the (a, rho) of ``_newton_model`` about sigma + i t, and an iterate
+    beyond rho gets a new model.  One Horner pass gives f, f' and f''; at a simple zero of f
+    the step is Newton's on f.  Steps are clamped to ``max_step``; it stops after a step below
+    1e-13 max(1, |t|) or ``max_iter`` steps.  |t - t0| > ``radius`` or h'' <= 0 (no minimum
+    of |f| ahead) raises ConvergenceError."""
+    t, tc, rho = t0, math.inf, 0.0
+    for iterations in range(1, max_iter + 1):
+        if abs(t - tc) > rho:  # no model yet, or the iterate left its disk
+            tc, (a, rho) = t, model_at(t)
+        d, g, gp, gpp = 1j * (t - tc), a[-1], 0j, 0j  # d = s - s_c
+        for x in reversed(a[:-1]):
+            g, gp, gpp = g * d + x, gp * d + g, gpp * d + gp
+        g = g.conjugate()  # conj f; f' = i g', f'' = -2 g'': h'/2 = -Im(g g'), h''/2 = curv
+        curv = abs(gp) ** 2 - 2.0 * (g * gpp).real
+        if not curv > 0.0:
+            raise ConvergenceError(f"|f|**2 has curvature {curv} at t = {t}", best=t)
+        dt = max(-max_step, min((g * gp).imag / curv, max_step))
+        t += dt
+        if abs(t - t0) > radius:
+            raise ConvergenceError(f"escaped capture interval around t0 = {t0} (reached {t})",
+                                   best=t)
+        if abs(dt) < 1e-13 * max(1.0, abs(t)):
+            break
+    return t, iterations
 
 
 @lru_cache(maxsize=None)

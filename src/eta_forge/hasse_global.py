@@ -19,7 +19,7 @@ so |eta - S_N| <= 2^-(N+1) (1/(sigma+N+1) + Gamma(sigma, 1)) / |Gamma(s)|, and
 bounds 1/|Gamma| after a shift to x >= 1 (it is 0 at the poles of Gamma,
 where the sum is exact).  N makes this half the target with |value|
 guessed as 1; a smaller |value| first gets a longer sum, within the cap,
-then more bits.  Newton runs on a Taylor model of S_N, uncertified.
+then more bits.  Newton runs over real t on a Taylor model of S_N, uncertified.
 
 Ladder: each pass is one rung of :mod:`eta_forge.finite_eta` over the
 weights, scaled exactly by 2^-(N+1), with s at full precision in big
@@ -42,8 +42,8 @@ from functools import lru_cache
 import mpmath as mp
 
 from .errors import ConvergenceError, DomainError, RangeError, SingularPrefactorError
-from .finite_eta import (_MAX_SUM_BITS, _FastPowers, _evaluate, _first_bits, _more_bits,
-                         _newton_model, _rung)
+from .finite_eta import (_MAX_SUM_BITS, _FastPowers, _evaluate, _first_bits, _line_newton,
+                         _more_bits, _newton_model, _rung)
 from .numerics import (ComplexPoint, PrecisionContext, _coerce_complex, _coerce_mpc, _fast_only,
                        cgamma, csin)
 
@@ -261,44 +261,27 @@ def functional_equation_residual(s, ctx: PrecisionContext = PrecisionContext()) 
 def refine_zero(t_initial: float, ctx: PrecisionContext = PrecisionContext()) -> ZeroRecord:
     """Newton-refine a critical-line ordinate from a capture point.
 
-    Requires |eta(1/2 + i t_initial)| <= 0.5 (ordinate already near a zero).  Each
-    step is the complex Newton update for t -> eta(1/2+it), clamped to |dt| <= 0.5,
-    with S_N and its slope by Horner on one Taylor model per disk (a new one where
-    an iterate leaves it); only the final residual is certified.  Escaping
-    |t - t0| > 1, a zero slope or failing to reach residual 1e-10 in 50 iterations
-    raises ConvergenceError; an extended context raises DomainError (fast tier only).
+    Requires |eta(1/2 + i t_initial)| <= 0.5 (ordinate already near a zero).  Newton runs
+    over real t (``finite_eta._line_newton``), so it stays on the line, with |dt| <= 0.5 and
+    S_N by Horner on one Taylor model per disk; only the final residual is certified.
+    Escaping |t - t0| > 1, a non-positive curvature of |S_N|**2 or failing to reach residual
+    1e-10 in 50 iterations raises ConvergenceError; an extended context raises DomainError.
     """
     _fast_only(ctx, "refine_zero")
     t0 = float(t_initial)
-    t, tc = complex(t0, 0.0), None
-    for iterations in range(1, NEWTON_MAX_ITER + 1):
-        if tc is None or abs(t - tc) > rho:  # no model yet, or the iterate left its disk
-            table = _FastPowers(complex(0.5 - t.imag, t.real))  # filled by _series' first rung
-            # an absolute bound: a zero admits no relative one
-            start = _series(table.s, ctx, floor=1.0, powers=table).value.to_complex()
-            if tc is None and abs(start) > CAPTURE_THRESHOLD:  # the capture check
-                raise DomainError(
-                    f"|eta(1/2 + {t0}i)| = {abs(start):.3g} above capture threshold "
-                    f"{CAPTURE_THRESHOLD}; start closer to a zero")
-            tc, (coef, rho) = t, _newton_model(table, _weights(len(table.re)), NEWTON_MAX_STEP)
-        d, g, gp = 1j * (t - tc), coef[-1], 0j  # d = s - s_c; 2^-(N+1) cancels in g / gp
-        for a in reversed(coef[:-1]):
-            g, gp = g * d + a, gp * d + g
-        if gp == 0 or not cmath.isfinite(gp):
-            raise ConvergenceError(f"slope {gp} during refinement", best=t.real)
-        dt = 1j * g / gp
-        if abs(dt) > NEWTON_MAX_STEP:
-            dt *= NEWTON_MAX_STEP / abs(dt)
-        t += dt
-        if abs(t.real - t0) > CAPTURE_RADIUS:
-            raise ConvergenceError(
-                f"escaped capture interval around t0 = {t0} (reached {t.real})",
-                best=t.real)
-        if abs(dt) < 1e-13 * max(1.0, abs(t)):
-            break
-    residual = abs(_series(complex(0.5, t.real), ctx, floor=1.0).value.to_complex())
+
+    def model_at(t: float):  # a Taylor model of S_N about 1/2 + i t
+        table = _FastPowers(complex(0.5, t))  # filled by _series' first rung, to an absolute bound
+        start = abs(_series(table.s, ctx, floor=1.0, powers=table).value.to_complex())
+        if t == t0 and start > CAPTURE_THRESHOLD:  # the capture check
+            raise DomainError(f"|eta(1/2 + {t0}i)| = {start:.3g} above capture threshold "
+                              f"{CAPTURE_THRESHOLD}; start closer to a zero")
+        return _newton_model(table, _weights(len(table.re)), NEWTON_MAX_STEP)
+
+    t, iterations = _line_newton(model_at, t0, NEWTON_MAX_STEP, CAPTURE_RADIUS, NEWTON_MAX_ITER)
+    residual = abs(_series(complex(0.5, t), ctx, floor=1.0).value.to_complex())
     if residual > REFINE_TOL:
         raise ConvergenceError(
             f"no convergence: residual {residual:.3g} above {REFINE_TOL} "
-            f"after {iterations} iterations", best=t.real)
-    return ZeroRecord(t=t.real, residual_eta=residual, iterations=iterations)
+            f"after {iterations} iterations", best=t)
+    return ZeroRecord(t=t, residual_eta=residual, iterations=iterations)

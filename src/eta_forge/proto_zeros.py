@@ -1,9 +1,9 @@
 """Scanning vertical lines for proto-zeros of the finite eta sums.
 
 A proto-zero at fixed sigma is a strict local minimum of |eta_n(sigma+it)|
-on the t-grid, polished by golden-section search to one hundredth of the
-grid step.  The grid values come from ``finite_eta._line``: the double table
-where it certifies, one Taylor model per disk of cancelling points elsewhere.
+on the t-grid, polished by ``refine_zero``'s Newton (``finite_eta._line_newton``).
+The grid values come from ``finite_eta._line``: the double table where it
+certifies, one Taylor model per disk of cancelling points elsewhere.
 The "decay" of a record is the imaginary offset d of the ordinate that would
 deepen the minimum, from the first-order Newton step (see ``scan_line``).
 
@@ -18,8 +18,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError
-from .finite_eta import Family, FiniteEtaSpec, _line, _terms, derivative, evaluate
+from .errors import ConvergenceError, DomainError
+from .finite_eta import (Family, FiniteEtaSpec, _FastPowers, _line, _line_newton, _newton_model,
+                         _terms, derivative, evaluate)
 from .hasse_global import ZeroRecord
 from .numerics import PrecisionContext, _fast_only
 
@@ -36,7 +37,6 @@ __all__ = [
     "compare_to_global",
 ]
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)  # deterministic far past 2^31
 # About 1000x the longest line a test or benchmark scans (n = 20 on [1, 100]).
 _MAX_GRID_POINTS = 1_000_000
@@ -143,47 +143,33 @@ class CloudComparison:
     centroid_distance: float
 
 
-def _golden_min(f, a: float, b: float, xtol: float) -> float:
-    """Golden-section minimum of a unimodal f on [a, b] to width xtol."""
-    x1 = b - _GOLDEN * (b - a)
-    x2 = a + _GOLDEN * (b - a)
-    f1, f2 = f(x1), f(x2)
-    while b - a > xtol:
-        if f1 <= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _GOLDEN * (b - a)
-            f1 = f(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _GOLDEN * (b - a)
-            f2 = f(x2)
-    return 0.5 * (a + b)
-
-
 def scan_line(cfg: ScanConfig, ctx: PrecisionContext = PrecisionContext(),
               jobs: int = 1) -> list[ProtoZeroRecord]:
-    """All strict grid minima of |eta(sigma+it)|, polished to step/100.
+    """All strict grid minima of |eta(sigma+it)|, polished by Newton on the line.
 
-    The grid values come from the line kernel, the polish and the decay from
-    ``evaluate`` and ``derivative``: the decay is Re(eta / eta'), the imaginary
-    part of the Newton step in the complex ordinate t.  Fast tier only: an
-    extended context raises DomainError.  ``jobs`` has no effect.
+    The grid values come from the line kernel.  The polish runs ``_line_newton`` on a
+    model of the double table within a grid step of the grid minimum, which stays if it
+    raises; the magnitude and the decay come from ``evaluate`` and ``derivative``: the
+    decay is Re(eta / eta'), the imaginary part of the Newton step in the complex ordinate
+    t.  Fast tier only: an extended context raises DomainError.  ``jobs`` has no effect.
     """
     _fast_only(ctx, "scan_line")
-    spec, sigma = cfg.spec, cfg.sigma
+    spec, sigma, coefs = cfg.spec, cfg.sigma, _terms(cfg.spec.family, cfg.spec.n)
 
-    def mag(t: float) -> float:
-        return abs(evaluate(spec, complex(sigma, t), ctx).value.to_complex())
+    def model_at(t: float):
+        return _newton_model(_FastPowers(complex(sigma, t)), coefs, cfg.step)
 
     count = int(math.floor((cfg.t_max - cfg.t_min) / cfg.step + 1e-9)) + 1
     ts = [cfg.t_min + i * cfg.step for i in range(count)]
-    vals = list(map(abs, _line(_terms(spec.family, spec.n), sigma, ts, ctx)))
+    vals = list(map(abs, _line(coefs, sigma, ts, ctx)))
 
     records = []
-    xtol = cfg.step / 100.0
     for i in range(1, count - 1):
         if vals[i] < vals[i - 1] and vals[i] < vals[i + 1]:
-            t_star = _golden_min(mag, ts[i - 1], ts[i + 1], xtol)
+            try:
+                t_star = _line_newton(model_at, ts[i], cfg.step, cfg.step)[0]
+            except (ConvergenceError, OverflowError):  # no minimum ahead, or beyond doubles
+                t_star = ts[i]
             s_star = complex(sigma, t_star)
             val = evaluate(spec, s_star, ctx).value.to_complex()
             dval = derivative(spec, s_star, ctx).value.to_complex()

@@ -49,18 +49,22 @@ def em_eta(s, prec: int = 100):
 
 def em_critical_zero(t0: float, prec: int = 100) -> mp.mpf:
     """Critical-line ordinate near t0 via Newton on the Euler-Maclaurin
-    zeta (derivative by central differences at matching precision)."""
+    zeta (derivative by central differences at matching precision).  Stops
+    once a step no longer halves the one before: past Newton's quadratic
+    phase the steps are rounding and difference noise."""
     with mp.workprec(prec):
         t = mp.mpf(t0)
         h = mp.mpf(2) ** (-prec // 3)
+        last = mp.inf
         for _ in range(80):
             f = em_zeta(mp.mpc(mp.mpf(1) / 2, t), prec)
             fp = (em_zeta(mp.mpc(mp.mpf(1) / 2, t + h), prec)
                   - em_zeta(mp.mpc(mp.mpf(1) / 2, t - h), prec)) / (2 * h)
             step = -(f / fp)
             t += step.real
-            if abs(step) < mp.mpf(10) ** (-(prec * 3) // 10):
+            if abs(step) >= last / 2 or abs(step) < mp.mpf(10) ** (-(prec * 3) // 10):
                 break
+            last = abs(step)
         return t
 
 

@@ -409,6 +409,13 @@ def _oracle_zero(k: int) -> float:
     return float(oracles.em_critical_zero(APPROX_ZEROS[k - 1]))
 
 
+@pytest.mark.parametrize("k", [1, 10, 18, 29])
+def test_oracle_zeros_match_mpmath(k):
+    # the oracle stops once its steps stop shrinking; its zeros stay those of mpmath
+    with mp.workprec(120):
+        assert abs(oracles.em_critical_zero(APPROX_ZEROS[k - 1]) - mp.zetazero(k).imag) <= 1e-18
+
+
 def _nearest_zero(t: float) -> float:
     return _oracle_zero(min(range(1, 30), key=lambda k: abs(APPROX_ZEROS[k - 1] - t)))
 
@@ -433,33 +440,45 @@ def _traced_refine(t0, monkeypatch):
     return refine_zero(t0, CTX), tables, models
 
 
-@pytest.mark.parametrize("t0, t, residual", [
-    (14.09, 14.134725141734695, 1.9269014248098517e-15),
-    (59.30, 59.34704400260235, 2.2559454766509836e-15),
+@pytest.mark.parametrize("t0, t, residual, iterations", [
+    (14.09, 14.134725141734695, 1.9269014248098517e-15, 4),
+    (59.30, 59.34704400260235, 2.2559454766509836e-15, 5),
 ])
-def test_refine_runs_newton_on_one_model(t0, t, residual, monkeypatch):
+def test_refine_runs_newton_on_one_model(t0, t, residual, iterations, monkeypatch):
     # one double table for the Taylor model at the capture point, which also serves the
-    # capture check, and one for the certified final residual: 2 tables over 5 steps,
-    # where a table per step took 7; t and the residual are those of the model's steps
+    # capture check, and one for the certified final residual: 2 tables, where a table
+    # per Newton step took 7
     rec, tables, models = _traced_refine(t0, monkeypatch)
-    assert (rec.t, rec.residual_eta, rec.iterations) == (t, residual, 5)
+    assert (rec.t, rec.residual_eta, rec.iterations) == (t, residual, iterations)
     assert len(tables) == 2 and len(models) == 1
     assert abs(rec.t - _nearest_zero(t0)) <= 1e-12
 
 
 @pytest.mark.parametrize("t0, iterations, models", [
-    (13.885, 6, 1),   # 0.25 below the first zero: the model's radius holds every step
+    (13.885, 5, 1),   # 0.25 below the first zero: the model's radius holds every step
     (59.497, 6, 1),   # 0.15 above the 13th
-    (72.337, 9, 2),   # above the 18th, where the first step falls short: the iterates
-    (72.367, 14, 4),  # leave the disk, and each exit builds one more model
+    (72.337, 7, 1),   # 0.27 and 0.30 above the 18th
+    (72.367, 6, 1),
+    (98.99, 7, 2),    # 0.16 to 0.21 above the 29th, where an iterate leaves the first
+    (99.00, 7, 2),    # disk and gets a second model
+    (99.04, 7, 2),
 ])
 def test_refine_leaves_the_disk(t0, iterations, models, monkeypatch):
     rec, tables, built = _traced_refine(t0, monkeypatch)
     assert abs(rec.t - _nearest_zero(t0)) <= 1e-12
-    assert rec.iterations == iterations  # as with a table per step
+    assert rec.iterations == iterations
     assert len(built) == models and len(tables) == models + 1
     for (centre, rho), (later, _) in zip(built, built[1:]):
         assert abs(later - centre) > rho  # a new model only once an iterate leaves the disk
+    assert all(centre.real == 0.5 for centre, _ in built)  # every model on the line
+
+
+def test_refine_stays_on_the_line():
+    # 0.30 to 0.38 above the 18th zero, |eta| is below the capture threshold, and Newton
+    # over complex t converged to the zero of the prefactor 1 - 2^(1-s) at 1 + 16 pi i / ln 2
+    zero = _oracle_zero(18)
+    for t0 in (72.37, 72.38, 72.39, 72.40, 72.41, 72.42, 72.43, 72.44, 72.45):
+        assert abs(refine_zero(t0, CTX).t - zero) <= 1e-12, t0
 
 
 def test_refine_escape_is_a_convergence_error(monkeypatch):

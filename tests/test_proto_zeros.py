@@ -1,8 +1,11 @@
 import math
 
+import mpmath as mp
+import oracles
 import pytest
 
 from eta_forge import (
+    ConvergenceError,
     DomainError,
     Family,
     FiniteEtaSpec,
@@ -10,11 +13,12 @@ from eta_forge import (
     ScanConfig,
     ZeroRecord,
     compare_to_global,
+    evaluate,
     planck_resolution,
     proto_cloud,
     scan_line,
 )
-from eta_forge import finite_eta
+from eta_forge import finite_eta, proto_zeros
 from eta_forge.proto_zeros import default_step, is_prime
 
 CTX = PrecisionContext()
@@ -204,7 +208,10 @@ def test_scan_far_up_the_line_stays_on_the_fast_tier(monkeypatch):
     spec = FiniteEtaSpec(Family.HASSE, 20)
     records = scan_line(ScanConfig(spec, 0.5, 40.0, 100.0, default_step(spec)), CTX)
     assert records
-    assert len(attempts) > 600
+    # one double table for each grid point (563), and for each record's evaluate and
+    # derivative; the polish's model tables are not the ladder's attempts
+    grid = int((100.0 - 40.0) / default_step(spec) + 1e-9) + 1
+    assert len(attempts) == grid + 2 * len(records)
     assert len(escalations) <= 0.1 * len(attempts)
 
 
@@ -225,18 +232,76 @@ def test_cancelling_stretch_takes_one_table_per_disk(monkeypatch):
 
 
 @pytest.mark.parametrize("n, t_max, expected", [
-    (12, 35.0, [("32.47825782353254", "343.3291480462965", "-0.41936510794179555")]),
-    (20, 100.0, [("55.72891999176136", "10215.647749106809", "-0.2666116053341615"),
-                 ("62.01595973468481", "18491.059518409616", "-0.6258602377020815"),
-                 ("90.49159265324181", "119799.14276511052", "-0.4364282514036789")]),
+    (12, 35.0, [("32.47811431041759", "343.329147230989", "-0.41936211047280086")]),
+    (20, 100.0, [("55.72898583097281", "10215.64770370198", "-0.26661267098339797"),
+                 ("62.0160528168895", "18491.05949100007", "-0.6258609392996146"),
+                 ("90.49150809165904", "119799.14276203969", "-0.43642869821950875")]),
 ])
 def test_scan_records_are_frozen(n, t_max, expected):
-    # the grid values of a cancelling stretch come from a Taylor model, the
-    # polish and the decay from evaluate and derivative: the records are
-    # those of a grid evaluated point by point, to the last bit
+    # the grid values of a cancelling stretch come from a Taylor model, the polish
+    # from Newton on a model of the double table, the magnitude and the decay from
+    # evaluate and derivative; each record's magnitude is that of a 200-bit sum
     spec = FiniteEtaSpec(Family.HASSE, n)
     records = scan_line(ScanConfig(spec, 0.5, 1.0, t_max, default_step(spec)), CTX)
     assert [(repr(r.t), repr(r.magnitude), repr(r.decay)) for r in records] == expected
+    for r in records:
+        ref = abs(oracles.eta_hasse_highprec(n, complex(0.5, r.t), prec=200))
+        assert abs(r.magnitude - ref) <= 1e-13 * ref
+
+
+def _line_minimum(n: int, sigma: float, t: float):
+    """The minimum of |eta_n(sigma + i t)| nearest t, at 100 bits: the root of
+    d|f|^2/dt / 2 = Re(conj(f) i f') along the line."""
+    def slope(x):
+        s = mp.mpc(sigma, x)
+        f = oracles.eta_hasse_highprec(n, s, prec=100)
+        return (mp.conj(f) * 1j * oracles.eta_hasse_highprec(n, s, prec=100, order=1)).real
+    with mp.workprec(100):
+        return mp.findroot(slope, mp.mpf(t))
+
+
+@pytest.mark.parametrize("n, t_min, t_max", [
+    (4, 2.9187959608315115, 34.59290138569395),  # the n <= 12 lines of the benchmark's
+    (6, 1.8557070972448675, 34.356163355079524),  # finite-sums workload, seed 1
+    (8, 2.544486718671145, 34.0938479759166),
+    (10, 1.050256401707738, 34.37722097068338),
+    (12, 1.1727665378769645, 34.394759326870265),
+])
+def test_polish_finds_the_minimum(n, t_min, t_max):
+    # golden section stopped at a hundredth of the grid step; Newton on the model
+    # lands on the minimum
+    spec = FiniteEtaSpec(Family.HASSE, n)
+    records = scan_line(ScanConfig(spec, 0.5, t_min, t_max, default_step(spec)), CTX)
+    assert records
+    for r in records:
+        assert abs(r.t - _line_minimum(n, 0.5, r.t)) <= 1e-9, r.t
+
+
+def test_polish_keeps_the_grid_point_when_newton_fails(monkeypatch):
+    def failing(model_at, t0, max_step, radius):
+        raise ConvergenceError("escaped capture interval", best=t0 + radius)
+
+    spec = FiniteEtaSpec(Family.HASSE, 6)
+    cfg = ScanConfig(spec, 0.5, 10.0, 16.0, 0.01)
+    polished = scan_line(cfg, CTX)
+    monkeypatch.setattr(proto_zeros, "_line_newton", failing)
+    kept = scan_line(cfg, CTX)
+    assert len(kept) == len(polished) == 1
+    grid = [cfg.t_min + i * cfg.step for i in range(601)]
+    assert kept[0].t in grid and abs(kept[0].t - polished[0].t) <= cfg.step
+    assert kept[0].magnitude == abs(evaluate(spec, complex(0.5, kept[0].t), CTX).value.to_complex())
+
+
+def test_polish_keeps_the_grid_point_beyond_the_double_range():
+    # the terms of HSTAR 512 at sigma = -1/2 sum past the double range, so the grid takes
+    # big floats and the polish's double table raises OverflowError: the grid point stays
+    spec = FiniteEtaSpec(Family.HSTAR, 512)
+    cfg = ScanConfig(spec, -0.5, 8.0, 9.0, default_step(spec))
+    records = scan_line(cfg, CTX)
+    assert len(records) == 1
+    assert records[0].t in [cfg.t_min + i * cfg.step for i in range(21)]
+    value = evaluate(spec, complex(-0.5, records[0].t), CTX).value.to_complex()
+    assert records[0].magnitude == abs(value) > 1e307
 
 
 def test_scans_refuse_a_requested_precision():
