@@ -45,7 +45,7 @@ from .errors import ConvergenceError, DomainError, RangeError, SingularPrefactor
 from .finite_eta import (_MAX_SUM_BITS, _FastPowers, _evaluate, _first_bits, _line_newton,
                          _more_bits, _newton_model, _rung)
 from .numerics import (ComplexPoint, PrecisionContext, _coerce_complex, _coerce_mpc, _fast_only,
-                       cgamma, csin)
+                       cgamma)
 
 __all__ = [
     "GlobalEvalResult",
@@ -229,29 +229,30 @@ def functional_equation_residual(s, ctx: PrecisionContext = PrecisionContext()) 
     Near even integers the right side is evaluated in the reflected form
     (2 pi)^(s-1) * pi / (cos(pi s / 2) * Gamma(s)), which is the same
     meromorphic function but avoids the 0 * inf product of the displayed
-    form when Gamma(1-s) sits on a pole that the sine zero cancels.
+    form when Gamma(1-s) sits on a pole that the sine zero cancels.  Both
+    sides are formed in doubles on the fast tier and in mpmath at the
+    working precision on the extended tier.
     """
     sc = _coerce_complex(s)
-    z_s = zeta_global(sc, ctx)
-    z_1ms = zeta_global(1.0 - sc, ctx)
-    z1 = z_1ms.value.to_complex()
+    fast, wb = ctx.is_fast, ctx.working_bits
+    value = ComplexPoint.to_complex if fast else ComplexPoint.to_mpc
+    s_hi = sc if fast else _coerce_mpc(s)
+    s_1 = 1.0 - sc if fast else mp.fsub(1, s_hi, prec=wb)
+    z_s = value(zeta_global(s_hi, ctx).value)
+    z1 = value(zeta_global(s_1, ctx).value)
     if abs(z1) < 1e-8:
         raise DomainError(
-            f"zeta(1-s) = {z1} within 1e-8 of zero at s = {sc}; ratio undefined")
-    lhs = z_s.value.to_complex() / z1
-    two_pi = 2.0 * math.pi
-    nearest_even = 2 * round(sc.real / 2.0)
-    if abs(sc - nearest_even) < 0.25:
-        gam = cgamma(ComplexPoint(sc.real, sc.imag), ctx).to_complex()
-        cosv = cmath.cos(math.pi * sc / 2.0)
-        rhs = two_pi ** (sc - 1.0) * math.pi / (cosv * gam)
-    else:
-        gam = cgamma(ComplexPoint(1.0 - sc.real, -sc.imag), ctx).to_complex()
-        sinv = csin(ComplexPoint(sc.real * math.pi / 2.0, sc.imag * math.pi / 2.0), ctx).to_complex()
-        rhs = two_pi ** (sc - 1.0) * 2.0 * sinv * gam
+            f"zeta(1-s) = {complex(z1)} within 1e-8 of zero at s = {sc}; ratio undefined")
+    reflected = abs(sc - 2 * round(sc.real / 2.0)) < 0.25  # near an even integer
+    gam = value(cgamma(s_hi if reflected else s_1, ctx))
+    with mp.workprec(wb):  # the extended tier's roundings; cmath ignores it
+        pi, cos, sin = (math.pi, cmath.cos, cmath.sin) if fast else (mp.pi, mp.cos, mp.sin)
+        lhs, half = z_s / z1, pi * s_hi / 2
+        scale = (2 * pi) ** (s_hi - 1)
+        rhs = scale * pi / (cos(half) * gam) if reflected else scale * 2 * sin(half) * gam
     if abs(rhs) < 1e-280:
         raise DomainError("right side vanishes; relative residual undefined")
-    return abs(lhs - rhs) / abs(rhs)
+    return float(abs(lhs - rhs) / abs(rhs))
 
 
 # ---------------------------------------------------------------------------

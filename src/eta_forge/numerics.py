@@ -2,11 +2,13 @@
 needed elsewhere in the package.
 
 Two execution tiers share one API.  A context with ``working_bits == 53``
-selects the fast tier (hardware doubles via :mod:`cmath`); anything wider
-selects the extended tier (mpmath big-floats at the requested mantissa).
-Callers pick the tier from the guard digits their computation needs --
-alternating binomial sums lose roughly ``n`` bits to cancellation, which
-is what the extended tier exists for.
+selects the fast tier (hardware doubles via :mod:`cmath`, with Lanczos's
+Gamma, which raises RangeError where its value is not a normal double);
+anything wider selects the extended tier (mpmath big-floats at the requested
+mantissa, where every function, Gamma included, is mpmath's own).  Callers
+pick the tier from the guard digits their computation needs -- alternating
+binomial sums lose roughly ``n`` bits to cancellation, which is what the
+extended tier exists for.
 
 Branch convention: principal logarithm with Im in (-pi, pi] everywhere.
 
@@ -18,8 +20,8 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
-from functools import lru_cache
 
 import mpmath as mp
 
@@ -222,7 +224,7 @@ def csin(z, ctx: PrecisionContext = PrecisionContext()) -> ComplexPoint:
 
 
 # ---------------------------------------------------------------------------
-# Gamma: Lanczos on the fast tier, Spouge on the extended tier
+# Gamma: Lanczos on the fast tier, mpmath's gamma on the extended tier
 # ---------------------------------------------------------------------------
 
 _LANCZOS_G = 7.0
@@ -255,42 +257,24 @@ def _gamma_lanczos(z: complex) -> complex:
     return math.sqrt(2.0 * math.pi) * t ** (z + 0.5) * cmath.exp(-t) * x
 
 
-@lru_cache(maxsize=16)
-def _spouge_coefs(a: int, prec: int):
-    """Spouge series coefficients c_0..c_{a-1} at `prec` bits."""
-    with mp.workprec(prec):
-        c = [mp.sqrt(2 * mp.pi)]
-        for k in range(1, a):
-            ck = mp.mpf(-1) ** (k - 1) / mp.factorial(k - 1)
-            ck *= mp.power(a - k, k - mp.mpf(1) / 2) * mp.exp(a - k)
-            c.append(ck)
-        return tuple(c)
-
-
-def _gamma_spouge(z, prec: int):
-    """Gamma via Spouge's series; relative error below a^(-1/2)(2 pi)^(-a-1/2)."""
-    a = int(math.ceil(prec / 2.65)) + 3
-    coefs = _spouge_coefs(a, prec + 16)
-    with mp.workprec(prec + 16):
-        z = mp.mpc(z)
-        if mp.re(z) < 0.5:
-            return mp.pi / (mp.sin(mp.pi * z) * _gamma_spouge(1 - z, prec))
-        w = z - 1
-        acc = mp.mpc(coefs[0])
-        for k in range(1, a):
-            acc += coefs[k] / (w + k)
-        return mp.power(w + a, w + mp.mpf(1) / 2) * mp.exp(-(w + a)) * acc
-
-
 def cgamma(z, ctx: PrecisionContext = PrecisionContext()) -> ComplexPoint:
-    """Complex Gamma.  Poles at the non-positive integers raise PoleError."""
+    """Complex Gamma.  Poles at the non-positive integers raise PoleError; on the
+    fast tier a value that is not a normal double raises RangeError."""
     if ctx.is_fast:
         w = _coerce_complex(z)
         if _is_nonpositive_int(w.real, w.imag):
             raise PoleError(f"Gamma pole at {w}", location=w)
-        return _wrap(_gamma_lanczos(w), ctx)
+        try:
+            g = _gamma_lanczos(w)
+        except OverflowError:
+            g = complex(math.inf)
+        if not (cmath.isfinite(g) and max(abs(g.real), abs(g.imag)) >= sys.float_info.min):
+            raise RangeError(
+                f"Gamma({w}) is outside the fast tier's range: Lanczos overflows from "
+                "Re z near 143 and |Gamma| must be a normal double; use an extended context")
+        return _wrap(g, ctx)
     with mp.workprec(ctx.working_bits):
         w = _coerce_mpc(z)
         if mp.im(w) == 0 and mp.re(w) <= 0 and mp.re(w) == mp.floor(mp.re(w)):
             raise PoleError(f"Gamma pole at {complex(w)}", location=complex(w))
-        return _wrap(_gamma_spouge(w, ctx.working_bits), ctx)
+        return _wrap(mp.gamma(w), ctx)

@@ -37,15 +37,21 @@ __all__ = [
     "compare_to_global",
 ]
 
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)  # deterministic far past 2^31
+# The first 13 primes as bases decide every p below this bound (Sorenson and Webster 2015)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_EXACT_BELOW = 3_317_044_064_679_887_385_961_981
 # About 1000x the longest line a test or benchmark scans (n = 20 on [1, 100]).
 _MAX_GRID_POINTS = 1_000_000
 
 
 def is_prime(p: int) -> bool:
-    """Deterministic Miller-Rabin (exact for everything we accept)."""
+    """Deterministic Miller-Rabin (exact for everything we accept); p at or above
+    ``_MR_EXACT_BELOW`` raises DomainError."""
     if not isinstance(p, int) or p < 2:
         return False
+    if p >= _MR_EXACT_BELOW:
+        raise DomainError(f"{p} is at or above {_MR_EXACT_BELOW}, where Miller-Rabin "
+                          "on the first 13 primes is not proved exact")
     for small in _MR_BASES:
         if p == small:
             return True

@@ -190,6 +190,14 @@ def test_funceq_mixed_points():
         assert functional_equation_residual(s, CTX) <= 1e-7
 
 
+@pytest.mark.parametrize("bits", [120, 200])
+def test_funceq_keeps_the_requested_precision(bits):
+    # both sides are formed in big floats: near an even integer (2, 1.9 + 0.1i) and elsewhere
+    ctx = PrecisionContext.extended(bits)
+    for s in (complex(0.25, 5.0), 2.0, complex(3.0, 2.0), complex(0.3, -40.0), complex(1.9, 0.1)):
+        assert functional_equation_residual(s, ctx) <= 8 * ctx.target_rel_err, s
+
+
 # ---------------------------------------------------------------------------
 # the series as one weighted sum
 # ---------------------------------------------------------------------------

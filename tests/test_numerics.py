@@ -185,6 +185,17 @@ def test_gamma_reflection_grid():
             assert abs(lhs - 1.0) < 1e-10, z
 
 
+def test_fast_gamma_refuses_beyond_the_double_range():
+    # Lanczos's t ** (z + 1/2) overflows from Re z near 143, though Gamma(150) = 3.8e260 is a
+    # double; |Gamma(1/2 + 1000i)| is about 1e-682, which was returned as an exact 0
+    for z in (150, 171.5, 172, -200.5, complex(0.5, 1000)):
+        with pytest.raises(RangeError):
+            cgamma(c(z.real, z.imag))
+    assert cgamma(c(142)).to_complex() == 1.8981437590760007e+243
+    with mp.workprec(120):
+        assert abs(cgamma(c(142)).re / mp.gamma(142) - 1) < CTX.target_rel_err
+
+
 def test_gamma_moderate_imaginary_height():
     for im in (10.0, 35.0, 60.0):
         z = c(2.5, im)
@@ -194,13 +205,26 @@ def test_gamma_moderate_imaginary_height():
         assert abs(got - ref) / abs(ref) < 10 * CTX.target_rel_err
 
 
-def test_gamma_extended_spouge_vs_independent():
-    # Spouge series against mpmath's own gamma, well beyond double precision
-    with mp.workprec(200):
-        ref = mp.gamma(mp.mpc("0.25", "3.5"))
-        got = cgamma(ComplexPoint(mp.mpf("0.25"), mp.mpf("3.5")), EXT).to_mpc()
-        rel = abs(got - ref) / abs(ref)
-        assert rel < mp.mpf(2) ** (-120)
+@pytest.mark.parametrize("bits", [120, 200])
+def test_gamma_extended_meets_independent_identities(bits):
+    # routes that do not call mp.gamma: |Gamma(1/2 + it)|^2 = pi / cosh(pi t) and
+    # Gamma(z + 1) = z Gamma(z) on seeded z in [-10, 10]^2, each within the target
+    ctx = PrecisionContext.extended(bits)
+    for t in (5, 30, 60, 100):
+        got = cgamma(ComplexPoint(mp.mpf(0.5), mp.mpf(t)), ctx).to_mpc()
+        with mp.workprec(400):
+            want = mp.pi / mp.cosh(mp.pi * t)
+            err = abs(abs(got) ** 2 - want) / want
+        assert err <= ctx.target_rel_err, (t, err)
+    rng = random.Random(20261019)
+    for _ in range(50):
+        re, im = mp.mpf(rng.uniform(-10, 10)), mp.mpf(rng.uniform(-10, 10))
+        z = ComplexPoint(re, im)
+        up = cgamma(ComplexPoint(mp.fadd(re, 1, exact=True), im), ctx).to_mpc()
+        with mp.workprec(400):
+            want = z.to_mpc() * cgamma(z, ctx).to_mpc()
+            err = abs(up - want) / abs(want)
+        assert err <= ctx.target_rel_err, (z, err)
 
 
 def test_extended_tier_elementary_ops():
@@ -213,10 +237,12 @@ def test_extended_tier_elementary_ops():
 @pytest.mark.parametrize("ctx", [CTX, PrecisionContext.extended(120), PrecisionContext.extended(200)],
                          ids=["fast", "120", "200"])
 def test_elementary_functions_meet_their_target(ctx):
-    # cexp, cln, cpow and csin return no bound, so each is pinned to its context's target
-    # against mpmath at 400 bits on seeded points: z in [-10, 10]^2, the exponent in [-5, 5]^2
+    # cexp, cln, cpow, csin and cgamma return no bound, so each is pinned to its context's
+    # target against mpmath at 400 bits on seeded points: z in [-10, 10]^2, the exponent in
+    # [-5, 5]^2
     rng = random.Random(20261019)
-    fns = ((cexp, mp.exp, 1), (cln, mp.log, 1), (cpow, mp.power, 2), (csin, mp.sin, 1))
+    fns = ((cexp, mp.exp, 1), (cln, mp.log, 1), (cpow, mp.power, 2), (csin, mp.sin, 1),
+           (cgamma, mp.gamma, 1))
     for _ in range(200):
         args = (c(rng.uniform(-10, 10), rng.uniform(-10, 10)),
                 c(rng.uniform(-5, 5), rng.uniform(-5, 5)))

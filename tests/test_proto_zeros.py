@@ -58,6 +58,18 @@ def test_primality_helper():
     assert not is_prime(2_147_483_647 - 1)
 
 
+def test_primality_is_exact_or_refused():
+    # the least strong pseudoprimes to the first 12 and the first 13 prime bases (Sorenson and
+    # Webster 2015): 41 rejects the first, and the second is refused
+    assert 399_165_290_221 * 798_330_580_441 == 318_665_857_834_031_151_167_461
+    assert not is_prime(318_665_857_834_031_151_167_461)
+    with pytest.raises(DomainError):
+        planck_resolution(318_665_857_834_031_151_167_461)
+    with pytest.raises(DomainError):
+        is_prime(3_317_044_064_679_887_385_961_981)
+    assert is_prime(2 ** 61 - 1)
+
+
 def test_resolution_equals_eta1_spacing():
     # cross-module: 1/hbar_2 equals the eta_1 proto-zero spacing 2 pi / ln 2
     assert abs(planck_resolution(2).resolution - SPACING) < 1e-9
