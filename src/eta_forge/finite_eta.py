@@ -14,24 +14,22 @@ entire in s.  HASSE vanishes exactly at s = 0, -1, ..., -(n-1); HSTAR at
 s = -2, -4, ..., -2(n-1).  Those zeros are checked in exact rational
 arithmetic, never in floating point.
 
-Summation: each tier fills a power table p_b = b^(-s), with ln b, for the
-bases b = 1, 2, ...: one transcendental per base on the fast tier, one per
-prime base in big floats (b^(-s) is completely multiplicative), then takes
-the dot product with the exact integer coefficients (times (-ln b)^k at order k):
-``math.fsum`` on the fast tier (each component rounded once), ``mp.fdot``
-on the extended tier.  A table grows one base at a time, so a global
-series that lengthens keeps its powers, and one table serves every order.
-One rung (``_rung``) takes each such sum, for these finite sums and for
-the global series alike: the double table at s rounded to a double
-(t ln b in double-double, about 2|Re s| ln n + 8 units of 2^-53 per
-term at any practical t), or big floats at given bits with s at full
-precision.  At order 0 and an integer s <= 0 it sums the integer powers
-exactly, so a trivial zero is an exact 0 with bound 0.  It rounds the
-value to the working precision, charged only when inexact.  A double
-table with a term beyond the double range, or a value below its normal
-range, cannot measure: its bound is infinite.  A big-float value outside
-the normal double range (a flush to 0 would look exact), a bound beyond
-it, or a sum needing over 65536 bits raises RangeError.
+Summation: each tier fills a power table p_b = b^(-s), with ln b, for the bases b = 1,
+2, ...: one ``cmath.exp`` per base in doubles, and in big floats one ``mp.exp`` per prime
+base (b^(-s) is completely multiplicative) with every entry in fixed-point integers
+(``_ExtPowers``).  The dot product with the exact integer coefficients (times (-ln b)^k at
+order k) is ``math.fsum`` in doubles (each component rounded once) and an exact integer sum
+in big floats.  A table grows one base at a time, so a global series that lengthens keeps
+its powers, and one table serves every order.  One rung (``_rung``) takes each such sum, for
+these finite sums and for the global series alike: the double table at s rounded to a double
+(t ln b in double-double, about 2|Re s| ln n + 8 units of 2^-53 per term at any practical
+t), or big floats at given bits with s at full precision.  At order 0 and an integer s <= 0
+it sums the integer powers exactly, so a trivial zero is an exact 0 with bound 0.  It rounds
+the value to the working precision, charged only when inexact.  A double table with a term
+beyond the double range, or a value below its normal range, cannot measure: its bound is
+infinite.  A big-float value outside the normal double range (a flush to 0 would look exact),
+a bound beyond it, an inexact 0 whose bound lies below it, or a sum needing over 65536 bits
+raises RangeError.
 
 Certification ladder (``_evaluate``), for any sum with integer
 coefficients: a result is returned only when its bound is within
@@ -46,7 +44,7 @@ table under the ladder's test.  Each run of misses is cut into disks of radius
 about 0.55, and a big-float table at each centre s_c (``_first_bits`` plus
 2 log2 n) gives the Taylor model of ``_disk`` (Odlyzko and Schoenhage 1988):
 eta(s_c + i d) = sum_(j<=K) a_j (i d)^j + R_K, a_j = sum_b c_b (-ln b)^j b^(-s_c) / j!
-by running products in fixed-point integers, |R_K| <= sum_b |c_b| b^(-sigma)
+by running products over the table's integers, |R_K| <= sum_b |c_b| b^(-sigma)
 (|d| ln b)^(K+1) / (K+1)! e^(|d| ln b).  Horner's sum in doubles is bounded by
 the a_j's errors (the table's model, ln b's, one unit per truncation), their
 rounding and Horner's (2K + 2 units over sum |a_j| |d|^j), and R_K.  Horner runs
@@ -67,7 +65,7 @@ from itertools import groupby
 from operator import mul
 
 import mpmath as mp
-from mpmath.libmp import to_fixed
+from mpmath.libmp import from_man_exp, mpf_shift, round_up, to_int
 
 from .errors import ConvergenceError, DomainError, RangeError, VerificationError
 from .numerics import ComplexPoint, PrecisionContext, _coerce_complex, _coerce_mpc
@@ -223,7 +221,11 @@ def _newton_model(powers: _FastPowers, coefs: tuple[int, ...], max_step: float):
     / (K+1)! e**(rho ln b) is below 2**-60 sum_b |c_b p_b|.  rho = 2 min(|a_0 / a_1|, max_step)
     bounds ``_line_newton`` on the model: iterates that converge quadratically to a zero of S_N
     in ``hasse_global.refine_zero`` (Kantorovich), at most two grid steps in ``scan_line``."""
-    a0 = powers.dot(coefs)[0]  # fills the table to len(coefs), and its sum_abs
+    try:
+        a0 = powers.dot(coefs)[0]  # fills the table to len(coefs), and its sum_abs
+    except OverflowError:  # terms beyond doubles: _line_newton needs the a_j up to a factor
+        k = 1 << max(map(abs, coefs)).bit_length()
+        a0 = powers.dot(coefs := [c / k for c in coefs])[0]
     xs, ys = (list(map(mul, map(mul, coefs, col), powers.log)) for col in (powers.re, powers.im))
     a = [a0, -complex(math.fsum(xs), math.fsum(ys))]  # xs, ys: c_b p_b (ln b)**j
     rho = 2.0 * (min(abs(a0 / a[1]), max_step) if a[1] else max_step)
@@ -272,48 +274,63 @@ def _least_factor(b: int) -> int:
 
 
 class _ExtPowers:
-    """Extended-tier power table at ``bits`` working bits; the same
-    interface as :class:`_FastPowers`, with ``mp.fdot`` for the dot product.
-    b**(-s) is completely multiplicative, so only a prime base takes ``mp.log``
-    and ``mp.exp``; a composite b = q r, q its least prime factor, takes
-    p_q p_r, ln q + ln r and |p_q| |p_r| from the bases before it (a sieve)."""
+    """Extended-tier power table in fixed point: b**(-s) = (X_b + i Y_b) u and ln b = L_b u,
+    u = 2**-f, in Python integers; the interface of :class:`_FastPowers`.
+
+    Only a prime q takes ``mp.log`` and ``mp.exp``, at f + 8 + log2 max(ln q, |s| ln q) bits
+    with s at full precision; a composite b = q r, q its least prime factor, takes the
+    product of the entries of q and r (b**(-s) is completely multiplicative), and L_q + L_r.
+    Every truncation is toward 0, so conj(s) gives the conjugate table bit for bit.  The
+    first fill sets f = bits + sigma log2 n for sigma > 0, at most bits + 1100 (below every
+    double), so that its u sum |c_b| <= 2**-bits sum |terms|.  A term beyond 2**_MAX_SUM_BITS,
+    or a prime needing more bits, raises RangeError before any integer is formed.  With
+    m_b = max(1, |b**(-s)|) and D = floor(log2 n) >= Omega(b), an entry is off by alpha m_b
+    at most, 1 + alpha <= ((1 + 0.06 u) (1 + sqrt(2) u)**2)**D (a prime's truncation and exp,
+    then per product the two errors, their product and one truncation), and L_b by 1.01 D u.
+    The dot's integer sums are exact; its bound (4 + 2k) D u sum |c_b| (ln b)**k m_b at order
+    k covers 1.03 (alpha + 1.5 k D u) times that sum."""
 
     def __init__(self, s, bits: int):
-        self.bits = bits
-        with mp.workprec(bits):
-            self.s = mp.mpc(s)
-        self.p, self.mag, self.log = [mp.mpc(1)], [mp.mpf(1)], [mp.mpf(0)]  # base 1
+        self.s, self.bits, self.x = _coerce_mpc(s), bits, None
 
     def _grow(self, size: int):
-        for b in range(len(self.p) + 1, size + 1):
-            q = _least_factor(b)
-            if q == b:  # a prime: one log and one exp
-                lnb = mp.log(b)
-                p = mp.exp(-self.s * lnb)
-                self.mag.append(abs(p))
+        s, e_s = self.s, max(0, mp.mag(self.s))  # |s| <= 2**e_s
+        if self.x is None:  # base 1, at the fixed point set by the first fill
+            self.f = self.bits + math.ceil(min(1100.0, max(0.0, float(s.real) * math.log2(size))))
+            self.x, self.y, self.log = [1 << self.f], [0], [0]
+        f = self.f
+        if len(self.x) < size and (-s.real * math.log2(size) > _MAX_SUM_BITS
+                                   or f + 8 + size.bit_length().bit_length() + e_s > _MAX_SUM_BITS):
+            raise RangeError(f"a sum of {size} terms at s={s} is beyond {_MAX_SUM_BITS} bits")
+        for b in range(len(self.x) + 1, size + 1):
+            q, r = _least_factor(b) - 1, b // _least_factor(b) - 1
+            if r == 0:  # a prime: one log and one exp
+                with mp.workprec(f + 8 + b.bit_length().bit_length() + e_s):
+                    lnb = mp.log(b)
+                    p = mp.exp(-s * lnb)
+                x, y, lnb = (to_int(mpf_shift(v._mpf_, f)) for v in (p.real, p.imag, lnb))
             else:  # b = q r: the product of the entries of q and r
-                i, j = q - 1, b // q - 1
-                p, lnb = self.p[i] * self.p[j], self.log[i] + self.log[j]
-                self.mag.append(self.mag[i] * self.mag[j])
-            self.p.append(p)
+                x = self.x[q] * self.x[r] - self.y[q] * self.y[r]
+                y = self.x[q] * self.y[r] + self.y[q] * self.x[r]
+                x, y = (x >> f if x >= 0 else -(-x >> f)), (y >> f if y >= 0 else -(-y >> f))
+                lnb = self.log[q] + self.log[r]
+            self.x.append(x)
+            self.y.append(y)
             self.log.append(lnb)
 
     def dot(self, coefs: tuple[int, ...], order: int = 0, scale: float = 1.0):
-        """(value, abs_err bound), both in mpmath; the bound is multiplied
-        by ``scale``, a power of two.  A base of Omega(b) <= log2 b prime
-        factors carries an exp and a product rounding per factor, and at
-        order k its summed logarithm k times over."""
-        with mp.workprec(self.bits):
-            self._grow(len(coefs))
-            if order:
-                coefs = [c * (-x) ** order for c, x in zip(coefs, self.log)]
-            total = mp.fdot(coefs, self.p)
-            sum_abs = mp.fdot(map(abs, coefs), self.mag)
-            max_log = mp.log(len(coefs))
-            depth = len(coefs).bit_length() - 1
-            per_term_rel = ((2 * abs(self.s) * max_log + 4 + 2 * order + len(coefs)
-                             + (6 + order) * depth) * mp.mpf(2) ** (1 - self.bits))
-            return total, sum_abs * per_term_rel * scale
+        """(value, abs_err bound) in mpmath: the exact sum, and the bound times ``scale`` = 2**j."""
+        self._grow(len(coefs))
+        f, exp = self.f, -self.f * (order + 1)
+        if order:
+            coefs = [c * (-x) ** order for c, x in zip(coefs, self.log)]
+        total = mp.make_mpc((from_man_exp(sum(map(mul, coefs, self.x)), exp),
+                             from_man_exp(sum(map(mul, coefs, self.y)), exp)))
+        # >= sum |c_b| (ln b)**k m_b u**-(k+1); sigma < 0: |p_b| <= 2 (|X_b| + |Y_b|) u
+        weight = (2 * sum(abs(c) * (abs(x) + abs(y)) for c, x, y in zip(coefs, self.x, self.y))
+                  if self.s.real < 0 else sum(map(abs, coefs)) << f)
+        units = (4 + 2 * order) * max(1, len(coefs).bit_length() - 1)
+        return total, mp.make_mpf(from_man_exp(weight * units, exp - f, 53, round_up)) * scale
 
 
 def _integer_sum(coefs: tuple[int, ...], s, order: int) -> int | None:
@@ -372,7 +389,8 @@ def _rung(coefs: tuple[int, ...], s, order: int, wb: int, bits: float | None = N
         bound += mag * 2.0 ** -wb
     if (err or inexact) and bound < _TINY:  # rounded below the normal range: cover that
         bound += 2.0 ** -1073
-    if not (math.isfinite(mag) and math.isfinite(bound)) or (v and mag < _TINY):
+    if not (math.isfinite(mag) and math.isfinite(bound)) or (v and mag < _TINY) \
+            or (err and not v and bound < _TINY):  # an inexact 0 that may be below it too
         raise RangeError(f"a sum of {len(coefs)} terms at s={s}: value or bound outside the "
                          "normal double range")
     return v, bound, powers
@@ -387,30 +405,27 @@ def _disk(coefs: tuple[int, ...], sigma: float, ts, first_bits: float, tol: floa
     rhos = [math.nextafter(abs(d), math.inf) if e else abs(d) for d, e in zip(ds, es)]
     powers = _ExtPowers(complex(sigma, tc), bits)
     fill = float(powers.dot(coefs)[1])  # fills the table: its model's error at order 0
-    logs = [float(x) for x in powers.log]
+    f, one = powers.f, 1 << powers.f  # units of 2**-f: c_b p_b (-ln b)**j, then // j!
+    logs = [x / one for x in powers.log]
     mags = [abs(c) * math.exp(-sigma * x) for c, x in zip(coefs, logs)]  # |c_b| b**-sigma
-    f = bits - math.frexp(max(mags))[1]  # units of 2**-f: c_b p_b (-ln b)**j, then // j!
-    xs = [c * to_fixed(p.real._mpf_, f) for c, p in zip(coefs, powers.p)]
-    ys = [c * to_fixed(p.imag._mpf_, f) for c, p in zip(coefs, powers.p)]
-    neg_logs = [-to_fixed(x._mpf_, bits) for x in powers.log]
+    xs, ys = list(map(mul, coefs, powers.x)), list(map(mul, coefs, powers.y))
     re, im, fact, z = [sum(xs)], [sum(ys)], 1, [max(rhos) * x for x in logs]
     rest = [m * math.exp(v) * v for m, v in zip(mags, z)]  # R_0's terms at the radius
-    while sum(rest) > 2.0 ** -16 * tol * math.ldexp(math.hypot(re[0], im[0]), -f):
+    while sum(rest) > 2.0 ** -16 * tol * abs(complex(re[0] / one, im[0] / one)):
         if len(re) > _MAX_ORDER:
             return None
         fact *= len(re)
-        xs = [x * g >> bits for x, g in zip(xs, neg_logs)]
-        ys = [y * g >> bits for y, g in zip(ys, neg_logs)]
+        xs = [x * -g >> f for x, g in zip(xs, powers.log)]
+        ys = [y * -g >> f for y, g in zip(ys, powers.log)]
         re.append(sum(xs) // fact)
         im.append(sum(ys) // fact)
         rest = [q * v / len(re) for q, v in zip(rest, z)]
-    coef = [complex(math.ldexp(float(x), -f), math.ldexp(float(y), -f)) * 1j ** (j % 4)
+    coef = [complex(x / one, y / one) * 1j ** (j % 4)
             for j, (x, y) in enumerate(zip(re, im))]  # a_j i**j, of d**j
-    # the a_j's errors: the table's and the fixed-point conversion's (carried up the orders
-    # by e**(top |d|)), ln b's in the shifts, a sqrt(2) unit per truncation (carried by e**top)
-    top = logs[-1] * (1 + 2.0 ** -50)  # >= every ln b, in the table or in fixed point
-    fill += math.ldexp(1.5 * sum(map(abs, coefs)), -f)
-    shift = (n.bit_length() * top + 1) * sum(mags) * 2.0 ** (2 - bits)
+    # the a_j's errors: the table's (carried up the orders by e**(top |d|)), ln b's in the
+    # shifts (the table's 1.01 D units, doubled), a sqrt(2) unit per truncation (carried by e**top)
+    top = logs[-1] * (1 + 2.0 ** -50)  # >= every ln b, and every L_b 2**-f
+    shift = math.ldexp(2 * n.bit_length() * sum(mags), -f)
     trunc = math.ldexp(1.5 * (n + 1) * math.exp(top), -f)
     tail = sum(rest)  # R_K at the radius bounds it at every point
 

@@ -246,9 +246,14 @@ def _is_nonpositive_int(re: float, im: float) -> bool:
 
 
 def _gamma_lanczos(z: complex) -> complex:
-    if z.real < 0.5:
-        # reflection: Gamma(z) Gamma(1-z) = pi / sin(pi z)
-        return math.pi / (cmath.sin(math.pi * z) * _gamma_lanczos(1.0 - z))
+    if z.real < 0.5:  # reflection: Gamma(z) Gamma(1-z) = pi / sin(pi z)
+        g = _gamma_lanczos(1.0 - z)
+        if abs(z.imag) <= 200.0:
+            return math.pi / (cmath.sin(math.pi * z) * g)
+        x, y = math.pi * z.real, math.pi * abs(z.imag)  # sin(pi z) overflows from y about 710:
+        e, h = math.exp(-2.0 * y), math.exp(-0.5 * y)  # take it times e**-y, e**-y in halves
+        sin = complex(math.sin(x) * (1.0 + e), math.copysign(1.0 - e, z.imag) * math.cos(x)) / 2
+        return math.pi * h / (sin * g) * h
     z = z - 1.0
     x = _LANCZOS_COEFS[0]
     for i in range(1, len(_LANCZOS_COEFS)):
@@ -266,7 +271,7 @@ def cgamma(z, ctx: PrecisionContext = PrecisionContext()) -> ComplexPoint:
             raise PoleError(f"Gamma pole at {w}", location=w)
         try:
             g = _gamma_lanczos(w)
-        except OverflowError:
+        except (OverflowError, ZeroDivisionError):  # beyond doubles, or 1/Gamma(1-z) underflowed
             g = complex(math.inf)
         if not (cmath.isfinite(g) and max(abs(g.real), abs(g.imag)) >= sys.float_info.min):
             raise RangeError(

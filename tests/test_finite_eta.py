@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from fractions import Fraction
 
 import mpmath as mp
@@ -23,6 +24,7 @@ from eta_forge import (
     evaluate,
     evaluate_exact,
     trivial_zero_report,
+    zeta_global,
 )
 
 CTX = PrecisionContext()
@@ -473,6 +475,40 @@ def test_values_below_the_double_range_are_refused(ctx):
     assert res.value.re == 0 and res.value.im == 0 and res.abs_err == 0.0
     res = eta_global(1e300, ctx)
     assert abs(res.value.to_complex() - 1.0) <= res.tail_bound <= ctx.target_rel_err
+
+
+@pytest.mark.parametrize("bits", [120, 200])
+def test_extended_values_at_conjugate_arguments_are_exact_conjugates(bits):
+    # the big-float table truncates toward 0, so at conj(s) it holds the conjugate
+    # integers, and every dot, value and bound built on it is the exact conjugate
+    ctx, rng = PrecisionContext.extended(bits), random.Random(bits)
+    neg = lambda x: mp.fneg(x, exact=True)  # noqa: E731  (-x rounds to 53 bits)
+    for fam in (H, HS, H, HS):
+        s, n = complex(rng.uniform(-2.0, 3.0), rng.uniform(1.0, 40.0)), rng.randint(5, 40)
+        coefs = finite_eta._terms(fam, n)
+        tables = [finite_eta._ExtPowers(z, bits) for z in (s, s.conjugate())]
+        for order in (0, 1, 2):
+            (a, a_err), (b, b_err) = (table.dot(coefs, order) for table in tables)
+            assert (b.real, b.imag, b_err) == (a.real, neg(a.imag), a_err)
+            fn = evaluate if order == 0 else derivative
+            args = () if order == 0 else (order,)
+            a, b = (fn(spec(fam, n), z, ctx, *args) for z in (s, s.conjugate()))
+            assert (b.value.re, b.value.im, b.abs_err) == (a.value.re, neg(a.value.im), a.abs_err)
+        a, b = (eta_global(z, ctx) for z in (s, s.conjugate()))
+        assert (b.value.re, b.value.im, b.tail_bound) == (a.value.re, neg(a.value.im),
+                                                          a.tail_bound)
+
+
+@pytest.mark.parametrize("call", [
+    lambda ctx: evaluate(spec(H, 5), complex(-1e300, 1.0), ctx),
+    lambda ctx: zeta_global(-1e300, ctx),
+])
+def test_huge_negative_arguments_are_refused_quickly(call):
+    # terms of 2^(1e300 log2 b) are refused before any of their integers is formed
+    start = time.perf_counter()
+    with pytest.raises(RangeError):
+        call(PrecisionContext.extended(120))
+    assert time.perf_counter() - start < 1.0
 
 
 # ---------------------------------------------------------------------------

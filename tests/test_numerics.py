@@ -196,6 +196,20 @@ def test_fast_gamma_refuses_beyond_the_double_range():
         assert abs(cgamma(c(142)).re / mp.gamma(142) - 1) < CTX.target_rel_err
 
 
+def test_fast_gamma_reflection_far_up_the_line():
+    # for Re z < 1/2 the reflection's sin(pi z) overflows from |Im z| about 226, though
+    # Gamma(z) is a normal double there (about 1e-205 at 0.3 + 300i)
+    rng = random.Random(226)
+    points = [complex(0.3, 300), complex(0.49, 250), complex(-5.3, 260)]
+    points += [complex(rng.uniform(-10, 0.5), rng.choice((-1, 1)) * rng.uniform(226, 300))
+               for _ in range(40)]
+    for z in points:
+        got = cgamma(c(z.real, z.imag)).to_complex()
+        with mp.workprec(120):
+            ref = mp.gamma(mp.mpc(z))
+            assert abs(got - ref) / abs(ref) < 10 * CTX.target_rel_err, z
+
+
 def test_gamma_moderate_imaginary_height():
     for im in (10.0, 35.0, 60.0):
         z = c(2.5, im)
