@@ -40,12 +40,18 @@ Big floats start at wb + 16 + log2(sum |terms| / |value|) bits read off
 it (``_first_bits``), and retry with more bits while the bound misses.
 
 Line kernel (``_line``, fast tier): a grid point of sigma + it keeps its double
-table under the ladder's test.  Each run of misses is cut into disks of radius
+table under the ladder's test.  Each b^(-s) only turns along the line, so after a point
+that certified the table is stepped by h = t - t_prev where h is exact (t <= 2 t_prev,
+Sterbenz): ``_FastPowers.step`` turns each entry by b^(-ih) from one rotation table per h
+and charges every term that table's error model plus sqrt(5) units for the product.  A
+fresh table is filled where the stepped value misses, or after a miss.  Each run of
+misses is cut into disks of radius
 about 0.55, and a big-float table at each centre s_c (``_first_bits`` plus
 2 log2 n) gives the Taylor model of ``_disk`` (Odlyzko and Schoenhage 1988):
 eta(s_c + i d) = sum_(j<=K) a_j (i d)^j + R_K, a_j = sum_b c_b (-ln b)^j b^(-s_c) / j!
 by running products over the table's integers, |R_K| <= sum_b |c_b| b^(-sigma)
-(|d| ln b)^(K+1) / (K+1)! e^(|d| ln b).  Horner's sum in doubles is bounded by
+(|d| ln b)^(K+1) / (K+1)! e^(|d| ln b).  Horner's sum in doubles (scaled by 2^-k where
+sum_b |c_b| b^(-sigma) passes their range) is bounded by
 the a_j's errors (the table's model, ln b's, one unit per truncation), their
 rounding and Horner's (2K + 2 units over sum |a_j| |d|^j), and R_K.  Horner runs
 at the offset d rounded to a double; an inexact one is charged its rounding
@@ -170,11 +176,12 @@ class _FastPowers:
     (t = Im s) is formed as ph + pe in double-double (Dekker's TwoProduct
     of t and the cached ln b, plus t times its low part); one ``cmath.exp``
     takes ph and the residue pe is applied as a first-order rotation, so
-    the per-term error does not grow with t until (|s| ln b 2**-52)**2 does.
+    the per-term error does not grow with t until (|s| ln b 2**-52)**2 does,
+    or :meth:`step` turns a filled table's entries up its vertical line.
     """
 
     def __init__(self, s: complex):
-        self.s = s
+        self.s, self.moved = s, 0.0  # moved: per-term relative error added by the steps
         self.re, self.im, self.mag, self.log = [], [], [], []
 
     def _grow(self, size: int):
@@ -192,11 +199,29 @@ class _FastPowers:
             self.mag.append(abs(p))
             self.log.append(hi)
 
+    def _rel(self, size: int, order: int) -> float:
+        """The per-term relative error of a sum over the first ``size`` entries at ``order``."""
+        max_log = math.log(size)
+        phase = abs(self.s) * max_log
+        drift = phase * 2.0 ** -52  # squared as a product: inf, not OverflowError, at huge |s|
+        return ((2.0 * abs(self.s.real) * max_log + 8.0 + 2.0 * order) * 2.0 ** -53
+                + phase * 2.0 ** -100 + drift * drift + self.moved)
+
+    def step(self, rot: _FastPowers):
+        """Moves the table to s + i h, ``rot`` = _FastPowers(i h), |s + i h| >= |s|: p_b times
+        b**(-i h), |p_b| and ln b kept.  Each term is charged rot's own error model plus sqrt(5)
+        units of 2**-53 for the complex product (Brent, Percival and Zimmermann 2007)."""
+        rot._grow(len(self.re))
+        self.re, self.im = ([x * c - y * e for x, y, c, e in zip(self.re, self.im, rot.re, rot.im)],
+                            [x * e + y * c for x, y, c, e in zip(self.re, self.im, rot.re, rot.im)])
+        self.moved += rot._rel(len(self.re), 0) + math.sqrt(5.0) * 2.0 ** -53
+        self.s += rot.s
+
     def dot(self, coefs: tuple[int, ...], order: int = 0) -> tuple[complex, float]:
         """(value, abs_err bound) of sum_i coefs[i] * p_(i+1) * (-ln(i+1))**order.
 
-        The bound is the per-term error model (transcendental, phase and
-        product roundings) over the summed magnitudes, kept as ``sum_abs``
+        The bound is the per-term error model (transcendental, phase, product
+        and step roundings) over the summed magnitudes, kept as ``sum_abs``
         for :func:`_first_bits`; ``math.fsum`` rounds each component once.
         Raises OverflowError beyond the double range.
         """
@@ -207,12 +232,7 @@ class _FastPowers:
         if self.sum_abs == math.inf:
             raise OverflowError("finite sum beyond the double range")
         val = complex(math.fsum(map(mul, coefs, self.re)), math.fsum(map(mul, coefs, self.im)))
-        max_log = math.log(len(coefs))
-        phase = abs(self.s) * max_log
-        drift = phase * 2.0 ** -52  # squared as a product: inf, not OverflowError, at huge |s|
-        per_term_rel = ((2.0 * abs(self.s.real) * max_log + 8.0 + 2.0 * order) * 2.0 ** -53
-                        + phase * 2.0 ** -100 + drift * drift)
-        return val, self.sum_abs * (per_term_rel + 2.0 ** -52)
+        return val, self.sum_abs * (self._rel(len(coefs), order) + 2.0 ** -52)
 
 
 def _newton_model(powers: _FastPowers, coefs: tuple[int, ...], max_step: float):
@@ -273,17 +293,25 @@ def _least_factor(b: int) -> int:
     return next((q for q in range(2, math.isqrt(b) + 1) if b % q == 0), b)
 
 
+@lru_cache(maxsize=None)
+def _prime_log(q: int, prec: int):
+    """ln q at ``prec`` bits: a value depends on (q, prec) only, not on earlier calls."""
+    with mp.workprec(prec):
+        return mp.log(q)
+
+
 class _ExtPowers:
     """Extended-tier power table in fixed point: b**(-s) = (X_b + i Y_b) u and ln b = L_b u,
     u = 2**-f, in Python integers; the interface of :class:`_FastPowers`.
 
-    Only a prime q takes ``mp.log`` and ``mp.exp``, at f + 8 + log2 max(ln q, |s| ln q) bits
-    with s at full precision; a composite b = q r, q its least prime factor, takes the
-    product of the entries of q and r (b**(-s) is completely multiplicative), and L_q + L_r.
-    Every truncation is toward 0, so conj(s) gives the conjugate table bit for bit.  The
-    first fill sets f = bits + sigma log2 n for sigma > 0, at most bits + 1100 (below every
-    double), so that its u sum |c_b| <= 2**-bits sum |terms|.  A term beyond 2**_MAX_SUM_BITS,
-    or a prime needing more bits, raises RangeError before any integer is formed.  With
+    Only a prime q takes ``mp.exp``, at f + 8 + log2 max(ln q, |s| ln q) bits with s at full
+    precision, and ln q from ``_prime_log`` at those bits rounded up to a multiple of 64; a
+    composite b = q r, q its least prime factor, takes the product of the entries of q and r
+    (b**(-s) is completely multiplicative), and L_q + L_r.  Every truncation is toward 0, so
+    conj(s) gives the conjugate table bit for bit.  The first fill sets f = bits + sigma log2 n
+    for sigma > 0, at most bits + 1100 (below every double), so that its u sum |c_b| <=
+    2**-bits sum |terms|.  A term beyond 2**_MAX_SUM_BITS, or a prime needing more bits,
+    raises RangeError before any integer is formed.  With
     m_b = max(1, |b**(-s)|) and D = floor(log2 n) >= Omega(b), an entry is off by alpha m_b
     at most, 1 + alpha <= ((1 + 0.06 u) (1 + sqrt(2) u)**2)**D (a prime's truncation and exp,
     then per product the two errors, their product and one truncation), and L_b by 1.01 D u.
@@ -304,9 +332,10 @@ class _ExtPowers:
             raise RangeError(f"a sum of {size} terms at s={s} is beyond {_MAX_SUM_BITS} bits")
         for b in range(len(self.x) + 1, size + 1):
             q, r = _least_factor(b) - 1, b // _least_factor(b) - 1
-            if r == 0:  # a prime: one log and one exp
-                with mp.workprec(f + 8 + b.bit_length().bit_length() + e_s):
-                    lnb = mp.log(b)
+            if r == 0:  # a prime: one exp, and a log from the cache
+                wp = f + 8 + b.bit_length().bit_length() + e_s
+                lnb = _prime_log(b, -(-wp // 64) * 64)
+                with mp.workprec(wp):
                     p = mp.exp(-s * lnb)
                 x, y, lnb = (to_int(mpf_shift(v._mpf_, f)) for v in (p.real, p.imag, lnb))
             else:  # b = q r: the product of the entries of q and r
@@ -404,14 +433,18 @@ def _disk(coefs: tuple[int, ...], sigma: float, ts, first_bits: float, tol: floa
     es = [float(Fraction(t) - Fraction(tc) - Fraction(d)) for t, d in zip(ts, ds)]  # doubles
     rhos = [math.nextafter(abs(d), math.inf) if e else abs(d) for d, e in zip(ds, es)]
     powers = _ExtPowers(complex(sigma, tc), bits)
-    fill = float(powers.dot(coefs)[1])  # fills the table: its model's error at order 0
+    fill = powers.dot(coefs)[1]  # fills the table: its model's error at order 0
     f, one = powers.f, 1 << powers.f  # units of 2**-f: c_b p_b (-ln b)**j, then // j!
     logs = [x / one for x in powers.log]
     mags = [abs(c) * math.exp(-sigma * x) for c, x in zip(coefs, logs)]  # |c_b| b**-sigma
+    k = 0 if sum(mags) < math.inf else max(map(abs, coefs)).bit_length()  # doubles at 2**-k
+    if k:
+        mags = [abs(c) / (1 << k) * math.exp(-sigma * x) for c, x in zip(coefs, logs)]
+    fill, unit = float(mp.ldexp(fill, -k)), 1 << (f + k)
     xs, ys = list(map(mul, coefs, powers.x)), list(map(mul, coefs, powers.y))
     re, im, fact, z = [sum(xs)], [sum(ys)], 1, [max(rhos) * x for x in logs]
     rest = [m * math.exp(v) * v for m, v in zip(mags, z)]  # R_0's terms at the radius
-    while sum(rest) > 2.0 ** -16 * tol * abs(complex(re[0] / one, im[0] / one)):
+    while sum(rest) > 2.0 ** -16 * tol * abs(complex(re[0] / unit, im[0] / unit)):
         if len(re) > _MAX_ORDER:
             return None
         fact *= len(re)
@@ -420,13 +453,13 @@ def _disk(coefs: tuple[int, ...], sigma: float, ts, first_bits: float, tol: floa
         re.append(sum(xs) // fact)
         im.append(sum(ys) // fact)
         rest = [q * v / len(re) for q, v in zip(rest, z)]
-    coef = [complex(x / one, y / one) * 1j ** (j % 4)
+    coef = [complex(x / unit, y / unit) * 1j ** (j % 4)
             for j, (x, y) in enumerate(zip(re, im))]  # a_j i**j, of d**j
     # the a_j's errors: the table's (carried up the orders by e**(top |d|)), ln b's in the
     # shifts (the table's 1.01 D units, doubled), a sqrt(2) unit per truncation (carried by e**top)
     top = logs[-1] * (1 + 2.0 ** -50)  # >= every ln b, and every L_b 2**-f
     shift = math.ldexp(2 * n.bit_length() * sum(mags), -f)
-    trunc = math.ldexp(1.5 * (n + 1) * math.exp(top), -f)
+    trunc = math.ldexp(1.5 * (n + 1) * math.exp(top), -f - k)
     tail = sum(rest)  # R_K at the radius bounds it at every point
 
     def horner(d: float, e: float, rho: float):  # the model in doubles at d, with its bound
@@ -439,17 +472,24 @@ def _disk(coefs: tuple[int, ...], sigma: float, ts, first_bits: float, tol: floa
         # errors' share, at most len(coef) * model / rho
         moved = abs(e) * (slope + len(coef) * model / rho) if e else 0.0
         return val, model + tail + moved + 2 * len(coef) * (2.0 ** -53 * size + 2.0 ** -1074)
-    return [horner(*x) for x in zip(ds, es, rhos)]
+    return [(v * 2.0 ** k, bound * 2.0 ** k) for v, bound in map(horner, ds, es, rhos)]
 
 
 def _line(coefs: tuple[int, ...], sigma: float, ts, ctx: PrecisionContext):
     """Fast-tier values of sum_b coefs[b-1] b**(-(sigma + i t)) at the increasing
     ordinates ``ts``, each within ctx.target_rel_err * |value| (module docstring)."""
-    vals, bits, tol = [], {}, ctx.target_rel_err
+    vals, bits, tol, rots, powers = [], {}, ctx.target_rel_err, {}, None
     for i, t in enumerate(ts):
-        v, err, powers = _rung(coefs, _coerce_complex(complex(sigma, t)), 0, ctx.working_bits)
+        s = _coerce_complex(complex(sigma, t))
+        stepped = powers and i - 1 not in bits and ts[i - 1] <= t <= 2.0 * ts[i - 1]
+        if stepped:  # from a point that certified, by an exact h (Sterbenz)
+            h = t - ts[i - 1]
+            powers.step(rots.get(h) or rots.setdefault(h, _FastPowers(complex(0.0, h))))
+            v, err, powers = _rung(coefs, s, 0, ctx.working_bits, powers=powers)
+        if not (stepped and err <= tol * abs(v) < math.inf):  # _evaluate's test on the fast tier
+            v, err, powers = _rung(coefs, s, 0, ctx.working_bits)
         vals.append(complex(v))
-        if not err <= tol * float(abs(v)) < math.inf:  # _evaluate's test on the fast tier
+        if not err <= tol * float(abs(v)) < math.inf:
             bits[i] = _first_bits(ctx.working_bits, powers, float(abs(v)))
     for _, run in groupby(enumerate(bits), lambda p: p[1] - p[0]):  # the runs of misses
         run = [i for _, i in run]

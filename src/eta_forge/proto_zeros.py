@@ -3,7 +3,9 @@
 A proto-zero at fixed sigma is a strict local minimum of |eta_n(sigma+it)|
 on the t-grid, polished by ``refine_zero``'s Newton (``finite_eta._line_newton``).
 The grid values come from ``finite_eta._line``: the double table where it
-certifies, one Taylor model per disk of cancelling points elsewhere.
+certifies, one Taylor model per disk of cancelling points elsewhere.  Each state
+b^(-sigma-it) turns by e^(-ih ln b) per grid step h (ln b = 2 pi hbar_b, below), so
+the kernel steps one double table along the line, filling afresh only on a miss.
 The "decay" of a record is the imaginary offset d of the ordinate that would
 deepen the minimum, from the first-order Newton step (see ``scan_line``).
 

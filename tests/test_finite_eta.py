@@ -590,3 +590,62 @@ def test_line_kernel_falls_back_to_evaluate(monkeypatch):
     assert built and all(out is not None for out in built)
     assert all(bound > ctx.target_rel_err * abs(v) for out in built for v, bound in out)
     assert vals == [evaluate(spec(H, n), complex(0.5, t), ctx).value.to_complex() for t in ts]
+
+
+# ---------------------------------------------------------------------------
+# line kernel: the double table stepped up the line
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("sigma", [-0.5, 0.5, 2.0])
+def test_stepped_power_table_holds_its_bound(sigma):
+    # a table moved up the line by up to 200 rotations, one per grid step (increments
+    # t - t_prev exact, as in the line kernel), keeps each dot product at orders 0-2
+    # within its bound of a 200-bit sum
+    coefs, step = finite_eta._terms(H, 20), default_step(spec(H, 20))
+    ts = [100.0 - 200 * step + i * step for i in range(201)]
+    table, rots = finite_eta._FastPowers(complex(sigma, ts[0])), {}
+    table.dot(coefs)
+    for k, (tp, t) in enumerate(zip(ts, ts[1:]), 1):
+        d = t - tp
+        assert Fraction(tp) + Fraction(d) == Fraction(t)
+        table.step(rots.setdefault(d, finite_eta._FastPowers(complex(0.0, d))))
+        assert table.s == complex(sigma, t)
+        if k in (1, 2, 10, 60, 200):
+            for order in (0, 1, 2):
+                value, err = table.dot(coefs, order)
+                ref = oracles.eta_hasse_highprec(20, complex(sigma, t), 200, order)
+                with mp.workprec(200):
+                    assert abs(mp.mpc(value) - ref) <= err, (k, order)
+
+
+@pytest.mark.parametrize("n, t_min, t_max", [
+    (12, 1.1727665378769645, 34.394759326870265),  # the benchmark's finite-sums lines,
+    (20, 1.0794536268434705, 99.90899010419876),  # seed 1
+])
+def test_line_values_meet_the_target(n, t_min, t_max):
+    # stepped tables, fresh fills and Taylor models alike: each grid value is within
+    # the target of a 200-bit sum
+    ts = _grid(n, t_min, t_max)
+    vals = finite_eta._line(finite_eta._terms(H, n), 0.5, ts, CTX)
+    for t, v in zip(ts, vals):
+        ref = oracles.eta_hasse_highprec(n, complex(0.5, t), 200)
+        with mp.workprec(200):
+            assert abs(mp.mpc(v) - ref) <= CTX.target_rel_err * abs(ref), t
+
+
+def test_line_fills_a_table_only_where_a_stepped_value_misses(monkeypatch):
+    # one rotation table per distinct grid increment; a point fills its own double table
+    # only where the stepped one misses the target or after a miss, so most of the n = 20
+    # line takes none
+    fills, rots = [], []
+    raw_fast = finite_eta._FastPowers
+
+    def counting(s):
+        (fills if s.real else rots).append(s)
+        return raw_fast(s)
+
+    monkeypatch.setattr(finite_eta, "_FastPowers", counting)
+    ts = _grid(20, 1.0, 100.0)
+    finite_eta._line(finite_eta._terms(H, 20), 0.5, ts, CTX)
+    assert len(set(rots)) == len(rots) <= 10
+    assert len(fills) < len(ts) / 4

@@ -220,11 +220,13 @@ def test_scan_far_up_the_line_stays_on_the_fast_tier(monkeypatch):
     spec = FiniteEtaSpec(Family.HASSE, 20)
     records = scan_line(ScanConfig(spec, 0.5, 40.0, 100.0, default_step(spec)), CTX)
     assert records
-    # one double table for each grid point (563), and for each record's evaluate and
-    # derivative; the polish's model tables are not the ladder's attempts
+    # the 563 grid points step their double table up the line and fill one where a stepped
+    # value misses: 46 fills and 3 rotation tables, plus one table for each record's
+    # evaluate and derivative; the polish's model tables are not the ladder's attempts
     grid = int((100.0 - 40.0) / default_step(spec) + 1e-9) + 1
-    assert len(attempts) == grid + 2 * len(records)
-    assert len(escalations) <= 0.1 * len(attempts)
+    assert grid == 563
+    assert len(attempts) == 46 + 3 + 2 * len(records)
+    assert len(escalations) <= 0.1 * grid
 
 
 def test_cancelling_stretch_takes_one_table_per_disk(monkeypatch):
@@ -314,6 +316,28 @@ def test_polish_finds_the_minimum_beyond_the_double_range():
                                             oracles.eta_hstar_highprec)) <= 1e-9
     value = evaluate(spec, complex(-0.5, records[0].t), CTX).value.to_complex()
     assert records[0].magnitude == abs(value) > 1e307
+
+
+def test_line_beyond_the_double_range_stays_on_its_models(monkeypatch):
+    # every grid point misses the double table (its magnitudes sum past the double range),
+    # and so do the Taylor models' float magnitudes (largest 1.2e307) unless scaled by 2^-k:
+    # scaled, each disk's model serves its points, and the only big-float ladders left are
+    # each record's evaluate and derivative
+    calls = []
+    raw_evaluate = finite_eta._evaluate
+    monkeypatch.setattr(finite_eta, "_evaluate", lambda *a: calls.append(a) or raw_evaluate(*a))
+    spec = FiniteEtaSpec(Family.HSTAR, 512)
+    records = scan_line(ScanConfig(spec, -0.5, 4.0, 40.0, default_step(spec)), CTX)
+    assert len(records) == 8
+    assert len(calls) == 2 * len(records)
+
+    def slope(t):  # d|f|^2/dt / (2 |f|^2) along the line, at 100 bits
+        s = mp.mpc(-0.5, t)
+        return (1j * oracles.eta_hstar_highprec(512, s, 100, 1)
+                / oracles.eta_hstar_highprec(512, s, 100)).real
+
+    for r in records:  # each within 1e-9 of the minimum of |eta|
+        assert slope(r.t - 1e-9) < 0 < slope(r.t + 1e-9), r.t
 
 
 def test_scans_refuse_a_requested_precision():
