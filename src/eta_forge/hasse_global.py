@@ -3,33 +3,41 @@ induces, the reflection identity residual, and Newton refinement of
 critical-line zeros.
 
 eta(s) = sum_{n>=0} 2^-(n+1) eta_n(s) over the HASSE finite sums converges
-for every s, and zeta = eta(s) / (1 - 2^(1-s)).  The partial sum is Euler's
-transform of eta (Sondow 1994), one weighted Dirichlet sum
+for every s, and zeta = eta(s) / (1 - 2^(1-s)).  The partial sum of n terms
+is one weighted Dirichlet sum with integer weights c_k and divisor d,
 
-    S_N(s) = 2^-(N+1) sum_{k<=N} (-1)^k W_k (k+1)^-s,   W_k = sum_{j>k} C(N+1, j),
+    S(s) = (1/d) sum_{k<n} c_k (k+1)^-s,
 
-taken as one dot product of exact integers with one power table of
-:mod:`eta_forge.finite_eta`: N + 1 transcendentals on the double table,
-one per prime base in big floats, and O(N) multiply-adds.
+taken as one dot product with one power table of :mod:`eta_forge.finite_eta`:
+n transcendentals on the double table, one per prime base in big floats,
+and O(n) multiply-adds.  ``_weights`` holds two sets, chosen by Re s:
 
-Length, chosen before summing: for Re s > -(N+1),
-eta(s) - S_N(s) = Gamma(s)^-1 int_0^1 (-ln y)^(s-1) ((1-y)/2)^(N+1) / (1+y) dy,
-so |eta - S_N| <= 2^-(N+1) (1/(sigma+N+1) + Gamma(sigma, 1)) / |Gamma(s)|, and
+- Re s >= 1/2, Borwein's (2000, Algorithm 2): c_k = (-1)^k (d_n - d_k) and
+  d = d_n, where d_k = sum_{i<=k} n (n+i-1)! 4^i / ((n-i)! (2i)!), each
+  summand an integer; |eta - S| <= 2 (3 + sqrt 8)^-n / |Gamma(s)|.
+- Re s < 1/2, Euler's transform (Sondow 1994), S = sum_{m<n} 2^-(m+1) eta_m:
+  c_k = (-1)^k sum_{j>k} C(n, j) and d = 2^n.  For Re s > -n,
+  eta - S = Gamma(s)^-1 int_0^1 (-ln y)^(s-1) ((1-y)/2)^n / (1+y) dy, so
+  |eta - S| <= 2^-n (1/(sigma+n) + Gamma(sigma, 1)) / |Gamma(s)|.
+
 |Gamma(x)/Gamma(x+it)|^2 = prod_k (1 + t^2/(x+k)^2) <= (1 + t^2/x^2) sinh(pi t)/(pi t)
 bounds 1/|Gamma| after a shift to x >= 1 (it is 0 at the poles of Gamma,
-where the sum is exact).  N makes this half the target with |value|
-guessed as 1; a smaller |value| first gets a longer sum, within the cap,
-then more bits.  Newton runs over real t on a Taylor model of S_N, uncertified.
+where the sum is exact).  The bound falls by 3 + sqrt 8 or by at least 2
+per term; n makes it half the target with |value| guessed as 1; a smaller
+|value| first gets a longer sum, within the cap, then more bits.  Newton
+runs over real t on a Taylor model of S, uncertified.
 
 Ladder: each pass is one rung of :mod:`eta_forge.finite_eta` over the
-weights, scaled exactly by 2^-(N+1), with s at full precision in big
-floats.  The fast tier accepts the double table when remainder + rounding
-<= target, else takes big floats at the finite sums' first precision
-(``_first_bits``, read off the double table), which is how Re s << 0 gets
-honest values; the extended tier starts in big floats.  A length beyond
-the cap raises ConvergenceError (best: the sum at the cap); s or fast-tier
-terms beyond the double range, or more than 65536 bits, raise RangeError.
-Fast-tier envelope: |Im s| <= 150, where N + 1 stays below 400.
+weights, scaled exactly by 2^-e, 2^e >= d, with s at full precision in big
+floats; a d that is not 2^e (Borwein's) then takes one product by 2^e / d,
+charged 4 units of 2^-wb of |value|.  The fast tier accepts the double
+table when remainder + rounding <= target, else takes big floats at the
+finite sums' first precision (``_first_bits``, read off the double table),
+which is how Re s << 0 gets honest values; the extended tier starts in big
+floats.  A length beyond the cap raises ConvergenceError (best: the sum at
+the cap); s or fast-tier terms beyond the double range, or more than 65536
+bits, raise RangeError.  Fast-tier envelope: |Im s| <= 150, where n is
+about 160 on Re s = 1/2 and stays below 400 left of it.
 """
 
 from __future__ import annotations
@@ -67,6 +75,7 @@ CAPTURE_RADIUS = 1.0      # escape beyond |t - t0| > this aborts
 REFINE_TOL = 1e-10
 EXCLUSION_RADIUS = 1e-6   # around zeros of the prefactor 1 - 2^(1-s)
 _LN2 = math.log(2.0)
+_BORWEIN_RATE = math.log(3.0 + math.sqrt(8.0))  # Borwein's bound falls by 3 + sqrt 8 per term
 _GAMMA_MIN = 0.8856  # Gamma(x) > 0.8856 for every x > 0 (its minimum is 0.885603...)
 
 
@@ -84,45 +93,59 @@ class ZeroRecord:
     iterations: int
 
 
+def _borwein(sc: complex) -> bool:
+    """Whether the series at s takes Borwein's weights (Re s >= 1/2, where their bound holds)."""
+    return sc.real >= 0.5
+
+
 @lru_cache(maxsize=64)
-def _weights(n: int) -> tuple[int, ...]:
-    """(-1)^k W_k for k < n, where W_k = sum_{j>k} C(n, j) is a tail of binomial row n."""
+def _weights(n: int, borwein: bool) -> tuple[tuple[int, ...], int]:
+    """(c, d): the n weights c_k for bases k + 1 and the divisor d of S (module docstring)."""
+    if borwein:
+        d, term = [1], 1  # d_i, and its last summand n (n+i-1)! 4^i / ((n-i)! (2i)!), an integer
+        for i in range(n):
+            term = term * 2 * (n + i) * (n - i) // ((i + 1) * (2 * i + 1))
+            d.append(d[-1] + term)
+        return tuple((-1) ** k * (d[n] - x) for k, x in enumerate(d[:n])), d[n]
     out, tail, c = [], 0, 1  # c = C(n, j) for j = n, n - 1, ..., 1
     for j in range(n, 0, -1):
         tail += c
         out.append(-tail if j % 2 == 0 else tail)  # base j has the sign (-1)^(j-1)
         c = c * j // (n - j + 1)
-    return tuple(reversed(out))
+    return tuple(reversed(out)), 1 << n
 
 
 def _remainder(sc: complex, n: int) -> float:
-    """The bound on |eta - S| for S of n = N + 1 terms (module docstring)."""
+    """The bound on |eta - S| for S of n terms (module docstring)."""
     sigma, tau = sc.real, abs(sc.imag)
     if sigma + n <= 0:
         return math.inf  # the remainder integral diverges
     m = max(0, math.ceil(1.0 - sigma))  # 1/Gamma(z) = z (z+1) ... (z+m-1) / Gamma(z+m)
     y = math.pi * tau  # log sinh(y)/y, bounded above
     log_g = (y - math.log(2.0 * y) if y > 20.0 else math.log(math.sinh(y) / y) if y else 0.0)
-    x = -n * _LN2 + math.log(math.hypot(1.0, tau / (sigma + m))) + 0.5 * log_g
+    # log of Gamma(sigma + m) / |Gamma(s)| times 2 (3 + sqrt 8)^-n / 0.8856 (Borwein) or 2^-n
+    borwein = _borwein(sc)
+    x = ((math.log(2.0 / _GAMMA_MIN) - n * _BORWEIN_RATE if borwein else -n * _LN2)
+         + math.log(math.hypot(1.0, tau / (sigma + m))) + 0.5 * log_g)
     for j in range(m):
         d = math.hypot(sigma + j, tau)
         if d == 0.0:
             return 0.0  # a pole of Gamma: the sum is exact
         x += math.log(d)
-    # Gamma(x, 1) <= Gamma(x) (m = 0) or 1/e (x <= 1); Gamma >= 0.8856
-    gamma_1 = 1.0 if m == 0 else 1.0 / math.e / _GAMMA_MIN
-    x += math.log(1.0 / (_GAMMA_MIN * (sigma + n)) + gamma_1)
+    if not borwein:  # Gamma(x, 1) <= Gamma(x) (m = 0) or 1/e (x <= 1); Gamma >= 0.8856
+        gamma_1 = 1.0 if m == 0 else 1.0 / math.e / _GAMMA_MIN
+        x += math.log(1.0 / (_GAMMA_MIN * (sigma + n)) + gamma_1)
     return math.exp(x) if x < 709.0 else math.inf
 
 
 def _length(sc: complex, goal: float, series_cap: int) -> int:
-    """The least n = N + 1 whose remainder bound is within ``goal``, or
-    series_cap + 2 beyond the cap."""
+    """The least n whose remainder bound is within ``goal``, or series_cap + 2 beyond the cap."""
     beyond = series_cap + 2
     lowest = n = max(1, math.floor(-sc.real) + 1)
-    if n < beyond:  # the bound falls by at least 2 per term: one jump, then steps back
+    if n < beyond:  # the bound falls by rate or more per term: one jump, then steps back
         ratio = _remainder(sc, n) / goal if goal > 0.0 else math.inf
-        n += math.ceil(min(math.log2(max(ratio, 1.0)), beyond))
+        rate = _BORWEIN_RATE / _LN2 if _borwein(sc) else 1.0  # in bits per term
+        n += math.ceil(min(math.log2(max(ratio, 1.0)) / rate, beyond))
     while lowest < n < beyond and _remainder(sc, n - 1) <= goal:
         n -= 1
     return min(n, beyond)
@@ -130,7 +153,7 @@ def _length(sc: complex, goal: float, series_cap: int) -> int:
 
 def _series(s, ctx: PrecisionContext, series_cap: int = SERIES_CAP, tol: float | None = None,
             floor: float = 0.0, powers: _FastPowers | None = None) -> GlobalEvalResult:
-    """S_N within tol * max(|value|, floor): ``floor`` 0 asks for a relative bound, 1
+    """S within tol * max(|value|, floor): ``floor`` 0 asks for a relative bound, 1
     for an absolute one; a double table passed in ``powers`` takes the first rung."""
     sc = _coerce_complex(s)
     if not cmath.isfinite(sc):  # a finite ComplexPoint beyond the double range
@@ -139,17 +162,23 @@ def _series(s, ctx: PrecisionContext, series_cap: int = SERIES_CAP, tol: float |
         raise DomainError(f"|Im s| = {abs(sc.imag)} beyond the fast-tier envelope "
                           f"{FAST_T_ENVELOPE}; use an extended PrecisionContext")
     tol, wb, neg = ctx.target_rel_err if tol is None else tol, ctx.working_bits, max(0.0, -sc.real)
-    s_hi = sc if ctx.is_fast else _coerce_mpc(s)
+    s_hi, borwein = (sc if ctx.is_fast else _coerce_mpc(s)), _borwein(sc)
     n = _length(sc, 0.5 * tol * max(1.0, floor), series_cap)  # |value| guessed as 1
     # big floats start from terms up to n^neg and a value near 1
     bits = None if ctx.is_fast else wb + 16 + math.ceil((1 + neg) * math.log2(n))
     while True:
         m = min(n, series_cap + 1)
-        coefs, w = _weights(m), 0.5 ** m  # w scales exactly
-        if bits is None and m * _LN2 + (1 + neg) * math.log(m) > 709:  # every partial sum
+        coefs, d = _weights(m, borwein)
+        e = (d - 1).bit_length()  # the rung scales exactly by 2^-e, 2^e >= d
+        w, c = 0.5 ** e, (1 << e) / d
+        if bits is None and e * _LN2 + (1 + neg) * math.log(m) > 709:  # every partial sum
             raise RangeError(f"the series at s={sc} leaves the double range")
         value, err, powers = _rung(coefs, s_hi, 0, wb, bits, powers, w)
         value = complex(value) if ctx.is_fast else value
+        if d != 1 << e:  # times 2^e / d: c and each part rounded in doubles, or one quotient
+            with mp.workprec(wb):  # the quotient's rounding; a double product ignores it
+                value = value * c if ctx.is_fast else value * (1 << e) / d
+            err = err * c + float(abs(value)) * 2.0 ** (2 - wb)
         mag = float(abs(value))
         rem = _remainder(sc, m)
         result = GlobalEvalResult(ComplexPoint(value.real, value.imag), m, rem + err)
@@ -169,7 +198,7 @@ def _series(s, ctx: PrecisionContext, series_cap: int = SERIES_CAP, tol: float |
             continue
         if not target > 0.0:
             raise RangeError(f"eta at s={sc} vanishes in doubles: no relative bound")
-        step = (_first_bits(wb, powers, max(mag, floor), w) if bits is None
+        step = (_first_bits(wb, powers, max(mag, floor), w * c) if bits is None
                 else _more_bits(bits, err, target))
         bits, powers = math.ceil(step) if step <= _MAX_SUM_BITS else math.inf, None
 
@@ -264,20 +293,21 @@ def refine_zero(t_initial: float, ctx: PrecisionContext = PrecisionContext()) ->
 
     Requires |eta(1/2 + i t_initial)| <= 0.5 (ordinate already near a zero).  Newton runs
     over real t (``finite_eta._line_newton``), so it stays on the line, with |dt| <= 0.5 and
-    S_N by Horner on one Taylor model per disk; only the final residual is certified.
-    Escaping |t - t0| > 1, a non-positive curvature of |S_N|**2 or failing to reach residual
+    S by Horner on one Taylor model per disk; only the final residual is certified.
+    Escaping |t - t0| > 1, a non-positive curvature of |S|**2 or failing to reach residual
     1e-10 in 50 iterations raises ConvergenceError; an extended context raises DomainError.
     """
     _fast_only(ctx, "refine_zero")
     t0 = float(t_initial)
 
-    def model_at(t: float):  # a Taylor model of S_N about 1/2 + i t
+    def model_at(t: float):  # a Taylor model of S about 1/2 + i t
         table = _FastPowers(complex(0.5, t))  # filled by _series' first rung, to an absolute bound
         start = abs(_series(table.s, ctx, floor=1.0, powers=table).value.to_complex())
         if t == t0 and start > CAPTURE_THRESHOLD:  # the capture check
             raise DomainError(f"|eta(1/2 + {t0}i)| = {start:.3g} above capture threshold "
                               f"{CAPTURE_THRESHOLD}; start closer to a zero")
-        return _newton_model(table, _weights(len(table.re)), NEWTON_MAX_STEP)
+        coefs = _weights(len(table.re), _borwein(table.s))[0]  # the weights _series took
+        return _newton_model(table, coefs, NEWTON_MAX_STEP)
 
     t, iterations = _line_newton(model_at, t0, NEWTON_MAX_STEP, CAPTURE_RADIUS, NEWTON_MAX_ITER)
     residual = abs(_series(complex(0.5, t), ctx, floor=1.0).value.to_complex())

@@ -206,12 +206,28 @@ def test_weights_are_the_hasse_series():
     # sum_{n<=N} 2^-(n+1) eta_n(s) = 2^-(N+1) sum_k (-1)^k W_k (k+1)^-s with W_k the
     # tail sum_{j>k} C(N+1, j), base by base in exact rationals
     for big_n in range(61):
-        weights = hasse_global._weights(big_n + 1)
-        assert len(weights) == big_n + 1
+        weights, d = hasse_global._weights(big_n + 1, False)
+        assert len(weights) == big_n + 1 and d == 2 ** (big_n + 1)
         for k, w in enumerate(weights):
             want = sum(Fraction((-1) ** k * math.comb(n, k), 2 ** (n + 1))
                        for n in range(k, big_n + 1))
-            assert Fraction(w, 2 ** (big_n + 1)) == want
+            assert Fraction(w, d) == want
+
+
+def test_borwein_weights_are_exact_integers():
+    # Borwein's d_k = sum_{i<=k} n (n+i-1)! 4^i / ((n-i)! (2i)!): every summand is an
+    # integer, and the weights are (-1)^k (d_n - d_k) over the divisor d_n, in exact rationals
+    for n in range(1, 200):
+        d, partial = [], Fraction(0)
+        for i in range(n + 1):
+            term = Fraction(n * math.factorial(n + i - 1) * 4 ** i,
+                            math.factorial(n - i) * math.factorial(2 * i))
+            assert term.denominator == 1, (n, i)
+            partial += term
+            d.append(partial)
+        weights, divisor = hasse_global._weights(n, True)
+        assert divisor == d[n]
+        assert list(weights) == [(-1) ** k * (d[n] - d[k]) for k in range(n)]
 
 
 @pytest.mark.parametrize("bits", [53, 120])
@@ -221,9 +237,10 @@ def test_series_finite_sums_match_evaluate(bits, order):
     # each finite sum evaluated on its own, within the sum's rounding bound plus
     # the finite sums' bounds: at order 0 the best value at series cap 60, at
     # higher orders the weights dotted at that order on one table, which is how
-    # refine_zero takes its Newton slope
+    # refine_zero takes its Newton slope; left of Re s = 1/2, where the series
+    # takes these weights (Borwein's on the line)
     ctx = CTX if bits == 53 else PrecisionContext.extended(bits)
-    s = complex(0.5, 14.13)
+    s = complex(0.3, 14.13)
     if order == 0:
         with pytest.raises(ConvergenceError) as err:
             _series(s, ctx, series_cap=60)
@@ -232,7 +249,7 @@ def test_series_finite_sums_match_evaluate(bits, order):
         value, rounding = best.value.to_mpc(), best.tail_bound - hasse_global._remainder(s, 61)
     else:
         table = finite_eta._FastPowers(s) if bits == 53 else finite_eta._ExtPowers(s, bits + 16)
-        value, rounding = table.dot(hasse_global._weights(61), order)
+        value, rounding = table.dot(hasse_global._weights(61, False)[0], order)
         with mp.workprec(400):  # scaled by 2^-61 exactly
             value, rounding = mp.mpc(value) / 2 ** 61, float(rounding) / 2 ** 61
     with mp.workprec(400):
@@ -246,7 +263,8 @@ def test_series_finite_sums_match_evaluate(bits, order):
 
 
 def test_series_makes_one_exp_per_term(monkeypatch):
-    # one exp per base of the one power table: N + 1 transcendentals for N + 1 terms
+    # one exp per base of the one power table: n transcendentals for n terms, with
+    # Borwein's weights on the line and the binomial tails left of it
     calls = []
 
     def exp(z):
@@ -257,13 +275,15 @@ def test_series_makes_one_exp_per_term(monkeypatch):
                                         if not k.startswith("_")})
     counting.exp = exp
     monkeypatch.setattr(finite_eta, "cmath", counting)
-    res = eta_global(complex(0.5, 59.9), CTX)
-    assert len(calls) == res.terms_used == 186
+    for s, terms in ((complex(0.5, 59.9), 74), (complex(0.49, 59.9), 186)):
+        calls.clear()
+        res = eta_global(s, CTX)
+        assert len(calls) == res.terms_used == terms, s
 
 
 def test_extended_series_makes_one_exp_per_prime(monkeypatch):
     # the big-float table pays mp.exp only at the prime bases, and fills each
-    # composite from two earlier ones: pi(N + 1) = 36 exps for N + 1 = 154 terms
+    # composite from two earlier ones: pi(n) exps for n terms
     calls = []
 
     def exp(z):
@@ -274,18 +294,22 @@ def test_extended_series_makes_one_exp_per_prime(monkeypatch):
                                         if not k.startswith("_")})
     counting.exp = exp
     monkeypatch.setattr(finite_eta, "mp", counting)
-    res = eta_global(complex(0.5, 14.13), PrecisionContext.extended(120))
-    primes = [b for b in range(2, res.terms_used + 1) if all(b % q for q in range(2, b))]
-    assert res.terms_used == 154
-    assert len(calls) == len(primes) == 36
+    for s, terms, prime in ((complex(0.5, 14.13), 62, 18), (complex(0.49, 14.13), 153, 36)):
+        calls.clear()
+        res = eta_global(s, PrecisionContext.extended(120))
+        primes = [b for b in range(2, res.terms_used + 1) if all(b % q for q in range(2, b))]
+        assert res.terms_used == terms, s
+        assert len(calls) == len(primes) == prime, s
 
 
-# N + 1 per point on the fast tier and at 120 bits, from the a-priori
-# remainder bound (a relative target met in one pass, or after a longer sum when |value| < 1)
+# n per point on the fast tier and at 120 bits, from the a-priori
+# remainder bound (a relative target met in one pass, or after a longer sum when |value| < 1):
+# Borwein's weights on Re s >= 1/2, the binomial tails left of it (0.49 + 14.13i)
 A_PRIORI_TERMS = [
-    (complex(0.5, 14.13), 86, 154), (complex(0.5, 59.9), 186, 255),
-    (complex(2.0, 0.0), 45, 114), (complex(-5.5, 20.0), 119, 188),
-    (complex(0.3, 3.0), 51, 120), (complex(1.5, -11.0), 69, 138),
+    (complex(0.5, 14.13), 35, 62), (complex(0.5, 59.9), 74, 102),
+    (complex(2.0, 0.0), 18, 45), (complex(-5.5, 20.0), 119, 188),
+    (complex(0.3, 3.0), 51, 120), (complex(1.5, -11.0), 28, 55),
+    (complex(0.49, 14.13), 85, 153),
 ]
 
 
@@ -296,17 +320,20 @@ def test_series_terms_used_a_priori(s, fast, ext):
 
 
 def _sum_at(s, n, bits):
-    """S_N (n = N + 1 terms) in big floats, with guard bits for the cancellation."""
+    """S of n terms, with the weights the series takes at s, in big floats with guard bits
+    for the cancellation."""
+    coefs, d = hasse_global._weights(n, hasse_global._borwein(s))
     table = finite_eta._ExtPowers(s, bits + math.ceil((1 - min(0, s.real)) * math.log2(n)))
-    return table.dot(hasse_global._weights(n))[0] / mp.mpf(2) ** n
+    return table.dot(coefs)[0] / d
 
 
-@pytest.mark.parametrize("sigma", [-20.0, -10.0, -5.5, -1.5, 0.0, 0.01, 0.5, 2.0, 6.0])
+@pytest.mark.parametrize("sigma", [-20.0, -10.0, -5.5, -1.5, 0.0, 0.01, 0.49, 0.5, 0.75, 1.0,
+                                   2.0, 6.0])
 def test_remainder_bound_covers_altzeta(sigma):
-    # |S_N - eta| within the remainder bound at 300 bits, at the a-priori length
-    # of the fast tier and at about half of it
+    # |S - eta| within the remainder bound at 300 bits, at the a-priori length
+    # of the fast tier and at about half of it: Borwein's bound from Re s = 1/2 on
     with mp.workprec(300):
-        for t in (-60.0, -20.0, -3.0, 0.5, 20.0, 60.0):
+        for t in (-150.0, -60.0, -20.0, -3.0, -0.5, 0.5, 3.0, 20.0, 60.0, 150.0):
             s = complex(sigma, t)
             want = mp.altzeta(mp.mpc(s))
             full = hasse_global._length(s, 0.5e-13, SERIES_CAP)
@@ -340,6 +367,20 @@ def test_fast_series_meets_its_target(s):
         ref = mp.altzeta(mp.mpc(s))
         err = abs(res.value.to_mpc() - ref)
         assert err <= res.tail_bound <= CTX.target_rel_err * abs(ref), s
+
+
+@pytest.mark.parametrize("t", [80.0, 90.0, 100.0])
+def test_extended_series_high_on_the_line(t):
+    # at 200 bits Borwein's weights reach 1/2 + 100i in under 200 terms (the binomial tails
+    # need more than the 400-term cap from 1/2 + 90i on): a bound within the target on both
+    ctx = PrecisionContext.extended(200)
+    for fn, ref in ((eta_global, mp.altzeta), (zeta_global, mp.zeta)):
+        res = fn(complex(0.5, t), ctx)
+        assert res.terms_used <= 200
+        with mp.workprec(300):
+            want = ref(mp.mpc(0.5, t))
+            err = abs(res.value.to_mpc() - want)
+            assert err <= res.tail_bound <= ctx.target_rel_err * abs(want), fn
 
 
 def test_extended_series_keeps_full_precision_arguments():
@@ -449,8 +490,8 @@ def _traced_refine(t0, monkeypatch):
 
 
 @pytest.mark.parametrize("t0, t, residual, iterations", [
-    (14.09, 14.134725141734695, 1.9269014248098517e-15, 4),
-    (59.30, 59.34704400260235, 2.2559454766509836e-15, 5),
+    (14.09, 14.134725141734695, 1.611701652388185e-15, 4),
+    (59.30, 59.34704400260235, 2.208271583509928e-15, 5),
 ])
 def test_refine_runs_newton_on_one_model(t0, t, residual, iterations, monkeypatch):
     # one double table for the Taylor model at the capture point, which also serves the
