@@ -39,24 +39,24 @@ fast tier it may be the answer, on both it measures the cancellation.
 Big floats start at wb + 16 + log2(sum |terms| / |value|) bits read off
 it (``_first_bits``), and retry with more bits while the bound misses.
 
-Line kernel (``_line``, fast tier): a grid point of sigma + it keeps its double
-table under the ladder's test.  Each b^(-s) only turns along the line, so after a point
-that certified the table is stepped by h = t - t_prev where h is exact (t <= 2 t_prev,
-Sterbenz): ``_FastPowers.step`` turns each entry by b^(-ih) from one rotation table per h
-and charges every term that table's error model plus sqrt(5) units for the product.  A
-fresh table is filled where the stepped value misses, or after a miss.  Each run of
-misses is cut into disks of radius
-about 0.55, and a big-float table at each centre s_c (``_first_bits`` plus
-2 log2 n) gives the Taylor model of ``_disk`` (Odlyzko and Schoenhage 1988):
-eta(s_c + i d) = sum_(j<=K) a_j (i d)^j + R_K, a_j = sum_b c_b (-ln b)^j b^(-s_c) / j!
-by running products over the table's integers, |R_K| <= sum_b |c_b| b^(-sigma)
+Line kernel (``_line``, fast tier): a grid point of sigma + it keeps its double table under
+the ladder's test.  Each b^(-s) only turns along the line, so the table is stepped by
+h = t - t_prev where h is exact (t <= 2 t_prev, Sterbenz): ``_FastPowers.step`` turns each
+entry by b^(-ih) from one rotation table per h, keeps sum |terms|, and charges every term
+that table's error model plus sqrt(5) units for the product.  A miss fills a fresh table
+only where its bound, the stepped one less the steps' charge, could pass; else the first
+big-float precision is read off the stepped table, so a run of misses fills one table.
+Each run of misses is cut into disks of radius about 0.55, and a big-float table at each
+centre s_c (``_first_bits`` plus 2 log2 n) gives the Taylor model of ``_disk`` (Odlyzko and
+Schoenhage 1988): eta(s_c + i d) = sum_(j<=K) a_j (i d)^j + R_K, a_j = sum_b c_b (-ln b)^j
+b^(-s_c) / j! by running products over the table's integers, |R_K| <= sum_b |c_b| b^(-sigma)
 (|d| ln b)^(K+1) / (K+1)! e^(|d| ln b).  Horner's sum in doubles (scaled by 2^-k where
-sum_b |c_b| b^(-sigma) passes their range) is bounded by
-the a_j's errors (the table's model, ln b's, one unit per truncation), their
-rounding and Horner's (2K + 2 units over sum |a_j| |d|^j), and R_K.  Horner runs
-at the offset d rounded to a double; an inexact one is charged its rounding
-times the model's slope, sum j |a_j| |d|^(j-1), from the same pass.  A point
-whose bound misses tol * |value|, or a disk with no model, takes ``_evaluate``.
+sum_b |c_b| b^(-sigma) passes their range) is bounded by the a_j's errors (the table's
+model, ln b's, one unit per truncation), their rounding and Horner's (2K + 2 units over
+sum |a_j| |d|^j), and R_K.  Horner runs at the offset d rounded to a double; an inexact one
+(TwoSum gives its rounding) is charged that rounding times the model's slope,
+sum j |a_j| |d|^(j-1), from the same pass.  A point whose bound misses tol * |value|, or a
+disk with no model, takes ``_evaluate``.
 """
 
 from __future__ import annotations
@@ -181,7 +181,7 @@ class _FastPowers:
     """
 
     def __init__(self, s: complex):
-        self.s, self.moved = s, 0.0  # moved: per-term relative error added by the steps
+        self.s, self.moved, self.last = s, 0.0, None  # moved: per-term error added by steps
         self.re, self.im, self.mag, self.log = [], [], [], []
 
     def _grow(self, size: int):
@@ -207,15 +207,18 @@ class _FastPowers:
         return ((2.0 * abs(self.s.real) * max_log + 8.0 + 2.0 * order) * 2.0 ** -53
                 + phase * 2.0 ** -100 + drift * drift + self.moved)
 
-    def step(self, rot: _FastPowers):
+    def step(self, rot: _FastPowers) -> tuple[complex, float]:
         """Moves the table to s + i h, ``rot`` = _FastPowers(i h), |s + i h| >= |s|: p_b times
-        b**(-i h), |p_b| and ln b kept.  Each term is charged rot's own error model plus sqrt(5)
-        units of 2**-53 for the complex product (Brent, Percival and Zimmermann 2007)."""
+        b**(-i h), |p_b|, ln b and ``sum_abs`` kept.  Each term is charged rot's own error model
+        plus sqrt(5) units of 2**-53 for the complex product (Brent, Percival and Zimmermann
+        2007).  Returns the last dot, which must be of order 0 (its sum_abs), at s + i h."""
+        assert self.last is not None, "sum_abs is kept from an order-0 dot only"
         rot._grow(len(self.re))
         self.re, self.im = ([x * c - y * e for x, y, c, e in zip(self.re, self.im, rot.re, rot.im)],
                             [x * e + y * c for x, y, c, e in zip(self.re, self.im, rot.re, rot.im)])
         self.moved += rot._rel(len(self.re), 0) + math.sqrt(5.0) * 2.0 ** -53
         self.s += rot.s
+        return self._sum(self.last, 0)
 
     def dot(self, coefs: tuple[int, ...], order: int = 0) -> tuple[complex, float]:
         """(value, abs_err bound) of sum_i coefs[i] * p_(i+1) * (-ln(i+1))**order.
@@ -226,11 +229,15 @@ class _FastPowers:
         Raises OverflowError beyond the double range.
         """
         self._grow(len(coefs))
+        self.last = None if order else coefs  # the coefs whose sum_abs step keeps
         if order:
             coefs = [c * (-x) ** order for c, x in zip(coefs, self.log)]
         self.sum_abs = sum(map(mul, map(abs, coefs), self.mag))
         if self.sum_abs == math.inf:
             raise OverflowError("finite sum beyond the double range")
+        return self._sum(coefs, order)
+
+    def _sum(self, coefs, order: int) -> tuple[complex, float]:
         val = complex(math.fsum(map(mul, coefs, self.re)), math.fsum(map(mul, coefs, self.im)))
         return val, self.sum_abs * (self._rel(len(coefs), order) + 2.0 ** -52)
 
@@ -430,7 +437,7 @@ def _disk(coefs: tuple[int, ...], sigma: float, ts, first_bits: float, tol: floa
     ``ts`` (module docstring); None if no model is in reach."""
     n, tc = len(coefs), 0.5 * (ts[0] + ts[-1])
     ds, bits = [t - tc for t in ts], math.ceil(first_bits) + 2 * n.bit_length()
-    es = [float(Fraction(t) - Fraction(tc) - Fraction(d)) for t, d in zip(ts, ds)]  # doubles
+    es = [(t - (d - (d - t))) - (tc + (d - t)) for t, d in zip(ts, ds)]  # t - tc - d (TwoSum)
     rhos = [math.nextafter(abs(d), math.inf) if e else abs(d) for d, e in zip(ds, es)]
     powers = _ExtPowers(complex(sigma, tc), bits)
     fill = powers.dot(coefs)[1]  # fills the table: its model's error at order 0
@@ -480,14 +487,15 @@ def _line(coefs: tuple[int, ...], sigma: float, ts, ctx: PrecisionContext):
     ordinates ``ts``, each within ctx.target_rel_err * |value| (module docstring)."""
     vals, bits, tol, rots, powers = [], {}, ctx.target_rel_err, {}, None
     for i, t in enumerate(ts):
-        s = _coerce_complex(complex(sigma, t))
-        stepped = powers and i - 1 not in bits and ts[i - 1] <= t <= 2.0 * ts[i - 1]
-        if stepped:  # from a point that certified, by an exact h (Sterbenz)
+        keep = powers and ts[i - 1] <= t <= 2.0 * ts[i - 1]
+        if keep:  # step by an exact h (Sterbenz)
             h = t - ts[i - 1]
-            powers.step(rots.get(h) or rots.setdefault(h, _FastPowers(complex(0.0, h))))
-            v, err, powers = _rung(coefs, s, 0, ctx.working_bits, powers=powers)
-        if not (stepped and err <= tol * abs(v) < math.inf):  # _evaluate's test on the fast tier
-            v, err, powers = _rung(coefs, s, 0, ctx.working_bits)
+            v, err = powers.step(rots.get(h) or rots.setdefault(h, _FastPowers(complex(0.0, h))))
+            # _rung's test; a miss refills where the bound less the steps' charge could pass
+            keep = abs(v) >= _TINY and (err <= tol * abs(v) < math.inf
+                                        or err - powers.sum_abs * powers.moved > tol * abs(v))
+        if not keep:
+            v, err, powers = _rung(coefs, _coerce_complex(complex(sigma, t)), 0, ctx.working_bits)
         vals.append(complex(v))
         if not err <= tol * float(abs(v)) < math.inf:
             bits[i] = _first_bits(ctx.working_bits, powers, float(abs(v)))

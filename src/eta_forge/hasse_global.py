@@ -116,7 +116,7 @@ def _weights(n: int, borwein: bool) -> tuple[tuple[int, ...], int]:
 
 
 def _remainder(sc: complex, n: int) -> float:
-    """The bound on |eta - S| for S of n terms (module docstring)."""
+    """The natural log of the bound on |eta - S| for S of n terms (module docstring)."""
     sigma, tau = sc.real, abs(sc.imag)
     if sigma + n <= 0:
         return math.inf  # the remainder integral diverges
@@ -130,23 +130,23 @@ def _remainder(sc: complex, n: int) -> float:
     for j in range(m):
         d = math.hypot(sigma + j, tau)
         if d == 0.0:
-            return 0.0  # a pole of Gamma: the sum is exact
+            return -math.inf  # a pole of Gamma: the sum is exact
         x += math.log(d)
     if not borwein:  # Gamma(x, 1) <= Gamma(x) (m = 0) or 1/e (x <= 1); Gamma >= 0.8856
         gamma_1 = 1.0 if m == 0 else 1.0 / math.e / _GAMMA_MIN
         x += math.log(1.0 / (_GAMMA_MIN * (sigma + n)) + gamma_1)
-    return math.exp(x) if x < 709.0 else math.inf
+    return x
 
 
 def _length(sc: complex, goal: float, series_cap: int) -> int:
     """The least n whose remainder bound is within ``goal``, or series_cap + 2 beyond the cap."""
-    beyond = series_cap + 2
+    beyond, log_goal = series_cap + 2, (math.log(goal) if goal > 0.0 else -math.inf)
     lowest = n = max(1, math.floor(-sc.real) + 1)
     if n < beyond:  # the bound falls by rate or more per term: one jump, then steps back
-        ratio = _remainder(sc, n) / goal if goal > 0.0 else math.inf
-        rate = _BORWEIN_RATE / _LN2 if _borwein(sc) else 1.0  # in bits per term
-        n += math.ceil(min(math.log2(max(ratio, 1.0)) / rate, beyond))
-    while lowest < n < beyond and _remainder(sc, n - 1) <= goal:
+        excess = _remainder(sc, n) - log_goal if goal > 0.0 else math.inf
+        rate = _BORWEIN_RATE if _borwein(sc) else _LN2  # in nats per term
+        n += math.ceil(min(max(excess, 0.0) / rate, beyond))
+    while lowest < n < beyond and _remainder(sc, n - 1) <= log_goal:
         n -= 1
     return min(n, beyond)
 
@@ -169,8 +169,8 @@ def _series(s, ctx: PrecisionContext, series_cap: int = SERIES_CAP, tol: float |
     while True:
         m = min(n, series_cap + 1)
         coefs, d = _weights(m, borwein)
-        e = (d - 1).bit_length()  # the rung scales exactly by 2^-e, 2^e >= d
-        w, c = 0.5 ** e, (1 << e) / d
+        e = (d - 1).bit_length()  # the rung scales exactly by 2^-e, 2^e >= d: an mpf past 2^-1074
+        w, c = (0.5 ** e if bits is None else mp.ldexp(1, -e)), (1 << e) / d
         if bits is None and e * _LN2 + (1 + neg) * math.log(m) > 709:  # every partial sum
             raise RangeError(f"the series at s={sc} leaves the double range")
         value, err, powers = _rung(coefs, s_hi, 0, wb, bits, powers, w)
@@ -180,7 +180,7 @@ def _series(s, ctx: PrecisionContext, series_cap: int = SERIES_CAP, tol: float |
                 value = value * c if ctx.is_fast else value * (1 << e) / d
             err = err * c + float(abs(value)) * 2.0 ** (2 - wb)
         mag = float(abs(value))
-        rem = _remainder(sc, m)
+        rem = math.exp(x) if (x := _remainder(sc, m)) < 709.0 else math.inf
         result = GlobalEvalResult(ComplexPoint(value.real, value.imag), m, rem + err)
         if n > m:
             raise ConvergenceError(f"s={sc} needs more than the {m} terms of series cap "

@@ -181,7 +181,7 @@ def _weights(family: Family, n: int, outer: bool, level: int) -> array:
     return out
 
 
-def _tanh_sinh_power(weights, s_minus_1: complex, tol: float, budget: int):
+def _tanh_sinh_power(weights, s: complex, tol: float, budget: int):
     """integral_0^1 u^(s-1) g(u) du, where ``weights(level)`` is the table of
     pi cosh(t) g(u) at the nodes of ``_nodes(level)``; g smooth and bounded.
 
@@ -190,10 +190,10 @@ def _tanh_sinh_power(weights, s_minus_1: complex, tol: float, budget: int):
     table entry.  Each level's outward run stops after four terms below 1e-18
     of the running sum of |terms|; the levels stop once |T_L - T_(L-1)| <= tol,
     at the budget, or at _MAX_LEVEL.  Returns (value, err_estimate, evals): the
-    last change plus 2^-50 h sum |terms|, and the terms summed, which reach
-    ``budget`` only when the budget ran out.
+    last change plus 2^-50 h sum |terms| plus g(u_0) u_0^Re(s) / |s| for the piece below
+    the last node u_0, and the terms summed, which reach ``budget`` only when it ran out.
     """
-    evals, total, abs_acc, delta = 0, 0j, 0.0, math.inf
+    evals, total, abs_acc, delta, s_minus_1 = 0, 0j, 0.0, math.inf, s - 1.0
     for level in range(_MAX_LEVEL + 1):
         ln_us, ln_ws, _ = _nodes(level)
         small_run = 0
@@ -219,7 +219,9 @@ def _tanh_sinh_power(weights, s_minus_1: complex, tol: float, budget: int):
             break
         prev = value
     base = delta if math.isfinite(delta) else abs(value)
-    return value, base + abs_acc / (1 << level) * 2.0 ** -50, evals
+    ln_us, _, pcs = _nodes(0)  # the last node, t = -_T_CUTOFF: least u
+    cut = weights(0)[-1] / pcs[-1] * math.exp(s.real * ln_us[-1]) / abs(s)
+    return value, base + abs_acc / (1 << level) * 2.0 ** -50 + cut, evals
 
 
 def integrate_L(family: Family, n: int, s, ctx: PrecisionContext = PrecisionContext(),
@@ -245,17 +247,17 @@ def integrate_L(family: Family, n: int, s, ctx: PrecisionContext = PrecisionCont
     # at the 1e-12 floor is always at least as tight.
     tol = 1e-12 if tol_abs is None else tol_abs
     half = budget // 2
-    v1, e1, c1 = _tanh_sinh_power(partial(_weights, family, n, False), sc - 1.0, tol / 2, half)
-    v2, e2, c2 = _tanh_sinh_power(partial(_weights, family, n, True), complex(hi) - sc - 1.0,
+    v1, e1, c1 = _tanh_sinh_power(partial(_weights, family, n, False), sc, tol / 2, half)
+    v2, e2, c2 = _tanh_sinh_power(partial(_weights, family, n, True), complex(hi) - sc,
                                   tol / 2, half)
-    value = v1 + v2
-    result = QuadratureResult(ComplexPoint(value.real, value.imag), e1 + e2, c1 + c2)
+    value, err = v1 + v2, min(e1 + e2, 1e308)  # a cut past the doubles: |s| ~ 0
+    result = QuadratureResult(ComplexPoint(value.real, value.imag), err, c1 + c2)
     if max(c1, c2) >= half:
         raise ConvergenceError(f"L_n(s) at s={sc}: the budget of {budget} evaluations ran out",
                                best=result)
     target = max(tol, ctx.target_rel_err * abs(value))
-    if not e1 + e2 <= target:
-        raise ConvergenceError(f"L_n(s) at s={sc}: the error estimate {e1 + e2:.3g} is above "
+    if not err <= target:
+        raise ConvergenceError(f"L_n(s) at s={sc}: the error estimate {err:.3g} is above "
                                f"the target {target:.3g}", best=result)
     return result
 

@@ -326,6 +326,16 @@ def test_boundary_inputs_give_strict_json_or_usage_error(argv, expected, capsys)
         assert env["error"]["type"] == "RangeError"
 
 
+@pytest.mark.parametrize("s", ["1e-17", "5e-324", "5e-324+5e-324i"])
+def test_quadrature_beside_the_pole_at_zero(s, capsys):
+    # the integral is refused with a typed error, the identity skips the genuine pole at 0
+    integral = ["--no-timing", "integral", "compute", "--family", "hasse", "--n", "0", "--s", s]
+    code, out, _ = _run_captured(integral, capsys)
+    assert code == 1 and _strict_json(out)["error"]["type"] == "ConvergenceError"
+    code, out, _ = _run_captured(["--no-timing", "verify", "thm2", "--n", "0", "--s", s], capsys)
+    assert code == 0 and _strict_json(out)["results"]["skipped"]
+
+
 @pytest.mark.parametrize("value", ["0", "-1"])
 def test_jobs_and_budget_must_be_positive(value, capsys, tmp_path, monkeypatch):
     planck = ["planck", "--p", "3"]

@@ -515,8 +515,8 @@ def test_huge_negative_arguments_are_refused_quickly(call):
 # line kernel: one Taylor model per disk of cancelling grid points
 # ---------------------------------------------------------------------------
 
-def _grid(n: int, t_min: float = 1.0, t_max: float = 14.0) -> list[float]:
-    step = default_step(spec(H, n))
+def _grid(n: int, t_min: float = 1.0, t_max: float = 14.0, fam: Family = H) -> list[float]:
+    step = default_step(spec(fam, n))
     return [t_min + i * step for i in range(int((t_max - t_min) / step) + 1)]
 
 
@@ -608,35 +608,41 @@ def test_stepped_power_table_holds_its_bound(sigma):
     for k, (tp, t) in enumerate(zip(ts, ts[1:]), 1):
         d = t - tp
         assert Fraction(tp) + Fraction(d) == Fraction(t)
-        table.step(rots.setdefault(d, finite_eta._FastPowers(complex(0.0, d))))
+        stepped = table.step(rots.setdefault(d, finite_eta._FastPowers(complex(0.0, d))))
         assert table.s == complex(sigma, t)
+        assert stepped == table.dot(coefs)  # the same sum, without the magnitudes' re-sum
         if k in (1, 2, 10, 60, 200):
-            for order in (0, 1, 2):
+            for order in (1, 2, 0):  # order 0 last: the next step keeps its sum |terms|
                 value, err = table.dot(coefs, order)
                 ref = oracles.eta_hasse_highprec(20, complex(sigma, t), 200, order)
                 with mp.workprec(200):
                     assert abs(mp.mpc(value) - ref) <= err, (k, order)
 
 
-@pytest.mark.parametrize("n, t_min, t_max", [
-    (12, 1.1727665378769645, 34.394759326870265),  # the benchmark's finite-sums lines,
-    (20, 1.0794536268434705, 99.90899010419876),  # seed 1
+@pytest.mark.parametrize("fam, n, sigma, t_min, t_max", [
+    # the benchmark's finite-sums lines, seed 1, under their earlier ids
+    pytest.param(H, 12, 0.5, 1.1727665378769645, 34.394759326870265,
+                 id="12-1.1727665378769645-34.394759326870265"),
+    pytest.param(H, 20, 0.5, 1.0794536268434705, 99.90899010419876,
+                 id="20-1.0794536268434705-99.90899010419876"),
+    (H, 20, -0.5, 1.0, 60.0),  # terms up to 21**0.5
+    (H, 20, 2.0, 1.0, 60.0),
+    (HS, 40, 0.5, 1.0, 40.0),
 ])
-def test_line_values_meet_the_target(n, t_min, t_max):
+def test_line_values_meet_the_target(fam, n, sigma, t_min, t_max):
     # stepped tables, fresh fills and Taylor models alike: each grid value is within
     # the target of a 200-bit sum
-    ts = _grid(n, t_min, t_max)
-    vals = finite_eta._line(finite_eta._terms(H, n), 0.5, ts, CTX)
+    ts = _grid(n, t_min, t_max, fam)
+    vals = finite_eta._line(finite_eta._terms(fam, n), sigma, ts, CTX)
+    oracle = oracles.eta_hasse_highprec if fam is H else oracles.eta_hstar_highprec
     for t, v in zip(ts, vals):
-        ref = oracles.eta_hasse_highprec(n, complex(0.5, t), 200)
+        ref = oracle(n, complex(sigma, t), 200)
         with mp.workprec(200):
             assert abs(mp.mpc(v) - ref) <= CTX.target_rel_err * abs(ref), t
 
 
-def test_line_fills_a_table_only_where_a_stepped_value_misses(monkeypatch):
-    # one rotation table per distinct grid increment; a point fills its own double table
-    # only where the stepped one misses the target or after a miss, so most of the n = 20
-    # line takes none
+def _count_tables(monkeypatch) -> tuple[list, list]:
+    """The double tables that the line kernel fills, and its rotation tables (Re s = 0)."""
     fills, rots = [], []
     raw_fast = finite_eta._FastPowers
 
@@ -645,7 +651,29 @@ def test_line_fills_a_table_only_where_a_stepped_value_misses(monkeypatch):
         return raw_fast(s)
 
     monkeypatch.setattr(finite_eta, "_FastPowers", counting)
+    return fills, rots
+
+
+def test_line_fills_a_table_only_where_a_stepped_value_misses(monkeypatch):
+    # one rotation table per distinct grid increment; a point fills its own double table
+    # only where the stepped one misses the target and a fresh one could meet it, so most
+    # of the n = 20 line takes none
+    fills, rots = _count_tables(monkeypatch)
     ts = _grid(20, 1.0, 100.0)
     finite_eta._line(finite_eta._terms(H, 20), 0.5, ts, CTX)
     assert len(set(rots)) == len(rots) <= 10
-    assert len(fills) < len(ts) / 4
+    assert len(fills) < len(ts) / 10
+
+
+def test_line_run_of_misses_fills_one_table(monkeypatch):
+    # all 122 points of the n = 20 line below t = 14 cancel beyond what any double table
+    # certifies: the first point's table is stepped through the run, and each point's
+    # first big-float precision is read off it
+    fills, _ = _count_tables(monkeypatch)
+    ts = _grid(20, 1.0, 14.0)
+    vals = finite_eta._line(finite_eta._terms(H, 20), 0.5, ts, CTX)
+    assert len(ts) == 122 and fills == [complex(0.5, 1.0)]
+    for t, v in zip(ts, vals):
+        ref = oracles.eta_hasse_highprec(20, complex(0.5, t), 200)
+        with mp.workprec(200):
+            assert abs(mp.mpc(v) - ref) <= CTX.target_rel_err * abs(ref), t

@@ -246,7 +246,7 @@ def test_series_finite_sums_match_evaluate(bits, order):
             _series(s, ctx, series_cap=60)
         best = err.value.best
         assert best.terms_used == 61
-        value, rounding = best.value.to_mpc(), best.tail_bound - hasse_global._remainder(s, 61)
+        value, rounding = best.value.to_mpc(), best.tail_bound - math.exp(hasse_global._remainder(s, 61))
     else:
         table = finite_eta._FastPowers(s) if bits == 53 else finite_eta._ExtPowers(s, bits + 16)
         value, rounding = table.dot(hasse_global._weights(61, False)[0], order)
@@ -339,14 +339,14 @@ def test_remainder_bound_covers_altzeta(sigma):
             full = hasse_global._length(s, 0.5e-13, SERIES_CAP)
             for n in {full, max(1 + math.floor(0.5 - sigma), full // 2)}:
                 if n <= SERIES_CAP + 1:
-                    bound = hasse_global._remainder(s, n)
+                    bound = mp.exp(hasse_global._remainder(s, n))  # of the log
                     assert abs(_sum_at(s, n, 300) - want) <= bound, (s, n)
 
 
 def test_remainder_vanishes_at_the_trivial_zeros_of_gamma():
     # 1/Gamma(s) = 0 at s = 0, -1, -2, ...: the sum is exact from N + 1 > -s on
     for m in range(6):
-        assert hasse_global._remainder(complex(-m, 0.0), m + 1) == 0.0
+        assert hasse_global._remainder(complex(-m, 0.0), m + 1) == -math.inf  # log 0
     assert eta_global(0.0, CTX).terms_used == 1
     assert zeta_global(-2.0, CTX).tail_bound == 0.0
     ext = zeta_global(-2, PrecisionContext.extended(120))
@@ -381,6 +381,20 @@ def test_extended_series_high_on_the_line(t):
             want = ref(mp.mpc(0.5, t))
             err = abs(res.value.to_mpc() - want)
             assert err <= res.tail_bound <= ctx.target_rel_err * abs(want), fn
+
+
+@pytest.mark.parametrize("bits, terms", [(200, 411), (240, 427)])
+def test_extended_series_length_past_the_double_range(bits, terms):
+    # the remainder bound at the first length over the goal is beyond the double range, so
+    # the length is found in logs; from 423 Borwein terms on, the sum's scale 2^-e is below
+    # every double and stays an exact big float
+    ctx = PrecisionContext.extended(bits)
+    res = eta_global(complex(0.5, 370.0), ctx, series_cap=1000)
+    assert res.terms_used == terms
+    with mp.workprec(bits + 60):
+        want = mp.altzeta(mp.mpc(0.5, 370.0))
+        err = abs(res.value.to_mpc() - want)
+        assert err <= res.tail_bound <= ctx.target_rel_err * abs(want)
 
 
 def test_extended_series_keeps_full_precision_arguments():

@@ -102,6 +102,20 @@ def test_level_cap_refuses_a_loose_estimate():
         verify_identity(H, 0, s, CTX)
 
 
+@pytest.mark.parametrize("alpha", [0.003, 0.01, 0.016])
+def test_refusal_near_the_window_edge_covers_the_true_error(alpha):
+    # the nodes stop at the cutoff, where u^alpha has not decayed: the estimate covers
+    # the piece below the last node, so each point is refused with an estimate at or
+    # above the true error (the closed form pi / sin(pi s) at n = 0)
+    s = complex(alpha, 0.5)
+    with pytest.raises(ConvergenceError) as err:
+        integrate_L(H, 0, s, CTX)
+    best = err.value.best
+    with mp.workprec(120):
+        true = abs(mp.mpc(best.value.to_complex()) - mp.pi / mp.sin(mp.pi * mp.mpc(s)))
+    assert best.abs_err_estimate >= true
+
+
 def test_genuine_pole_skip_reports_the_estimate_reached():
     # Re s = 0.0005 is too close to the window's edge for the level cap; the closed
     # form's genuine pole at 0 skips the point, with the quadrature's best as lhs
@@ -110,6 +124,18 @@ def test_genuine_pole_skip_reports_the_estimate_reached():
     res = verify_identity(H, 3, 0.0005, CTX)
     assert res.skipped and "genuine" in res.reason
     assert res.lhs == err.value.best.value and res.rhs is None
+
+
+@pytest.mark.parametrize("s", [1e-17, complex(5e-324, 0.0), complex(5e-324, 5e-324)])
+def test_quadrature_beside_the_pole_at_zero_is_refused(s):
+    # Re s below a unit of 1: the piece below the last node, g(0) u^Re(s) / |s|, is formed
+    # from s itself, clamped where it passes the double range, and refused; the identity
+    # check skips the point at the closed form's genuine pole at 0
+    with pytest.raises(ConvergenceError) as err:
+        integrate_L(H, 0, s, CTX)
+    assert math.isfinite(err.value.best.abs_err_estimate)
+    res = verify_identity(H, 0, s, CTX)
+    assert res.skipped and "genuine pole at s = 0" in res.reason
 
 
 def test_each_node_is_summed_once():
