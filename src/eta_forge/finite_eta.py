@@ -181,7 +181,7 @@ class _FastPowers:
     """
 
     def __init__(self, s: complex):
-        self.s, self.moved, self.last = s, 0.0, None  # moved: per-term error added by steps
+        self.s, self.moved, self.charge, self.last = s, 0.0, 0.0, None  # moved: per-term step error
         self.re, self.im, self.mag, self.log = [], [], [], []
 
     def _grow(self, size: int):
@@ -213,10 +213,12 @@ class _FastPowers:
         plus sqrt(5) units of 2**-53 for the complex product (Brent, Percival and Zimmermann
         2007).  Returns the last dot, which must be of order 0 (its sum_abs), at s + i h."""
         assert self.last is not None, "sum_abs is kept from an order-0 dot only"
-        rot._grow(len(self.re))
+        if len(rot.re) < len(self.re):  # rot's charge per step: its _rel covers any shorter table
+            rot._grow(len(self.re))
+            rot.charge = rot._rel(len(self.re), 0) + math.sqrt(5.0) * 2.0 ** -53
         self.re, self.im = ([x * c - y * e for x, y, c, e in zip(self.re, self.im, rot.re, rot.im)],
                             [x * e + y * c for x, y, c, e in zip(self.re, self.im, rot.re, rot.im)])
-        self.moved += rot._rel(len(self.re), 0) + math.sqrt(5.0) * 2.0 ** -53
+        self.moved += rot.charge
         self.s += rot.s
         return self._sum(self.last, 0)
 

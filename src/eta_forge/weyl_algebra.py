@@ -8,10 +8,10 @@ The canonical form of any element is a finite sum of monomials a^i b^j
 (all a's to the left) with coefficients polynomial in u.
 
 Both hot paths work on plain ints and build exact objects once, at the
-end: normal ordering merges equal intermediate words (each distinct word
-is rewritten once, so the cost follows the number of distinct words, not
-of rewrite paths), and products sum integer numerators over one common
-denominator per operand.
+end: normal ordering merges equal intermediate words into one integer
+multiplicity each (the cost follows distinct words, not rewrite paths), and
+products pack each coefficient polynomial's integer numerators into B-bit
+slots of two ints, B = bitlen(W S1 S2) + 2 (see ``WeylPoly.__mul__``).
 
 Reductions: the vacuum submodule is everything ending in b (dropping all
 monomials with j > 0); the observer submodule additionally kills leading
@@ -27,6 +27,7 @@ import math
 import re as _re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import DomainError, VerificationError
 
@@ -152,8 +153,8 @@ class _SymbolPoly:
             for k, v in coeffs.items():
                 g = GaussRat.of(v)
                 if not g.is_zero:
-                    if k < 0:
-                        raise DomainError("negative symbol powers not supported")
+                    if k < 0 or k % 1:  # also NaN and infinity, whose % 1 is NaN
+                        raise DomainError(f"symbol powers must be non-negative integers, got {k!r}")
                     clean[int(k)] = g
         self.coeffs = clean
 
@@ -306,8 +307,8 @@ class WeylPoly:
                 c = coeff_cls.const(c)
             elif not isinstance(c, coeff_cls):
                 raise DomainError("coefficient class mismatch")
-            if i < 0 or j < 0:
-                raise DomainError("monomial exponents must be non-negative")
+            if i < 0 or j < 0 or i % 1 or j % 1:
+                raise DomainError(f"monomial exponents must be non-negative integers: {(i, j)}")
             if not c.is_zero:
                 self.terms[(int(i), int(j))] = c
 
@@ -372,48 +373,61 @@ class WeylPoly:
         Crossing b^j past a^k uses the closed form
         b^j a^k = sum_r r! C(j,r) C(k,r) u^r a^(k-r) b^(j-r).
         Each operand is written as integer numerators over one common
-        denominator, the integer products are summed, and one Fraction is
-        made per output coefficient.
+        denominator, each coefficient polynomial packed into two ints (re, im)
+        of B-bit slots, sum_k c_k 2**(B k) (Kronecker substitution).  A product
+        slot is at most W S1 S2 in magnitude (S: an operand's sum of |re| + |im|,
+        W: the largest crossing weight), below 2**(B - 2): its signed digits
+        decode uniquely, one Fraction per nonzero digit.
         """
         if not isinstance(other, WeylPoly):
             return self.scale(other)
         self._check(other)
-        d1, left = self._numerators()
-        d2, right = other._numerators()
-        shift = self.coeff_cls.U_DEGREE
-        out: dict[tuple[int, int, int], list[int]] = {}  # (i, j, u^k) -> [re, im]
-        for (i1, j1), c1 in left:
-            for (i2, j2), c2 in right:
-                base: dict[int, list[int]] = {}  # c1 * c2
-                for k1, a1, b1 in c1:
-                    for k2, a2, b2 in c2:
-                        acc = base.setdefault(k1 + k2, [0, 0])
-                        acc[0] += a1 * a2 - b1 * b2
-                        acc[1] += a1 * b2 + b1 * a2
-                for r in range(min(j1, i2) + 1):
-                    w = math.factorial(r) * math.comb(j1, r) * math.comb(i2, r)
-                    for k, (re, im) in base.items():
-                        acc = out.setdefault((i1 + i2 - r, j1 + j2 - r, k + r * shift), [0, 0])
-                        acc[0] += w * re
-                        acc[1] += w * im
-        den = d1 * d2
-        terms: dict[tuple[int, int], dict[int, GaussRat]] = {}
-        while out:  # popping frees each sum as its Fractions are made
-            (i, j, k), (re, im) = out.popitem()
-            if re or im:
-                g = GaussRat(Fraction(re, den) if re else _F0, Fraction(im, den) if im else _F0)
-                terms.setdefault((i, j), {})[k] = g
-        return WeylPoly({ij: self.coeff_cls(c) for ij, c in terms.items()}, self.coeff_cls)
+        cls = self.coeff_cls
+        (d1, s1, left), (d2, s2, right) = self._numerators(), other._numerators()
+        width = (s1 * s2 * max(_weights(max(self.terms, key=lambda ij: ij[1], default=(0, 0))[1],
+                                        max(other.terms, default=(0, 0))[0]))).bit_length() + 2
+        for side in (left, right):  # each coefficient polynomial as two ints of width-bit slots
+            for n, (ij, c) in enumerate(side):
+                re = im = 0
+                for k, a, b in c:
+                    re, im = re + (a << width * k), im + (b << width * k)
+                side[n] = (ij, re, im)
+        shift = width * cls.U_DEGREE  # u**r moves a packed polynomial r * shift bits up
+        out: dict[tuple[int, int], list[int]] = {}  # (i, j) -> packed [re, im]
+        for (i1, j1), a1, b1 in left:
+            for (i2, j2), a2, b2 in right:
+                re, im = a1 * a2 - b1 * b2, a1 * b2 + b1 * a2
+                for r, w in enumerate(_weights(j1, i2)):
+                    acc = out.setdefault((i1 + i2 - r, j1 + j2 - r), [0, 0])
+                    acc[0] += w * re << r * shift
+                    acc[1] += w * im << r * shift
+        den, half, mask = d1 * d2, 1 << width - 1, (1 << width) - 1
+        terms = {}
+        while out:  # popping frees each packed sum as its Fractions are made
+            ij, (re, im) = out.popitem()
+            coeffs = {}
+            while re or im:  # the signed digits, in [-half, half), of the lowest nonzero slot
+                at = (((re | im) & -(re | im)).bit_length() - 1) // width * width
+                a, b = (((re >> at) + half) & mask) - half, (((im >> at) + half) & mask) - half
+                coeffs[at // width] = GaussRat(Fraction(a, den) if a else _F0,
+                                               Fraction(b, den) if b else _F0)
+                re, im = re - (a << at), im - (b << at)
+            if coeffs:  # already canonical: int powers, nonzero GaussRats
+                terms[ij] = poly = object.__new__(cls)
+                poly.coeffs = coeffs
+        product = object.__new__(WeylPoly)
+        product.terms, product.coeff_cls = terms, cls
+        return product
 
     def _numerators(self):
-        """(D, [((i, j), [(k, re * D, im * D), ...]), ...]) with D the lcm of
-        every coefficient's denominators, so the numerators are ints."""
+        """(D, S, [((i, j), [(k, re * D, im * D), ...]), ...]): integer numerators over D, the
+        lcm of every coefficient's denominators, and S, the sum of their |re| + |im|."""
         den = math.lcm(*(x.denominator for poly in self.terms.values()
                          for g in poly.coeffs.values() for x in (g.re, g.im)))
-        return den, [(ij, [(k, g.re.numerator * (den // g.re.denominator),
-                            g.im.numerator * (den // g.im.denominator))
-                           for k, g in poly.coeffs.items()])
-                     for ij, poly in self.terms.items()]
+        nums = [(ij, [(k, g.re.numerator * (den // g.re.denominator),
+                       g.im.numerator * (den // g.im.denominator)) for k, g in poly.coeffs.items()])
+                for ij, poly in self.terms.items()]
+        return den, sum(abs(a) + abs(b) for _, c in nums for _, a, b in c), nums
 
     def __rmul__(self, other):
         # scalars commute; everything else goes through __mul__
@@ -462,6 +476,12 @@ class WeylPoly:
         return " ".join(bits)
 
     __repr__ = __str__
+
+
+@lru_cache(maxsize=1024)
+def _weights(j: int, i: int) -> tuple[int, ...]:
+    """r! C(j, r) C(i, r) = P(j, r) C(i, r) for r = 0 .. min(j, i): the crossing b^j a^i."""
+    return tuple(math.perm(j, r) * math.comb(i, r) for r in range(min(j, i) + 1))
 
 
 def _format_term(c: GaussRat, sym: str, k: int, i: int, j: int, lead: bool) -> str:
@@ -594,42 +614,40 @@ def parse_weyl_poly(text: str, coeff_cls=UPoly) -> WeylPoly:
 def normal_order(word, choose=None) -> WeylPoly:
     """Canonical form of a word by the rewrite  B A -> A B + u.
 
-    Equal intermediate words are merged, each carrying a {u-exponent:
-    integer multiplicity} map.  Both rewrites strictly lower the number of
+    Equal intermediate words are merged, each carrying one integer
+    multiplicity (every path to a word w makes (len(word) - len(w)) / 2
+    contractions, its power of u).  Both rewrites strictly lower the number of
     (B, A) inversions, so words are expanded in decreasing inversion count,
     each distinct word once; the cost follows the number of distinct words
     (B^20 A^20 in milliseconds), not the exponential number of rewrite paths.
 
     ``choose(positions, letters)`` may pick which redex to rewrite next; it
-    is called once per distinct word (used to exercise confluence), and
-    the result never depends on it.
+    is called once per distinct word (used to exercise confluence), and the
+    result never depends on it; a pick outside ``positions`` is a DomainError.
     """
     if isinstance(word, str):
         word = WeylWord(word)
     w0 = word.letters
     inversions = sum(w0.count("B", 0, k) for k, x in enumerate(w0) if x == "A")
-    # pending[c] maps each word with c inversions to {u-exponent: multiplicity}
-    pending: dict[int, dict[str, dict[int, int]]] = {inversions: {w0: {0: 1}}}
-
-    def push(c, w, mults, shift):
-        acc = pending.setdefault(c, {}).setdefault(w, {})
-        for e, m in mults.items():
-            acc[e + shift] = acc.get(e + shift, 0) + m
-
+    pending: dict[int, dict[str, int]] = {inversions: {w0: 1}}  # by inversion count
     for c in range(inversions, 0, -1):
-        for w, mults in pending.pop(c, {}).items():
+        for w, mult in pending.pop(c, {}).items():
             if choose is None:
                 k = w.find("BA")
             else:
-                k = choose([p for p in range(len(w) - 1) if w[p:p + 2] == "BA"], tuple(w))
-            push(c - 1, w[:k] + "AB" + w[k + 2:], mults, 0)
+                redexes = [p for p in range(len(w) - 1) if w[p:p + 2] == "BA"]
+                k = choose(redexes, tuple(w))
+                if not (isinstance(k, int) and k in redexes):
+                    raise DomainError(f"choose picked {k!r}, not a redex of {w}: {redexes}")
             # contracting drops the inversions of w[k] and of w[k + 1], one shared
             lost = w.count("A", k + 1) + w.count("B", 0, k + 1) - 1
-            push(c - lost, w[:k] + w[k + 2:], mults, 1)
+            for c1, w1 in ((c - 1, w[:k] + "AB" + w[k + 2:]), (c - lost, w[:k] + w[k + 2:])):
+                level = pending.setdefault(c1, {})
+                level[w1] = level.get(w1, 0) + mult
     terms = {}
-    for w, mults in pending.get(0, {}).items():
+    for w, mult in pending.get(0, {}).items():
         i = w.count("A")
-        terms[(i, len(w) - i)] = UPoly({e: Fraction(m) for e, m in mults.items()})
+        terms[(i, len(w) - i)] = UPoly({(len(w0) - len(w)) // 2: Fraction(mult)})
     return WeylPoly(terms, UPoly)
 
 

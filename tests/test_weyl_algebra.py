@@ -178,7 +178,17 @@ def test_choose_is_called_once_per_distinct_word():
     assert seen and len(seen) == len(set(seen))
 
 
-@pytest.mark.parametrize("k", range(21))
+def test_choose_must_pick_an_offered_redex():
+    # a pick that is not a B A position would rewrite some other pair of letters, and
+    # "BA" picked at 5 or "ABBA" at 0 would come out as a^2 b^2
+    for word, pick in (("BA", 5), ("ABBA", 0), ("ABBA", 1), ("BA", 0.0), ("BA", None)):
+        with pytest.raises(DomainError):
+            normal_order(word, choose=lambda _r, _w: pick)
+    assert str(normal_order("ABBA", choose=lambda r, _w: r[0])) == "a^2 b^2 + 2u a b"
+
+
+# B^30 A^30: the u^30 multiplicity 30! is about 2**108, wider than 64 bits
+@pytest.mark.parametrize("k", [*range(21), 30])
 def test_b_power_times_a_power_closed_form(k):
     want = WeylPoly({(k - r, k - r): UPoly({r: math.factorial(r) * math.comb(k, r) ** 2})
                      for r in range(k + 1)})
@@ -236,6 +246,57 @@ def test_product_matches_naive_gauss_rational_product(cls):
             ({4: GaussRat(f(0), f(-2)), 0: GaussRat(f(-1))}, f"-2i{x}^4 - 1")):
         assert str(cls(coeffs)) == text
     assert got == _naive_product(b - a.scale(i), b + a.scale(i))
+
+
+@pytest.mark.parametrize("cls", [UPoly, SPoly])
+def test_product_slots_hold_wide_and_cancelling_coefficients(cls):
+    # the packed product against the term-by-term one: numerators beyond 2**64 of both
+    # signs, complex parts over coprime denominators, coefficient degrees up to 12
+    rng = random.Random(2009)
+    dens = (1, 3, 7, 2 ** 61 - 1, 2 ** 89 - 1)  # primes, so the lcms grow
+
+    def rand_coef():
+        return Fraction(rng.randint(-2 ** 80, 2 ** 80), rng.choice(dens))
+
+    def rand_poly():
+        return cls({rng.randint(0, 12): GaussRat(rand_coef(),
+                                                 rand_coef() if rng.random() < 0.7 else Fraction(0))
+                    for _ in range(rng.randint(1, 4))})
+
+    def rand_weyl():
+        return WeylPoly({(rng.randint(0, 5), rng.randint(0, 5)): rand_poly()
+                         for _ in range(rng.randint(1, 4))}, cls)
+
+    for _ in range(30):
+        p, q = rand_weyl(), rand_weyl()
+        for x, y in ((p, q), (q, p), (p, -p)):
+            got, want = x * y, _naive_product(x, y)
+            assert got == want and str(got) == str(want)
+    # slots that cancel to exactly 0: (P b - P V a)(T b + T V a) has no a b term
+    for _ in range(10):
+        P, T, V = rand_poly(), rand_poly(), rand_poly()
+        x = WeylPoly({(0, 1): P, (1, 0): -(P * V)}, cls)
+        y = WeylPoly({(0, 1): T, (1, 0): T * V}, cls)
+        got, want = x * y, _naive_product(x, y)
+        assert (1, 1) not in got.terms and got == want and str(got) == str(want)
+    # a slot at its width's limit W S1 S2, of either sign
+    n = 2 ** 100 + 1
+    for sign in (1, -1):
+        got = WeylPoly({(0, 7): cls.const(n)}, cls) * WeylPoly({(7, 0): cls.const(sign * n)}, cls)
+        weights = [math.factorial(r) * math.comb(7, r) ** 2 for r in range(8)]
+        assert got == WeylPoly({(7 - r, 7 - r): cls({r * cls.U_DEGREE: sign * n * n * w})
+                                for r, w in enumerate(weights)}, cls)
+
+
+@pytest.mark.parametrize("make", [lambda: UPoly({1.5: 1}), lambda: SPoly({Fraction(5, 2): 1}),
+                                  lambda: UPoly({math.nan: 1}), lambda: UPoly({math.inf: 1}),
+                                  lambda: WeylPoly({(1.5, 0): 1}), lambda: WeylPoly({(0, 2.5): 1}),
+                                  lambda: WeylPoly({(math.inf, 0): 1})],
+                         ids=["u", "s", "u-nan", "u-inf", "a", "b", "a-inf"])
+def test_non_integral_exponents_are_refused(make):
+    # not truncated: UPoly({1.5: 1}) is not u, and WeylPoly({(1.5, 0): 1}) is not a
+    with pytest.raises(DomainError):
+        make()
 
 
 # ---------------------------------------------------------------------------
