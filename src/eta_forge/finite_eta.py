@@ -46,17 +46,14 @@ entry by b^(-ih) from one rotation table per h, keeps sum |terms|, and charges e
 that table's error model plus sqrt(5) units for the product.  A miss fills a fresh table
 only where its bound, the stepped one less the steps' charge, could pass; else the first
 big-float precision is read off the stepped table, so a run of misses fills one table.
-Each run of misses is cut into disks of radius about 0.55, and a big-float table at each
-centre s_c (``_first_bits`` plus 2 log2 n) gives the Taylor model of ``_disk`` (Odlyzko and
-Schoenhage 1988): eta(s_c + i d) = sum_(j<=K) a_j (i d)^j + R_K, a_j = sum_b c_b (-ln b)^j
-b^(-s_c) / j! by running products over the table's integers, |R_K| <= sum_b |c_b| b^(-sigma)
-(|d| ln b)^(K+1) / (K+1)! e^(|d| ln b).  Horner's sum in doubles (scaled by 2^-k where
-sum_b |c_b| b^(-sigma) passes their range) is bounded by the a_j's errors (the table's
-model, ln b's, one unit per truncation), their rounding and Horner's (2K + 2 units over
-sum |a_j| |d|^j), and R_K.  Horner runs at the offset d rounded to a double; an inexact one
-(TwoSum gives its rounding) is charged that rounding times the model's slope,
-sum j |a_j| |d|^(j-1), from the same pass.  A point whose bound misses tol * |value|, or a
-disk with no model, takes ``_evaluate``.
+Each run of misses is cut into disks of radius about 0.55, each served by the Taylor model of a
+big-float table at its centre; a point whose bound misses tol * |value|, or a disk with no model,
+takes ``_evaluate``.  That model (``_taylor``, Odlyzko and Schoenhage 1988; Newton's too, on the
+double table) is S(s + d) = sum_(j<=K) a_j d^j + R_K, a_j = sum_b c_b p_b (-ln b)^j / j! 2^-k
+(k > 0 past doubles), to the first K >= 1 whose |R_K| <= sum_b |c_b p_b| (rho ln b)^(K+1) /
+(K+1)! e^(rho ln b) meets the caller's goal.  ``_horner`` gives S, S', S''/2 and S's bound at
+|d| <= rho: R_K, the a_j's errors (fill + shift |d|) e^(top |d|) + trunc sum_(1<=j<=K) |d|^j
+(``_orders``), 2 units per step of sum |a_j| |d|^j (4 for a skew d), and an offset's rounding.
 """
 
 from __future__ import annotations
@@ -64,6 +61,7 @@ from __future__ import annotations
 import cmath
 import enum
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -94,6 +92,7 @@ ExactRational = Fraction
 _MAX_SUM_BITS = 1 << 16
 _TINY = 2.0 ** -1022  # the smallest normal double
 _DISK, _MAX_ORDER = 0.55, 60  # the line kernel's Taylor models: radius in t, top degree
+_Model = namedtuple("_Model", "a rho k fill shift trunc top tail")  # a Taylor model, ``_taylor``
 
 
 class Family(enum.Enum):
@@ -243,57 +242,15 @@ class _FastPowers:
         val = complex(math.fsum(map(mul, coefs, self.re)), math.fsum(map(mul, coefs, self.im)))
         return val, self.sum_abs * (self._rel(len(coefs), order) + 2.0 ** -52)
 
-
-def _newton_model(powers: _FastPowers, coefs: tuple[int, ...], max_step: float):
-    """(a, rho): a_j = sum_b c_b p_b (-ln b)**j / j! for j <= K, so that the table's sum
-    at s + d is sum_j a_j d**j, to the first K whose tail sum_b |c_b p_b| (rho ln b)**(K+1)
-    / (K+1)! e**(rho ln b) is below 2**-60 sum_b |c_b p_b|.  rho = 2 min(|a_0 / a_1|, max_step)
-    bounds ``_line_newton`` on the model: iterates that converge quadratically to a zero of S_N
-    in ``hasse_global.refine_zero`` (Kantorovich), at most two grid steps in ``scan_line``."""
-    try:
-        a0 = powers.dot(coefs)[0]  # fills the table to len(coefs), and its sum_abs
-    except OverflowError:  # terms beyond doubles: _line_newton needs the a_j up to a factor
-        k = 1 << max(map(abs, coefs)).bit_length()
-        a0 = powers.dot(coefs := [c / k for c in coefs])[0]
-    xs, ys = (list(map(mul, map(mul, coefs, col), powers.log)) for col in (powers.re, powers.im))
-    a = [a0, -complex(math.fsum(xs), math.fsum(ys))]  # xs, ys: c_b p_b (ln b)**j
-    rho = 2.0 * (min(abs(a0 / a[1]), max_step) if a[1] else max_step)
-    z, fact = [rho * x for x in powers.log], -1  # fact = (-1)**K K!
-    rest = [abs(c) * m * math.exp(v) * v * v for c, m, v in zip(coefs, powers.mag, z)]
-    while sum(rest) > 2.0 ** -60 * powers.sum_abs * abs(fact) * len(a):  # rest: tail * (K+1)!
-        fact *= -len(a)
-        xs, ys = list(map(mul, xs, powers.log)), list(map(mul, ys, powers.log))
-        a.append(complex(math.fsum(xs), math.fsum(ys)) / fact)
-        rest = list(map(mul, rest, z))
-    return a, rho
-
-
-def _line_newton(model_at, t0: float, max_step: float, radius: float, max_iter: int = 50):
-    """(t, iterations): Newton on h'(t) = 0, h(t) = |f(sigma + i t)|**2, over real t from t0;
-    ``model_at(t)`` gives the (a, rho) of ``_newton_model`` about sigma + i t, and an iterate
-    beyond rho gets a new model.  One Horner pass gives f, f' and f''; at a simple zero of f
-    the step is Newton's on f.  Steps are clamped to ``max_step``; it stops after a step below
-    1e-13 max(1, |t|) or ``max_iter`` steps.  |t - t0| > ``radius`` or h'' <= 0 (no minimum
-    of |f| ahead) raises ConvergenceError."""
-    t, tc, rho = t0, math.inf, 0.0
-    for iterations in range(1, max_iter + 1):
-        if abs(t - tc) > rho:  # no model yet, or the iterate left its disk
-            tc, (a, rho) = t, model_at(t)
-        d, g, gp, gpp = 1j * (t - tc), a[-1], 0j, 0j  # d = s - s_c
-        for x in reversed(a[:-1]):
-            g, gp, gpp = g * d + x, gp * d + g, gpp * d + gp
-        g = g.conjugate()  # conj f; f' = i g', f'' = -2 g'': h'/2 = -Im(g g'), h''/2 = curv
-        curv = abs(gp) ** 2 - 2.0 * (g * gpp).real
-        if not curv > 0.0:
-            raise ConvergenceError(f"|f|**2 has curvature {curv} at t = {t}", best=t)
-        dt = max(-max_step, min((g * gp).imag / curv, max_step))
-        t += dt
-        if abs(t - t0) > radius:
-            raise ConvergenceError(f"escaped capture interval around t0 = {t0} (reached {t})",
-                                   best=t)
-        if abs(dt) < 1e-13 * max(1.0, abs(t)):
-            break
-    return t, iterations
+    def _orders(self, coefs, cs, k: int):
+        """``_taylor``'s arithmetic in doubles on cs = c_b 2^-k.  Of sum |c_b p_b|, fill: the dot's
+        bound plus 3 units (fsum, j! past 22, division); shift: 2^-52 top (ln b, each order)."""
+        self._grow(n := len(cs))
+        neg, fill = [-x for x in self.log], self._rel(n, 0) + 5 * 2.0 ** -53
+        return (self.log[:n], self.mag[:n], list(map(mul, cs, self.re)),
+                list(map(mul, cs, self.im)), lambda v: list(map(mul, v, neg)),
+                lambda xs, ys, j: complex(math.fsum(xs) / j, math.fsum(ys) / j),
+                lambda size, top: (size * fill, 2.0 ** -52 * top * size, 0.0))
 
 
 @lru_cache(maxsize=None)
@@ -370,6 +327,18 @@ class _ExtPowers:
         units = (4 + 2 * order) * max(1, len(coefs).bit_length() - 1)
         return total, mp.make_mpf(from_man_exp(weight * units, exp - f, 53, round_up)) * scale
 
+    def _orders(self, coefs, cs, k: int):
+        """``_taylor``'s arithmetic in integers of 2^-f, floored.  fill: the dot's bound; shift:
+        L_b's 1.01 D units doubled, of sum_b |c_b p_b|; trunc: 1.5 (n + 1) e^top 2^-(f+k)."""
+        fill, f, n = float(mp.ldexp(self.dot(coefs)[1], -k)), self.f, len(coefs)  # fills the table
+        logs, unit, sigma = [x / (1 << f) for x in self.log[:n]], 1 << (f + k), float(self.s.real)
+        return (logs, [math.exp(-sigma * x) for x in logs],
+                list(map(mul, coefs, self.x)), list(map(mul, coefs, self.y)),
+                lambda v: [x * -g >> f for x, g in zip(v, self.log)],
+                lambda xs, ys, j: complex(sum(xs) // j / unit, sum(ys) // j / unit),
+                lambda size, top: (fill, math.ldexp(2 * n.bit_length() * size, -f),
+                                   math.ldexp(1.5 * (n + 1) * math.exp(top), -f - k)))
+
 
 def _integer_sum(coefs: tuple[int, ...], s, order: int) -> int | None:
     """sum_b coefs[b-1] * b**(-s) in exact integers, when order is 0 and s
@@ -434,54 +403,87 @@ def _rung(coefs: tuple[int, ...], s, order: int, wb: int, bits: float | None = N
     return v, bound, powers
 
 
+def _taylor(powers, coefs: tuple[int, ...], reach) -> _Model:
+    """The Taylor model (module docstring) of sum_b c_b p_b over ``powers`` about its s, with
+    (rho, goal) = reach(a_0, a_1, sum_b |c_b p_b| 2**-k); ConvergenceError past _MAX_ORDER."""
+    n, sigma, big = len(coefs), min(0.0, float(powers.s.real)), max(map(abs, coefs))
+    k = 0 if (n * big).bit_length() - sigma * math.log2(n) < 1020 else big.bit_length()
+    cs = [c / (1 << k) for c in coefs] if k else coefs  # c_b 2**-k
+    logs, ps, xs, ys, step, total, errors = powers._orders(coefs, cs, k)  # ln b, |p_b|: doubles
+    if not (size := sum(mags := list(map(mul, map(abs, cs), ps)))) < math.inf:
+        raise OverflowError("Taylor model terms beyond the double range")  # mags: |c_b p_b| 2**-k
+    a, fact, top = [total(xs, ys, 1)], 1, logs[-1] * (1 + 2.0 ** -50)
+    for j in range(1, _MAX_ORDER + 1):  # a_j: running products by -ln b, totals over j!
+        xs, ys, fact = step(xs), step(ys), fact * j
+        a.append(total(xs, ys, fact))
+        if j == 1:  # the caller's radius and goal, and R_0's terms at rho
+            rho, goal = reach(*a, size)
+            z = [rho * x for x in logs]
+            rest = [m * math.exp(v) * v for m, v in zip(mags, z)]
+        rest = list(map(mul, rest, z))  # R_j's terms times (j + 1)!
+        if not sum(rest) > goal * fact * (j + 1):
+            return _Model(a, rho, k, *errors(size, top), top, sum(rest) / fact / (j + 1))
+    raise ConvergenceError(f"no Taylor model of degree {_MAX_ORDER} within {goal:.3g}")
+
+
+def _horner(model: _Model, d: complex, e: float | None = 0.0):
+    """(f, f', f''/2, bound on f's error) of the model, times 2**-k, at an offset d, |d| <= rho;
+    e: the rounding of the offset that d stands for, or None for no bound (Newton's steps)."""
+    a, skew = model.a, bool(d.real and d.imag)  # skew: a product by d rounds twice, |d| once
+    g, gp, gpp, size, slope, geo = a[-1], 0j, 0j, abs(a[-1]), 0.0, 0.0
+    for x in reversed(a[:-1]):
+        g, gp, gpp = g * d + x, gp * d + g, gpp * d + gp
+    if e is None:
+        return g, gp, gpp, None
+    r = math.nextafter(abs(d), math.inf) if e or skew else abs(d)
+    for x in reversed(a[:-1]):  # the bound's sums of |a_j| r**j
+        size, slope, geo = size * r + abs(x), slope * r + size, geo * r + r
+    err = (model.fill + model.shift * r) * math.exp(model.top * r) + model.trunc * geo
+    moved = abs(e) * (slope + len(a) * err / r) if e else 0.0  # slope: sum j |a_j| r**(j-1)
+    units = (2 + 2 * skew) * len(a)  # Horner's roundings of sum |a_j| r**j
+    return g, gp, gpp, err + model.tail + moved + units * (2.0 ** -53 * size + 2.0 ** -1074)
+
+
+def _line_newton(table_at, t0: float, max_step: float, radius: float, max_iter: int = 50):
+    """(t, iterations): Newton on h'(t) = 0, h(t) = |f(sigma + i t)|**2, over real t from t0, on
+    the Taylor model of the double table and coefficients table_at(t) gives about sigma + i t (rho
+    = 2 min(|a_0 / a_1|, max_step): a zero's Kantorovich radius or two grid steps; tail 2**-60 sum
+    |c_b p_b|).  Steps (Newton's on f at a simple zero) are clamped to max_step, and stop below
+    1e-13 max(1, |t|) or after max_iter; |t - t0| > radius or h'' <= 0: ConvergenceError."""
+    t, tc, model = t0, None, None
+    for iterations in range(1, max_iter + 1):
+        if model is None or abs(t - tc) > model.rho:  # no model yet, or the iterate left its disk
+            tc, model = t, _taylor(*table_at(t), lambda a0, a1, size: (  # rho, goal
+                2.0 * (min(abs(a0 / a1), max_step) if a1 else max_step), 2.0 ** -60 * size))
+        g, gp, gpp, _ = _horner(model, 1j * (t - tc), None)
+        g = g.conjugate()  # conj f; f' = i g', f'' = -2 g'': h'/2 = -Im(g g'), h''/2 = curv
+        curv = abs(gp) ** 2 - 2.0 * (g * gpp).real
+        if not curv > 0.0:
+            raise ConvergenceError(f"|f|**2 has curvature {curv} at t = {t}", best=t)
+        dt = max(-max_step, min((g * gp).imag / curv, max_step))
+        t += dt
+        if abs(t - t0) > radius:
+            raise ConvergenceError(f"escaped capture interval around t0 = {t0} (reached {t})",
+                                   best=t)
+        if abs(dt) < 1e-13 * max(1.0, abs(t)):
+            break
+    return t, iterations
+
+
 def _disk(coefs: tuple[int, ...], sigma: float, ts, first_bits: float, tol: float):
     """[(value, bound)] at each sigma + i t of the Taylor model about the middle tc of
-    ``ts`` (module docstring); None if no model is in reach."""
+    ``ts`` (module docstring); None if no model is in reach of doubles and _MAX_ORDER."""
     n, tc = len(coefs), 0.5 * (ts[0] + ts[-1])
     ds, bits = [t - tc for t in ts], math.ceil(first_bits) + 2 * n.bit_length()
     es = [(t - (d - (d - t))) - (tc + (d - t)) for t, d in zip(ts, ds)]  # t - tc - d (TwoSum)
-    rhos = [math.nextafter(abs(d), math.inf) if e else abs(d) for d, e in zip(ds, es)]
-    powers = _ExtPowers(complex(sigma, tc), bits)
-    fill = powers.dot(coefs)[1]  # fills the table: its model's error at order 0
-    f, one = powers.f, 1 << powers.f  # units of 2**-f: c_b p_b (-ln b)**j, then // j!
-    logs = [x / one for x in powers.log]
-    mags = [abs(c) * math.exp(-sigma * x) for c, x in zip(coefs, logs)]  # |c_b| b**-sigma
-    k = 0 if sum(mags) < math.inf else max(map(abs, coefs)).bit_length()  # doubles at 2**-k
-    if k:
-        mags = [abs(c) / (1 << k) * math.exp(-sigma * x) for c, x in zip(coefs, logs)]
-    fill, unit = float(mp.ldexp(fill, -k)), 1 << (f + k)
-    xs, ys = list(map(mul, coefs, powers.x)), list(map(mul, coefs, powers.y))
-    re, im, fact, z = [sum(xs)], [sum(ys)], 1, [max(rhos) * x for x in logs]
-    rest = [m * math.exp(v) * v for m, v in zip(mags, z)]  # R_0's terms at the radius
-    while sum(rest) > 2.0 ** -16 * tol * abs(complex(re[0] / unit, im[0] / unit)):
-        if len(re) > _MAX_ORDER:
-            return None
-        fact *= len(re)
-        xs = [x * -g >> f for x, g in zip(xs, powers.log)]
-        ys = [y * -g >> f for y, g in zip(ys, powers.log)]
-        re.append(sum(xs) // fact)
-        im.append(sum(ys) // fact)
-        rest = [q * v / len(re) for q, v in zip(rest, z)]
-    coef = [complex(x / unit, y / unit) * 1j ** (j % 4)
-            for j, (x, y) in enumerate(zip(re, im))]  # a_j i**j, of d**j
-    # the a_j's errors: the table's (carried up the orders by e**(top |d|)), ln b's in the
-    # shifts (the table's 1.01 D units, doubled), a sqrt(2) unit per truncation (carried by e**top)
-    top = logs[-1] * (1 + 2.0 ** -50)  # >= every ln b, and every L_b 2**-f
-    shift = math.ldexp(2 * n.bit_length() * sum(mags), -f)
-    trunc = math.ldexp(1.5 * (n + 1) * math.exp(top), -f - k)
-    tail = sum(rest)  # R_K at the radius bounds it at every point
-
-    def horner(d: float, e: float, rho: float):  # the model in doubles at d, with its bound
-        val, size, slope, geo = coef[-1], abs(coef[-1]), 0.0, 0.0
-        for a in reversed(coef[:-1]):
-            val, size, slope, geo = (val * d + a, size * rho + abs(a), slope * rho + size,
-                                     geo * rho + rho)
-        model = (fill + shift * rho) * math.exp(top * rho) + trunc * geo  # the a_j's errors
-        # the offset's rounding e: |e| times the slope, sum j |a_j| rho**(j-1), plus the a_j's
-        # errors' share, at most len(coef) * model / rho
-        moved = abs(e) * (slope + len(coef) * model / rho) if e else 0.0
-        return val, model + tail + moved + 2 * len(coef) * (2.0 ** -53 * size + 2.0 ** -1074)
-    return [(v * 2.0 ** k, bound * 2.0 ** k) for v, bound in map(horner, ds, es, rhos)]
+    rho = max(math.nextafter(abs(d), math.inf) if e else abs(d) for d, e in zip(ds, es))
+    try:
+        model = _taylor(_ExtPowers(complex(sigma, tc), bits), coefs,
+                        lambda a0, a1, size: (rho, 2.0 ** -16 * tol * abs(a0)))
+        out = [_horner(model, 1j * d, e) for d, e in zip(ds, es)]
+        return [(v * 2.0 ** model.k, bound * 2.0 ** model.k) for v, _, _, bound in out]
+    except (OverflowError, ConvergenceError):  # a term or a coefficient beyond doubles, or no K
+        return None
 
 
 def _line(coefs: tuple[int, ...], sigma: float, ts, ctx: PrecisionContext):
@@ -505,10 +507,7 @@ def _line(coefs: tuple[int, ...], sigma: float, ts, ctx: PrecisionContext):
         run = [i for _, i in run]
         count = 1 + int((ts[run[-1]] - ts[run[0]]) // (2 * _DISK))
         for disk in (run[c * len(run) // count:(c + 1) * len(run) // count] for c in range(count)):
-            try:
-                model = _disk(coefs, sigma, [ts[i] for i in disk], max(bits[i] for i in disk), tol)
-            except OverflowError:  # a term or a coefficient beyond the double range
-                model = None
+            model = _disk(coefs, sigma, [ts[i] for i in disk], max(bits[i] for i in disk), tol)
             for i, (v, bound) in zip(disk, model or [(0j, math.inf)] * len(disk)):
                 vals[i] = v if bound <= tol * abs(v) < math.inf else \
                     _evaluate(coefs, complex(sigma, ts[i]), ctx, 0, tol)[0]

@@ -25,7 +25,7 @@ bounds 1/|Gamma| after a shift to x >= 1 (it is 0 at the poles of Gamma,
 where the sum is exact).  The bound falls by 3 + sqrt 8 or by at least 2
 per term; n makes it half the target with |value| guessed as 1; a smaller
 |value| first gets a longer sum, within the cap, then more bits.  Newton
-runs over real t on a Taylor model of S, uncertified.
+runs over real t on a bounded Taylor model of S; its steps stay uncertified.
 
 Ladder: each pass is one rung of :mod:`eta_forge.finite_eta` over the
 weights, scaled exactly by 2^-e, 2^e >= d, with s at full precision in big
@@ -51,7 +51,7 @@ import mpmath as mp
 
 from .errors import ConvergenceError, DomainError, RangeError, SingularPrefactorError
 from .finite_eta import (_MAX_SUM_BITS, _FastPowers, _evaluate, _first_bits, _line_newton,
-                         _more_bits, _newton_model, _rung)
+                         _more_bits, _rung)
 from .numerics import (ComplexPoint, PrecisionContext, _coerce_complex, _coerce_mpc, _fast_only,
                        cgamma)
 
@@ -300,16 +300,15 @@ def refine_zero(t_initial: float, ctx: PrecisionContext = PrecisionContext()) ->
     _fast_only(ctx, "refine_zero")
     t0 = float(t_initial)
 
-    def model_at(t: float):  # a Taylor model of S about 1/2 + i t
+    def table_at(t: float):  # S's double table about 1/2 + i t, and its weights
         table = _FastPowers(complex(0.5, t))  # filled by _series' first rung, to an absolute bound
         start = abs(_series(table.s, ctx, floor=1.0, powers=table).value.to_complex())
         if t == t0 and start > CAPTURE_THRESHOLD:  # the capture check
             raise DomainError(f"|eta(1/2 + {t0}i)| = {start:.3g} above capture threshold "
                               f"{CAPTURE_THRESHOLD}; start closer to a zero")
-        coefs = _weights(len(table.re), _borwein(table.s))[0]  # the weights _series took
-        return _newton_model(table, coefs, NEWTON_MAX_STEP)
+        return table, _weights(len(table.re), _borwein(table.s))[0]  # the weights _series took
 
-    t, iterations = _line_newton(model_at, t0, NEWTON_MAX_STEP, CAPTURE_RADIUS, NEWTON_MAX_ITER)
+    t, iterations = _line_newton(table_at, t0, NEWTON_MAX_STEP, CAPTURE_RADIUS, NEWTON_MAX_ITER)
     residual = abs(_series(complex(0.5, t), ctx, floor=1.0).value.to_complex())
     if residual > REFINE_TOL:
         raise ConvergenceError(

@@ -21,8 +21,8 @@ import math
 from dataclasses import dataclass
 
 from .errors import ConvergenceError, DomainError
-from .finite_eta import (Family, FiniteEtaSpec, _FastPowers, _line, _line_newton, _newton_model,
-                         _terms, derivative, evaluate)
+from .finite_eta import (Family, FiniteEtaSpec, _FastPowers, _line, _line_newton, _terms,
+                         derivative, evaluate)
 from .hasse_global import ZeroRecord
 from .numerics import PrecisionContext, _fast_only
 
@@ -155,17 +155,13 @@ def scan_line(cfg: ScanConfig, ctx: PrecisionContext = PrecisionContext(),
               jobs: int = 1) -> list[ProtoZeroRecord]:
     """All strict grid minima of |eta(sigma+it)|, polished by Newton on the line.
 
-    The grid values come from the line kernel.  The polish runs ``_line_newton`` on a
-    model of the double table within a grid step of the grid minimum, which stays if it
-    raises; the magnitude and the decay come from ``evaluate`` and ``derivative``: the
-    decay is Re(eta / eta'), the imaginary part of the Newton step in the complex ordinate
-    t.  Fast tier only: an extended context raises DomainError.  ``jobs`` has no effect.
+    The grid values come from the line kernel; ``_line_newton``, on a Taylor model of the double
+    table, polishes each minimum within a grid step, which stays if it raises.  The magnitude and
+    the decay, Re(eta / eta') (the imaginary part of a Newton step in the complex ordinate t), come
+    from ``evaluate`` and ``derivative``.  Fast tier only (else DomainError); ``jobs`` does nothing.
     """
     _fast_only(ctx, "scan_line")
     spec, sigma, coefs = cfg.spec, cfg.sigma, _terms(cfg.spec.family, cfg.spec.n)
-
-    def model_at(t: float):
-        return _newton_model(_FastPowers(complex(sigma, t)), coefs, cfg.step)
 
     count = int(math.floor((cfg.t_max - cfg.t_min) / cfg.step + 1e-9)) + 1
     ts = [cfg.t_min + i * cfg.step for i in range(count)]
@@ -175,7 +171,8 @@ def scan_line(cfg: ScanConfig, ctx: PrecisionContext = PrecisionContext(),
     for i in range(1, count - 1):
         if vals[i] < vals[i - 1] and vals[i] < vals[i + 1]:
             try:
-                t_star = _line_newton(model_at, ts[i], cfg.step, cfg.step)[0]
+                t_star = _line_newton(lambda t: (_FastPowers(complex(sigma, t)), coefs), ts[i],
+                                      cfg.step, cfg.step)[0]
             except (ConvergenceError, OverflowError):  # no minimum ahead, or beyond doubles
                 t_star = ts[i]
             s_star = complex(sigma, t_star)

@@ -1,3 +1,5 @@
+import cmath
+import contextlib
 import math
 import random
 import time
@@ -13,6 +15,7 @@ from eta_forge import finite_eta
 from eta_forge.proto_zeros import default_step
 from eta_forge import (
     ComplexPoint,
+    ConvergenceError,
     DomainError,
     Family,
     FiniteEtaSpec,
@@ -590,6 +593,53 @@ def test_line_kernel_falls_back_to_evaluate(monkeypatch):
     assert built and all(out is not None for out in built)
     assert all(bound > ctx.target_rel_err * abs(v) for out in built for v, bound in out)
     assert vals == [evaluate(spec(H, n), complex(0.5, t), ctx).value.to_complex() for t in ts]
+
+
+def _first_model(run, monkeypatch):
+    """The first Taylor model that ``run()`` builds."""
+    built, raw = [], finite_eta._taylor
+    monkeypatch.setattr(finite_eta, "_taylor", lambda *args: built.append(raw(*args)) or built[-1])
+    with contextlib.suppress(ConvergenceError):  # a Newton step may find no minimum ahead
+        run()
+    return built[0]
+
+
+@pytest.mark.parametrize("fam, n, sigma", [(H, n, sigma) for n in (8, 12, 20)
+                                           for sigma in (0.25, 0.5, 0.75)] + [(HS, 10, 0.5)])
+@pytest.mark.parametrize("table", ["double", "double, cancelling", "big-float, cancelling"])
+def test_taylor_model_holds_its_bound_at_complex_offsets(fam, n, sigma, table, monkeypatch):
+    # one model on either table, built by its user (Newton's first model on the double
+    # table, a line kernel's disk on the big-float one): at 16 offsets on the circle
+    # |d| = rho (real, imaginary and skew) and inside it, the value is within its bound of a
+    # 200-bit sum.  f' and f''/2 (not certified) match mp.diff to 1e-10 relative, except on
+    # the double table where the sum cancels (t = 5), whose rounding they carry
+    coefs, tol = finite_eta._terms(fam, n), CTX.target_rel_err
+    ref = {H: oracles.eta_hasse_highprec, HS: oracles.eta_hstar_highprec}[fam]
+
+    def f(s):
+        return ref(n, s, mp.mp.prec)
+    tc = 5.0 if table.endswith("cancelling") else 3.0 * n
+    if table.startswith("double"):
+        model = _first_model(lambda: finite_eta._line_newton(
+            lambda t: (finite_eta._FastPowers(complex(sigma, t)), coefs), tc, 0.5, 1.0, 1),
+            monkeypatch)
+    else:
+        ts = [tc - 0.5 + 0.1 * i for i in range(11)]
+        v, _, powers = finite_eta._rung(coefs, complex(sigma, tc), 0, 53)
+        first = finite_eta._first_bits(53, powers, abs(v))
+        model = _first_model(lambda: finite_eta._disk(coefs, sigma, ts, first, tol), monkeypatch)
+    rho, scale = model.rho * (1 - 2.0 ** -40), 2.0 ** model.k
+    offsets = [rho * cmath.exp(2j * math.pi * j / 16) for j in range(16)]
+    offsets += [0j, 0.3 * rho * cmath.exp(1j), 0.7 * rho * cmath.exp(-2j), 0.5j * rho]
+    for d in offsets:
+        g, gp, gpp, bound = finite_eta._horner(model, d)
+        with mp.workprec(200):
+            s = mp.mpc(sigma, tc) + mp.mpc(d.real, d.imag)
+            assert abs(mp.mpc(g * scale) - f(s)) <= bound * scale, d
+        if table != "double, cancelling":
+            with mp.workprec(80):
+                for got, want in ((gp, mp.diff(f, s)), (gpp, mp.diff(f, s, 2) / 2)):
+                    assert abs(mp.mpc(got * scale) - want) <= 1e-10 * abs(want), d
 
 
 # ---------------------------------------------------------------------------

@@ -487,19 +487,19 @@ def _traced_refine(t0, monkeypatch):
     """refine_zero(t0) with the double tables it fills and the (centre, radius)
     of each Newton model it builds."""
     tables, models = [], []
-    raw_init, raw_model = finite_eta._FastPowers.__init__, hasse_global._newton_model
+    raw_init, raw_model = finite_eta._FastPowers.__init__, finite_eta._taylor
 
     def counting(self, s):
         tables.append(s)
         raw_init(self, s)
 
-    def recording(powers, coefs, max_step):
-        a, rho = raw_model(powers, coefs, max_step)
-        models.append((powers.s, rho))
-        return a, rho
+    def recording(powers, coefs, reach):
+        model = raw_model(powers, coefs, reach)
+        models.append((powers.s, model.rho))
+        return model
 
     monkeypatch.setattr(finite_eta._FastPowers, "__init__", counting)
-    monkeypatch.setattr(hasse_global, "_newton_model", recording)
+    monkeypatch.setattr(finite_eta, "_taylor", recording)
     return refine_zero(t0, CTX), tables, models
 
 

@@ -291,7 +291,7 @@ def test_polish_finds_the_minimum(n, t_min, t_max):
 
 
 def test_polish_keeps_the_grid_point_when_newton_fails(monkeypatch):
-    def failing(model_at, t0, max_step, radius):
+    def failing(table_at, t0, max_step, radius):
         raise ConvergenceError("escaped capture interval", best=t0 + radius)
 
     spec = FiniteEtaSpec(Family.HASSE, 6)

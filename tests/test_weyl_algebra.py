@@ -291,12 +291,24 @@ def test_product_slots_hold_wide_and_cancelling_coefficients(cls):
 @pytest.mark.parametrize("make", [lambda: UPoly({1.5: 1}), lambda: SPoly({Fraction(5, 2): 1}),
                                   lambda: UPoly({math.nan: 1}), lambda: UPoly({math.inf: 1}),
                                   lambda: WeylPoly({(1.5, 0): 1}), lambda: WeylPoly({(0, 2.5): 1}),
-                                  lambda: WeylPoly({(math.inf, 0): 1})],
-                         ids=["u", "s", "u-nan", "u-inf", "a", "b", "a-inf"])
+                                  lambda: WeylPoly({(math.inf, 0): 1}),
+                                  lambda: WeylPoly.monomial(2, 0) ** 2.5,
+                                  lambda: WeylPoly.monomial(2, 0) ** -1,
+                                  lambda: UPoly({"x": 1}), lambda: WeylPoly({("x", 0): 1})],
+                         ids=["u", "s", "u-nan", "u-inf", "a", "b", "a-inf", "pow", "pow-neg",
+                              "u-str", "a-str"])
 def test_non_integral_exponents_are_refused(make):
-    # not truncated: UPoly({1.5: 1}) is not u, and WeylPoly({(1.5, 0): 1}) is not a
+    # not truncated: UPoly({1.5: 1}) is not u, and WeylPoly({(1.5, 0): 1}) is not a;
+    # a string is a DomainError too, not a bare TypeError
     with pytest.raises(DomainError):
         make()
+
+
+def test_integral_float_exponents_are_integers():
+    # as the constructors take u^2.0 for u^2, a power takes ** 2.0 for ** 2
+    p = WeylPoly({(1, 0): UPoly({1: 1}), (0, 1): 1})
+    assert p ** 2.0 == p ** 2 and str(p ** 2.0) == str(p ** 2)
+    assert UPoly({2.0: 1}) == UPoly({2: 1})
 
 
 # ---------------------------------------------------------------------------
