@@ -16,9 +16,14 @@ stdout), 2 usage error.  Output is strict JSON: a result or bound that is
 not finite becomes a RangeError object with exit code 1, and non-finite
 numeric arguments are usage errors.
 
-Configuration precedence: command-line flags, then ETA_FORGE_* environment
-variables, then a key=value config file (--config or ETA_FORGE_CONFIG),
-then built-in defaults.
+Settings and commands are each described once.  SETTINGS holds each global
+setting's value parser, default and flag help; COMMANDS holds each (group,
+command)'s handler, help, arguments and CSV columns.  A setting comes from
+its flag, else its ETA_FORGE_* variable, else a key=value config file
+(--config or ETA_FORGE_CONFIG), else its default.  All three go through its
+parser, and a bad value in any of them exits 2, even where a higher source
+overrides it.  --precision-bits and --tol form one PrecisionContext on both
+tiers, so a --tol the precision cannot meet exits 2.
 """
 
 from __future__ import annotations
@@ -26,13 +31,14 @@ from __future__ import annotations
 import argparse
 import cmath
 import csv
-import io
 import json
 import math
 import os
 import sys
 import time
 from fractions import Fraction
+from functools import partial
+from typing import Callable, NamedTuple
 
 import mpmath as mp
 
@@ -83,14 +89,9 @@ ENVELOPE_SCHEMA = {
     },
 }
 
-_SETTING_KEYS = ("precision_bits", "tol", "format", "jobs", "no_timing")
-# tol None: 1e-13 on the fast tier, PrecisionContext.extended's 2^(8 - bits) above it
-_DEFAULTS = {"precision_bits": FAST_BITS, "tol": None, "format": "json",
-             "jobs": 1, "no_timing": False}
-
 
 # ---------------------------------------------------------------------------
-# value serialization
+# value serialization and parsing
 # ---------------------------------------------------------------------------
 
 def _num_str(x) -> str:
@@ -140,18 +141,32 @@ def _family(text: str) -> Family:
         raise argparse.ArgumentTypeError(f"family must be 'hasse' or 'hstar', got {text!r}")
 
 
-def _nonneg_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {value}")
-    return value
+def _integer(least: int, what: str):
+    """Parser of an integer argument of at least ``least``."""
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < least:
+            raise argparse.ArgumentTypeError(f"must be a {what} integer, got {value}")
+        return value
+    return integer
 
 
-def _pos_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
-    return value
+_nonneg_int, _pos_int = _integer(0, "non-negative"), _integer(1, "positive")
+
+
+def _format(text: str) -> str:
+    if text not in ("json", "csv"):
+        raise argparse.ArgumentTypeError(f"format must be 'json' or 'csv', got {text!r}")
+    return text
+
+
+def _switch(text: str) -> bool:
+    value = text.strip().lower()
+    if value in ("1", "true", "yes", "on"):
+        return True
+    if value in ("0", "false", "no", "off"):
+        return False
+    raise argparse.ArgumentTypeError(f"must be 1/true/yes/on or 0/false/no/off, got {text!r}")
 
 
 def _phase(text: str):
@@ -169,8 +184,25 @@ def _phase(text: str):
 
 
 # ---------------------------------------------------------------------------
-# configuration
+# settings: --key-name flag, ETA_FORGE_KEY_NAME variable, key_name config key
 # ---------------------------------------------------------------------------
+
+class Setting(NamedTuple):
+    parse: Callable[[str], object]
+    default: object
+    help: str
+
+
+SETTINGS = {
+    "precision_bits": Setting(int, FAST_BITS, "working mantissa bits (53 = fast tier)"),
+    "tol": Setting(_finite_float, None, "target relative error (default 1e-13 on the fast "
+                                        "tier, 2^(8 - bits) above it)"),
+    "format": Setting(_format, "json", "output format (csv only for scan/list commands)"),
+    "jobs": Setting(_pos_int, 1, "accepted for compatibility; has no effect"),
+    # the flag takes no value; _switch reads the variable and the config key
+    "no_timing": Setting(_switch, False, "omit timing from diagnostics"),
+}
+
 
 def _read_config_file(path: str) -> dict:
     out = {}
@@ -186,192 +218,190 @@ def _read_config_file(path: str) -> dict:
     return out
 
 
-def _coerce_setting(key: str, raw):
-    if key == "precision_bits":
-        return int(raw)
-    if key == "tol":
-        return _finite_float(raw)
-    if key == "jobs":
-        return _pos_int(raw)
-    if key == "no_timing":
-        if isinstance(raw, bool):
-            return raw
-        return str(raw).strip().lower() in ("1", "true", "yes", "on")
-    return str(raw)
-
-
 def resolve_settings(args: argparse.Namespace) -> dict:
-    """flags > environment > config file > defaults."""
-    settings = dict(_DEFAULTS)
+    """flags > environment > config file > defaults; every value present is parsed."""
     config_path = args.config or os.environ.get(ENV_PREFIX + "CONFIG")
-    if config_path:
-        for key, val in _read_config_file(config_path).items():
-            if key in _SETTING_KEYS:
-                settings[key] = _coerce_setting(key, val)
-    for key in _SETTING_KEYS:
-        env = os.environ.get(ENV_PREFIX + key.upper())
-        if env is not None:
-            settings[key] = _coerce_setting(key, env)
-    for key in _SETTING_KEYS:
-        val = getattr(args, key, None)
-        if val is not None:
-            settings[key] = _coerce_setting(key, val)
+    config = _read_config_file(config_path) if config_path else {}
+    settings = {}
+    for key, setting in SETTINGS.items():
+        found = [setting.parse(text) for text in
+                 (config.get(key), os.environ.get(ENV_PREFIX + key.upper())) if text is not None]
+        flag = getattr(args, key)  # argparse ran the flag's text through the same parser
+        settings[key] = flag if flag is not None else found[-1] if found else setting.default
     return settings
 
 
 def _context(settings: dict) -> PrecisionContext:
-    bits = settings["precision_bits"]
-    tol = settings["tol"]
-    if bits <= FAST_BITS:
-        return PrecisionContext(FAST_BITS, 1e-13 if tol is None else tol)
+    bits, tol = settings["precision_bits"], settings["tol"]
     if tol is None:
-        return PrecisionContext.extended(bits)
-    return PrecisionContext(bits, max(tol, 2.0 ** (1 - bits)))
+        tol = 1e-13 if bits <= FAST_BITS else 2.0 ** (8 - bits)
+    return PrecisionContext(bits, tol)
 
 
 # ---------------------------------------------------------------------------
-# command implementations: each returns (results, diagnostics, csv_rows)
+# handlers: (args, ctx) -> (results, diagnostics)
 # ---------------------------------------------------------------------------
 
-def _records_payload(records):
-    rows = [{"n": r.spec.n, "sigma": r.sigma, "t": r.t,
-             "magnitude": r.magnitude, "decay": r.decay} for r in records]
-    return rows
+def _eta_eval(args, ctx):
+    res = evaluate(FiniteEtaSpec(_family(args.family), args.n), parse_complex(args.s), ctx)
+    return {"value": _cplx(res.value)}, {"abs_err_bound": res.abs_err}
 
 
-def cmd_eta_eval(args, ctx, settings):
-    spec = FiniteEtaSpec(_family(args.family), args.n)
-    res = evaluate(spec, parse_complex(args.s), ctx)
-    return ({"value": _cplx(res.value)}, {"abs_err_bound": res.abs_err}, None)
-
-
-def cmd_eta_zeros(args, ctx, settings):
-    spec = FiniteEtaSpec(_family(args.family), args.n)
-    report = trivial_zero_report(spec)
+def _eta_zeros(args, ctx):
+    report = trivial_zero_report(FiniteEtaSpec(_family(args.family), args.n))
     rows = [{"argument": a, "value": str(v)} for a, v in report]
-    return ({"zeros": rows, "all_exactly_zero": True}, {"count": len(rows)},
-            ([("argument", "value")] + [(a, str(v)) for a, v in report]))
+    return {"zeros": rows, "all_exactly_zero": True}, {"count": len(rows)}
 
 
-def cmd_integral_compute(args, ctx, settings):
+def _integral_compute(args, ctx):
     res = integrate_L(_family(args.family), args.n, parse_complex(args.s), ctx,
                       budget=args.budget)
     return ({"value": _cplx(res.value)},
-            {"abs_err_estimate": res.abs_err_estimate, "evaluations": res.evaluations},
-            None)
+            {"abs_err_estimate": res.abs_err_estimate, "evaluations": res.evaluations})
 
 
-def _cmd_verify(family: Family, args, ctx):
+def _verify(family: Family, args, ctx):
     res = verify_identity(family, args.n, parse_complex(args.s), ctx, budget=args.budget)
-    results = {
+    return {
         "lhs": _cplx(res.lhs) if res.lhs is not None else None,
         "rhs": _cplx(res.rhs) if res.rhs is not None else None,
         "residual": None if res.rhs is None else res.residual,  # None at a genuine pole
         "skipped": res.skipped,
         "reason": res.reason,
-    }
-    return (results, {}, None)
+    }, {}
 
 
-def cmd_verify_thm1(args, ctx, settings):
-    return _cmd_verify(Family.HSTAR, args, ctx)
-
-
-def cmd_verify_thm2(args, ctx, settings):
-    return _cmd_verify(Family.HASSE, args, ctx)
-
-
-def cmd_zeta_eval(args, ctx, settings):
-    res = zeta_global(parse_complex(args.s), ctx)
+def _series(fn, args, ctx):
+    """zeta_global, eta_global and pi_s: a value with its terms and tail bound."""
+    res = fn(parse_complex(args.s), ctx)
     return ({"value": _cplx(res.value)},
-            {"terms_used": res.terms_used, "tail_bound": res.tail_bound}, None)
+            {"terms_used": res.terms_used, "tail_bound": res.tail_bound})
 
 
-def cmd_eta_global_eval(args, ctx, settings):
-    res = eta_global(parse_complex(args.s), ctx)
-    return ({"value": _cplx(res.value)},
-            {"terms_used": res.terms_used, "tail_bound": res.tail_bound}, None)
+def _funceq_check(args, ctx):
+    return {"residual": functional_equation_residual(parse_complex(args.s), ctx)}, {}
 
 
-def cmd_funceq_check(args, ctx, settings):
-    residual = functional_equation_residual(parse_complex(args.s), ctx)
-    return ({"residual": residual}, {}, None)
-
-
-def cmd_zero_refine(args, ctx, settings):
+def _zero_refine(args, ctx):
     rec = refine_zero(args.t0, ctx)
-    return ({"t": rec.t, "residual_eta": rec.residual_eta},
-            {"iterations": rec.iterations}, None)
+    return {"t": rec.t, "residual_eta": rec.residual_eta}, {"iterations": rec.iterations}
 
 
-def cmd_proto_scan(args, ctx, settings):
+def _records(records, **diagnostics):
+    rows = [{"n": r.spec.n, "sigma": r.sigma, "t": r.t,
+             "magnitude": r.magnitude, "decay": r.decay} for r in records]
+    return {"records": rows}, {"count": len(rows), **diagnostics}
+
+
+def _proto_scan(args, ctx):
     spec = FiniteEtaSpec(_family(args.family), args.n)
     step = args.step if args.step is not None else default_step(spec)
-    cfg = ScanConfig(spec=spec, sigma=args.sigma, t_min=args.t_min,
-                     t_max=args.t_max, step=step)
-    records = scan_line(cfg, ctx, jobs=settings["jobs"])
-    rows = _records_payload(records)
-    csv_rows = [("n", "sigma", "t", "magnitude", "decay")] + [
-        (r["n"], repr(r["sigma"]), repr(r["t"]), repr(r["magnitude"]), repr(r["decay"]))
-        for r in rows]
-    return ({"records": rows}, {"count": len(rows), "step": step}, csv_rows)
+    cfg = ScanConfig(spec, args.sigma, args.t_min, args.t_max, step)
+    return _records(scan_line(cfg, ctx, jobs=args.jobs), step=step)
 
 
-def cmd_proto_cloud(args, ctx, settings):
-    records = proto_cloud(args.n_max, args.sigma, args.t_center, args.half_width,
-                          ctx, jobs=settings["jobs"])
-    rows = _records_payload(records)
-    csv_rows = [("n", "sigma", "t", "magnitude", "decay")] + [
-        (r["n"], repr(r["sigma"]), repr(r["t"]), repr(r["magnitude"]), repr(r["decay"]))
-        for r in rows]
-    return ({"records": rows}, {"count": len(rows)}, csv_rows)
+def _proto_cloud(args, ctx):
+    return _records(proto_cloud(args.n_max, args.sigma, args.t_center, args.half_width,
+                                ctx, jobs=args.jobs))
 
 
-def cmd_planck(args, ctx, settings):
+def _planck(args, ctx):
     info = planck_resolution(args.p)
-    return ({"p": info.p, "hbar_p": info.hbar_p, "resolution": info.resolution}, {}, None)
+    return {"p": info.p, "hbar_p": info.hbar_p, "resolution": info.resolution}, {}
 
 
-def cmd_weyl_normal_order(args, ctx, settings):
+def _weyl_normal_order(args, ctx):
     poly = normal_order(args.word)
-    return ({"poly": str(poly)}, {"terms": len(poly.terms)}, None)
+    return {"poly": str(poly)}, {"terms": len(poly.terms)}
 
 
-def cmd_weyl_lemmas(args, ctx, settings):
+def _weyl_lemmas(args, ctx):
     rep = lemma_suite(args.n_max)
     return ({"n_max": rep.n_max, "passed": True, "checks": list(rep.checks)},
-            {"count": len(rep.checks)}, None)
+            {"count": len(rep.checks)})
 
 
-def cmd_weyl_rest_frames(args, ctx, settings):
-    frames = rest_frames(_phase(args.u))
-    rows = [{"w": str(f.w), "h_scale": str(f.h_scale),
-             "time_scale": str(f.time_scale), "swaps_ab": f.swaps_ab}
-            for f in frames]
-    csv_rows = [("w", "h_scale", "time_scale", "swaps_ab")] + [
-        (r["w"], r["h_scale"], r["time_scale"], str(r["swaps_ab"]).lower()) for r in rows]
-    return ({"frames": rows}, {}, csv_rows)
+def _weyl_rest_frames(args, ctx):
+    return {"frames": [{"w": str(f.w), "h_scale": str(f.h_scale),
+                        "time_scale": str(f.time_scale), "swaps_ab": f.swaps_ab}
+                       for f in rest_frames(_phase(args.u))]}, {}
 
 
-def cmd_weyl_equilibrium(args, ctx, settings):
-    scalar = equilibrium_identity_check()
-    return ({"scalar": str(scalar), "matches": "2s^2 - 2s + 1"}, {}, None)
+def _weyl_equilibrium(args, ctx):
+    return {"scalar": str(equilibrium_identity_check()), "matches": "2s^2 - 2s + 1"}, {}
 
 
-def cmd_apow_pi_s(args, ctx, settings):
-    res = pi_s(parse_complex(args.s), ctx)
-    return ({"value": _cplx(res.value)},
-            {"terms_used": res.terms_used, "tail_bound": res.tail_bound}, None)
-
-
-def cmd_apow_clifford(args, ctx, settings):
-    inside = clifford_contains(parse_complex(args.s), args.side)
-    return ({"contains": inside, "side": args.side}, {}, None)
+def _apow_clifford(args, ctx):
+    return {"contains": clifford_contains(parse_complex(args.s), args.side),
+            "side": args.side}, {}
 
 
 # ---------------------------------------------------------------------------
-# parser
+# commands: an argument is (flag, add_argument keywords), required unless it
+# has a default; csv names the results list and its columns
 # ---------------------------------------------------------------------------
+
+class Command(NamedTuple):
+    group: str
+    name: str | None  # None: the group is itself the command
+    handler: Callable
+    help: str
+    arguments: tuple = ()
+    csv: tuple[str, tuple[str, ...]] | None = None
+
+
+GROUPS = {"eta": "finite eta families", "integral": "kernel integrals",
+          "verify": "integral-identity residuals", "zeta": "global zeta",
+          "eta-global": "global eta", "funceq": "reflection identity",
+          "zero": "critical-line zeros", "proto": "proto-zero scanning",
+          "planck": "local resolving power of a prime", "weyl": "exact Weyl-algebra kernel",
+          "apow": "operator binomial powers"}
+
+_FAMILY = ("--family", {})
+_N = ("--n", {"type": _nonneg_int})
+_S = ("--s", {})
+_BUDGET = ("--budget", {"type": _pos_int, "default": 200_000})
+_SIGMA = ("--sigma", {"type": _finite_float})
+_N_MAX = ("--n-max", {"type": _pos_int})
+_RECORDS = ("records", ("n", "sigma", "t", "magnitude", "decay"))
+
+COMMANDS = (
+    Command("eta", "eval", _eta_eval, "evaluate a finite eta sum", (_FAMILY, _N, _S)),
+    Command("eta", "zeros", _eta_zeros, "exact trivial-zero report", (_FAMILY, _N),
+            csv=("zeros", ("argument", "value"))),
+    Command("integral", "compute", _integral_compute, "quadrature value of L_n(s)",
+            (_FAMILY, _N, _S, _BUDGET)),
+    Command("verify", "thm1", partial(_verify, Family.HSTAR),
+            "harmonic kernel identity (hstar)", (_N, _S, _BUDGET)),
+    Command("verify", "thm2", partial(_verify, Family.HASSE),
+            "rising-factorial kernel identity (hasse)", (_N, _S, _BUDGET)),
+    Command("zeta", "eval", partial(_series, zeta_global), "zeta via the weighted series",
+            (_S,)),
+    Command("eta-global", "eval", partial(_series, eta_global),
+            "globally convergent eta series", (_S,)),
+    Command("funceq", "check", _funceq_check, "relative residual of the identity", (_S,)),
+    Command("zero", "refine", _zero_refine, "Newton-refine an ordinate",
+            (("--t0", {"type": _finite_float}),)),
+    Command("proto", "scan", _proto_scan, "scan a vertical line for minima",
+            (("--family", {"default": "hasse"}), _N, _SIGMA,
+             ("--t-min", {"type": _finite_float}), ("--t-max", {"type": _finite_float}),
+             ("--step", {"type": _finite_float, "default": None})), csv=_RECORDS),
+    Command("proto", "cloud", _proto_cloud, "union of scans for n = 1..n_max",
+            (_N_MAX, _SIGMA, ("--t-center", {"type": _finite_float}),
+             ("--half-width", {"type": _finite_float})), csv=_RECORDS),
+    Command("planck", None, _planck, GROUPS["planck"], (("--p", {"type": int}),)),
+    Command("weyl", "normal-order", _weyl_normal_order, "canonical form of a word",
+            (("--word", {}),)),
+    Command("weyl", "lemmas", _weyl_lemmas, "exact ladder-identity suite", (_N_MAX,)),
+    Command("weyl", "rest-frames", _weyl_rest_frames, "phases w with w^4 = u^2",
+            (("--u", {}),), csv=("frames", ("w", "h_scale", "time_scale", "swaps_ab"))),
+    Command("weyl", "equilibrium", _weyl_equilibrium,
+            "scalar of the truncated product b^s a^s"),
+    Command("apow", "pi-s", partial(_series, pi_s), "coherence series sum_k C(s,k)", (_S,)),
+    Command("apow", "clifford", _apow_clifford, "convergence-domain membership",
+            (_S, ("--side", {"choices": ("a", "b"), "default": "a"}))),
+)
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -379,143 +409,52 @@ def build_parser() -> argparse.ArgumentParser:
         description="Finite eta families, kernel integral identities, "
                     "critical-line zero machinery and an exact Weyl-algebra kernel.")
     parser.add_argument("--version", action="version", version=__version__)
-    parser.add_argument("--precision-bits", type=int, default=None, dest="precision_bits",
-                        help="working mantissa bits (53 = fast tier)")
-    parser.add_argument("--tol", type=float, default=None,
-                        help="target relative error (default 1e-13 on the fast tier, "
-                             "2^(8 - bits) above it)")
-    parser.add_argument("--format", choices=("json", "csv"), default=None,
-                        help="output format (csv only for scan/list commands)")
-    parser.add_argument("--jobs", type=_pos_int, default=None,
-                        help="accepted for compatibility; has no effect")
-    parser.add_argument("--no-timing", action="store_const", const=True, default=None,
-                        dest="no_timing", help="omit timing from diagnostics")
+    for key, setting in SETTINGS.items():
+        flag = "--" + key.replace("_", "-")
+        if setting.parse is _switch:
+            parser.add_argument(flag, action="store_const", const=True, help=setting.help)
+        else:
+            parser.add_argument(flag, type=setting.parse, help=setting.help,
+                                metavar="{json,csv}" if key == "format" else None)
     parser.add_argument("--config", default=None, help="key=value configuration file")
 
-    sub = parser.add_subparsers(dest="group", required=True)
-
-    def add(grp, name, fn, **kwargs):
-        p = grp.add_parser(name, **kwargs)
-        p.set_defaults(handler=fn)
-        return p
-
-    g_eta = sub.add_parser("eta", help="finite eta families").add_subparsers(
-        dest="command", required=True)
-    p = add(g_eta, "eval", cmd_eta_eval, help="evaluate a finite eta sum")
-    p.add_argument("--family", required=True)
-    p.add_argument("--n", type=_nonneg_int, required=True)
-    p.add_argument("--s", required=True)
-    p = add(g_eta, "zeros", cmd_eta_zeros, help="exact trivial-zero report")
-    p.add_argument("--family", required=True)
-    p.add_argument("--n", type=_nonneg_int, required=True)
-
-    g_int = sub.add_parser("integral", help="kernel integrals").add_subparsers(
-        dest="command", required=True)
-    p = add(g_int, "compute", cmd_integral_compute, help="quadrature value of L_n(s)")
-    p.add_argument("--family", required=True)
-    p.add_argument("--n", type=_nonneg_int, required=True)
-    p.add_argument("--s", required=True)
-    p.add_argument("--budget", type=_pos_int, default=200_000)
-
-    g_ver = sub.add_parser("verify", help="integral-identity residuals").add_subparsers(
-        dest="command", required=True)
-    for name, fn, hlp in (("thm1", cmd_verify_thm1, "harmonic kernel identity (hstar)"),
-                          ("thm2", cmd_verify_thm2, "rising-factorial kernel identity (hasse)")):
-        p = add(g_ver, name, fn, help=hlp)
-        p.add_argument("--n", type=_nonneg_int, required=True)
-        p.add_argument("--s", required=True)
-        p.add_argument("--budget", type=_pos_int, default=200_000)
-
-    g_zeta = sub.add_parser("zeta", help="global zeta").add_subparsers(
-        dest="command", required=True)
-    p = add(g_zeta, "eval", cmd_zeta_eval, help="zeta via the weighted series")
-    p.add_argument("--s", required=True)
-
-    g_etag = sub.add_parser("eta-global", help="global eta").add_subparsers(
-        dest="command", required=True)
-    p = add(g_etag, "eval", cmd_eta_global_eval, help="globally convergent eta series")
-    p.add_argument("--s", required=True)
-
-    g_feq = sub.add_parser("funceq", help="reflection identity").add_subparsers(
-        dest="command", required=True)
-    p = add(g_feq, "check", cmd_funceq_check, help="relative residual of the identity")
-    p.add_argument("--s", required=True)
-
-    g_zero = sub.add_parser("zero", help="critical-line zeros").add_subparsers(
-        dest="command", required=True)
-    p = add(g_zero, "refine", cmd_zero_refine, help="Newton-refine an ordinate")
-    p.add_argument("--t0", type=_finite_float, required=True)
-
-    g_proto = sub.add_parser("proto", help="proto-zero scanning").add_subparsers(
-        dest="command", required=True)
-    p = add(g_proto, "scan", cmd_proto_scan, help="scan a vertical line for minima")
-    p.add_argument("--family", default="hasse")
-    p.add_argument("--n", type=_nonneg_int, required=True)
-    p.add_argument("--sigma", type=_finite_float, required=True)
-    p.add_argument("--t-min", type=_finite_float, required=True, dest="t_min")
-    p.add_argument("--t-max", type=_finite_float, required=True, dest="t_max")
-    p.add_argument("--step", type=_finite_float, default=None)
-    p = add(g_proto, "cloud", cmd_proto_cloud, help="union of scans for n = 1..n_max")
-    p.add_argument("--n-max", type=_pos_int, required=True, dest="n_max")
-    p.add_argument("--sigma", type=_finite_float, required=True)
-    p.add_argument("--t-center", type=_finite_float, required=True, dest="t_center")
-    p.add_argument("--half-width", type=_finite_float, required=True, dest="half_width")
-
-    p = sub.add_parser("planck", help="local resolving power of a prime")
-    p.set_defaults(handler=cmd_planck, command=None)
-    p.add_argument("--p", type=int, required=True)
-
-    g_weyl = sub.add_parser("weyl", help="exact Weyl-algebra kernel").add_subparsers(
-        dest="command", required=True)
-    p = add(g_weyl, "normal-order", cmd_weyl_normal_order, help="canonical form of a word")
-    p.add_argument("--word", required=True)
-    p = add(g_weyl, "lemmas", cmd_weyl_lemmas, help="exact ladder-identity suite")
-    p.add_argument("--n-max", type=_pos_int, required=True, dest="n_max")
-    p = add(g_weyl, "rest-frames", cmd_weyl_rest_frames, help="phases w with w^4 = u^2")
-    p.add_argument("--u", required=True)
-    add(g_weyl, "equilibrium", cmd_weyl_equilibrium,
-        help="scalar of the truncated product b^s a^s")
-
-    g_apow = sub.add_parser("apow", help="operator binomial powers").add_subparsers(
-        dest="command", required=True)
-    p = add(g_apow, "pi-s", cmd_apow_pi_s, help="coherence series sum_k C(s,k)")
-    p.add_argument("--s", required=True)
-    p = add(g_apow, "clifford", cmd_apow_clifford, help="convergence-domain membership")
-    p.add_argument("--s", required=True)
-    p.add_argument("--side", choices=("a", "b"), default="a")
-
+    groups = parser.add_subparsers(dest="group", required=True)
+    commands = {}
+    for cmd in COMMANDS:
+        if cmd.name is None:
+            p = groups.add_parser(cmd.group, help=cmd.help)
+        else:
+            if cmd.group not in commands:
+                commands[cmd.group] = groups.add_parser(
+                    cmd.group, help=GROUPS[cmd.group]).add_subparsers(
+                    dest="command", required=True)
+            p = commands[cmd.group].add_parser(cmd.name, help=cmd.help)
+        p.set_defaults(cmd=cmd)
+        for flag, keywords in cmd.arguments:
+            p.add_argument(flag, required="default" not in keywords, **keywords)
     return parser
 
 
-_CSV_COMMANDS = {("eta", "zeros"), ("proto", "scan"), ("proto", "cloud"),
-                 ("weyl", "rest-frames")}
-
-
 def _parameters_of(args: argparse.Namespace) -> dict:
-    skip = {"handler", "group", "command", "config", *_SETTING_KEYS}
+    skip = {"cmd", "group", "command", "config", *SETTINGS}
     return {k: v for k, v in vars(args).items() if k not in skip and v is not None}
 
 
-def _emit(envelope: dict) -> None:
+def _emit(command: str, args: argparse.Namespace, **body) -> None:
+    """Print the envelope with ``body``: results and diagnostics, or an error."""
+    envelope = {"schema_version": SCHEMA_VERSION, "command": command,
+                "parameters": _parameters_of(args), **body}
     print(json.dumps(envelope, sort_keys=True, allow_nan=False))
 
 
 def _fail(command: str, args: argparse.Namespace, exc: EtaForgeError) -> int:
     """Print the structured error envelope; exit code 1."""
-    envelope = {
-        "schema_version": SCHEMA_VERSION,
-        "command": command,
-        "parameters": _parameters_of(args),
-        "error": {
-            "type": type(exc).__name__,
-            "message": str(exc),
-        },
-    }
+    error = {"type": type(exc).__name__, "message": str(exc)}
     for attr in ("location", "center", "best"):
         val = getattr(exc, attr, None)
         if val is not None:
-            envelope["error"][attr] = str(val)
-    _emit(envelope)
+            error[attr] = str(val)
+    _emit(command, args, error=error)
     return 1
 
 
@@ -527,18 +466,17 @@ def run(argv=None) -> int:
         ctx = _context(settings)
     except (OSError, EtaForgeError, ValueError, argparse.ArgumentTypeError) as exc:
         parser.error(f"bad configuration: {exc}")
+    vars(args).update(settings)  # the handlers read jobs from args
 
-    command = args.group + (f" {args.command}" if getattr(args, "command", None) else "")
-    if settings["format"] == "csv" and (args.group, args.command) not in _CSV_COMMANDS:
+    cmd = args.cmd
+    command = cmd.group + (f" {cmd.name}" if cmd.name else "")
+    if args.format == "csv" and cmd.csv is None:
         parser.error(f"--format csv is only available for scan/list commands, not '{command}'")
 
     started = time.perf_counter()
     try:
-        if ctx.is_fast:
-            results, diagnostics, csv_rows = args.handler(args, ctx, settings)
-        else:
-            with mp.workprec(ctx.working_bits):
-                results, diagnostics, csv_rows = args.handler(args, ctx, settings)
+        with mp.workprec(ctx.working_bits):
+            results, diagnostics = cmd.handler(args, ctx)
     except argparse.ArgumentTypeError as exc:
         parser.error(str(exc))
     except EtaForgeError as exc:
@@ -546,26 +484,18 @@ def run(argv=None) -> int:
     except OverflowError as exc:
         return _fail(command, args, RangeError(f"overflow: {exc}"))
 
-    if settings["format"] == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        for row in csv_rows:
-            writer.writerow(row)
-        sys.stdout.write(buf.getvalue())
+    if args.format == "csv":
+        key, columns = cmd.csv
+        writer = csv.writer(sys.stdout, lineterminator="\n")
+        writer.writerow(columns)
+        writer.writerows([str(v).lower() if isinstance(v, bool) else v
+                          for v in map(row.get, columns)] for row in results[key])
         return 0
 
-    envelope = {
-        "schema_version": SCHEMA_VERSION,
-        "command": command,
-        "parameters": _parameters_of(args),
-        "results": results,
-        "diagnostics": diagnostics,
-    }
-    if not settings["no_timing"]:
-        envelope["diagnostics"]["timing_ms"] = round(
-            (time.perf_counter() - started) * 1e3, 3)
+    if not args.no_timing:
+        diagnostics["timing_ms"] = round((time.perf_counter() - started) * 1e3, 3)
     try:
-        _emit(envelope)
+        _emit(command, args, results=results, diagnostics=diagnostics)
     except ValueError:  # a float result or bound that JSON cannot carry
         return _fail(command, args, RangeError("result or error bound is not finite"))
     return 0

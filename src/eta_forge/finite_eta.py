@@ -72,7 +72,7 @@ import mpmath as mp
 from mpmath.libmp import from_man_exp, mpf_shift, round_up, to_int
 
 from .errors import ConvergenceError, DomainError, RangeError, VerificationError
-from .numerics import ComplexPoint, PrecisionContext, _coerce_complex, _coerce_mpc
+from .numerics import ComplexPoint, PrecisionContext, _coerce_complex, _coerce_mpc, _count
 
 __all__ = [
     "Family",
@@ -547,8 +547,7 @@ def derivative(spec: FiniteEtaSpec, s, ctx: PrecisionContext = PrecisionContext(
 
     Each summand base**(-s) differentiates to (-ln base)**order * base**(-s).
     """
-    if order < 1:
-        raise DomainError("order must be >= 1")
+    order = _count(order, "order", 1)
     v, err = _evaluate(_terms(spec.family, spec.n), s, ctx, order, ctx.target_rel_err)
     return EtaValue(ComplexPoint(v.real, v.imag), err)
 

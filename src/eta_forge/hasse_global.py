@@ -52,8 +52,8 @@ import mpmath as mp
 from .errors import ConvergenceError, DomainError, RangeError, SingularPrefactorError
 from .finite_eta import (_MAX_SUM_BITS, _FastPowers, _evaluate, _first_bits, _line_newton,
                          _more_bits, _rung)
-from .numerics import (ComplexPoint, PrecisionContext, _coerce_complex, _coerce_mpc, _fast_only,
-                       cgamma)
+from .numerics import (ComplexPoint, PrecisionContext, _coerce_complex, _coerce_mpc, _count,
+                       _fast_only, cgamma)
 
 __all__ = [
     "GlobalEvalResult",
@@ -155,7 +155,7 @@ def _series(s, ctx: PrecisionContext, series_cap: int = SERIES_CAP, tol: float |
             floor: float = 0.0, powers: _FastPowers | None = None) -> GlobalEvalResult:
     """S within tol * max(|value|, floor): ``floor`` 0 asks for a relative bound, 1
     for an absolute one; a double table passed in ``powers`` takes the first rung."""
-    sc = _coerce_complex(s)
+    sc, series_cap = _coerce_complex(s), _count(series_cap, "series_cap")
     if not cmath.isfinite(sc):  # a finite ComplexPoint beyond the double range
         raise RangeError(f"s = {s} is beyond the double range of the series length")
     if ctx.is_fast and abs(sc.imag) > FAST_T_ENVELOPE:

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 
@@ -128,6 +129,14 @@ class ComplexPoint:
 
     def __str__(self):
         return f"({self.re} + {self.im}i)"
+
+
+def _count(k, what: str, least: int = 0) -> int:
+    """k as an int if an integral real >= least (NaN % 1 is NaN), else DomainError."""
+    # int is tested first: quicker than the ABC
+    if isinstance(k, (int, numbers.Real)) and k >= least and k % 1 == 0:
+        return int(k)
+    raise DomainError(f"{what} must be an integer >= {least}, got {k!r}")
 
 
 def _fast_only(ctx: PrecisionContext, name: str):

@@ -24,7 +24,7 @@ from .errors import ConvergenceError, DomainError
 from .finite_eta import (Family, FiniteEtaSpec, _FastPowers, _line, _line_newton, _terms,
                          derivative, evaluate)
 from .hasse_global import ZeroRecord
-from .numerics import PrecisionContext, _fast_only
+from .numerics import PrecisionContext, _count, _fast_only
 
 __all__ = [
     "PlanckInfo",
@@ -194,8 +194,7 @@ def proto_cloud(n_max: int, sigma: float, t_center: float, half_width: float,
     only, as ``scan_line``.  ``jobs`` has no effect.
     """
     _fast_only(ctx, "proto_cloud")
-    if n_max < 1:
-        raise DomainError(f"n_max must be >= 1, got {n_max}")
+    n_max = _count(n_max, "n_max", 1)
     if half_width < 0:
         raise DomainError("half_width must be >= 0")
     if half_width == 0:

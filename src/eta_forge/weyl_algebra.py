@@ -24,13 +24,13 @@ commute componentwise, so callers tag indices externally.
 from __future__ import annotations
 
 import math
-import numbers
 import re as _re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 from .errors import DomainError, VerificationError
+from .numerics import _count
 
 __all__ = [
     "GaussRat",
@@ -57,12 +57,6 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 _F0 = Fraction(0)  # one shared zero part: real coefficients are the common case
-
-
-def _power(k, what: str) -> int:  # k as an int if a non-negative integral real (NaN % 1 is NaN)
-    if isinstance(k, (int, numbers.Real)) and k >= 0 and k % 1 == 0:  # int: quicker than the ABC
-        return int(k)
-    raise DomainError(f"{what} must be non-negative integers, got {k!r}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -160,7 +154,7 @@ class _SymbolPoly:
             for k, v in coeffs.items():
                 g = GaussRat.of(v)
                 if not g.is_zero:
-                    clean[_power(k, "symbol powers")] = g
+                    clean[_count(k, "a symbol power")] = g
         self.coeffs = clean
 
     # constructors ---------------------------------------------------------
@@ -312,7 +306,7 @@ class WeylPoly:
                 c = coeff_cls.const(c)
             elif not isinstance(c, coeff_cls):
                 raise DomainError("coefficient class mismatch")
-            ij = _power(i, "monomial exponents"), _power(j, "monomial exponents")
+            ij = _count(i, "a monomial exponent"), _count(j, "a monomial exponent")
             if not c.is_zero:
                 self.terms[ij] = c
 
@@ -439,7 +433,7 @@ class WeylPoly:
 
     def __pow__(self, k: int):
         acc = WeylPoly.one(self.coeff_cls)
-        for _ in range(_power(k, "operator powers")):
+        for _ in range(_count(k, "an operator power")):
             acc = acc * self
         return acc
 
@@ -698,8 +692,7 @@ def lemma_suite(n_max: int) -> LemmaReport:
       [H, a^n] = u n a^n
     Raises VerificationError naming the first identity that fails.
     """
-    if n_max < 1:
-        raise DomainError("n_max must be >= 1")
+    n_max = _count(n_max, "n_max", 1)
     A = WeylPoly.gen_a()
     B = WeylPoly.gen_b()
     u = UPoly.gen()

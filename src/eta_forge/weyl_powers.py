@@ -29,7 +29,8 @@ import mpmath as mp
 
 from .errors import DomainError, RangeError, VerificationError
 from .hasse_global import GlobalEvalResult
-from .numerics import ComplexPoint, PrecisionContext, _coerce_complex, _coerce_mpc, _fast_only
+from .numerics import (ComplexPoint, PrecisionContext, _coerce_complex, _coerce_mpc, _count,
+                       _fast_only)
 from .weyl_algebra import SPoly, WeylPoly, mod_observer
 
 __all__ = [
@@ -162,8 +163,7 @@ def _falling_factorial(k: int) -> list[int]:
 
 def binom_spoly(k: int) -> SPoly:
     """C(s, k) expanded as an exact polynomial in the formal symbol s."""
-    if k < 0:
-        raise DomainError("k must be >= 0")
+    k = _count(k, "k")
     den = math.factorial(k)
     return SPoly({deg: Fraction(c, den) for deg, c in enumerate(_falling_factorial(k))})
 
@@ -175,9 +175,7 @@ def operator_power_truncated(base, K: int) -> WeylPoly:
     is normalized to 1 in this symbolic-s setting).  The coefficients are
     summed as integer numerators over K! and divided once.
     """
-    base = _coerce_generator(base)
-    if K < 0:
-        raise DomainError("truncation order K must be >= 0")
+    base, K = _coerce_generator(base), _count(K, "truncation order K")
     den = math.factorial(K)
     num: dict[int, dict[int, int]] = {}  # power of the generator -> {deg: numerator}
     for k in range(K + 1):

@@ -433,3 +433,34 @@ def test_argv_fuzz_every_numeric_subcommand(argv, capsys):
         assert env["diagnostics"]["abs_err_estimate"] <= max(1e-12, 1e-13 * abs(value))
     if code == 0 and argv[:2] == ["zero", "refine"]:
         assert env["results"]["residual_eta"] <= 1e-10
+
+
+@pytest.mark.parametrize("key, bad, good", [
+    ("format", "xml", "json"), ("format", "CSV", "json"), ("no_timing", "maybe", "off"),
+])
+def test_environment_and_config_values_go_through_the_flag_parser(key, bad, good, capsys,
+                                                                  tmp_path, monkeypatch):
+    # a bad value is refused from either source, even where a higher source overrides it
+    planck, var = ["planck", "--p", "3"], "ETA_FORGE_" + key.upper()
+    flag = ["--format", "json"] if key == "format" else ["--no-timing"]
+    monkeypatch.setenv(var, bad)
+    assert _run_captured(planck, capsys)[:2] == (2, "")
+    assert _run_captured(flag + planck, capsys)[:2] == (2, "")
+    cfg = tmp_path / "forge.conf"
+    cfg.write_text(f"{key} = {bad}\n")
+    monkeypatch.setenv(var, good)
+    assert _run_captured(["--config", str(cfg)] + planck, capsys)[:2] == (2, "")
+    cfg.write_text(f"{key} = {good}\n")
+    code, out, _ = _run_captured(["--config", str(cfg)] + planck, capsys)
+    assert code == 0 and _strict_json(out)["results"]["p"] == 3
+
+
+@pytest.mark.parametrize("settings", [
+    ["--precision-bits", "120", "--tol", "1e-40"],  # below one ulp at 120 bits
+    ["--tol", "1e-20"],  # below one ulp at 53 bits
+    ["--precision-bits", "40"],  # below the fast tier's 53 bits
+])
+def test_a_precision_the_context_cannot_hold_is_a_usage_error(settings, capsys):
+    argv = ["--no-timing"] + settings + ["eta", "eval", "--family", "hasse", "--n", "3",
+                                         "--s", "2"]
+    assert _run_captured(argv, capsys)[:2] == (2, "")

@@ -23,8 +23,11 @@ from eta_forge import (
     derivative,
     eta_global,
     evaluate,
+    lemma_suite,
+    proto_cloud,
     zeta_global,
 )
+from eta_forge.weyl_powers import binom_spoly, operator_power_truncated
 
 CTX = PrecisionContext()
 EXT = PrecisionContext.extended(140)
@@ -299,3 +302,23 @@ def test_ops_are_pure():
     a = cgamma(z, EXT).to_mpc()
     b = cgamma(z, EXT).to_mpc()
     assert a == b
+
+
+_H3 = FiniteEtaSpec(Family.HASSE, 3)
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: eta_global(2.0, CTX, series_cap=-5), id="eta_global series_cap"),
+    pytest.param(lambda: zeta_global(2.0, CTX, series_cap=-5), id="zeta_global series_cap"),
+    pytest.param(lambda: derivative(_H3, 2.0, CTX, order=1.5), id="derivative order"),
+    pytest.param(lambda: lemma_suite(2.5), id="lemma_suite float"),
+    pytest.param(lambda: lemma_suite("3"), id="lemma_suite str"),
+    pytest.param(lambda: proto_cloud(2.5, 0.5, 14.0, 1.0), id="proto_cloud n_max"),
+    pytest.param(lambda: operator_power_truncated("a", 2.5), id="operator_power K"),
+    pytest.param(lambda: binom_spoly(2.5), id="binom_spoly k"),
+])
+def test_integer_arguments_are_typed_refusals(call):
+    # one shared check: a non-integral or too small count is a DomainError, not an
+    # IndexError or TypeError from deep inside
+    with pytest.raises(DomainError, match="must be an integer >="):
+        call()

@@ -204,29 +204,23 @@ def test_scan_n6_single_minimum_near_zeta_zero_window():
 def test_scan_far_up_the_line_stays_on_the_fast_tier(monkeypatch):
     # beyond t = 40 a bound that grows with |s| would certify few points of
     # this line; the double table's exact phase must certify nearly all
+    # tables are counted where they are made, so the classes stay classes
     attempts, escalations = [], []
-    raw_fast, raw_extended = finite_eta._FastPowers, finite_eta._ExtPowers
-
-    def counting_fast(*args):
-        attempts.append(args)
-        return raw_fast(*args)
-
-    def counting_extended(*args):
-        escalations.append(args)
-        return raw_extended(*args)
-
-    monkeypatch.setattr(finite_eta, "_FastPowers", counting_fast)
-    monkeypatch.setattr(finite_eta, "_ExtPowers", counting_extended)
+    for cls, made in ((finite_eta._FastPowers, attempts), (finite_eta._ExtPowers, escalations)):
+        def counting(self, *args, init=cls.__init__, made=made):
+            made.append(args)
+            init(self, *args)
+        monkeypatch.setattr(cls, "__init__", counting)
     spec = FiniteEtaSpec(Family.HASSE, 20)
     records = scan_line(ScanConfig(spec, 0.5, 40.0, 100.0, default_step(spec)), CTX)
-    assert records
+    assert len(records) == 3
     # the 563 grid points step their double table up the line and fill one where a stepped
     # value misses: 46 fills and 3 rotation tables, plus one table for each record's
-    # evaluate and derivative; the polish's model tables are not the ladder's attempts
+    # polish model, evaluate and derivative
     grid = int((100.0 - 40.0) / default_step(spec) + 1e-9) + 1
     assert grid == 563
-    assert len(attempts) == 46 + 3 + 2 * len(records)
-    assert len(escalations) <= 0.1 * grid
+    assert len(attempts) == 46 + 3 + 3 * len(records)
+    assert escalations == []
 
 
 def test_cancelling_stretch_takes_one_table_per_disk(monkeypatch):
