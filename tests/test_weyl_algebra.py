@@ -421,6 +421,21 @@ def test_text_round_trip_edge_cases():
         assert parse_weyl_poly(str(p)) == p, text
 
 
+@pytest.mark.parametrize("text, canonical", [
+    ("a+b", "a + b"), ("a*-b", "a - b"), ("2 a 3 b", "6a b"), ("- -a", "a"),
+    ("(1 + 2i)", "(1+2i)"), ("iu", "iu"), ("(-3/2)i a", "(-3/2)ia"), ("", "0"), ("  ", "0"),
+])
+def test_parser_accepts_more_than_the_printer_writes(text, canonical):
+    # factors multiply in any order, * is optional, and a sign between factors starts a term
+    assert str(parse_weyl_poly(text)) == canonical
+
+
+@pytest.mark.parametrize("text", ["a^", "x", "(1+2i", "a^-1"])
+def test_parser_refuses_malformed_text(text):
+    with pytest.raises(DomainError):
+        parse_weyl_poly(text)
+
+
 # ---------------------------------------------------------------------------
 # rest frames
 # ---------------------------------------------------------------------------
