@@ -112,8 +112,7 @@ class FiniteEtaSpec:
     n: int
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 0:
-            raise DomainError(f"index n must be a non-negative integer, got {self.n!r}")
+        object.__setattr__(self, "n", _count(self.n, "index n"))
         if self.family is Family.HSTAR and self.n < 1:
             raise DomainError("HSTAR requires n >= 1")
 

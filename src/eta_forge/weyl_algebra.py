@@ -135,7 +135,6 @@ class GaussRat:
 
 _ZERO = GaussRat()
 _ONE = GaussRat(Fraction(1))
-_I = GaussRat(Fraction(0), Fraction(1))
 
 
 # ---------------------------------------------------------------------------
@@ -168,7 +167,7 @@ class _SymbolPoly:
 
     @classmethod
     def const(cls, c):
-        return cls({0: GaussRat.of(c)})
+        return cls({0: c})
 
     @classmethod
     def gen(cls):
@@ -220,7 +219,7 @@ class _SymbolPoly:
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction, GaussRat)):
-            other = type(self).const(other)
+            other = self._coerce(other)
         if not isinstance(other, type(self)):
             return NotImplemented
         return self.coeffs == other.coeffs
@@ -333,17 +332,18 @@ class WeylPoly:
 
     @classmethod
     def monomial(cls, i: int, j: int, coeff=1, coeff_cls=UPoly):
-        return cls({(i, j): coeff_cls.const(coeff) if not isinstance(coeff, _SymbolPoly) else coeff},
-                   coeff_cls)
+        return cls({(i, j): coeff}, coeff_cls)
 
     # ring ops --------------------------------------------------------------
     def _check(self, other: "WeylPoly"):
         if self.coeff_cls is not other.coeff_cls:
             raise DomainError("cannot combine WeylPolys over different coefficient rings")
 
+    def _lift(self, other) -> "WeylPoly":
+        return other if isinstance(other, WeylPoly) else WeylPoly.scalar(other, self.coeff_cls)
+
     def __add__(self, other):
-        if not isinstance(other, WeylPoly):
-            other = WeylPoly.scalar(self.coeff_cls.const(other), self.coeff_cls)
+        other = self._lift(other)
         self._check(other)
         out = dict(self.terms)
         for ij, c in other.terms.items():
@@ -356,13 +356,9 @@ class WeylPoly:
         return WeylPoly({ij: -c for ij, c in self.terms.items()}, self.coeff_cls)
 
     def __sub__(self, other):
-        if not isinstance(other, WeylPoly):
-            other = WeylPoly.scalar(self.coeff_cls.const(other), self.coeff_cls)
-        return self + (-other)
+        return self + (-self._lift(other))
 
     def scale(self, c) -> "WeylPoly":
-        if not isinstance(c, _SymbolPoly):
-            c = self.coeff_cls.const(c)
         return WeylPoly({ij: v * c for ij, v in self.terms.items()}, self.coeff_cls)
 
     def __mul__(self, other):
@@ -450,7 +446,7 @@ class WeylPoly:
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction, GaussRat)):
-            other = WeylPoly.scalar(self.coeff_cls.const(other), self.coeff_cls)
+            other = self._lift(other)
         if not isinstance(other, WeylPoly):
             return NotImplemented
         return self.coeff_cls is other.coeff_cls and self.terms == other.terms
@@ -505,102 +501,61 @@ def _format_term(c: GaussRat, sym: str, k: int, i: int, j: int, lead: bool) -> s
 
 
 # ---------------------------------------------------------------------------
-# parser for the canonical text form (round-trips with str())
+# parser for the text form (round-trips with str())
 # ---------------------------------------------------------------------------
 
-_TOKEN = _re.compile(r"""
-    (?P<paren>\(\s*-?\d+(?:/\d+)?\s*[+-]\s*(?:\d+(?:/\d+)?)?i\s*\)) |
-    (?P<pimag>\(\s*-?\d+(?:/\d+)?\s*\)\s*i) |
-    (?P<imag>-?\d+(?:/\d+)?i) | (?P<iunit>i) |
-    (?P<rat>-?\d+(?:/\d+)?) |
+_RAT = r"\d+(?:/\d+)?"
+# A token, after optional space: a sign, the product sign *, a literal or a symbol power.  The
+# literals are 3/2, i (so 2i is 2 times i), (re+mag i) with im the sign and mag left out for 1,
+# and (re) before an i.
+_TOKEN = _re.compile(rf"""\s*(?:
+    (?P<sign>[+-]) | \* | (?P<rat>{_RAT}) | (?P<i>i) |
+    \(\s*(?P<re>-?{_RAT})\s*(?:(?P<im>[+-])\s*(?P<mag>{_RAT})?i\s*\) | \)(?=\s*i)) |
     (?P<sym>[a-z])(?:\^(?P<pow>\d+))?
-""", _re.VERBOSE)
+)""", _re.VERBOSE)
 
 
-def _parse_gauss(text: str) -> GaussRat:
-    text = text.strip().replace(" ", "")
-    m = _re.fullmatch(r"\((-?\d+(?:/\d+)?)([+-])((?:\d+(?:/\d+)?)?)i\)", text)
-    if m:
-        re_part = Fraction(m.group(1))
-        mag = Fraction(m.group(3)) if m.group(3) else Fraction(1)
-        return GaussRat(re_part, mag if m.group(2) == "+" else -mag)
-    m = _re.fullmatch(r"\((-?\d+(?:/\d+)?)\)i", text)
-    if m:
-        return GaussRat(Fraction(0), Fraction(m.group(1)))
-    m = _re.fullmatch(r"(-?\d+(?:/\d+)?)i", text)
-    if m:
-        return GaussRat(Fraction(0), Fraction(m.group(1)))
-    if text == "i":
-        return _I
-    if text == "-i":
-        return -_I
-    return GaussRat(Fraction(text))
+def _literal(m) -> GaussRat:
+    """The Gaussian rational of a literal token."""
+    try:
+        im = Fraction(m["mag"] or 1) if m["im"] or m["i"] else _F0
+        return GaussRat(Fraction(m["re"] or m["rat"] or 0), -im if m["im"] == "-" else im)
+    except ZeroDivisionError:
+        raise DomainError(f"zero denominator in {m.group().strip()!r}") from None
 
 
 def parse_weyl_poly(text: str, coeff_cls=UPoly) -> WeylPoly:
-    """Parse the canonical text form, e.g. "a^2 b^2 + 4u a b + 2u^2"."""
-    text = text.strip()
-    if text in ("", "0"):
-        return WeylPoly.zero(coeff_cls)
-    # split into signed terms at top level (no nesting beyond one paren pair)
-    terms = []
-    depth = 0
-    cur = ""
-    sign = 1
-    for ch in text:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        if depth == 0 and ch in "+-" and not cur.strip():
-            # leading sign of the (next) term
-            if ch == "-":
-                sign = -sign
-            continue
-        if depth == 0 and ch in "+-" and cur.strip() and cur.rstrip()[-1] not in "+-(^/":
-            terms.append((sign, cur.strip()))
-            sign = 1 if ch == "+" else -1
-            cur = ""
-        else:
-            cur += ch
-    if cur.strip():
-        terms.append((sign, cur.strip()))
+    """Parse the text form, e.g. "a^2 b^2 + 4u a b + 2u^2".
 
-    sym = coeff_cls.SYMBOL
-    out = WeylPoly.zero(coeff_cls)
-    for sgn, term in terms:
-        coef = GaussRat.of(sgn)
-        spow = 0
-        ia = 0
-        jb = 0
-        pos = 0
-        term = term.strip()
-        while pos < len(term):
-            if term[pos].isspace() or term[pos] == "*":
-                pos += 1
-                continue
-            m = _TOKEN.match(term, pos)
-            if not m:
-                raise DomainError(f"cannot parse term fragment {term[pos:]!r}")
-            if m.lastgroup in ("paren", "pimag", "imag", "iunit", "rat"):
-                if m.group(0) == "-":
-                    coef = coef * GaussRat.of(-1)
-                else:
-                    coef = coef * _parse_gauss(m.group(0))
-            else:
-                name = m.group("sym")
-                power = int(m.group("pow") or 1)
-                if name == sym:
-                    spow += power
-                elif name == "a":
-                    ia += power
-                elif name == "b":
-                    jb += power
-                else:
-                    raise DomainError(f"unknown symbol {name!r} in {term!r}")
-            pos = m.end()
-        out = out + WeylPoly({(ia, jb): coeff_cls({spow: coef})}, coeff_cls)
-    return out
+    Factors multiply in any order and * between them is optional.  A sign after a
+    factor starts a new term; the signs before a term's first factor multiply.
+    """
+    text, pos = text.rstrip(), 0
+    out, sign, term = WeylPoly.zero(coeff_cls), 1, None  # term: [coefficient, {symbol: power}]
+    while pos < len(text):
+        m = _TOKEN.match(text, pos)
+        if m is None:
+            raise DomainError(f"cannot parse {text[pos:].strip()!r} in {text!r}")
+        pos = m.end()
+        if m["sign"]:
+            if term:  # a sign after a factor closes the term
+                out, sign, term = out + _term(term, coeff_cls), 1, None
+            sign = -sign if m["sign"] == "-" else sign
+            continue
+        term = term or [GaussRat.of(sign), {}]  # * is a factor too: "*" alone reads as 1
+        if m["sym"] in ("a", "b", coeff_cls.SYMBOL):
+            term[1][m["sym"]] = term[1].get(m["sym"], 0) + int(m["pow"] or 1)
+        elif m["sym"]:
+            raise DomainError(f"unknown symbol {m['sym']!r} in {text!r}")
+        elif m["rat"] or m["i"] or m["re"]:
+            term[0] = term[0] * _literal(m)
+    return out + _term(term, coeff_cls) if term else out
+
+
+def _term(term, coeff_cls) -> WeylPoly:
+    coef, powers = term
+    return WeylPoly({(powers.get("a", 0), powers.get("b", 0)):
+                     coeff_cls({powers.get(coeff_cls.SYMBOL, 0): coef})}, coeff_cls)
 
 
 # ---------------------------------------------------------------------------
@@ -667,12 +622,7 @@ def commutator(x: WeylPoly, y: WeylPoly) -> WeylPoly:
 def substitute_u(p: WeylPoly, value) -> WeylPoly:
     """Evaluate the phase u at an exact value (typically 1)."""
     val = GaussRat.of(value)
-    out: dict[tuple[int, int], UPoly] = {}
-    for ij, c in p.terms.items():
-        ev = c.evaluate(val)
-        if not ev.is_zero:
-            out[ij] = p.coeff_cls({0: ev})
-    return WeylPoly(out, p.coeff_cls)
+    return WeylPoly({ij: c.evaluate(val) for ij, c in p.terms.items()}, p.coeff_cls)
 
 
 @dataclass(frozen=True)
@@ -688,51 +638,40 @@ def lemma_suite(n_max: int) -> LemmaReport:
       [b, a^n] = u n a^(n-1)
       [a, b^n] = -u n b^(n-1)
       b^n a^n = u^n n!  modulo the vacuum
-      H a^k = u (k + 1/2) a^k  modulo the vacuum
+      H a^k = u (k + 1/2) a^k  modulo the vacuum (k = n)
       [H, a^n] = u n a^n
-    Raises VerificationError naming the first identity that fails.
+    Raises VerificationError naming the label of the first check that fails.
     """
     n_max = _count(n_max, "n_max", 1)
-    A = WeylPoly.gen_a()
-    B = WeylPoly.gen_b()
-    u = UPoly.gen()
+    A, B, u = WeylPoly.gen_a(), WeylPoly.gen_b(), UPoly.gen()
     H = (A * B + B * A).scale(GaussRat(Fraction(1, 2)))
     checks = []
     for n in range(1, n_max + 1):
-        an = WeylPoly.monomial(n, 0)
-        bn = WeylPoly.monomial(0, n)
-        lhs = commutator(B, an)
-        rhs = WeylPoly.monomial(n - 1, 0).scale(u * n)
-        if lhs != rhs:
-            raise VerificationError(f"[b, a^n] = u n a^(n-1) fails at n={n}: {lhs} != {rhs}")
-        checks.append(f"[b, a^{n}] = {n}u a^{n - 1}")
-        lhs = commutator(A, bn)
-        rhs = WeylPoly.monomial(0, n - 1).scale(u * (-n))
-        if lhs != rhs:
-            raise VerificationError(f"[a, b^n] = -u n b^(n-1) fails at n={n}: {lhs} != {rhs}")
-        checks.append(f"[a, b^{n}] = -{n}u b^{n - 1}")
-        lhs = mod_vacuum(bn * an)
-        rhs = WeylPoly.scalar(UPoly({n: Fraction(math.factorial(n))}))
-        if lhs != rhs:
-            raise VerificationError(f"b^n a^n = u^n n! (mod vacuum) fails at n={n}: {lhs} != {rhs}")
-        checks.append(f"b^{n} a^{n} = u^{n} {n}! mod vacuum")
-        k = n
-        lhs = mod_vacuum(H * WeylPoly.monomial(k, 0))
-        rhs = WeylPoly.monomial(k, 0).scale(UPoly({1: Fraction(2 * k + 1, 2)}))
-        if lhs != rhs:
-            raise VerificationError(f"H a^k = u(k+1/2) a^k (mod vacuum) fails at k={k}: {lhs} != {rhs}")
-        checks.append(f"H a^{k} = u(k+1/2) a^{k} mod vacuum")
-        lhs = commutator(H, an)
-        rhs = an.scale(u * n)
-        if lhs != rhs:
-            raise VerificationError(f"[H, a^n] = u n a^n fails at n={n}: {lhs} != {rhs}")
-        checks.append(f"[H, a^{n}] = {n}u a^{n}")
+        an, bn = WeylPoly.monomial(n, 0), WeylPoly.monomial(0, n)
+        rows = (  # label, left side, right side
+            (f"[b, a^{n}] = {n}u a^{n - 1}", commutator(B, an), WeylPoly.monomial(n - 1, 0, u * n)),
+            (f"[a, b^{n}] = -{n}u b^{n - 1}", commutator(A, bn),
+             WeylPoly.monomial(0, n - 1, -u * n)),
+            (f"b^{n} a^{n} = u^{n} {n}! mod vacuum", mod_vacuum(bn * an),
+             WeylPoly.scalar(UPoly({n: math.factorial(n)}))),
+            (f"H a^{n} = u(k+1/2) a^{n} mod vacuum", mod_vacuum(H * an),
+             an.scale(UPoly({1: Fraction(2 * n + 1, 2)}))),
+            (f"[H, a^{n}] = {n}u a^{n}", commutator(H, an), an.scale(u * n)))
+        for label, lhs, rhs in rows:
+            if lhs != rhs:
+                raise VerificationError(f"{label} fails: {lhs} != {rhs}")
+            checks.append(label)
     return LemmaReport(n_max=n_max, checks=tuple(checks))
 
 
 # ---------------------------------------------------------------------------
 # rest-frame classification
 # ---------------------------------------------------------------------------
+
+# the quarter turns 0, 1/4, 1/2, 3/4: the phases 1, i, -1, -i, exact as Gaussian rationals
+_QUARTER = {Fraction(k, 4): GaussRat(Fraction(re), Fraction(im))
+            for k, (re, im) in enumerate(((1, 0), (0, 1), (-1, 0), (0, -1)))}
+
 
 @dataclass(frozen=True)
 class UnitPhase:
@@ -762,13 +701,7 @@ class UnitPhase:
 
     def exact_pair(self) -> GaussRat | None:
         """Exact re+im for quarter-turn phases (1, i, -1, -i), else None."""
-        table = {
-            Fraction(0): GaussRat(Fraction(1)),
-            Fraction(1, 4): GaussRat(Fraction(0), Fraction(1)),
-            Fraction(1, 2): GaussRat(Fraction(-1)),
-            Fraction(3, 4): GaussRat(Fraction(0), Fraction(-1)),
-        }
-        return table.get(self.turns)
+        return _QUARTER.get(self.turns)
 
     def __str__(self):
         exact = self.exact_pair()
@@ -777,19 +710,16 @@ class UnitPhase:
         return f"e^(2*pi*i*{self.turns})"
 
 
-_QUARTER = {1: Fraction(0), -1: Fraction(1, 2), 1j: Fraction(1, 4), -1j: Fraction(3, 4)}
-
-
 def _coerce_phase(u) -> UnitPhase:
     if isinstance(u, UnitPhase):
         return u
     if isinstance(u, Fraction):
         return UnitPhase(u)
-    if isinstance(u, int) and u in (1, -1):
-        return UnitPhase(_QUARTER[u])
+    if isinstance(u, (int, complex)):
+        for turns, z in _QUARTER.items():
+            if z.to_complex() == u:
+                return UnitPhase(turns)
     if isinstance(u, complex):
-        if u in _QUARTER:
-            return UnitPhase(_QUARTER[u])
         raise DomainError(
             f"{u} is not an exactly representable unit phase; pass the angle "
             "as a Fraction of a full turn instead")

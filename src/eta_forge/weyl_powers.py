@@ -55,12 +55,14 @@ class CliffordSide(enum.Enum):
     B_SIDE = "b"
 
 
-def _coerce_generator(base) -> Generator:
-    if isinstance(base, Generator):
-        return base
-    if isinstance(base, str) and base.lower() in ("a", "b"):
-        return Generator(base.lower())
-    raise DomainError(f"base must be generator a or b, got {base!r}")
+def _letter(x, kind, what: str):
+    """The member of ``kind`` (Generator or CliffordSide) for the letter a or b, or ``x`` if
+    it is one; anything else is a DomainError."""
+    if isinstance(x, kind):
+        return x
+    if isinstance(x, str) and x.lower() in ("a", "b"):
+        return kind(x.lower())
+    raise DomainError(f"{what} must be a or b, got {x!r}")
 
 
 def binom_coeff(s, k: int, ctx: PrecisionContext = PrecisionContext()) -> ComplexPoint:
@@ -69,8 +71,7 @@ def binom_coeff(s, k: int, ctx: PrecisionContext = PrecisionContext()) -> Comple
     A product of k exact-integer-shifted factors; relative error grows at
     most linearly in k.
     """
-    if not isinstance(k, int) or k < 0:
-        raise DomainError(f"k must be a non-negative integer, got {k!r}")
+    k = _count(k, "k")
     if ctx.is_fast:
         sc = _coerce_complex(s)
         acc = 1.0 + 0.0j
@@ -141,8 +142,7 @@ def clifford_contains(s, side=CliffordSide.A_SIDE) -> bool:
     inequality is strict, the band inequalities inclusive, exactly as the
     domain is defined.
     """
-    if isinstance(side, str):
-        side = CliffordSide(side.lower())
+    side = _letter(side, CliffordSide, "side")
     sc = _coerce_complex(s)
     sigma, t = sc.real, sc.imag
     if side is CliffordSide.B_SIDE:
@@ -175,7 +175,7 @@ def operator_power_truncated(base, K: int) -> WeylPoly:
     is normalized to 1 in this symbolic-s setting).  The coefficients are
     summed as integer numerators over K! and divided once.
     """
-    base, K = _coerce_generator(base), _count(K, "truncation order K")
+    base, K = _letter(base, Generator, "base"), _count(K, "truncation order K")
     den = math.factorial(K)
     num: dict[int, dict[int, int]] = {}  # power of the generator -> {deg: numerator}
     for k in range(K + 1):

@@ -53,6 +53,17 @@ def test_negative_index_rejected():
         FiniteEtaSpec(H, -1)
 
 
+def test_integral_float_index_is_an_int():
+    spec = FiniteEtaSpec(H, 2.0)
+    assert spec == FiniteEtaSpec(H, 2) and type(spec.n) is int
+
+
+@pytest.mark.parametrize("n", [2.5, math.nan, -1.0], ids=["half", "nan", "negative"])
+def test_non_integral_index_rejected(n):
+    with pytest.raises(DomainError):
+        FiniteEtaSpec(H, n)
+
+
 # ---------------------------------------------------------------------------
 # evaluation examples
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ from eta_forge import (
     SPoly,
     UnitPhase,
     UPoly,
+    VerificationError,
     WeylPoly,
     WeylWord,
     commutator,
@@ -22,6 +24,7 @@ from eta_forge import (
     rest_frames,
     substitute_u,
 )
+from eta_forge import weyl_algebra
 
 A = WeylPoly.gen_a()
 B = WeylPoly.gen_b()
@@ -360,6 +363,16 @@ def test_lemma_suite_rejects_bad_input():
         lemma_suite(0)
 
 
+@pytest.mark.parametrize("name, label", [("commutator", "[b, a^1] = 1u a^0"),
+                                         ("mod_vacuum", "b^1 a^1 = u^1 1! mod vacuum")])
+def test_lemma_suite_names_the_failing_check(monkeypatch, name, label):
+    # a wrong reduction or commutator: one more unit in every value it returns
+    wrong = getattr(weyl_algebra, name)
+    monkeypatch.setattr(weyl_algebra, name, lambda *args: wrong(*args) + 1)
+    with pytest.raises(VerificationError, match=re.escape(label) + " fails"):
+        lemma_suite(3)
+
+
 def test_vacuum_norm_is_factorial_with_phase():
     for n in (1, 2, 3, 4, 7):
         p = mod_vacuum(WeylPoly.monomial(0, n) * WeylPoly.monomial(n, 0))
@@ -434,6 +447,17 @@ def test_parser_accepts_more_than_the_printer_writes(text, canonical):
 def test_parser_refuses_malformed_text(text):
     with pytest.raises(DomainError):
         parse_weyl_poly(text)
+
+
+@pytest.mark.parametrize("text", ["1/0", "(1/0)i a", "(1+1/0i)", "a + 2/00 b"])
+def test_parser_refuses_a_zero_denominator(text):
+    with pytest.raises(DomainError, match="zero denominator"):
+        parse_weyl_poly(text)
+
+
+def test_parser_reads_any_space_inside_a_literal():
+    assert parse_weyl_poly("(1/2)\ti a") == parse_weyl_poly("(1/2)i a")
+    assert parse_weyl_poly("(\t1 +\n2i )") == parse_weyl_poly("(1+2i)")
 
 
 # ---------------------------------------------------------------------------

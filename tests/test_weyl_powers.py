@@ -6,6 +6,7 @@ import pytest
 
 import oracles
 from eta_forge import (
+    CliffordSide,
     DomainError,
     PrecisionContext,
     RangeError,
@@ -45,6 +46,17 @@ def test_binom_half_choose_two():
 def test_binom_rejects_negative_k():
     with pytest.raises(DomainError):
         binom_coeff(0.5, -1, CTX)
+
+
+def test_binom_takes_an_integral_float_k():
+    s = complex(0.3, -2.0)
+    assert binom_coeff(s, 2.0, CTX) == binom_coeff(s, 2, CTX)
+
+
+@pytest.mark.parametrize("k", [2.5, math.nan, -1.0], ids=["half", "nan", "negative"])
+def test_binom_rejects_non_integral_k(k):
+    with pytest.raises(DomainError):
+        binom_coeff(0.5, k, CTX)
 
 
 def test_binom_matches_exact_polynomial():
@@ -153,6 +165,20 @@ def test_clifford_mirror_side():
 
 def test_clifford_negative_t_excluded():
     assert not clifford_contains(complex(0.5, -0.1))
+
+
+@pytest.mark.parametrize("side", ["x", 3, None, Generator.B])
+def test_clifford_refuses_a_side_that_is_not_a_or_b(side):
+    with pytest.raises(DomainError):
+        clifford_contains(0.5, side)
+
+
+@pytest.mark.parametrize("side", ["b", "B", CliffordSide.B_SIDE])
+def test_clifford_b_side_by_letter_or_member(side):
+    # the disk never binds inside the bands, which both sides share, so only a sigma whose
+    # mirror 1 - sigma rounds onto the band edge 3/4 lies on one side alone
+    s = complex(0.25 - 2.0 ** -55, 0.1)
+    assert clifford_contains(s, side) and not clifford_contains(s, CliffordSide.A_SIDE)
 
 
 # ---------------------------------------------------------------------------
