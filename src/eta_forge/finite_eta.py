@@ -241,6 +241,11 @@ class _FastPowers:
         val = complex(math.fsum(map(mul, coefs, self.re)), math.fsum(map(mul, coefs, self.im)))
         return val, self.sum_abs * (self._rel(len(coefs), order) + 2.0 ** -52)
 
+    def entry(self, b: int) -> tuple[complex, float]:
+        """A filled b**(-s) and its bound: the dot's per-term model, plus 2**-1070 for a flush."""
+        p = complex(self.re[b - 1], self.im[b - 1])
+        return p, abs(p) * self._rel(b, 0) + 2.0 ** -1070
+
     def _orders(self, coefs, cs, k: int):
         """``_taylor``'s arithmetic in doubles on cs = c_b 2^-k.  Of sum |c_b p_b|, fill: the dot's
         bound plus 3 units (fsum, j! past 22, division); shift: 2^-52 top (ln b, each order)."""
@@ -325,6 +330,12 @@ class _ExtPowers:
                   if self.s.real < 0 else sum(map(abs, coefs)) << f)
         units = (4 + 2 * order) * max(1, len(coefs).bit_length() - 1)
         return total, mp.make_mpf(from_man_exp(weight * units, exp - f, 53, round_up)) * scale
+
+    def entry(self, b: int):
+        """A filled b**(-s) and its bound 4 D u m_b, D = floor(log2 b) (above), plus 2**-1070."""
+        p = mp.make_mpc(tuple(from_man_exp(v[b - 1], -self.f) for v in (self.x, self.y)))
+        units = 4 * max(1, b.bit_length() - 1) * max(1.0, float(abs(p)))
+        return p, math.ldexp(units, -self.f) + 2.0 ** -1070
 
     def _orders(self, coefs, cs, k: int):
         """``_taylor``'s arithmetic in integers of 2^-f, floored.  fill: the dot's bound; shift:

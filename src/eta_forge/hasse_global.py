@@ -1,10 +1,11 @@
-"""Globally convergent alternating zeta (eta) series, the zeta function it
-induces, the reflection identity residual, and Newton refinement of
-critical-line zeros.
+"""Globally convergent alternating zeta (eta) series, the zeta function (by
+Euler-Maclaurin, or from eta left of Re s = 0), the reflection identity
+residual, and Newton refinement of critical-line zeros.
 
 eta(s) = sum_{n>=0} 2^-(n+1) eta_n(s) over the HASSE finite sums converges
-for every s, and zeta = eta(s) / (1 - 2^(1-s)).  The partial sum of n terms
-is one weighted Dirichlet sum with integer weights c_k and divisor d,
+for every s; zeta is eta(s) / (1 - 2^(1-s)) left of Re s = 0 only.  The
+partial sum of n terms is one weighted Dirichlet sum with integer weights c_k
+and divisor d,
 
     S(s) = (1/d) sum_{k<n} c_k (k+1)^-s,
 
@@ -27,6 +28,13 @@ per term; n makes it half the target with |value| guessed as 1; a smaller
 |value| first gets a longer sum, within the cap, then more bits.  Newton
 runs over real t on a bounded Taylor model of S; its steps stay uncertified.
 
+zeta on Re s >= 0, by Euler-Maclaurin (Edwards 1974, 6.4): sum_{n<N} n^-s +
+N^-s / 2 is one dot with coefficients 2, ..., 2, 1 at scale 1/2 on the same
+table, plus N^-s from it times D(s) = N/(s-1) + sum_{k<=K} B_2k/(2k)! s (s+1)
+... (s+2k-2) N^(1-2k) (``_em_factor``); the remainder is at most
+|s+2K+1| / (sigma+2K+1) times the first omitted term.  N + K is the length
+that ``_em_plan`` picks, the cap bounds and terms_used reports.
+
 Ladder: each pass is one rung of :mod:`eta_forge.finite_eta` over the
 weights, scaled exactly by 2^-e, 2^e >= d, with s at full precision in big
 floats; a d that is not 2^e (Borwein's) then takes one product by 2^e / d,
@@ -36,8 +44,9 @@ finite sums' first precision (``_first_bits``, read off the double table),
 which is how Re s << 0 gets honest values; the extended tier starts in big
 floats.  A length beyond the cap raises ConvergenceError (best: the sum at
 the cap); s or fast-tier terms beyond the double range, or more than 65536
-bits, raise RangeError.  Fast-tier envelope: |Im s| <= 150, where n is
-about 160 on Re s = 1/2 and stays below 400 left of it.
+bits, raise RangeError.  Fast-tier envelope of eta, refine_zero and zeta left
+of Re s = 0: |Im s| <= 150, where n is about 160 on Re s = 1/2 and stays
+below 400 left of it.
 """
 
 from __future__ import annotations
@@ -45,9 +54,12 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 
 import mpmath as mp
+from mpmath.libmp import from_man_exp, mpf_shift, to_int
 
 from .errors import ConvergenceError, DomainError, RangeError, SingularPrefactorError
 from .finite_eta import (_MAX_SUM_BITS, _FastPowers, _evaluate, _first_bits, _line_newton,
@@ -74,7 +86,7 @@ NEWTON_MAX_ITER = 50
 CAPTURE_RADIUS = 1.0      # escape beyond |t - t0| > this aborts
 REFINE_TOL = 1e-10
 EXCLUSION_RADIUS = 1e-6   # around zeros of the prefactor 1 - 2^(1-s)
-_LN2 = math.log(2.0)
+_LN2, _LN_2PI = math.log(2.0), math.log(2.0 * math.pi)
 _BORWEIN_RATE = math.log(3.0 + math.sqrt(8.0))  # Borwein's bound falls by 3 + sqrt 8 per term
 _GAMMA_MIN = 0.8856  # Gamma(x) > 0.8856 for every x > 0 (its minimum is 0.885603...)
 
@@ -151,36 +163,137 @@ def _length(sc: complex, goal: float, series_cap: int) -> int:
     return min(n, beyond)
 
 
+def _em_plan(sc: complex, goal: float, cap: int, m: int | None = None) -> tuple[int, int, float]:
+    """(N + K, K, log bound): the least N + K whose bound is within ``goal`` (beyond cap + 1 if
+    none is), or the split of N + K = m with the least bound.  Both are convex in K: the scan
+    stops past the least.  Edwards' bound is exp(A - x ln N), x = sigma + 2K + 1, A =
+    ln (|s (s+1) ... (s+2K)| |s+2K+1| / x) + ln |B_2K+2| / (2K+2)!, where |B_2j| / (2j)! =
+    2 zeta(2j) / (2 pi)^2j and ln zeta(2j) < 1/2."""
+    tt, log, exp, log1p, floor = sc.imag * sc.imag, math.log, math.exp, math.log1p, math.floor
+    prod = log(math.hypot(sc.real, sc.imag)) if sc else -math.inf  # ln |s (s+1) ... (s+2K)|
+    log_goal, best = (log(goal) if goal > 0.0 else -math.inf), None
+    x, c = sc.real + 1, _LN2 + 0.5 - 2 * _LN_2PI  # x, and the Bernoulli factor's bound, at K = 0
+    for k in range(m or cap + 2):
+        a = prod + 0.5 * log1p(tt / x / x) + c  # tt / x / x: inf, not the NaN of inf / inf
+        n = m - k if m else 1 if a <= log_goal else floor(exp(min((a - log_goal) / x, 709))) + 1
+        cost = a - x * log(n) if m else n + k
+        if best and cost > best[0]:
+            break
+        if not best or cost < best[0]:
+            best = (cost, n, k, a, x)
+        prod += 0.5 * log((x * x + tt) * ((x + 1) * (x + 1) + tt))
+        x, c = x + 2, c - 2 * _LN_2PI
+    _, n, k, a, x = best
+    return n + k, k, a - x * log(n)
+
+
+_TANGENT, _ROW = [0, 1], [0, 1]  # T_0 = 0, T_1, T_2, ..., and the boustrophedon row of the last
+
+
+@lru_cache(maxsize=None)
+def _ratio(j: int) -> tuple[int, int, float]:
+    """(p, q, p / q rounded) = b_j / b_(j-1), b_j = B_2j / (2j)! = (-1)^(j-1) 2j T_j /
+    (4^j (4^j - 1) (2j)!) and b_0 = 1, from the tangent numbers T_j (Brent and Harvey 2011),
+    the last entries of the odd rows of Seidel's boustrophedon, grown only to j."""
+    while len(_TANGENT) <= j:
+        _ROW[:] = accumulate(reversed(list(accumulate(reversed(_ROW), initial=0))), initial=0)
+        _TANGENT.append(_ROW[-1])
+    r = (Fraction(-_TANGENT[j] * (4 ** (j - 1) - 1), 8 * (j - 1) * _TANGENT[j - 1] * (4 ** j - 1)
+                  * (2 * j - 1)) if j > 1 else Fraction(1, 12))
+    return r.numerator, r.denominator, r.numerator / r.denominator
+
+
+def _em_factor(s, sc: complex, n: int, k: int, bits: int | None):
+    """(D, bound) of D(s) = n/(s-1) + sum_(j<=k) B_2j/(2j)! s (s+1) ... (s+2j-2) n^(1-2j), each term
+    the last times (s+2j-3) (s+2j-2) / n^2 and _ratio(j).  In doubles (bits None), under 10
+    roundings per term, 9 for n/(s-1) and one per sum: (12k + 16) units of sum |terms|.  Else in
+    integers of u = 2^-bits, s and each product truncated (< sqrt 2 u): the error e in u grows by
+    each factor's size and, for s's truncation, by sqrt 2 |T| (|T| bounded in doubles)."""
+    if bits is None:
+        d = n / (s - 1)
+        size, term = abs(d), s / n
+        for j in range(1, k + 1):
+            term *= _ratio(j)[2]
+            d, size = d + term, size + abs(term)
+            term = term * (s + (2 * j - 1)) * (s + 2 * j) / (n * n)
+        return d, (12 * k + 16) * size * 2.0 ** -53
+    one, grow, s = 1 << bits, 1.0 + 2.0 ** -40, _coerce_mpc(s)  # grow: doubles' sizes rounded up
+    sr, si = (to_int(mpf_shift(v._mpf_, bits)) for v in (s.real, s.imag))
+    den = (sr - one) ** 2 + si ** 2  # n / (s - 1) = n conj(s - 1) / |s - 1|^2
+    dr, di = (n * (sr - one) << 2 * bits) // den, (-n * si << 2 * bits) // den
+    size = math.hypot(sc.real - 1, sc.imag)  # hypot: inf, not OverflowError, past doubles
+    err = 2.0 * n / size / size + 2.0  # and s's truncation
+    # T = s n, so that T_1 = T _ratio(1) / n^2 as each later term is the last times its factors
+    tr, ti, e, mag = sr * n, si * n, 1.5 * n, math.hypot(sc.real, sc.imag) * n * grow
+    for j in range(1, k + 1):
+        for c in (2 * j - 3, 2 * j - 2) if j > 1 else ():  # times s + c
+            cr, size = sr + (c << bits), math.hypot(sc.real + c, sc.imag) * grow
+            tr, ti = (tr * cr - ti * si) >> bits, (tr * si + ti * cr) >> bits
+            e, mag = e * (size + 1.0) + 1.5 * mag + 1.5, mag * size
+        p, q, r = _ratio(j)
+        tr, ti, size = tr * p // (q * n * n), ti * p // (q * n * n), abs(r) * grow / (n * n)
+        e, mag = e * size + 1.5, mag * size
+        dr, di, err = dr + tr, di + ti, err + e
+    return (mp.make_mpc((from_man_exp(dr, -bits), from_man_exp(di, -bits))),
+            math.ldexp(err, -bits) + 2.0 ** -1070)
+
+
 def _series(s, ctx: PrecisionContext, series_cap: int = SERIES_CAP, tol: float | None = None,
-            floor: float = 0.0, powers: _FastPowers | None = None) -> GlobalEvalResult:
+            floor: float = 0.0, powers: _FastPowers | None = None,
+            em: bool = False) -> GlobalEvalResult:
     """S within tol * max(|value|, floor): ``floor`` 0 asks for a relative bound, 1
-    for an absolute one; a double table passed in ``powers`` takes the first rung."""
+    for an absolute one; a double table passed in ``powers`` takes the first rung.
+    ``em`` takes zeta's Euler-Maclaurin sum (Re s >= 0) for eta's series."""
     sc, series_cap = _coerce_complex(s), _count(series_cap, "series_cap")
     if not cmath.isfinite(sc):  # a finite ComplexPoint beyond the double range
         raise RangeError(f"s = {s} is beyond the double range of the series length")
-    if ctx.is_fast and abs(sc.imag) > FAST_T_ENVELOPE:
+    if ctx.is_fast and not em and abs(sc.imag) > FAST_T_ENVELOPE:
         raise DomainError(f"|Im s| = {abs(sc.imag)} beyond the fast-tier envelope "
                           f"{FAST_T_ENVELOPE}; use an extended PrecisionContext")
     tol, wb, neg = ctx.target_rel_err if tol is None else tol, ctx.working_bits, max(0.0, -sc.real)
     s_hi, borwein = (sc if ctx.is_fast else _coerce_mpc(s)), _borwein(sc)
-    n = _length(sc, 0.5 * tol * max(1.0, floor), series_cap)  # |value| guessed as 1
+
+    def plan(goal: float, m: int | None = None):
+        """(n, K, log bound) of the least n within goal, or of n = m terms."""
+        if em:
+            return _em_plan(sc, goal, series_cap, m)
+        n = m or _length(sc, goal, series_cap)
+        return n, 0, _remainder(sc, n)
+
+    def longer(p):  # the plan p, or one term more than n
+        return p if p[0] > n else plan(0.0, n + 1)
+
+    n, k, log_rem = plan(0.5 * tol * max(1.0, floor))  # |value| guessed as 1
     # big floats start from terms up to n^neg and a value near 1
     bits = None if ctx.is_fast else wb + 16 + math.ceil((1 + neg) * math.log2(n))
     while True:
-        m = min(n, series_cap + 1)
-        coefs, d = _weights(m, borwein)
+        m, k, log_rem = (n, k, log_rem) if n <= series_cap + 1 else plan(0.0, series_cap + 1)
+        coefs, d = ((2,) * (m - k - 1) + (1,), 2) if em else _weights(m, borwein)
         e = (d - 1).bit_length()  # the rung scales exactly by 2^-e, 2^e >= d: an mpf past 2^-1074
         w, c = (0.5 ** e if bits is None else mp.ldexp(1, -e)), (1 << e) / d
         if bits is None and e * _LN2 + (1 + neg) * math.log(m) > 709:  # every partial sum
             raise RangeError(f"the series at s={sc} leaves the double range")
-        value, err, powers = _rung(coefs, s_hi, 0, wb, bits, powers, w)
+        value, err, powers = _rung(coefs, s_hi, 0, bits or wb if em else wb, bits, powers, w)
         value = complex(value) if ctx.is_fast else value
         if d != 1 << e:  # times 2^e / d: c and each part rounded in doubles, or one quotient
             with mp.workprec(wb):  # the quotient's rounding; a double product ignores it
                 value = value * c if ctx.is_fast else value * (1 << e) / d
             err = err * c + float(abs(value)) * 2.0 ** (2 - wb)
+        if em:  # plus N^-s D(s), N^-s from the table (none: the integer route at s = 0, or err inf)
+            top, top_err = powers.entry(m - k) if powers else (1, 0.0)
+            dd, d_err = _em_factor(s_hi, sc, m - k, k, bits)
+            if bits is None:
+                value += top * dd
+            else:  # the head was rounded to the rung's bits: the parts meet there, then round to wb
+                with mp.workprec(bits):
+                    value += top * dd
+                with mp.workprec(wb):
+                    value = +value
+            tm, dm, mag, u = float(abs(top)), float(abs(dd)), float(abs(value)), 0.5 ** (bits or wb)
+            err += dm * top_err + (tm + top_err) * d_err + 8 * u * (tm * dm + mag)
+            err += 2.0 ** (1 - wb) * mag if bits else 0.0  # the rounding to wb
         mag = float(abs(value))
-        rem = math.exp(x) if (x := _remainder(sc, m)) < 709.0 else math.inf
+        rem = math.exp(log_rem) if log_rem < 709.0 else math.inf
         result = GlobalEvalResult(ComplexPoint(value.real, value.imag), m, rem + err)
         if n > m:
             raise ConvergenceError(f"s={sc} needs more than the {m} terms of series cap "
@@ -189,15 +302,15 @@ def _series(s, ctx: PrecisionContext, series_cap: int = SERIES_CAP, tol: float |
         if rem + err <= target:
             return result
         if err < target:  # the value is smaller than guessed: a longer sum spares the bits
-            longer = _length(sc, 0.9 * (target - err), series_cap)
-            if longer <= series_cap + 1:
-                n = max(n + 1, longer)
+            p = plan(0.9 * (target - err))
+            if p[0] <= series_cap + 1:
+                n, k, log_rem = longer(p)
                 continue
         if rem > 0.5 * target:  # else a remainder that leaves half the target to the rounding
-            n = max(n + 1, _length(sc, 0.5 * target, series_cap))
+            n, k, log_rem = longer(plan(0.5 * target))
             continue
         if not target > 0.0:
-            raise RangeError(f"eta at s={sc} vanishes in doubles: no relative bound")
+            raise RangeError(f"the sum at s={sc} vanishes in doubles: no relative bound")
         step = (_first_bits(wb, powers, max(mag, floor), w * c) if bits is None
                 else _more_bits(bits, err, target))
         bits, powers = math.ceil(step) if step <= _MAX_SUM_BITS else math.inf, None
@@ -220,14 +333,15 @@ def _prefactor_center(sc: complex) -> complex | None:
 
 def zeta_global(s, ctx: PrecisionContext = PrecisionContext(),
                 series_cap: int = SERIES_CAP) -> GlobalEvalResult:
-    """zeta via eta(s) / (1 - 2^(1-s)).
+    """zeta by Euler-Maclaurin on Re s >= 0 (module docstring; terms_used is N + K, with no
+    fast-tier envelope), and via eta(s) / (1 - 2^(1-s)) left of it.
 
-    The prefactor is the Dirichlet sum 1^-s - 2 * 2^-s on the finite sums'
+    There the prefactor is the Dirichlet sum 1^-s - 2 * 2^-s on the finite sums'
     ladder, within a quarter of the target; the division is charged
-    2^(3 - wb) |zeta| at the working bits wb, and eta gets what both leave (a
-    target below 2^(6 - wb) is refused).  Refuses the exclusion disks (radius
-    1e-6) around the prefactor zeros s = 1 and s = 1 + 2 pi i k / ln 2: no
-    removable-singularity limits are attempted there.
+    2^(3 - wb) |zeta| at the working bits wb, and eta gets what both leave.  A
+    target below 2^(6 - wb) is refused on both routes, and so are the exclusion
+    disks (radius 1e-6) around the prefactor zeros s = 1 and s = 1 + 2 pi i k / ln 2:
+    no removable-singularity limits are attempted there.
     """
     sc = _coerce_complex(s)
     center = _prefactor_center(sc)
@@ -238,6 +352,8 @@ def zeta_global(s, ctx: PrecisionContext = PrecisionContext(),
     tol, wb = ctx.target_rel_err, ctx.working_bits
     if not tol >= 2.0 ** (6 - wb):  # else the roundings below would fill the target
         raise DomainError(f"zeta needs target_rel_err >= 2^(6 - {wb}), got {tol}")
+    if sc.real >= 0.0:
+        return _series(s, ctx, series_cap=series_cap, em=True)
     pref, pref_err = _evaluate((1, -2), s, ctx, 0, tol / 4)
     pref_mag, div = float(abs(pref)), 2.0 ** (3 - wb)  # Smith's division in doubles: < 7 ulp
     eta = _series(s, ctx, series_cap=series_cap, tol=tol - 2.0 * (pref_err / pref_mag + div))

@@ -509,7 +509,7 @@ _RAT = r"\d+(?:/\d+)?"
 # literals are 3/2, i (so 2i is 2 times i), (re+mag i) with im the sign and mag left out for 1,
 # and (re) before an i.
 _TOKEN = _re.compile(rf"""\s*(?:
-    (?P<sign>[+-]) | \* | (?P<rat>{_RAT}) | (?P<i>i) |
+    (?P<sign>[+-]) | (?P<star>\*) | (?P<rat>{_RAT}) | (?P<i>i) |
     \(\s*(?P<re>-?{_RAT})\s*(?:(?P<im>[+-])\s*(?P<mag>{_RAT})?i\s*\) | \)(?=\s*i)) |
     (?P<sym>[a-z])(?:\^(?P<pow>\d+))?
 )""", _re.VERBOSE)
@@ -527,22 +527,22 @@ def _literal(m) -> GaussRat:
 def parse_weyl_poly(text: str, coeff_cls=UPoly) -> WeylPoly:
     """Parse the text form, e.g. "a^2 b^2 + 4u a b + 2u^2".
 
-    Factors multiply in any order and * between them is optional.  A sign after a
-    factor starts a new term; the signs before a term's first factor multiply.
+    Factors multiply in any order, with or without a * between two of them.  A sign
+    after a factor starts a new term; the signs before a term's first factor multiply.
     """
-    text, pos = text.rstrip(), 0
+    text, pos, star = text.rstrip(), 0, False  # star: the last token was a *
     out, sign, term = WeylPoly.zero(coeff_cls), 1, None  # term: [coefficient, {symbol: power}]
-    while pos < len(text):
+    while pos < len(text) or star:
         m = _TOKEN.match(text, pos)
-        if m is None:
-            raise DomainError(f"cannot parse {text[pos:].strip()!r} in {text!r}")
-        pos = m.end()
+        if m is None or (m["sign"] or m["star"]) and star or m["star"] and not term:
+            raise DomainError(f"cannot parse {text[pos - star:].strip()!r} in {text!r}")
+        pos, star = m.end(), bool(m["star"])
         if m["sign"]:
             if term:  # a sign after a factor closes the term
                 out, sign, term = out + _term(term, coeff_cls), 1, None
             sign = -sign if m["sign"] == "-" else sign
             continue
-        term = term or [GaussRat.of(sign), {}]  # * is a factor too: "*" alone reads as 1
+        term = term or [GaussRat.of(sign), {}]
         if m["sym"] in ("a", "b", coeff_cls.SYMBOL):
             term[1][m["sym"]] = term[1].get(m["sym"], 0) + int(m["pow"] or 1)
         elif m["sym"]:

@@ -412,8 +412,8 @@ def test_extended_series_keeps_full_precision_arguments():
 
 
 def test_zeta_prefactor_near_its_zeros():
-    # near s = 1 and near 1 + 2 pi i k / ln 2 high on the line, 1 - 2^(1-s) loses
-    # digits in doubles: the bound sees that and big floats supply them
+    # near s = 1 and near 1 + 2 pi i k / ln 2 high on the line, outside the exclusion disks:
+    # Euler-Maclaurin's n / (s - 1) and its bound hold where 1 - 2^(1-s) would cancel
     k3 = complex(1.0, 6.0 * math.pi / math.log(2.0))
     for s in (complex(1.0 + 1e-5, 0.0), k3 + 0.05, k3 + 0.05j, complex(1.0, 60.0)):
         res = zeta_global(s, CTX)
@@ -431,6 +431,97 @@ def test_series_beyond_double_range_is_refused():
     # the extended table's guard bits grow with -Re s
     with pytest.raises(RangeError):
         eta_global(-1e6, PrecisionContext.extended(120))
+
+
+# ---------------------------------------------------------------------------
+# zeta by Euler-Maclaurin on Re s >= 0
+# ---------------------------------------------------------------------------
+
+def _em_sum(s, n, k):
+    """Edwards' sum of N = n powers and K = k corrections, and his bound on its remainder, at the
+    current mpmath precision from mpmath's own Bernoulli numbers and rising factorials."""
+    s = mp.mpc(s)
+    head = (mp.fsum(mp.power(j, -s) for j in range(1, n)) + mp.power(n, 1 - s) / (s - 1)
+            + mp.power(n, -s) / 2)
+    term = [mp.bernoulli(2 * j) / mp.factorial(2 * j) * mp.rf(s, 2 * j - 1)
+            * mp.power(n, 1 - s - 2 * j) for j in range(1, k + 2)]
+    return head + mp.fsum(term[:k]), abs(s + 2 * k + 1) / (s.real + 2 * k + 1) * abs(term[k])
+
+
+@pytest.mark.parametrize("sigma", [0.0, 0.01, 0.5, 1.0, 2.0, 6.0])
+def test_em_remainder_bound_covers_zeta(sigma):
+    # at 300 bits, |sum - zeta| within Edwards' bound at the fast tier's (N, K) and at about half
+    # that K, and the plan's bound at its (N, K) above Edwards'
+    with mp.workprec(300):
+        for t in (-500.0, -150.0, -60.0, -20.0, -3.0, -0.5, 0.5, 3.0, 20.0, 60.0, 150.0, 500.0):
+            s = complex(sigma, t)
+            want = mp.zeta(mp.mpc(s))
+            total, k, log_bound = hasse_global._em_plan(s, 0.5e-13, SERIES_CAP)
+            for kk in {k, k // 2}:
+                value, bound = _em_sum(s, total - k, kk)
+                assert abs(value - want) <= bound, (s, total - k, kk)
+                assert kk != k or bound <= mp.exp(log_bound), s
+
+
+def test_em_bernoulli_numbers_are_exact():
+    # B_2j / (2j)! as the product of the ratios from the tangent numbers, against mpmath's exact
+    # Bernoulli numbers, and each ratio rounded once to a double
+    b = Fraction(1)
+    for j in range(1, 80):
+        p, q, r = hasse_global._ratio(j)
+        b *= Fraction(p, q)
+        assert b * math.factorial(2 * j) == Fraction(*mp.bernfrac(2 * j)), j
+        assert r == p / q
+
+
+@pytest.mark.parametrize("ctx", [CTX, PrecisionContext.extended(200)])
+@pytest.mark.parametrize("t", [500.0, 1000.0])
+def test_zeta_far_up_the_line(t, ctx):
+    # the Euler-Maclaurin length carries no 1/|Gamma(s)|: beyond eta's fast envelope, and
+    # within the cap at 200 bits
+    res = zeta_global(complex(0.5, t), ctx)
+    with mp.workprec(ctx.working_bits + 60):
+        want = mp.zeta(mp.mpc(0.5, t))
+        err = abs(res.value.to_mpc() - want)
+        assert err <= res.tail_bound <= ctx.target_rel_err * abs(want)
+
+
+# the 16 zeta_global points of a critical-line benchmark round at seed 1, to 4 and 3 digits
+CRITICAL_LINE_ZETA = [
+    complex(0.9662, -59.174), complex(1.5136, -48.203), complex(1.2619, -43.603),
+    complex(0.2495, -31.905), complex(2.0608, -23.165), complex(2.8077, -17.79),
+    complex(0.679, -13.414), complex(2.1865, -0.68), complex(1.756, 4.168),
+    complex(0.9095, 8.812), complex(1.3609, 18.254), complex(0.0337, 24.319),
+    complex(2.4045, 34.003), complex(2.5393, 41.825), complex(0.3959, 50.944),
+    complex(2.8509, 55.529),
+]
+
+
+@pytest.mark.parametrize("s", [complex(0.5, 100.0), complex(0.3, 60.0), complex(2.0, 14.0)]
+                         + CRITICAL_LINE_ZETA)
+def test_zeta_and_eta_routes_agree(s):
+    # (1 - 2^(1-s)) zeta by Euler-Maclaurin against eta by the alternating series
+    z, e = zeta_global(s, CTX), eta_global(s, CTX)
+    with mp.workprec(200):
+        pref = 1 - mp.power(2, 1 - mp.mpc(s))
+        gap = abs(pref * z.value.to_mpc() - e.value.to_mpc())
+        assert gap <= abs(pref) * z.tail_bound + e.tail_bound, s
+
+
+def test_zeta_series_cap_bounds_n_plus_k():
+    # terms_used counts N powers and K corrections, and the cap bounds N + K as it bounds n
+    s = complex(0.5, 59.9)
+    need = zeta_global(s, CTX).terms_used
+    assert zeta_global(s, CTX, series_cap=need - 1).terms_used == need
+    with pytest.raises(ConvergenceError) as err:
+        zeta_global(s, CTX, series_cap=need - 2)
+    best = err.value.best
+    assert best.terms_used == need - 1
+    with mp.workprec(200):
+        assert abs(best.value.to_mpc() - mp.zeta(mp.mpc(s))) <= best.tail_bound
+    for fn in (zeta_global, eta_global):
+        with pytest.raises(DomainError):
+            fn(s, CTX, series_cap=-5)
 
 
 # ---------------------------------------------------------------------------
