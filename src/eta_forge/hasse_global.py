@@ -187,33 +187,33 @@ def _em_plan(sc: complex, goal: float, cap: int, m: int | None = None) -> tuple[
     return n + k, k, a - x * log(n)
 
 
-_TANGENT, _ROW = [0, 1], [0, 1]  # T_0 = 0, T_1, T_2, ..., and the boustrophedon row of the last
+_ROW, _RATIOS = [0, 1], [None, (1, 12, 1 / 12)]  # the boustrophedon row ending in T_1; b_1 / b_0
 
 
-@lru_cache(maxsize=None)
-def _ratio(j: int) -> tuple[int, int, float]:
-    """(p, q, p / q rounded) = b_j / b_(j-1), b_j = B_2j / (2j)! = (-1)^(j-1) 2j T_j /
-    (4^j (4^j - 1) (2j)!) and b_0 = 1, from the tangent numbers T_j (Brent and Harvey 2011),
-    the last entries of the odd rows of Seidel's boustrophedon, grown only to j."""
-    while len(_TANGENT) <= j:
+def _ratios(k: int) -> list[tuple[int, int, float]]:
+    """[None, r_1, ..., r_k, ...]: r_j = (p, q, p / q rounded) = b_j / b_(j-1), b_j = B_2j / (2j)!
+    = (-1)^(j-1) 2j T_j / (4^j (4^j - 1) (2j)!) and b_0 = 1, from the tangent numbers T_j (Brent
+    and Harvey 2011), the last entries of the odd rows of Seidel's boustrophedon, grown to k."""
+    while len(_RATIOS) <= k:
+        j, last = len(_RATIOS), _ROW[-1]  # last: T_(j-1)
         _ROW[:] = accumulate(reversed(list(accumulate(reversed(_ROW), initial=0))), initial=0)
-        _TANGENT.append(_ROW[-1])
-    r = (Fraction(-_TANGENT[j] * (4 ** (j - 1) - 1), 8 * (j - 1) * _TANGENT[j - 1] * (4 ** j - 1)
-                  * (2 * j - 1)) if j > 1 else Fraction(1, 12))
-    return r.numerator, r.denominator, r.numerator / r.denominator
+        r = Fraction(-_ROW[-1] * (4 ** (j - 1) - 1), 8 * (j - 1) * last * (4 ** j - 1) * (2 * j - 1))
+        _RATIOS.append((r.numerator, r.denominator, r.numerator / r.denominator))
+    return _RATIOS
 
 
 def _em_factor(s, sc: complex, n: int, k: int, bits: int | None):
     """(D, bound) of D(s) = n/(s-1) + sum_(j<=k) B_2j/(2j)! s (s+1) ... (s+2j-2) n^(1-2j), each term
-    the last times (s+2j-3) (s+2j-2) / n^2 and _ratio(j).  In doubles (bits None), under 10
+    the last times (s+2j-3) (s+2j-2) / n^2 and r_j (``_ratios``).  In doubles (bits None), under 10
     roundings per term, 9 for n/(s-1) and one per sum: (12k + 16) units of sum |terms|.  Else in
     integers of u = 2^-bits, s and each product truncated (< sqrt 2 u): the error e in u grows by
     each factor's size and, for s's truncation, by sqrt 2 |T| (|T| bounded in doubles)."""
+    ratios = _ratios(k)
     if bits is None:
         d = n / (s - 1)
         size, term = abs(d), s / n
         for j in range(1, k + 1):
-            term *= _ratio(j)[2]
+            term *= ratios[j][2]
             d, size = d + term, size + abs(term)
             term = term * (s + (2 * j - 1)) * (s + 2 * j) / (n * n)
         return d, (12 * k + 16) * size * 2.0 ** -53
@@ -223,14 +223,14 @@ def _em_factor(s, sc: complex, n: int, k: int, bits: int | None):
     dr, di = (n * (sr - one) << 2 * bits) // den, (-n * si << 2 * bits) // den
     size = math.hypot(sc.real - 1, sc.imag)  # hypot: inf, not OverflowError, past doubles
     err = 2.0 * n / size / size + 2.0  # and s's truncation
-    # T = s n, so that T_1 = T _ratio(1) / n^2 as each later term is the last times its factors
+    # T = s n, so that T_1 = T r_1 / n^2 as each later term is the last times its factors
     tr, ti, e, mag = sr * n, si * n, 1.5 * n, math.hypot(sc.real, sc.imag) * n * grow
     for j in range(1, k + 1):
         for c in (2 * j - 3, 2 * j - 2) if j > 1 else ():  # times s + c
             cr, size = sr + (c << bits), math.hypot(sc.real + c, sc.imag) * grow
             tr, ti = (tr * cr - ti * si) >> bits, (tr * si + ti * cr) >> bits
             e, mag = e * (size + 1.0) + 1.5 * mag + 1.5, mag * size
-        p, q, r = _ratio(j)
+        p, q, r = ratios[j]
         tr, ti, size = tr * p // (q * n * n), ti * p // (q * n * n), abs(r) * grow / (n * n)
         e, mag = e * size + 1.5, mag * size
         dr, di, err = dr + tr, di + ti, err + e
@@ -274,7 +274,7 @@ def _series(s, ctx: PrecisionContext, series_cap: int = SERIES_CAP, tol: float |
         if bits is None and e * _LN2 + (1 + neg) * math.log(m) > 709:  # every partial sum
             raise RangeError(f"the series at s={sc} leaves the double range")
         value, err, powers = _rung(coefs, s_hi, 0, bits or wb if em else wb, bits, powers, w)
-        value = complex(value) if ctx.is_fast else value
+        value = complex(value) if ctx.is_fast and not em else value  # em: after the rounding to wb
         if d != 1 << e:  # times 2^e / d: c and each part rounded in doubles, or one quotient
             with mp.workprec(wb):  # the quotient's rounding; a double product ignores it
                 value = value * c if ctx.is_fast else value * (1 << e) / d
@@ -288,7 +288,7 @@ def _series(s, ctx: PrecisionContext, series_cap: int = SERIES_CAP, tol: float |
                 with mp.workprec(bits):
                     value += top * dd
                 with mp.workprec(wb):
-                    value = +value
+                    value = complex(value) if ctx.is_fast else +value  # wb 53: to nearest double
             tm, dm, mag, u = float(abs(top)), float(abs(dd)), float(abs(value)), 0.5 ** (bits or wb)
             err += dm * top_err + (tm + top_err) * d_err + 8 * u * (tm * dm + mag)
             err += 2.0 ** (1 - wb) * mag if bits else 0.0  # the rounding to wb

@@ -468,7 +468,7 @@ def test_em_bernoulli_numbers_are_exact():
     # Bernoulli numbers, and each ratio rounded once to a double
     b = Fraction(1)
     for j in range(1, 80):
-        p, q, r = hasse_global._ratio(j)
+        p, q, r = hasse_global._ratios(79)[j]
         b *= Fraction(p, q)
         assert b * math.factorial(2 * j) == Fraction(*mp.bernfrac(2 * j)), j
         assert r == p / q
@@ -495,6 +495,18 @@ CRITICAL_LINE_ZETA = [
     complex(2.4045, 34.003), complex(2.5393, 41.825), complex(0.3959, 50.944),
     complex(2.8509, 55.529),
 ]
+
+
+@pytest.mark.parametrize("ctx", [CTX, PrecisionContext.extended(120)])
+@pytest.mark.parametrize("guess", [14.1, 21.0, 25.0])
+def test_zeta_bound_holds_at_a_zero(guess, ctx):
+    # at a double-rounded zero |zeta| is about 1e-15: the sum escalates to big floats, and its
+    # O(1) head must meet N^-s D(s) before the rounding to the working bits, not after
+    t = float(oracles.em_critical_zero(guess))
+    res = zeta_global(complex(0.5, t), ctx)
+    with mp.workprec(200):
+        want = mp.zeta(mp.mpc(0.5, t))
+        assert abs(res.value.to_mpc() - want) <= res.tail_bound <= ctx.target_rel_err * abs(want)
 
 
 @pytest.mark.parametrize("s", [complex(0.5, 100.0), complex(0.3, 60.0), complex(2.0, 14.0)]
