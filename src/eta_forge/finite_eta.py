@@ -50,10 +50,11 @@ Each run of misses is cut into disks of radius about 0.55, each served by the Ta
 big-float table at its centre; a point whose bound misses tol * |value|, or a disk with no model,
 takes ``_evaluate``.  That model (``_taylor``, Odlyzko and Schoenhage 1988; Newton's too, on the
 double table) is S(s + d) = sum_(j<=K) a_j d^j + R_K, a_j = sum_b c_b p_b (-ln b)^j / j! 2^-k
-(k > 0 past doubles), to the first K >= 1 whose |R_K| <= sum_b |c_b p_b| (rho ln b)^(K+1) /
-(K+1)! e^(rho ln b) meets the caller's goal.  ``_horner`` gives S, S', S''/2 and S's bound at
-|d| <= rho: R_K, the a_j's errors (fill + shift |d|) e^(top |d|) + trunc sum_(1<=j<=K) |d|^j
-(``_orders``), 2 units per step of sum |a_j| |d|^j (4 for a skew d), and an offset's rounding.
+(2^k > |c_b|, so that Newton's squares stay in doubles), to the first K >= 1 whose |R_K| <=
+sum_b |c_b p_b| (rho ln b)^(K+1) / (K+1)! e^(rho ln b) meets the caller's goal.  ``_horner``
+gives S, S', S''/2 and S's bound at |d| <= rho: R_K, the a_j's errors (fill + shift |d|)
+e^(top |d|) + trunc sum_(1<=j<=K) |d|^j (``_orders``), 2 units per step of sum |a_j| |d|^j (4
+for a skew d), and an offset's rounding.
 """
 
 from __future__ import annotations
@@ -416,9 +417,8 @@ def _rung(coefs: tuple[int, ...], s, order: int, wb: int, bits: float | None = N
 def _taylor(powers, coefs: tuple[int, ...], reach) -> _Model:
     """The Taylor model (module docstring) of sum_b c_b p_b over ``powers`` about its s, with
     (rho, goal) = reach(a_0, a_1, sum_b |c_b p_b| 2**-k); ConvergenceError past _MAX_ORDER."""
-    n, sigma, big = len(coefs), min(0.0, float(powers.s.real)), max(map(abs, coefs))
-    k = 0 if (n * big).bit_length() - sigma * math.log2(n) < 1020 else big.bit_length()
-    cs = [c / (1 << k) for c in coefs] if k else coefs  # c_b 2**-k
+    k = max(map(abs, coefs)).bit_length()  # |c_b| 2**-k < 1: Newton squares the model's values
+    cs = [c / (1 << k) for c in coefs]  # c_b 2**-k
     logs, ps, xs, ys, step, total, errors = powers._orders(coefs, cs, k)  # ln b, |p_b|: doubles
     if not (size := sum(mags := list(map(mul, map(abs, cs), ps)))) < math.inf:
         raise OverflowError("Taylor model terms beyond the double range")  # mags: |c_b p_b| 2**-k
@@ -454,14 +454,14 @@ def _horner(model: _Model, d: complex, e: float | None = 0.0):
     return g, gp, gpp, err + model.tail + moved + units * (2.0 ** -53 * size + 2.0 ** -1074)
 
 
-def _line_newton(table_at, t0: float, max_step: float, radius: float, max_iter: int = 50):
+def _line_newton(table_at, t0: float, max_step: float, radius: float):
     """(t, iterations): Newton on h'(t) = 0, h(t) = |f(sigma + i t)|**2, over real t from t0, on
     the Taylor model of the double table and coefficients table_at(t) gives about sigma + i t (rho
     = 2 min(|a_0 / a_1|, max_step): a zero's Kantorovich radius or two grid steps; tail 2**-60 sum
     |c_b p_b|).  Steps (Newton's on f at a simple zero) are clamped to max_step, and stop below
-    1e-13 max(1, |t|) or after max_iter; |t - t0| > radius or h'' <= 0: ConvergenceError."""
+    1e-13 max(1, |t|) or after 50; |t - t0| > radius or h'' <= 0: ConvergenceError."""
     t, tc, model = t0, None, None
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, 51):
         if model is None or abs(t - tc) > model.rho:  # no model yet, or the iterate left its disk
             tc, model = t, _taylor(*table_at(t), lambda a0, a1, size: (  # rho, goal
                 2.0 * (min(abs(a0 / a1), max_step) if a1 else max_step), 2.0 ** -60 * size))

@@ -44,9 +44,9 @@ finite sums' first precision (``_first_bits``, read off the double table),
 which is how Re s << 0 gets honest values; the extended tier starts in big
 floats.  A length beyond the cap raises ConvergenceError (best: the sum at
 the cap); s or fast-tier terms beyond the double range, or more than 65536
-bits, raise RangeError.  Fast-tier envelope of eta, refine_zero and zeta left
-of Re s = 0: |Im s| <= 150, where n is about 160 on Re s = 1/2 and stays
-below 400 left of it.
+bits, raise RangeError.  These alone bound the fast tier: Borwein's divisor
+d_n, about 2^(2.54 n), leaves the doubles past 1/2 + 421i (n = 397), and the
+binomial weights reach the cap near |Im s| = 150 on Re s = 0.
 """
 
 from __future__ import annotations
@@ -79,10 +79,8 @@ __all__ = [
 ]
 
 SERIES_CAP = 400
-FAST_T_ENVELOPE = 150.0
 CAPTURE_THRESHOLD = 0.5   # |eta| at the Newton start must be below this
 NEWTON_MAX_STEP = 0.5
-NEWTON_MAX_ITER = 50
 CAPTURE_RADIUS = 1.0      # escape beyond |t - t0| > this aborts
 REFINE_TOL = 1e-10
 EXCLUSION_RADIUS = 1e-6   # around zeros of the prefactor 1 - 2^(1-s)
@@ -147,7 +145,7 @@ def _remainder(sc: complex, n: int) -> float:
     if not borwein:  # Gamma(x, 1) <= Gamma(x) (m = 0) or 1/e (x <= 1); Gamma >= 0.8856
         gamma_1 = 1.0 if m == 0 else 1.0 / math.e / _GAMMA_MIN
         x += math.log(1.0 / (_GAMMA_MIN * (sigma + n)) + gamma_1)
-    return x
+    return math.inf if math.isnan(x) else x  # NaN: inf - inf, where pi |Im s| passes doubles
 
 
 def _length(sc: complex, goal: float, series_cap: int) -> int:
@@ -247,9 +245,6 @@ def _series(s, ctx: PrecisionContext, series_cap: int = SERIES_CAP, tol: float |
     sc, series_cap = _coerce_complex(s), _count(series_cap, "series_cap")
     if not cmath.isfinite(sc):  # a finite ComplexPoint beyond the double range
         raise RangeError(f"s = {s} is beyond the double range of the series length")
-    if ctx.is_fast and not em and abs(sc.imag) > FAST_T_ENVELOPE:
-        raise DomainError(f"|Im s| = {abs(sc.imag)} beyond the fast-tier envelope "
-                          f"{FAST_T_ENVELOPE}; use an extended PrecisionContext")
     tol, wb, neg = ctx.target_rel_err if tol is None else tol, ctx.working_bits, max(0.0, -sc.real)
     s_hi, borwein = (sc if ctx.is_fast else _coerce_mpc(s)), _borwein(sc)
 
@@ -276,8 +271,8 @@ def _series(s, ctx: PrecisionContext, series_cap: int = SERIES_CAP, tol: float |
         value, err, powers = _rung(coefs, s_hi, 0, bits or wb if em else wb, bits, powers, w)
         value = complex(value) if ctx.is_fast and not em else value  # em: after the rounding to wb
         if d != 1 << e:  # times 2^e / d: c and each part rounded in doubles, or one quotient
-            with mp.workprec(wb):  # the quotient's rounding; a double product ignores it
-                value = value * c if ctx.is_fast else value * (1 << e) / d
+            value = (value * c if ctx.is_fast
+                     else mp.fdiv(mp.fmul(value, 1 << e, exact=True), d, prec=wb))
             err = err * c + float(abs(value)) * 2.0 ** (2 - wb)
         if em:  # plus N^-s D(s), N^-s from the table (none: the integer route at s = 0, or err inf)
             top, top_err = powers.entry(m - k) if powers else (1, 0.0)
@@ -333,8 +328,8 @@ def _prefactor_center(sc: complex) -> complex | None:
 
 def zeta_global(s, ctx: PrecisionContext = PrecisionContext(),
                 series_cap: int = SERIES_CAP) -> GlobalEvalResult:
-    """zeta by Euler-Maclaurin on Re s >= 0 (module docstring; terms_used is N + K, with no
-    fast-tier envelope), and via eta(s) / (1 - 2^(1-s)) left of it.
+    """zeta by Euler-Maclaurin on Re s >= 0 (module docstring; terms_used is N + K), and via
+    eta(s) / (1 - 2^(1-s)) left of it, where eta's length bounds the reach.
 
     There the prefactor is the Dirichlet sum 1^-s - 2 * 2^-s on the finite sums'
     ladder, within a quarter of the target; the division is charged
@@ -412,6 +407,8 @@ def refine_zero(t_initial: float, ctx: PrecisionContext = PrecisionContext()) ->
     S by Horner on one Taylor model per disk; only the final residual is certified.
     Escaping |t - t0| > 1, a non-positive curvature of |S|**2 or failing to reach residual
     1e-10 in 50 iterations raises ConvergenceError; an extended context raises DomainError.
+    S is eta's series, so its length bounds the reach: past t = 421 Borwein's divisor leaves
+    the doubles (RangeError).
     """
     _fast_only(ctx, "refine_zero")
     t0 = float(t_initial)
@@ -424,7 +421,7 @@ def refine_zero(t_initial: float, ctx: PrecisionContext = PrecisionContext()) ->
                               f"{CAPTURE_THRESHOLD}; start closer to a zero")
         return table, _weights(len(table.re), _borwein(table.s))[0]  # the weights _series took
 
-    t, iterations = _line_newton(table_at, t0, NEWTON_MAX_STEP, CAPTURE_RADIUS, NEWTON_MAX_ITER)
+    t, iterations = _line_newton(table_at, t0, NEWTON_MAX_STEP, CAPTURE_RADIUS)
     residual = abs(_series(complex(0.5, t), ctx, floor=1.0).value.to_complex())
     if residual > REFINE_TOL:
         raise ConvergenceError(

@@ -72,18 +72,11 @@ def binom_coeff(s, k: int, ctx: PrecisionContext = PrecisionContext()) -> Comple
     most linearly in k.
     """
     k = _count(k, "k")
-    if ctx.is_fast:
-        sc = _coerce_complex(s)
-        acc = 1.0 + 0.0j
+    acc, z = (1.0 + 0.0j, _coerce_complex(s)) if ctx.is_fast else (mp.mpc(1), _coerce_mpc(s))
+    with mp.workprec(ctx.working_bits):  # the extended tier's roundings; doubles ignore it
         for j in range(k):
-            acc *= (sc - j) / (j + 1)
-        return ComplexPoint(acc.real, acc.imag)
-    with mp.workprec(ctx.working_bits):
-        sm = _coerce_mpc(s)
-        acc = mp.mpc(1)
-        for j in range(k):
-            acc *= (sm - j) / (j + 1)
-        return ComplexPoint(mp.mpf(acc.real), mp.mpf(acc.imag))
+            acc *= (z - j) / (j + 1)
+    return ComplexPoint(acc.real, acc.imag)
 
 
 _HEAD = 48   # directly summed leading terms

@@ -326,6 +326,15 @@ def test_boundary_inputs_give_strict_json_or_usage_error(argv, expected, capsys)
         assert env["error"]["type"] == "RangeError"
 
 
+def test_global_series_at_a_huge_ordinate_is_an_error_envelope(capsys):
+    # pi |Im s| passes the double range, so the length bound is inf: the 400-term cap is a
+    # ConvergenceError envelope, not a traceback from a NaN length
+    argv = ["--no-timing", "--precision-bits", "120", "eta-global", "eval", "--s", "0.5+1e308i"]
+    code, out, err = _run_captured(argv, capsys)
+    assert code == 1 and "Traceback" not in out + err
+    assert _strict_json(out)["error"]["type"] == "ConvergenceError"
+
+
 @pytest.mark.parametrize("s", ["1e-17", "5e-324", "5e-324+5e-324i"])
 def test_quadrature_beside_the_pole_at_zero(s, capsys):
     # the integral is refused with a typed error, the identity skips the genuine pole at 0

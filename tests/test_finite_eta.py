@@ -632,7 +632,7 @@ def test_taylor_model_holds_its_bound_at_complex_offsets(fam, n, sigma, table, m
     tc = 5.0 if table.endswith("cancelling") else 3.0 * n
     if table.startswith("double"):
         model = _first_model(lambda: finite_eta._line_newton(
-            lambda t: (finite_eta._FastPowers(complex(sigma, t)), coefs), tc, 0.5, 1.0, 1),
+            lambda t: (finite_eta._FastPowers(complex(sigma, t)), coefs), tc, 0.5, 1.0),
             monkeypatch)
     else:
         ts = [tc - 0.5 + 0.1 * i for i in range(11)]

@@ -1,6 +1,7 @@
 import cmath
 import functools
 import math
+import time
 import types
 from fractions import Fraction
 
@@ -12,6 +13,7 @@ from eta_forge import (
     ComplexPoint,
     ConvergenceError,
     DomainError,
+    EtaForgeError,
     Family,
     FiniteEtaSpec,
     PrecisionContext,
@@ -93,10 +95,7 @@ def test_eta_double_cap_agreement():
     assert abs(a.value.to_complex() - b.value.to_complex()) <= a.tail_bound + b.tail_bound
 
 
-def test_eta_envelope_guard():
-    with pytest.raises(DomainError):
-        eta_global(complex(0.5, 160.0), CTX)
-    # but fine on the extended tier
+def test_eta_extended_against_the_oracle():
     ext = PrecisionContext.extended(140)
     res = eta_global(complex(0.5, 80.0), ext)
     ref = complex(oracles.em_eta(mp.mpc(0.5, 80.0), prec=160, ))
@@ -358,10 +357,13 @@ def test_remainder_vanishes_at_the_trivial_zeros_of_gamma():
 
 @pytest.mark.parametrize("s", [complex(-20.0, 0.5), complex(-10.0, 3.0), complex(-1.5, 100.0),
                                complex(0.5, 100.0), complex(0.5, 150.0), complex(2.0, -150.0),
-                               complex(1e17, 0.0), complex(1e300, 0.0), complex(1e300, 50.0)])
+                               complex(1e17, 0.0), complex(1e300, 0.0), complex(1e300, 50.0),
+                               complex(0.5, 160.0), complex(0.5, 300.0), complex(2.0, 300.0),
+                               complex(0.5, -350.0)])
 def test_fast_series_meets_its_target(s):
-    # the left half-plane escalates to big floats, |Im s| up to the fast envelope
-    # keeps the exact-phase table, and huge |s| needs no noise floor, where eta is 1
+    # the left half-plane escalates to big floats, |Im s| up to where Borwein's length leaves
+    # the double range (near 420 on the line) keeps the exact-phase table, and huge |s| needs
+    # no noise floor, where eta is 1
     res = eta_global(s, CTX)
     with mp.workprec(300):
         ref = mp.altzeta(mp.mpc(s))
@@ -660,6 +662,43 @@ def test_refine_sweep_of_the_first_zeros(k):
     zero = _oracle_zero(k)
     for d in (-0.05, -0.02, 0.02, 0.05):
         assert abs(refine_zero(zero + d, CTX).t - zero) <= 1e-12, d
+
+
+@pytest.mark.parametrize("k", [60, 100, 150, 200])
+def test_refine_far_up_the_line(k):
+    # t = 163 to 396: Borwein's length, not a fixed envelope, ends the fast tier, and the
+    # Taylor model's scale keeps Newton's squares of it within doubles
+    zero = float(mp.zetazero(k).imag)
+    for d in (-0.05, 0.05):
+        rec = refine_zero(zero + d, CTX)
+        assert abs(rec.t - zero) <= 1e-12 and rec.residual_eta <= 1e-10, d
+
+
+@pytest.mark.parametrize("fn, s, error", [
+    (eta_global, complex(0.5, 450.0), RangeError),  # Borwein's divisor passes doubles
+    (zeta_global, complex(-3.0, 1000.0), ConvergenceError),  # eta beyond the 400-term cap
+    (refine_zero, 1000.0, RangeError),
+])
+def test_fast_tier_refuses_beyond_reach(fn, s, error):
+    # the series' length, the cap or the double range decides: a typed error within 1 s
+    start = time.perf_counter()
+    with pytest.raises(error) as info:
+        fn(s, CTX)
+    assert time.perf_counter() - start < 1.0
+    if error is ConvergenceError:
+        assert info.value.best.terms_used == SERIES_CAP + 1
+
+
+@pytest.mark.parametrize("ctx", [CTX, PrecisionContext.extended(120)])
+@pytest.mark.parametrize("fn, s", [(eta_global, complex(0.5, 1e308)),
+                                   (eta_global, complex(1e308, 1e308)),
+                                   (zeta_global, complex(-1.0, 1e308)), (refine_zero, 1.7e308)])
+def test_huge_ordinates_are_typed_refusals(fn, s, ctx):
+    # pi |Im s| passes the double range: the remainder bound is inf, not NaN
+    point = complex(0.5, s) if fn is refine_zero else s
+    assert hasse_global._remainder(point, 10) == math.inf
+    with pytest.raises(EtaForgeError):
+        fn(s, ctx)
 
 
 def test_refine_refuses_extended_contexts():
