@@ -376,7 +376,7 @@ COMMANDS = (
     Command("verify", "thm2", partial(_verify, Family.HASSE),
             "rising-factorial kernel identity (hasse)", (_N, _S, _BUDGET)),
     Command("zeta", "eval", partial(_series, zeta_global),
-            "zeta by Euler-Maclaurin, or via the weighted series left of Re s = 0", (_S,)),
+            "zeta by Euler-Maclaurin on the whole plane", (_S,)),
     Command("eta-global", "eval", partial(_series, eta_global),
             "globally convergent eta series", (_S,)),
     Command("funceq", "check", _funceq_check, "relative residual of the identity", (_S,)),

@@ -34,9 +34,9 @@ class PoleError(EtaForgeError, ZeroDivisionError):
 
 
 class SingularPrefactorError(DomainError):
-    """Inside an exclusion disk around a zero of a dividing prefactor.
+    """Inside the exclusion disk (radius 1e-6) around zeta's pole at s = 1.
 
-    ``center`` names the disk center.
+    ``center`` names the disk center, 1.
     """
 
     def __init__(self, message: str, center: complex):

@@ -1,11 +1,10 @@
-"""Globally convergent alternating zeta (eta) series, the zeta function (by
-Euler-Maclaurin, or from eta left of Re s = 0), the reflection identity
-residual, and Newton refinement of critical-line zeros.
+"""Globally convergent alternating zeta (eta) series, the zeta function by
+Euler-Maclaurin, the reflection identity residual, and Newton refinement of
+critical-line zeros.
 
 eta(s) = sum_{n>=0} 2^-(n+1) eta_n(s) over the HASSE finite sums converges
-for every s; zeta is eta(s) / (1 - 2^(1-s)) left of Re s = 0 only.  The
-partial sum of n terms is one weighted Dirichlet sum with integer weights c_k
-and divisor d,
+for every s.  Its partial sum of n terms is one weighted Dirichlet sum with
+integer weights c_k and divisor d,
 
     S(s) = (1/d) sum_{k<n} c_k (k+1)^-s,
 
@@ -28,12 +27,13 @@ per term; n makes it half the target with |value| guessed as 1; a smaller
 |value| first gets a longer sum, within the cap, then more bits.  Newton
 runs over real t on a bounded Taylor model of S; its steps stay uncertified.
 
-zeta on Re s >= 0, by Euler-Maclaurin (Edwards 1974, 6.4): sum_{n<N} n^-s +
-N^-s / 2 is one dot with coefficients 2, ..., 2, 1 at scale 1/2 on the same
-table, plus N^-s from it times D(s) = N/(s-1) + sum_{k<=K} B_2k/(2k)! s (s+1)
-... (s+2k-2) N^(1-2k) (``_em_factor``); the remainder is at most
-|s+2K+1| / (sigma+2K+1) times the first omitted term.  N + K is the length
-that ``_em_plan`` picks, the cap bounds and terms_used reports.
+zeta, by Euler-Maclaurin (Edwards 1974, 6.4): sum_{n<N} n^-s + N^-s / 2 is
+one dot with coefficients 2, ..., 2, 1 at scale 1/2 on the same table, plus
+N^-s from it times D(s) = N/(s-1) + sum_{k<=K} B_2k/(2k)! s (s+1) ... (s+2k-2)
+N^(1-2k) (``_em_factor``); wherever sigma + 2K + 1 > 0 the remainder is at
+most |s+2K+1| / (sigma+2K+1) times the first omitted term, so this one sum
+serves the whole plane.  N + K is the length that ``_em_plan`` picks, the cap
+bounds and terms_used reports.
 
 Ladder: each pass is one rung of :mod:`eta_forge.finite_eta` over the
 weights, scaled exactly by 2^-e, 2^e >= d, with s at full precision in big
@@ -43,10 +43,10 @@ table when remainder + rounding <= target, else takes big floats at the
 finite sums' first precision (``_first_bits``, read off the double table),
 which is how Re s << 0 gets honest values; the extended tier starts in big
 floats.  A length beyond the cap raises ConvergenceError (best: the sum at
-the cap); s or fast-tier terms beyond the double range, or more than 65536
-bits, raise RangeError.  These alone bound the fast tier: Borwein's divisor
-d_n, about 2^(2.54 n), leaves the doubles past 1/2 + 421i (n = 397), and the
-binomial weights reach the cap near |Im s| = 150 on Re s = 0.
+the cap); s, values or fast-tier terms beyond the double range, 65536 bits,
+or zeta at Re s <= -2 cap - 1 raise RangeError.  These alone bound the fast
+tier: Borwein's divisor d_n, about 2^(2.54 n), leaves the doubles past 1/2 +
+421i (n = 397); the binomial weights reach the cap near 150i on Re s = 0.
 """
 
 from __future__ import annotations
@@ -62,8 +62,8 @@ import mpmath as mp
 from mpmath.libmp import from_man_exp, mpf_shift, to_int
 
 from .errors import ConvergenceError, DomainError, RangeError, SingularPrefactorError
-from .finite_eta import (_MAX_SUM_BITS, _FastPowers, _evaluate, _first_bits, _line_newton,
-                         _more_bits, _rung)
+from .finite_eta import (_MAX_SUM_BITS, _FastPowers, _first_bits, _line_newton, _more_bits,
+                         _rung)
 from .numerics import (ComplexPoint, PrecisionContext, _coerce_complex, _coerce_mpc, _count,
                        _fast_only, cgamma)
 
@@ -83,7 +83,7 @@ CAPTURE_THRESHOLD = 0.5   # |eta| at the Newton start must be below this
 NEWTON_MAX_STEP = 0.5
 CAPTURE_RADIUS = 1.0      # escape beyond |t - t0| > this aborts
 REFINE_TOL = 1e-10
-EXCLUSION_RADIUS = 1e-6   # around zeros of the prefactor 1 - 2^(1-s)
+EXCLUSION_RADIUS = 1e-6   # around zeta's pole s = 1
 _LN2, _LN_2PI = math.log(2.0), math.log(2.0 * math.pi)
 _BORWEIN_RATE = math.log(3.0 + math.sqrt(8.0))  # Borwein's bound falls by 3 + sqrt 8 per term
 _GAMMA_MIN = 0.8856  # Gamma(x) > 0.8856 for every x > 0 (its minimum is 0.885603...)
@@ -163,15 +163,20 @@ def _length(sc: complex, goal: float, series_cap: int) -> int:
 
 def _em_plan(sc: complex, goal: float, cap: int, m: int | None = None) -> tuple[int, int, float]:
     """(N + K, K, log bound): the least N + K whose bound is within ``goal`` (beyond cap + 1 if
-    none is), or the split of N + K = m with the least bound.  Both are convex in K: the scan
-    stops past the least.  Edwards' bound is exp(A - x ln N), x = sigma + 2K + 1, A =
-    ln (|s (s+1) ... (s+2K)| |s+2K+1| / x) + ln |B_2K+2| / (2K+2)!, where |B_2j| / (2j)! =
-    2 zeta(2j) / (2 pi)^2j and ln zeta(2j) < 1/2."""
+    none is), or the split of N + K = m with the least bound; both are convex in K, so the scan
+    stops past the least.  Edwards' bound, from the least K with x = sigma + 2K + 1 > 0, is
+    exp(A - x ln N), A = ln (|s (s+1) ... (s+2K)| |s+2K+1| / x) + ln |B_2K+2| / (2K+2)!, with
+    |B_2j| / (2j)! = 2 zeta(2j) / (2 pi)^2j and ln zeta(2j) < 1/2."""
+    if (least := max(0, math.floor(-(sc.real + 1) / 2) + 1)) > cap:
+        raise RangeError(f"s = {sc} needs more Euler-Maclaurin corrections than cap {cap}")
     tt, log, exp, log1p, floor = sc.imag * sc.imag, math.log, math.exp, math.log1p, math.floor
-    prod = log(math.hypot(sc.real, sc.imag)) if sc else -math.inf  # ln |s (s+1) ... (s+2K)|
+    prod = log(math.hypot(sc.real, sc.imag) or 5e-324)  # ln |s (s+1) ... (s+2K)|
     log_goal, best = (log(goal) if goal > 0.0 else -math.inf), None
     x, c = sc.real + 1, _LN2 + 0.5 - 2 * _LN_2PI  # x, and the Bernoulli factor's bound, at K = 0
-    for k in range(m or cap + 2):
+    for _ in range(least):  # on to the least K; a factor 0 in doubles is at most 2^-52 |s|
+        q = (x * x + tt) * ((x + 1) * (x + 1) + tt)
+        prod, x, c = prod + (0.5 * log(q) if q else log(-sc.real / 2 ** 52)), x + 2, c - 2 * _LN_2PI
+    for k in range(least, m or cap + 2):
         a = prod + 0.5 * log1p(tt / x / x) + c  # tt / x / x: inf, not the NaN of inf / inf
         n = m - k if m else 1 if a <= log_goal else floor(exp(min((a - log_goal) / x, 709))) + 1
         cost = a - x * log(n) if m else n + k
@@ -236,16 +241,15 @@ def _em_factor(s, sc: complex, n: int, k: int, bits: int | None):
             math.ldexp(err, -bits) + 2.0 ** -1070)
 
 
-def _series(s, ctx: PrecisionContext, series_cap: int = SERIES_CAP, tol: float | None = None,
-            floor: float = 0.0, powers: _FastPowers | None = None,
-            em: bool = False) -> GlobalEvalResult:
-    """S within tol * max(|value|, floor): ``floor`` 0 asks for a relative bound, 1
-    for an absolute one; a double table passed in ``powers`` takes the first rung.
-    ``em`` takes zeta's Euler-Maclaurin sum (Re s >= 0) for eta's series."""
+def _series(s, ctx: PrecisionContext, series_cap: int = SERIES_CAP, floor: float = 0.0,
+            powers: _FastPowers | None = None, em: bool = False) -> GlobalEvalResult:
+    """S within target_rel_err * max(|value|, floor): ``floor`` 0 asks for a relative bound,
+    1 for an absolute one; a double table passed in ``powers`` takes the first rung.
+    ``em`` takes zeta's Euler-Maclaurin sum for eta's series."""
     sc, series_cap = _coerce_complex(s), _count(series_cap, "series_cap")
     if not cmath.isfinite(sc):  # a finite ComplexPoint beyond the double range
-        raise RangeError(f"s = {s} is beyond the double range of the series length")
-    tol, wb, neg = ctx.target_rel_err if tol is None else tol, ctx.working_bits, max(0.0, -sc.real)
+        raise RangeError(f"s = {sc} is beyond the double range of the series length")
+    tol, wb, neg = ctx.target_rel_err, ctx.working_bits, max(0.0, -sc.real)
     s_hi, borwein = (sc if ctx.is_fast else _coerce_mpc(s)), _borwein(sc)
 
     def plan(goal: float, m: int | None = None):
@@ -266,7 +270,7 @@ def _series(s, ctx: PrecisionContext, series_cap: int = SERIES_CAP, tol: float |
         coefs, d = ((2,) * (m - k - 1) + (1,), 2) if em else _weights(m, borwein)
         e = (d - 1).bit_length()  # the rung scales exactly by 2^-e, 2^e >= d: an mpf past 2^-1074
         w, c = (0.5 ** e if bits is None else mp.ldexp(1, -e)), (1 << e) / d
-        if bits is None and e * _LN2 + (1 + neg) * math.log(m) > 709:  # every partial sum
+        if bits is None and e * _LN2 + (1 + neg) * math.log(m - k) > 709:  # every partial sum
             raise RangeError(f"the series at s={sc} leaves the double range")
         value, err, powers = _rung(coefs, s_hi, 0, bits or wb if em else wb, bits, powers, w)
         value = complex(value) if ctx.is_fast and not em else value  # em: after the rounding to wb
@@ -274,7 +278,7 @@ def _series(s, ctx: PrecisionContext, series_cap: int = SERIES_CAP, tol: float |
             value = (value * c if ctx.is_fast
                      else mp.fdiv(mp.fmul(value, 1 << e, exact=True), d, prec=wb))
             err = err * c + float(abs(value)) * 2.0 ** (2 - wb)
-        if em:  # plus N^-s D(s), N^-s from the table (none: the integer route at s = 0, or err inf)
+        if em:  # plus N^-s D(s), N^-s from the table (none: err is inf)
             top, top_err = powers.entry(m - k) if powers else (1, 0.0)
             dd, d_err = _em_factor(s_hi, sc, m - k, k, bits)
             if bits is None:
@@ -287,7 +291,8 @@ def _series(s, ctx: PrecisionContext, series_cap: int = SERIES_CAP, tol: float |
             tm, dm, mag, u = float(abs(top)), float(abs(dd)), float(abs(value)), 0.5 ** (bits or wb)
             err += dm * top_err + (tm + top_err) * d_err + 8 * u * (tm * dm + mag)
             err += 2.0 ** (1 - wb) * mag if bits else 0.0  # the rounding to wb
-        mag = float(abs(value))
+        if not math.isfinite(mag := float(abs(value))):  # the rung's range rule, with N^-s D(s)
+            raise RangeError(f"the sum at s={sc} leaves the double range")
         rem = math.exp(log_rem) if log_rem < 709.0 else math.inf
         result = GlobalEvalResult(ComplexPoint(value.real, value.imag), m, rem + err)
         if n > m:
@@ -317,45 +322,30 @@ def eta_global(s, ctx: PrecisionContext = PrecisionContext(),
     return _series(s, ctx, series_cap=series_cap)
 
 
-def _prefactor_center(sc: complex) -> complex | None:
-    """Nearest zero of 1 - 2^(1-s), i.e. s = 1 + 2 pi i k / ln 2."""
-    if abs(sc.real - 1.0) > EXCLUSION_RADIUS:
-        return None
-    k = round(sc.imag * _LN2 / (2.0 * math.pi))
-    center = complex(1.0, 2.0 * math.pi * k / _LN2)
-    return center if abs(sc - center) < EXCLUSION_RADIUS else None
-
-
 def zeta_global(s, ctx: PrecisionContext = PrecisionContext(),
                 series_cap: int = SERIES_CAP) -> GlobalEvalResult:
-    """zeta by Euler-Maclaurin on Re s >= 0 (module docstring; terms_used is N + K), and via
-    eta(s) / (1 - 2^(1-s)) left of it, where eta's length bounds the reach.
-
-    There the prefactor is the Dirichlet sum 1^-s - 2 * 2^-s on the finite sums'
-    ladder, within a quarter of the target; the division is charged
-    2^(3 - wb) |zeta| at the working bits wb, and eta gets what both leave.  A
-    target below 2^(6 - wb) is refused on both routes, and so are the exclusion
-    disks (radius 1e-6) around the prefactor zeros s = 1 and s = 1 + 2 pi i k / ln 2:
-    no removable-singularity limits are attempted there.
-    """
-    sc = _coerce_complex(s)
-    center = _prefactor_center(sc)
-    if center is not None:
-        raise SingularPrefactorError(
-            f"s = {sc} lies inside the exclusion disk around the prefactor zero "
-            f"at {center}", center=center)
+    """zeta by Euler-Maclaurin on the whole plane (module docstring; terms_used is N + K).  At
+    s = -m, m <= 2 series_cap, the remainder vanishes at N = 1, K = ceil(m/2), and zeta(-m) =
+    -B_(m+1) / (m+1) (-1/2 at m = 0) is taken exactly from ``_ratios`` and rounded once.  A target
+    below 2^(6 - wb) is refused, and so is the exclusion disk (radius 1e-6) about the pole s = 1."""
+    sc, series_cap = _coerce_complex(s), _count(series_cap, "series_cap")
+    if math.hypot(sc.real - 1.0, sc.imag) < EXCLUSION_RADIUS:  # hypot: inf past the doubles
+        raise SingularPrefactorError(f"s = {sc} lies in the exclusion disk at 1", center=1.0)
     tol, wb = ctx.target_rel_err, ctx.working_bits
-    if not tol >= 2.0 ** (6 - wb):  # else the roundings below would fill the target
+    if not tol >= 2.0 ** (6 - wb):  # else the roundings of the sum would fill the target
         raise DomainError(f"zeta needs target_rel_err >= 2^(6 - {wb}), got {tol}")
-    if sc.real >= 0.0:
+    s_hi = sc if ctx.is_fast else _coerce_mpc(s)
+    if s_hi.imag != 0 or not -2 * series_cap <= s_hi.real <= 0 or s_hi.real != int(s_hi.real):
         return _series(s, ctx, series_cap=series_cap, em=True)
-    pref, pref_err = _evaluate((1, -2), s, ctx, 0, tol / 4)
-    pref_mag, div = float(abs(pref)), 2.0 ** (3 - wb)  # Smith's division in doubles: < 7 ulp
-    eta = _series(s, ctx, series_cap=series_cap, tol=tol - 2.0 * (pref_err / pref_mag + div))
-    v = eta.value.to_complex() / pref if ctx.is_fast else mp.fdiv(eta.value.to_mpc(), pref, prec=wb)
-    mag = float(abs(v))
-    tail = (eta.tail_bound + mag * pref_err) / (pref_mag - pref_err) + mag * div
-    return GlobalEvalResult(ComplexPoint(v.real, v.imag), eta.terms_used, tail)
+    m = -int(s_hi.real)
+    j = (m + 1) // 2  # zeta(1 - 2j) = -(2j - 1)! B_2j / (2j)!, and zeta(-2j) = 0
+    z = (Fraction(-1, 2) if m == 0 else 0 if m % 2 == 0 else
+         -math.factorial(m) * math.prod(Fraction(p, q) for p, q, _ in _ratios(j)[1:j + 1]))
+    v = mp.fdiv(z.numerator, z.denominator, prec=wb)  # inexact at odd m (3 divides z's denominator)
+    if not math.isfinite(mag := float(abs(v))):  # the rung's range rule
+        raise RangeError(f"zeta({-m}) lies outside the double range")
+    point = ComplexPoint(float(v), 0.0) if ctx.is_fast else ComplexPoint(v, mp.mpf(0))
+    return GlobalEvalResult(point, 1 + j, m % 2 * mag * 2.0 ** -wb)
 
 
 # ---------------------------------------------------------------------------

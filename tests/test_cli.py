@@ -312,7 +312,7 @@ def _run_captured(argv, capsys):
       "--half-width", "inf"], 2),
     (["--tol", "0", "planck", "--p", "3"], 2),
     (["eta", "eval", "--family", "hasse", "--n", "3", "--s", "-800"], 1),
-    (["zeta", "eval", "--s", "-400"], 1),
+    (["zeta", "eval", "--s", "-400.5"], 1),
     (["apow", "pi-s", "--s", "1e300"], 1),
 ])
 def test_boundary_inputs_give_strict_json_or_usage_error(argv, expected, capsys):
@@ -324,6 +324,14 @@ def test_boundary_inputs_give_strict_json_or_usage_error(argv, expected, capsys)
     else:
         env = _strict_json(out)
         assert env["error"]["type"] == "RangeError"
+
+
+def test_zeta_at_a_trivial_zero_beyond_the_double_terms_is_exact(capsys):
+    # zeta(-400) is taken exactly, -B_401 / 401 = 0: no sum of terms (k+1)^400 is formed
+    code, env = invoke_json(["--no-timing", "zeta", "eval", "--s", "-400"], capsys)
+    assert code == 0
+    assert env["results"]["value"] == {"re": "0.0", "im": "0.0"}
+    assert env["diagnostics"]["tail_bound"] == 0.0
 
 
 def test_global_series_at_a_huge_ordinate_is_an_error_envelope(capsys):

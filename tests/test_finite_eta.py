@@ -516,6 +516,9 @@ def test_extended_values_at_conjugate_arguments_are_exact_conjugates(bits):
 @pytest.mark.parametrize("call", [
     lambda ctx: evaluate(spec(H, 5), complex(-1e300, 1.0), ctx),
     lambda ctx: zeta_global(-1e300, ctx),
+    lambda ctx: zeta_global(-799, ctx),  # exactly -B_800 / 800, about 1e1336
+    lambda ctx: zeta_global(-799.5, ctx),
+    lambda ctx: zeta_global(-799, ctx, series_cap=399),  # needs K = 400 corrections
 ])
 def test_huge_negative_arguments_are_refused_quickly(call):
     # terms of 2^(1e300 log2 b) are refused before any of their integers is formed

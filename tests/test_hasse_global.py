@@ -1,6 +1,7 @@
 import cmath
 import functools
 import math
+import random
 import time
 import types
 from fractions import Fraction
@@ -122,8 +123,8 @@ def test_zeta_two():
 
 @pytest.mark.parametrize("ctx", [CTX, PrecisionContext.extended(120)])
 def test_zeta_at_integers_is_bounded_on_both_tiers(ctx):
-    # zeta(-3) = 1/120 is an exact eta over an exact prefactor, -1/8 / -15:
-    # only the division rounds, and the bound must charge it
+    # zeta(-3) = 1/120 is taken exactly, -B_4 / 4: only its rounding to the working bits
+    # is charged
     for s in (-3, 3):
         res = zeta_global(s, ctx)
         with mp.workprec(400):
@@ -151,12 +152,61 @@ def test_zeta_exclusion_disks():
     with pytest.raises(SingularPrefactorError) as err:
         zeta_global(1.0, CTX)
     assert err.value.center == 1.0
+    # at a zero of 1 - 2^(1-s) off the real axis zeta is regular: Euler-Maclaurin never divides
+    # by that prefactor, so there is no disk
     k1 = complex(1.0, 2.0 * math.pi / math.log(2.0))
-    with pytest.raises(SingularPrefactorError) as err:
-        zeta_global(k1 + 1e-8, CTX)
-    assert abs(err.value.center - k1) < 1e-9
+    res = zeta_global(k1 + 1e-8, CTX)
+    with mp.workprec(200):
+        ref = mp.zeta(mp.mpc(k1 + 1e-8))
+        assert abs(res.value.to_mpc() - ref) <= res.tail_bound <= CTX.target_rel_err * abs(ref)
     # just outside the disk evaluation proceeds
     assert zeta_global(complex(1.0 + 1e-5, 0.0), CTX).value is not None
+
+
+@pytest.mark.parametrize("ctx", [CTX, PrecisionContext.extended(120)])
+def test_zeta_in_the_left_half_plane(ctx):
+    # Euler-Maclaurin from the least K with sigma + 2K + 1 > 0: -3 + 1000i, beyond the cap of
+    # eta's series, and a seeded sweep of 40 points with -25 < Re s < 0 and 0.1 <= |Im s| <= 316,
+    # each within its bound of mpmath
+    rng = random.Random(29)
+    for s in [complex(-3.0, 1000.0)] + [
+            complex(-rng.uniform(0.0, 25.0), rng.choice((1, -1)) * 10 ** rng.uniform(-1.0, 2.5))
+            for _ in range(40)]:
+        res = zeta_global(s, ctx)
+        with mp.workprec(ctx.working_bits + 60):
+            ref = mp.zeta(mp.mpc(s))
+            err = abs(res.value.to_mpc() - ref)
+            assert err <= res.tail_bound <= ctx.target_rel_err * abs(ref), s
+
+
+@pytest.mark.parametrize("ctx", [CTX, PrecisionContext.extended(120)])
+def test_zeta_at_non_positive_integers_is_exact(ctx):
+    # zeta(-m) = -B_(m+1) / (m+1) from the tangent numbers, rounded once: an exact 0 with
+    # bound 0 at the trivial zeros, an exact -1/2 at m = 0, one charged rounding otherwise
+    for m in range(61):
+        res = zeta_global(-m, ctx)
+        assert res.terms_used == 1 + (m + 1) // 2
+        with mp.workprec(400):
+            ref = -mp.bernoulli(m + 1) / (m + 1) if m else mp.mpf(-0.5)  # mpmath's B_1 is -1/2
+            err = abs(res.value.to_mpc() - ref)
+        if m % 2 == 0:
+            assert err == 0 and res.tail_bound == 0.0, m
+        else:
+            assert err <= res.tail_bound <= abs(ref) * 2.0 ** -ctx.working_bits * 1.01, m
+
+
+@pytest.mark.parametrize("m, d", [(1, 90), (2, 70), (3, 60), (7, 55)])
+def test_zeta_next_to_a_non_positive_integer(m, d):
+    # -m + 2^-d rounds to the double -m, where a factor s + m of Edwards' bound is 0; the
+    # bound must still cover the remainder of the 120-bit s, which is about 2^-d
+    ctx = PrecisionContext.extended(120)
+    with mp.workprec(200):
+        s = ComplexPoint(-m + mp.mpf(2) ** -d, mp.mpf(0))
+    res = zeta_global(s, ctx)
+    with mp.workprec(300):
+        ref = mp.zeta(s.to_mpc())
+        err = abs(res.value.to_mpc() - ref)
+        assert err <= res.tail_bound <= ctx.target_rel_err * abs(ref)
 
 
 # ---------------------------------------------------------------------------
@@ -426,10 +476,13 @@ def test_zeta_prefactor_near_its_zeros():
 
 
 def test_series_beyond_double_range_is_refused():
-    # the terms (k+1)^400 of the series at s = -400 leave the double range
-    for fn in (eta_global, zeta_global):
+    # the terms (k+1)^400 of the series at s = -400 leave the double range, and so does
+    # |zeta(-400.5)|, about 6e549; zeta(-400) is an exact trivial zero
+    for fn, s in ((eta_global, -400.0), (zeta_global, -400.5)):
         with pytest.raises(RangeError):
-            fn(-400.0, CTX)
+            fn(s, CTX)
+    res = zeta_global(-400.0, CTX)
+    assert res.value.to_complex() == 0 and res.tail_bound == 0.0
     # the extended table's guard bits grow with -Re s
     with pytest.raises(RangeError):
         eta_global(-1e6, PrecisionContext.extended(120))
@@ -676,7 +729,8 @@ def test_refine_far_up_the_line(k):
 
 @pytest.mark.parametrize("fn, s, error", [
     (eta_global, complex(0.5, 450.0), RangeError),  # Borwein's divisor passes doubles
-    (zeta_global, complex(-3.0, 1000.0), ConvergenceError),  # eta beyond the 400-term cap
+    (zeta_global, complex(-0.3, 5000.0), ConvergenceError),  # N + K beyond the 400-term cap
+    (zeta_global, -400.5, RangeError),  # |zeta| about 6e549
     (refine_zero, 1000.0, RangeError),
 ])
 def test_fast_tier_refuses_beyond_reach(fn, s, error):
@@ -692,7 +746,8 @@ def test_fast_tier_refuses_beyond_reach(fn, s, error):
 @pytest.mark.parametrize("ctx", [CTX, PrecisionContext.extended(120)])
 @pytest.mark.parametrize("fn, s", [(eta_global, complex(0.5, 1e308)),
                                    (eta_global, complex(1e308, 1e308)),
-                                   (zeta_global, complex(-1.0, 1e308)), (refine_zero, 1.7e308)])
+                                   (zeta_global, complex(-1.0, 1e308)),
+                                   (zeta_global, complex(1.7e308, 1.7e308)), (refine_zero, 1.7e308)])
 def test_huge_ordinates_are_typed_refusals(fn, s, ctx):
     # pi |Im s| passes the double range: the remainder bound is inf, not NaN
     point = complex(0.5, s) if fn is refine_zero else s

@@ -310,6 +310,8 @@ _H3 = FiniteEtaSpec(Family.HASSE, 3)
 @pytest.mark.parametrize("call", [
     pytest.param(lambda: eta_global(2.0, CTX, series_cap=-5), id="eta_global series_cap"),
     pytest.param(lambda: zeta_global(2.0, CTX, series_cap=-5), id="zeta_global series_cap"),
+    pytest.param(lambda: zeta_global(-2, CTX, series_cap=-5), id="zeta_global integer cap"),
+    pytest.param(lambda: zeta_global(-2, CTX, series_cap="x"), id="zeta_global integer str"),
     pytest.param(lambda: derivative(_H3, 2.0, CTX, order=1.5), id="derivative order"),
     pytest.param(lambda: lemma_suite(2.5), id="lemma_suite float"),
     pytest.param(lambda: lemma_suite("3"), id="lemma_suite str"),
