@@ -40,17 +40,17 @@ from fractions import Fraction
 from functools import partial
 from typing import Callable, NamedTuple
 
-import mpmath as mp
-
 from . import __version__
 from .errors import EtaForgeError, RangeError
 from .finite_eta import Family, FiniteEtaSpec, evaluate, trivial_zero_report
 from .hasse_global import eta_global, functional_equation_residual, refine_zero, zeta_global
 from .kernel_integrals import integrate_L, verify_identity
-from .numerics import FAST_BITS, ComplexPoint, PrecisionContext
+from .numerics import FAST_BITS, ComplexPoint, PrecisionContext, _mpmath, _workprec
 from .proto_zeros import ScanConfig, default_step, planck_resolution, proto_cloud, scan_line
 from .weyl_algebra import UnitPhase, lemma_suite, normal_order, rest_frames
 from .weyl_powers import clifford_contains, equilibrium_identity_check, pi_s
+
+mp = _mpmath(globals())
 
 SCHEMA_VERSION = "1.0"
 ENV_PREFIX = "ETA_FORGE_"
@@ -475,7 +475,7 @@ def run(argv=None) -> int:
 
     started = time.perf_counter()
     try:
-        with mp.workprec(ctx.working_bits):
+        with _workprec(ctx):
             results, diagnostics = cmd.handler(args, ctx)
     except argparse.ArgumentTypeError as exc:
         parser.error(str(exc))

@@ -15,11 +15,11 @@ s = -2, -4, ..., -2(n-1).  Those zeros are checked in exact rational
 arithmetic, never in floating point.
 
 Summation: each tier fills a power table p_b = b^(-s), with ln b, for the bases b = 1,
-2, ...: one ``cmath.exp`` per base in doubles, and in big floats one ``mp.exp`` per prime
-base (b^(-s) is completely multiplicative) with every entry in fixed-point integers
-(``_ExtPowers``).  The dot product with the exact integer coefficients (times (-ln b)^k at
-order k) is ``math.fsum`` in doubles (each component rounded once) and an exact integer sum
-in big floats.  A table grows one base at a time, so a global series that lengthens keeps
+2, ...: one ``cmath.exp`` per base in doubles, with ln b in double-double from an integer
+series (``_log_dd``), and in big floats one ``mp.exp`` per prime base (b^(-s) is completely
+multiplicative) with every entry in fixed-point integers (``_ExtPowers``).  The dot product
+with the exact integer coefficients (times (-ln b)^k at order k) is ``math.fsum`` in doubles
+(each component rounded once) and an exact integer sum in big floats.  A table grows one base at a time, so a global series that lengthens keeps
 its powers, and one table serves every order.  One rung (``_rung``) takes each such sum, for
 these finite sums and for the global series alike: the double table at s rounded to a double
 (t ln b in double-double, about 2|Re s| ln n + 8 units of 2^-53 per term at any practical
@@ -69,11 +69,11 @@ from functools import lru_cache
 from itertools import groupby
 from operator import mul
 
-import mpmath as mp
-from mpmath.libmp import from_man_exp, mpf_shift, round_up, to_int
-
 from .errors import ConvergenceError, DomainError, RangeError, VerificationError
-from .numerics import ComplexPoint, PrecisionContext, _coerce_complex, _coerce_mpc, _count
+from .numerics import (ComplexPoint, PrecisionContext, _coerce_complex, _coerce_mpc, _count,
+                       _mpmath)
+
+mp = _mpmath(globals(), "from_man_exp", "mpf_shift", "round_up", "to_int")
 
 __all__ = [
     "Family",
@@ -92,6 +92,7 @@ ExactRational = Fraction
 # A big-float sum that would need more working bits is refused (RangeError).
 _MAX_SUM_BITS = 1 << 16
 _TINY = 2.0 ** -1022  # the smallest normal double
+_LN_BITS = 180  # the fractional bits of ``_ln_fixed``
 _DISK, _MAX_ORDER = 0.55, 60  # the line kernel's Taylor models: radius in t, top degree
 _Model = namedtuple("_Model", "a rho k fill shift trunc top tail")  # a Taylor model, ``_taylor``
 
@@ -156,14 +157,30 @@ def _split(a: float) -> tuple[float, float]:
 
 
 @lru_cache(maxsize=None)
+def _ln_fixed(b: int) -> int:
+    """ln b in integers of 2^-_LN_BITS (Brent and Zimmermann 2010, 4.2): a prime p = 2^k (1 + x)
+    / (1 - x), 2^k nearest p (1 for p = 2), takes k ln 2 + 2 atanh x, x = (p - 2^k) / (p + 2^k),
+    |x| <= 1/3, by the series in |x| with each term floored; a composite the sum of its factors'."""
+    if (q := _least_factor(b)) < b:
+        return _ln_fixed(q) + _ln_fixed(b // q)
+    k = round(math.log2(b)) if b > 2 else 0
+    p, r = b - (1 << k), b + (1 << k)
+    term, total, j = (abs(p) << _LN_BITS + 1) // r, 0, 1  # term: 2 |x|^j, j odd
+    while term:
+        total, term, j = total + term // j, term * p * p // (r * r), j + 2
+    return (k * _ln_fixed(2) if k else 0) + (total if p >= 0 else -total)
+
+
+@lru_cache(maxsize=None)
 def _log_dd(b: int) -> tuple[float, float, float, float]:
-    """ln b as a double-double hi + lo (taken from mpmath at 128 bits), with
-    the Veltkamp halves of hi for Dekker's TwoProduct."""
-    with mp.workprec(128):
-        ln = mp.log(b)
-        hi = float(ln)
-        lo = float(ln - hi)
-    return (hi, lo) + _split(hi)
+    """ln b as a double-double hi + lo, with the Veltkamp halves of hi for Dekker's TwoProduct:
+    ln b rounded to 128 bits, hi that to nearest and lo the rest to nearest."""
+    x = _ln_fixed(b)
+    e = max(0, x.bit_length() - 128)
+    x = (x + (1 << e >> 1)) >> e  # to nearest at 128 bits
+    top = float(x)
+    hi = math.ldexp(top, e - _LN_BITS)
+    return (hi, math.ldexp(x - int(top), e - _LN_BITS)) + _split(hi)
 
 
 class _FastPowers:
@@ -455,10 +472,10 @@ def _horner(model: _Model, d: complex, e: float | None = 0.0):
 
 
 def _line_newton(table_at, t0: float, max_step: float, radius: float):
-    """(t, iterations): Newton on h'(t) = 0, h(t) = |f(sigma + i t)|**2, over real t from t0, on
-    the Taylor model of the double table and coefficients table_at(t) gives about sigma + i t (rho
-    = 2 min(|a_0 / a_1|, max_step): a zero's Kantorovich radius or two grid steps; tail 2**-60 sum
-    |c_b p_b|).  Steps (Newton's on f at a simple zero) are clamped to max_step, and stop below
+    """(t, iterations, last model): Newton on h'(t) = 0, h(t) = |f(sigma + i t)|**2, over real t
+    from t0, on the Taylor model of the double table and coefficients table_at(t) gives about
+    sigma + i t (rho = 2 min(|a_0 / a_1|, max_step): a zero's Kantorovich radius or two grid
+    steps; tail 2**-60 sum |c_b p_b|).  Steps (Newton's on f at a simple zero) are clamped to max_step, and stop below
     1e-13 max(1, |t|) or after 50; |t - t0| > radius or h'' <= 0: ConvergenceError."""
     t, tc, model = t0, None, None
     for iterations in range(1, 51):
@@ -477,7 +494,7 @@ def _line_newton(table_at, t0: float, max_step: float, radius: float):
                                    best=t)
         if abs(dt) < 1e-13 * max(1.0, abs(t)):
             break
-    return t, iterations
+    return t, iterations, model
 
 
 def _disk(coefs: tuple[int, ...], sigma: float, ts, first_bits: float, tol: float):

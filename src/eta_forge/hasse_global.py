@@ -58,14 +58,13 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
 
-import mpmath as mp
-from mpmath.libmp import from_man_exp, mpf_shift, to_int
-
 from .errors import ConvergenceError, DomainError, RangeError, SingularPrefactorError
-from .finite_eta import (_MAX_SUM_BITS, _FastPowers, _first_bits, _line_newton, _more_bits,
-                         _rung)
+from .finite_eta import (_MAX_SUM_BITS, _FastPowers, _first_bits, _horner, _line_newton,
+                         _more_bits, _rung)
 from .numerics import (ComplexPoint, PrecisionContext, _coerce_complex, _coerce_mpc, _count,
-                       _fast_only, cgamma)
+                       _fast_only, _mpmath, _workprec, cgamma)
+
+mp = _mpmath(globals(), "from_man_exp", "mpf_shift", "to_int")
 
 __all__ = [
     "GlobalEvalResult",
@@ -125,8 +124,9 @@ def _weights(n: int, borwein: bool) -> tuple[tuple[int, ...], int]:
     return tuple(reversed(out)), 1 << n
 
 
-def _remainder(sc: complex, n: int) -> float:
-    """The natural log of the bound on |eta - S| for S of n terms (module docstring)."""
+def _remainder(sc: complex, n: int, off: float = 0.0) -> float:
+    """The natural log of the bound on |eta - S| for S of n terms (module docstring), with s
+    within ``off`` of sc: that bounds a factor |s + j| that is 0 at sc."""
     sigma, tau = sc.real, abs(sc.imag)
     if sigma + n <= 0:
         return math.inf  # the remainder integral diverges
@@ -138,9 +138,9 @@ def _remainder(sc: complex, n: int) -> float:
     x = ((math.log(2.0 / _GAMMA_MIN) - n * _BORWEIN_RATE if borwein else -n * _LN2)
          + math.log(math.hypot(1.0, tau / (sigma + m))) + 0.5 * log_g)
     for j in range(m):
-        d = math.hypot(sigma + j, tau)
+        d = math.hypot(sigma + j, tau) or off
         if d == 0.0:
-            return -math.inf  # a pole of Gamma: the sum is exact
+            return -math.inf  # s is a pole of Gamma: the sum is exact
         x += math.log(d)
     if not borwein:  # Gamma(x, 1) <= Gamma(x) (m = 0) or 1/e (x <= 1); Gamma >= 0.8856
         gamma_1 = 1.0 if m == 0 else 1.0 / math.e / _GAMMA_MIN
@@ -148,15 +148,15 @@ def _remainder(sc: complex, n: int) -> float:
     return math.inf if math.isnan(x) else x  # NaN: inf - inf, where pi |Im s| passes doubles
 
 
-def _length(sc: complex, goal: float, series_cap: int) -> int:
+def _length(sc: complex, goal: float, series_cap: int, off: float = 0.0) -> int:
     """The least n whose remainder bound is within ``goal``, or series_cap + 2 beyond the cap."""
     beyond, log_goal = series_cap + 2, (math.log(goal) if goal > 0.0 else -math.inf)
     lowest = n = max(1, math.floor(-sc.real) + 1)
     if n < beyond:  # the bound falls by rate or more per term: one jump, then steps back
-        excess = _remainder(sc, n) - log_goal if goal > 0.0 else math.inf
+        excess = _remainder(sc, n, off) - log_goal if goal > 0.0 else math.inf
         rate = _BORWEIN_RATE if _borwein(sc) else _LN2  # in nats per term
         n += math.ceil(min(max(excess, 0.0) / rate, beyond))
-    while lowest < n < beyond and _remainder(sc, n - 1) <= log_goal:
+    while lowest < n < beyond and _remainder(sc, n - 1, off) <= log_goal:
         n -= 1
     return min(n, beyond)
 
@@ -251,13 +251,14 @@ def _series(s, ctx: PrecisionContext, series_cap: int = SERIES_CAP, floor: float
         raise RangeError(f"s = {sc} is beyond the double range of the series length")
     tol, wb, neg = ctx.target_rel_err, ctx.working_bits, max(0.0, -sc.real)
     s_hi, borwein = (sc if ctx.is_fast else _coerce_mpc(s)), _borwein(sc)
+    off = 0.0 if ctx.is_fast or s_hi == sc else 2.0 ** -52 * abs(sc) + 2.0 ** -1073  # sc's rounding
 
     def plan(goal: float, m: int | None = None):
         """(n, K, log bound) of the least n within goal, or of n = m terms."""
         if em:
             return _em_plan(sc, goal, series_cap, m)
-        n = m or _length(sc, goal, series_cap)
-        return n, 0, _remainder(sc, n)
+        n = m or _length(sc, goal, series_cap, off)
+        return n, 0, _remainder(sc, n, off)
 
     def longer(p):  # the plan p, or one term more than n
         return p if p[0] > n else plan(0.0, n + 1)
@@ -375,7 +376,7 @@ def functional_equation_residual(s, ctx: PrecisionContext = PrecisionContext()) 
             f"zeta(1-s) = {complex(z1)} within 1e-8 of zero at s = {sc}; ratio undefined")
     reflected = abs(sc - 2 * round(sc.real / 2.0)) < 0.25  # near an even integer
     gam = value(cgamma(s_hi if reflected else s_1, ctx))
-    with mp.workprec(wb):  # the extended tier's roundings; cmath ignores it
+    with _workprec(ctx):  # the extended tier's roundings
         pi, cos, sin = (math.pi, cmath.cos, cmath.sin) if fast else (mp.pi, mp.cos, mp.sin)
         lhs, half = z_s / z1, pi * s_hi / 2
         scale = (2 * pi) ** (s_hi - 1)
@@ -394,14 +395,15 @@ def refine_zero(t_initial: float, ctx: PrecisionContext = PrecisionContext()) ->
 
     Requires |eta(1/2 + i t_initial)| <= 0.5 (ordinate already near a zero).  Newton runs
     over real t (``finite_eta._line_newton``), so it stays on the line, with |dt| <= 0.5 and
-    S by Horner on one Taylor model per disk; only the final residual is certified.
+    S by Horner on one Taylor model per disk; only the final residual is certified, off the
+    last model where its bound and the series' remainder meet the absolute target, else anew.
     Escaping |t - t0| > 1, a non-positive curvature of |S|**2 or failing to reach residual
     1e-10 in 50 iterations raises ConvergenceError; an extended context raises DomainError.
     S is eta's series, so its length bounds the reach: past t = 421 Borwein's divisor leaves
     the doubles (RangeError).
     """
     _fast_only(ctx, "refine_zero")
-    t0 = float(t_initial)
+    t0, tables = float(t_initial), []
 
     def table_at(t: float):  # S's double table about 1/2 + i t, and its weights
         table = _FastPowers(complex(0.5, t))  # filled by _series' first rung, to an absolute bound
@@ -409,10 +411,17 @@ def refine_zero(t_initial: float, ctx: PrecisionContext = PrecisionContext()) ->
         if t == t0 and start > CAPTURE_THRESHOLD:  # the capture check
             raise DomainError(f"|eta(1/2 + {t0}i)| = {start:.3g} above capture threshold "
                               f"{CAPTURE_THRESHOLD}; start closer to a zero")
+        tables.append(table)
         return table, _weights(len(table.re), _borwein(table.s))[0]  # the weights _series took
 
-    t, iterations = _line_newton(table_at, t0, NEWTON_MAX_STEP, CAPTURE_RADIUS)
-    residual = abs(_series(complex(0.5, t), ctx, floor=1.0).value.to_complex())
+    t, iterations, model = _line_newton(table_at, t0, NEWTON_MAX_STEP, CAPTURE_RADIUS)
+    n, tc = len(tables[-1].re), tables[-1].s.imag  # S at t off the last model, times 2^k / d_n
+    d = t - tc
+    g, _, _, bound = _horner(model, 1j * d, (t - (d - (d - t))) - (tc + (d - t)))  # d's rounding
+    scale = 2.0 ** model.k / _weights(n, True)[1]  # Borwein's divisor: Re s = 1/2
+    err = (bound + 4 * 2.0 ** -53 * abs(g)) * scale + math.exp(_remainder(complex(0.5, t), n))
+    residual = (abs(g * scale) if abs(d) < model.rho and err <= ctx.target_rel_err
+                else abs(_series(complex(0.5, t), ctx, floor=1.0).value.to_complex()))
     if residual > REFINE_TOL:
         raise ConvergenceError(
             f"no convergence: residual {residual:.3g} above {REFINE_TOL} "

@@ -10,6 +10,10 @@ pick the tier from the guard digits their computation needs -- alternating
 binomial sums lose roughly ``n`` bits to cancellation, which is what the
 extended tier exists for.
 
+mpmath loads on the first big float: an extended context, or a fast sum that
+escalates.  Until then each module's ``mp`` is one lazy handle (``_mpmath``);
+the fast tier never reads it, so a fast-tier process never imports mpmath.
+
 Branch convention: principal logarithm with Im in (-pi, pi] everywhere.
 
 All operations are pure; identical inputs and context give bit-identical
@@ -22,9 +26,8 @@ import cmath
 import math
 import numbers
 import sys
+from contextlib import nullcontext
 from dataclasses import dataclass
-
-import mpmath as mp
 
 from .errors import DomainError, PoleError, RangeError
 
@@ -44,6 +47,34 @@ RealValue = float
 
 FAST_BITS = 53
 _LN_OVERFLOW = 709.782712893384  # exp() overflows a double beyond this
+
+
+class _Mpmath:
+    """mpmath, imported on the first attribute read.  A module holds ``mp = _mpmath(globals(),
+    *names)``, names from :mod:`mpmath.libmp`; the first read imports mpmath and rebinds ``mp``
+    and those names in every such module, so that the extended tier's loops then look them up
+    as plain globals.  Once mpmath is imported, the call binds them at once."""
+
+    def __init__(self):
+        self.users = []
+
+    def __call__(self, namespace: dict, *names: str):
+        self.users.append((namespace, names))
+        return self._load() if "mpmath" in sys.modules else self
+
+    def _load(self):
+        import mpmath
+        for namespace, names in self.users:
+            namespace["mp"] = mpmath
+            namespace.update((n, getattr(mpmath.libmp, n)) for n in names)
+        return mpmath
+
+    def __getattr__(self, name: str):
+        return getattr(self._load(), name)
+
+
+_mpmath = _Mpmath()
+mp = _mpmath(globals())
 
 
 @dataclass(frozen=True)
@@ -90,7 +121,7 @@ class PrecisionContext:
 def _is_finite(x) -> bool:
     if isinstance(x, float):
         return math.isfinite(x)
-    return bool(mp.isfinite(x))
+    return isinstance(x, int) or bool(mp.isfinite(x))  # an int of any size is finite
 
 
 @dataclass(frozen=True)
@@ -144,6 +175,11 @@ def _fast_only(ctx: PrecisionContext, name: str):
     if not ctx.is_fast:
         raise DomainError(
             f"{name} is fast-tier only; a {ctx.working_bits}-bit context was requested")
+
+
+def _workprec(ctx: PrecisionContext):
+    """mpmath at the working precision for the extended tier's roundings; nothing on the fast."""
+    return nullcontext() if ctx.is_fast else mp.workprec(ctx.working_bits)
 
 
 def _coerce_complex(z) -> complex:

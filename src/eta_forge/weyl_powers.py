@@ -25,12 +25,10 @@ import enum
 import math
 from fractions import Fraction
 
-import mpmath as mp
-
 from .errors import DomainError, RangeError, VerificationError
 from .hasse_global import GlobalEvalResult
 from .numerics import (ComplexPoint, PrecisionContext, _coerce_complex, _coerce_mpc, _count,
-                       _fast_only)
+                       _fast_only, _workprec)
 from .weyl_algebra import SPoly, WeylPoly, mod_observer
 
 __all__ = [
@@ -72,8 +70,8 @@ def binom_coeff(s, k: int, ctx: PrecisionContext = PrecisionContext()) -> Comple
     most linearly in k.
     """
     k = _count(k, "k")
-    acc, z = (1.0 + 0.0j, _coerce_complex(s)) if ctx.is_fast else (mp.mpc(1), _coerce_mpc(s))
-    with mp.workprec(ctx.working_bits):  # the extended tier's roundings; doubles ignore it
+    acc, z = (1.0 + 0.0j, _coerce_complex(s)) if ctx.is_fast else (_coerce_mpc(1), _coerce_mpc(s))
+    with _workprec(ctx):  # the extended tier's roundings
         for j in range(k):
             acc *= (z - j) / (j + 1)
     return ComplexPoint(acc.real, acc.imag)

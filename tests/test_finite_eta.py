@@ -741,3 +741,12 @@ def test_line_run_of_misses_fills_one_table(monkeypatch):
         ref = oracles.eta_hasse_highprec(20, complex(0.5, t), 200)
         with mp.workprec(200):
             assert abs(mp.mpc(v) - ref) <= CTX.target_rel_err * abs(ref), t
+
+
+def test_log_dd_matches_mpmath():
+    # ln b from the integer series equals mpmath's ln b at 128 bits, split into doubles
+    for b in range(1, 5001):
+        with mp.workprec(128):
+            ln = mp.log(b)
+            want = (float(ln), float(ln - float(ln)))
+        assert finite_eta._log_dd(b)[:2] == want, b

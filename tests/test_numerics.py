@@ -1,6 +1,10 @@
 import cmath
+import json
 import math
+import os
 import random
+import subprocess
+import sys
 
 import mpmath as mp
 import pytest
@@ -27,6 +31,7 @@ from eta_forge import (
     proto_cloud,
     zeta_global,
 )
+import eta_forge
 from eta_forge.weyl_powers import binom_spoly, operator_power_truncated
 
 CTX = PrecisionContext()
@@ -324,3 +329,48 @@ def test_integer_arguments_are_typed_refusals(call):
     # IndexError or TypeError from deep inside
     with pytest.raises(DomainError, match="must be an integer >="):
         call()
+
+
+# ---------------------------------------------------------------------------
+# mpmath loads on the first big float
+# ---------------------------------------------------------------------------
+
+_FAST_CALLS = """
+import sys
+from eta_forge import (ComplexPoint, binom_coeff, eta_global, functional_equation_residual,
+                       parse_weyl_poly, pi_s, refine_zero, zeta_global)
+from eta_forge.cli import run
+
+eta_global(2 + 3j), zeta_global(2 + 3j), refine_zero(14.1), functional_equation_residual(0.3 + 5j)
+binom_coeff(0.5, 3), pi_s(0.5 + 1j), ComplexPoint(0, 0)
+parse_weyl_poly("a^2 b + u a") * parse_weyl_poly("b a^3 + 2")
+for argv in (["eta", "eval", "--family", "hasse", "--n", "8", "--s", "0.5+10i"],
+             ["zeta", "eval", "--s", "2+3i"], ["zero", "refine", "--t0", "14.1"],
+             ["planck", "--p", "3"]):
+    assert run(["--no-timing", *argv]) == 0
+print("mpmath" in sys.modules)
+"""
+
+_EXTENDED_CALL = """
+from eta_forge import PrecisionContext, eta_global
+r = eta_global(0.25 + 30j, PrecisionContext.extended(120))
+print([r.value.re._mpf_, r.value.im._mpf_, r.terms_used, r.tail_bound.hex()])
+"""
+
+
+def _child(code: str) -> list[str]:
+    env = {k: v for k, v in os.environ.items() if not k.startswith("ETA_FORGE_")}
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(os.path.abspath(eta_forge.__file__)))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=120, check=True)
+    return proc.stdout.splitlines()
+
+
+def test_the_fast_tier_never_imports_mpmath():
+    # the fast tier's library calls and CLI commands leave mpmath unloaded; a 120-bit value
+    # formed after them, in the same process, equals a fresh process's bit for bit
+    lines = _child(_FAST_CALLS + _EXTENDED_CALL)
+    envelopes = [json.loads(line) for line in lines[:4]]
+    assert all("results" in env for env in envelopes)
+    assert lines[4] == "False"
+    assert lines[5] == _child(_EXTENDED_CALL)[0]
