@@ -4,8 +4,8 @@ Family HASSE with index n is the alternating binomial sum
 
     sum_{k=0}^{n} (-1)^k C(n, k) (k+1)^(-s)
 
-(the building block of the globally convergent series in
-:mod:`eta_forge.hasse_global`); family HSTAR with index n is
+(Hasse's globally convergent series for eta is sum_n 2^-(n+1) eta_n);
+family HSTAR with index n is
 
     sum_{k=1}^{n} (-1)^(k-1) C(2n, n+k) k^(-s),
 
@@ -25,11 +25,12 @@ these finite sums and for the global series alike: the double table at s rounded
 (t ln b in double-double, about 2|Re s| ln n + 8 units of 2^-53 per term at any practical
 t), or big floats at given bits with s at full precision.  At order 0 and an integer s <= 0
 it sums the integer powers exactly, so a trivial zero is an exact 0 with bound 0.  It rounds
-the value to the working precision, charged only when inexact.  A double table with a term
-beyond the double range, or a value below its normal range, cannot measure: its bound is
-infinite.  A big-float value outside the normal double range (a flush to 0 would look exact),
-a bound beyond it, an inexact 0 whose bound lies below it, or a sum needing over 65536 bits
-raises RangeError.
+the value to the working precision, charged only when inexact (an exact integer by Python's
+correctly rounded int to float conversion on the fast tier, so no big float is formed).  A
+double table with a term beyond the double range, or a value below its normal range, cannot
+measure: its bound is infinite.  A big-float value outside the normal double range (a flush to
+0 would look exact), a bound beyond it, an inexact 0 whose bound lies below it, or a sum
+needing over 65536 bits raises RangeError.
 
 Certification ladder (``_evaluate``), for any sum with integer
 coefficients: a result is returned only when its bound is within
@@ -415,10 +416,17 @@ def _rung(coefs: tuple[int, ...], s, order: int, wb: int, bits: float | None = N
                              f"{_MAX_SUM_BITS} working bits")
         powers = powers or _ExtPowers(s, math.ceil(bits))
         total, err = powers.dot(coefs, order, scale)
-    with mp.workprec(wb):  # the final rounding to the working precision
-        v = mp.mpc(total)
-        inexact = v != total
-        v *= scale
+    if isinstance(total, int) and wb == 53:  # exact integers to a double: Python rounds once
+        try:
+            v = float(total)
+        except OverflowError:
+            v = math.inf
+        inexact, v = v != total, v * scale
+    else:
+        with mp.workprec(wb):  # the final rounding to the working precision
+            v = mp.mpc(total)
+            inexact = v != total
+            v *= scale
     mag, bound = float(abs(v)), float(err)
     if inexact:
         bound += mag * 2.0 ** -wb
@@ -471,16 +479,17 @@ def _horner(model: _Model, d: complex, e: float | None = 0.0):
     return g, gp, gpp, err + model.tail + moved + units * (2.0 ** -53 * size + 2.0 ** -1074)
 
 
-def _line_newton(table_at, t0: float, max_step: float, radius: float):
+def _line_newton(model_at, t0: float, max_step: float, radius: float):
     """(t, iterations, last model): Newton on h'(t) = 0, h(t) = |f(sigma + i t)|**2, over real t
-    from t0, on the Taylor model of the double table and coefficients table_at(t) gives about
-    sigma + i t (rho = 2 min(|a_0 / a_1|, max_step): a zero's Kantorovich radius or two grid
-    steps; tail 2**-60 sum |c_b p_b|).  Steps (Newton's on f at a simple zero) are clamped to max_step, and stop below
-    1e-13 max(1, |t|) or after 50; |t - t0| > radius or h'' <= 0: ConvergenceError."""
+    from t0, on the Taylor model model_at(t, reach) builds about sigma + i t, ``reach`` as
+    ``_taylor``'s (rho = 2 min(|a_0 / a_1|, max_step): a zero's Kantorovich radius or two grid
+    steps; tail 2**-60 sum |c_b p_b|).  Steps (Newton's on f at a simple zero) are clamped to
+    max_step, and stop below 1e-13 max(1, |t|) or after 50; |t - t0| > radius or h'' <= 0:
+    ConvergenceError."""
     t, tc, model = t0, None, None
     for iterations in range(1, 51):
         if model is None or abs(t - tc) > model.rho:  # no model yet, or the iterate left its disk
-            tc, model = t, _taylor(*table_at(t), lambda a0, a1, size: (  # rho, goal
+            tc, model = t, model_at(t, lambda a0, a1, size: (  # rho, goal
                 2.0 * (min(abs(a0 / a1), max_step) if a1 else max_step), 2.0 ** -60 * size))
         g, gp, gpp, _ = _horner(model, 1j * (t - tc), None)
         g = g.conjugate()  # conj f; f' = i g', f'' = -2 g'': h'/2 = -Im(g g'), h''/2 = curv

@@ -1,52 +1,35 @@
-"""Globally convergent alternating zeta (eta) series, the zeta function by
-Euler-Maclaurin, the reflection identity residual, and Newton refinement of
-critical-line zeros.
+"""The zeta function by Euler-Maclaurin, eta = (1 - 2^(1-s)) zeta from it, the reflection
+identity residual, and Newton refinement of critical-line zeros.
 
-eta(s) = sum_{n>=0} 2^-(n+1) eta_n(s) over the HASSE finite sums converges
-for every s.  Its partial sum of n terms is one weighted Dirichlet sum with
-integer weights c_k and divisor d,
+zeta, by Euler-Maclaurin (Edwards 1974, 6.4): H = sum_{n<N} n^-s + N^-s / 2 is one dot with
+coefficients 2, ..., 2, 1 at scale 1/2 on one power table of :mod:`eta_forge.finite_eta` (n
+transcendentals on the double table, one per prime base in big floats), plus N^-s from it times
+D(s) = N/(s-1) + Q(s), Q = sum_{k<=K} B_2k/(2k)! s (s+1) ... (s+2k-2) N^(1-2k) (``_em_factor``);
+wherever sigma + 2K + 1 > 0 the remainder is at most |s+2K+1| / (sigma+2K+1) times the first
+omitted term, so this one sum serves the whole plane.  N + K is the length that ``_em_plan``
+picks, the cap bounds and terms_used reports.
 
-    S(s) = (1/d) sum_{k<n} c_k (k+1)^-s,
+eta = P zeta, P = 1 - 2^(1-s) = 1 - 2 2^-s a two-term sum on the finite sums' ladder, which
+escalates near P's zeros 1 + 2 pi i k / ln 2, where eta vanishes; the bound composes P's
+(tol/8 of |P|), zeta's (3 tol/4 of |zeta|) and the product's rounding.  Within 1/2 of s = 1,
+where P cancels and zeta has its pole, eta = g F instead: g = P/(s-1) = ln 2 sum_j (-x)^j/(j+1)!,
+x = (s-1) ln 2, and F = (s-1) zeta = (s-1)(H + N^-s Q) + N^(1-s), entire, whose remainder is
+|s-1| times zeta's; so eta(1) = ln 2.  At s = -m both are exact rationals, zeta(-m) = -B_(m+1) /
+(m+1) from ``_ratios``, rounded once (in Python's int and Fraction arithmetic on the fast tier).
 
-taken as one dot product with one power table of :mod:`eta_forge.finite_eta`:
-n transcendentals on the double table, one per prime base in big floats,
-and O(n) multiply-adds.  ``_weights`` holds two sets, chosen by Re s:
+Ladder: each pass is one rung of :mod:`eta_forge.finite_eta` over the coefficients, scaled
+exactly by 1/2, with s at full precision in big floats.  The fast tier accepts the double table
+when remainder + rounding <= target, else takes big floats at the finite sums' first precision
+(``_first_bits``, read off the double table), which is how Re s << 0 gets honest values; the
+extended tier starts in big floats.  A length beyond the cap raises ConvergenceError (best: the
+sum at the cap); s, values or fast-tier terms beyond the double range, 65536 bits, or Re s <=
+-2 cap - 1 raise RangeError.  These alone bound the fast tier: on the line the cap ends it near
+1/2 + 1500i.
 
-- Re s >= 1/2, Borwein's (2000, Algorithm 2): c_k = (-1)^k (d_n - d_k) and
-  d = d_n, where d_k = sum_{i<=k} n (n+i-1)! 4^i / ((n-i)! (2i)!), each
-  summand an integer; |eta - S| <= 2 (3 + sqrt 8)^-n / |Gamma(s)|.
-- Re s < 1/2, Euler's transform (Sondow 1994), S = sum_{m<n} 2^-(m+1) eta_m:
-  c_k = (-1)^k sum_{j>k} C(n, j) and d = 2^n.  For Re s > -n,
-  eta - S = Gamma(s)^-1 int_0^1 (-ln y)^(s-1) ((1-y)/2)^n / (1+y) dy, so
-  |eta - S| <= 2^-n (1/(sigma+n) + Gamma(sigma, 1)) / |Gamma(s)|.
-
-|Gamma(x)/Gamma(x+it)|^2 = prod_k (1 + t^2/(x+k)^2) <= (1 + t^2/x^2) sinh(pi t)/(pi t)
-bounds 1/|Gamma| after a shift to x >= 1 (it is 0 at the poles of Gamma,
-where the sum is exact).  The bound falls by 3 + sqrt 8 or by at least 2
-per term; n makes it half the target with |value| guessed as 1; a smaller
-|value| first gets a longer sum, within the cap, then more bits.  Newton
-runs over real t on a bounded Taylor model of S; its steps stay uncertified.
-
-zeta, by Euler-Maclaurin (Edwards 1974, 6.4): sum_{n<N} n^-s + N^-s / 2 is
-one dot with coefficients 2, ..., 2, 1 at scale 1/2 on the same table, plus
-N^-s from it times D(s) = N/(s-1) + sum_{k<=K} B_2k/(2k)! s (s+1) ... (s+2k-2)
-N^(1-2k) (``_em_factor``); wherever sigma + 2K + 1 > 0 the remainder is at
-most |s+2K+1| / (sigma+2K+1) times the first omitted term, so this one sum
-serves the whole plane.  N + K is the length that ``_em_plan`` picks, the cap
-bounds and terms_used reports.
-
-Ladder: each pass is one rung of :mod:`eta_forge.finite_eta` over the
-weights, scaled exactly by 2^-e, 2^e >= d, with s at full precision in big
-floats; a d that is not 2^e (Borwein's) then takes one product by 2^e / d,
-charged 4 units of 2^-wb of |value|.  The fast tier accepts the double
-table when remainder + rounding <= target, else takes big floats at the
-finite sums' first precision (``_first_bits``, read off the double table),
-which is how Re s << 0 gets honest values; the extended tier starts in big
-floats.  A length beyond the cap raises ConvergenceError (best: the sum at
-the cap); s, values or fast-tier terms beyond the double range, 65536 bits,
-or zeta at Re s <= -2 cap - 1 raise RangeError.  These alone bound the fast
-tier: Borwein's divisor d_n, about 2^(2.54 n), leaves the doubles past 1/2 +
-421i (n = 397); the binomial weights reach the cap near 150i on Re s = 0.
+Newton (``refine_zero``) runs over real t on a Taylor model of zeta about a point of the line:
+the head's (``finite_eta._taylor``), with its bound, plus the Taylor coefficients of N^-s D(s)
+(``_em_taylor``); its steps stay uncertified, and the final residual is certified off the last
+model.
 """
 
 from __future__ import annotations
@@ -55,12 +38,12 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import accumulate
+from operator import mul
 
 from .errors import ConvergenceError, DomainError, RangeError, SingularPrefactorError
-from .finite_eta import (_MAX_SUM_BITS, _FastPowers, _first_bits, _horner, _line_newton,
-                         _more_bits, _rung)
+from .finite_eta import (_MAX_SUM_BITS, _FastPowers, _evaluate, _first_bits, _horner,
+                         _line_newton, _more_bits, _rung, _taylor)
 from .numerics import (ComplexPoint, PrecisionContext, _coerce_complex, _coerce_mpc, _count,
                        _fast_only, _mpmath, _workprec, cgamma)
 
@@ -84,8 +67,7 @@ CAPTURE_RADIUS = 1.0      # escape beyond |t - t0| > this aborts
 REFINE_TOL = 1e-10
 EXCLUSION_RADIUS = 1e-6   # around zeta's pole s = 1
 _LN2, _LN_2PI = math.log(2.0), math.log(2.0 * math.pi)
-_BORWEIN_RATE = math.log(3.0 + math.sqrt(8.0))  # Borwein's bound falls by 3 + sqrt 8 per term
-_GAMMA_MIN = 0.8856  # Gamma(x) > 0.8856 for every x > 0 (its minimum is 0.885603...)
+_P = (1, -2)  # P(s) = 1 - 2^(1-s) as a sum over the bases 1 and 2
 
 
 @dataclass(frozen=True)
@@ -100,65 +82,6 @@ class ZeroRecord:
     t: float             # ordinate on the critical line
     residual_eta: float  # |eta(1/2 + i t)| after refinement
     iterations: int
-
-
-def _borwein(sc: complex) -> bool:
-    """Whether the series at s takes Borwein's weights (Re s >= 1/2, where their bound holds)."""
-    return sc.real >= 0.5
-
-
-@lru_cache(maxsize=64)
-def _weights(n: int, borwein: bool) -> tuple[tuple[int, ...], int]:
-    """(c, d): the n weights c_k for bases k + 1 and the divisor d of S (module docstring)."""
-    if borwein:
-        d, term = [1], 1  # d_i, and its last summand n (n+i-1)! 4^i / ((n-i)! (2i)!), an integer
-        for i in range(n):
-            term = term * 2 * (n + i) * (n - i) // ((i + 1) * (2 * i + 1))
-            d.append(d[-1] + term)
-        return tuple((-1) ** k * (d[n] - x) for k, x in enumerate(d[:n])), d[n]
-    out, tail, c = [], 0, 1  # c = C(n, j) for j = n, n - 1, ..., 1
-    for j in range(n, 0, -1):
-        tail += c
-        out.append(-tail if j % 2 == 0 else tail)  # base j has the sign (-1)^(j-1)
-        c = c * j // (n - j + 1)
-    return tuple(reversed(out)), 1 << n
-
-
-def _remainder(sc: complex, n: int, off: float = 0.0) -> float:
-    """The natural log of the bound on |eta - S| for S of n terms (module docstring), with s
-    within ``off`` of sc: that bounds a factor |s + j| that is 0 at sc."""
-    sigma, tau = sc.real, abs(sc.imag)
-    if sigma + n <= 0:
-        return math.inf  # the remainder integral diverges
-    m = max(0, math.ceil(1.0 - sigma))  # 1/Gamma(z) = z (z+1) ... (z+m-1) / Gamma(z+m)
-    y = math.pi * tau  # log sinh(y)/y, bounded above
-    log_g = (y - math.log(2.0 * y) if y > 20.0 else math.log(math.sinh(y) / y) if y else 0.0)
-    # log of Gamma(sigma + m) / |Gamma(s)| times 2 (3 + sqrt 8)^-n / 0.8856 (Borwein) or 2^-n
-    borwein = _borwein(sc)
-    x = ((math.log(2.0 / _GAMMA_MIN) - n * _BORWEIN_RATE if borwein else -n * _LN2)
-         + math.log(math.hypot(1.0, tau / (sigma + m))) + 0.5 * log_g)
-    for j in range(m):
-        d = math.hypot(sigma + j, tau) or off
-        if d == 0.0:
-            return -math.inf  # s is a pole of Gamma: the sum is exact
-        x += math.log(d)
-    if not borwein:  # Gamma(x, 1) <= Gamma(x) (m = 0) or 1/e (x <= 1); Gamma >= 0.8856
-        gamma_1 = 1.0 if m == 0 else 1.0 / math.e / _GAMMA_MIN
-        x += math.log(1.0 / (_GAMMA_MIN * (sigma + n)) + gamma_1)
-    return math.inf if math.isnan(x) else x  # NaN: inf - inf, where pi |Im s| passes doubles
-
-
-def _length(sc: complex, goal: float, series_cap: int, off: float = 0.0) -> int:
-    """The least n whose remainder bound is within ``goal``, or series_cap + 2 beyond the cap."""
-    beyond, log_goal = series_cap + 2, (math.log(goal) if goal > 0.0 else -math.inf)
-    lowest = n = max(1, math.floor(-sc.real) + 1)
-    if n < beyond:  # the bound falls by rate or more per term: one jump, then steps back
-        excess = _remainder(sc, n, off) - log_goal if goal > 0.0 else math.inf
-        rate = _BORWEIN_RATE if _borwein(sc) else _LN2  # in nats per term
-        n += math.ceil(min(max(excess, 0.0) / rate, beyond))
-    while lowest < n < beyond and _remainder(sc, n - 1, off) <= log_goal:
-        n -= 1
-    return min(n, beyond)
 
 
 def _em_plan(sc: complex, goal: float, cap: int, m: int | None = None) -> tuple[int, int, float]:
@@ -205,15 +128,16 @@ def _ratios(k: int) -> list[tuple[int, int, float]]:
     return _RATIOS
 
 
-def _em_factor(s, sc: complex, n: int, k: int, bits: int | None):
+def _em_factor(s, sc: complex, n: int, k: int, bits: int | None, pole: bool = True):
     """(D, bound) of D(s) = n/(s-1) + sum_(j<=k) B_2j/(2j)! s (s+1) ... (s+2j-2) n^(1-2j), each term
-    the last times (s+2j-3) (s+2j-2) / n^2 and r_j (``_ratios``).  In doubles (bits None), under 10
-    roundings per term, 9 for n/(s-1) and one per sum: (12k + 16) units of sum |terms|.  Else in
-    integers of u = 2^-bits, s and each product truncated (< sqrt 2 u): the error e in u grows by
-    each factor's size and, for s's truncation, by sqrt 2 |T| (|T| bounded in doubles)."""
+    the last times (s+2j-3) (s+2j-2) / n^2 and r_j (``_ratios``); ``pole`` False leaves out n/(s-1)
+    (Q).  In doubles (bits None), under 10 roundings per term, 9 for n/(s-1) and one per sum: (12k +
+    16) units of sum |terms|.  Else in integers of u = 2^-bits, s and each product truncated (<
+    sqrt 2 u): the error e in u grows by each factor's size and, for s's truncation, by sqrt 2 |T|
+    (|T| bounded in doubles)."""
     ratios = _ratios(k)
     if bits is None:
-        d = n / (s - 1)
+        d = n / (s - 1) if pole else 0j
         size, term = abs(d), s / n
         for j in range(1, k + 1):
             term *= ratios[j][2]
@@ -222,10 +146,12 @@ def _em_factor(s, sc: complex, n: int, k: int, bits: int | None):
         return d, (12 * k + 16) * size * 2.0 ** -53
     one, grow, s = 1 << bits, 1.0 + 2.0 ** -40, _coerce_mpc(s)  # grow: doubles' sizes rounded up
     sr, si = (to_int(mpf_shift(v._mpf_, bits)) for v in (s.real, s.imag))
-    den = (sr - one) ** 2 + si ** 2  # n / (s - 1) = n conj(s - 1) / |s - 1|^2
-    dr, di = (n * (sr - one) << 2 * bits) // den, (-n * si << 2 * bits) // den
-    size = math.hypot(sc.real - 1, sc.imag)  # hypot: inf, not OverflowError, past doubles
-    err = 2.0 * n / size / size + 2.0  # and s's truncation
+    dr = di = err = 0
+    if pole:
+        den = (sr - one) ** 2 + si ** 2  # n / (s - 1) = n conj(s - 1) / |s - 1|^2
+        dr, di = (n * (sr - one) << 2 * bits) // den, (-n * si << 2 * bits) // den
+        size = math.hypot(sc.real - 1, sc.imag)  # hypot: inf, not OverflowError, past doubles
+        err = 2.0 * n / size / size + 2.0  # and s's truncation
     # T = s n, so that T_1 = T r_1 / n^2 as each later term is the last times its factors
     tr, ti, e, mag = sr * n, si * n, 1.5 * n, math.hypot(sc.real, sc.imag) * n * grow
     for j in range(1, k + 1):
@@ -242,59 +168,61 @@ def _em_factor(s, sc: complex, n: int, k: int, bits: int | None):
 
 
 def _series(s, ctx: PrecisionContext, series_cap: int = SERIES_CAP, floor: float = 0.0,
-            powers: _FastPowers | None = None, em: bool = False) -> GlobalEvalResult:
-    """S within target_rel_err * max(|value|, floor): ``floor`` 0 asks for a relative bound,
-    1 for an absolute one; a double table passed in ``powers`` takes the first rung.
-    ``em`` takes zeta's Euler-Maclaurin sum for eta's series."""
+            pole: bool = True) -> GlobalEvalResult:
+    """zeta by Euler-Maclaurin (module docstring) within target_rel_err * max(|value|, floor):
+    ``floor`` 0 asks for a relative bound, 1 for an absolute one.  ``pole`` False takes F =
+    (s - 1) zeta instead."""
     sc, series_cap = _coerce_complex(s), _count(series_cap, "series_cap")
     if not cmath.isfinite(sc):  # a finite ComplexPoint beyond the double range
         raise RangeError(f"s = {sc} is beyond the double range of the series length")
     tol, wb, neg = ctx.target_rel_err, ctx.working_bits, max(0.0, -sc.real)
-    s_hi, borwein = (sc if ctx.is_fast else _coerce_mpc(s)), _borwein(sc)
+    s_hi = sc if ctx.is_fast else _coerce_mpc(s)
     off = 0.0 if ctx.is_fast or s_hi == sc else 2.0 ** -52 * abs(sc) + 2.0 ** -1073  # sc's rounding
+    # F's remainder is |s - 1| times zeta's: lead bounds |s - 1| from above (1 for zeta)
+    lead = 1.0 if pole else abs(sc - 1) * (1 + 2.0 ** -50) + off or 5e-324
 
     def plan(goal: float, m: int | None = None):
-        """(n, K, log bound) of the least n within goal, or of n = m terms."""
-        if em:
-            return _em_plan(sc, goal, series_cap, m)
-        n = m or _length(sc, goal, series_cap, off)
-        return n, 0, _remainder(sc, n, off)
+        """(N + K, K, log bound) of the least N + K within goal, or of the split of m."""
+        return _em_plan(sc, goal / lead, series_cap, m)
 
     def longer(p):  # the plan p, or one term more than n
         return p if p[0] > n else plan(0.0, n + 1)
 
-    n, k, log_rem = plan(0.5 * tol * max(1.0, floor))  # |value| guessed as 1
+    n, k, log_rem = plan(0.5 * tol * (floor or 1.0))  # |value| guessed as 1, or as the floor
     # big floats start from terms up to n^neg and a value near 1
     bits = None if ctx.is_fast else wb + 16 + math.ceil((1 + neg) * math.log2(n))
+    powers = None
     while True:
         m, k, log_rem = (n, k, log_rem) if n <= series_cap + 1 else plan(0.0, series_cap + 1)
-        coefs, d = ((2,) * (m - k - 1) + (1,), 2) if em else _weights(m, borwein)
-        e = (d - 1).bit_length()  # the rung scales exactly by 2^-e, 2^e >= d: an mpf past 2^-1074
-        w, c = (0.5 ** e if bits is None else mp.ldexp(1, -e)), (1 << e) / d
-        if bits is None and e * _LN2 + (1 + neg) * math.log(m - k) > 709:  # every partial sum
+        if bits is None and _LN2 + (1 + neg) * math.log(m - k) > 709:  # every partial sum
             raise RangeError(f"the series at s={sc} leaves the double range")
-        value, err, powers = _rung(coefs, s_hi, 0, bits or wb if em else wb, bits, powers, w)
-        value = complex(value) if ctx.is_fast and not em else value  # em: after the rounding to wb
-        if d != 1 << e:  # times 2^e / d: c and each part rounded in doubles, or one quotient
-            value = (value * c if ctx.is_fast
-                     else mp.fdiv(mp.fmul(value, 1 << e, exact=True), d, prec=wb))
-            err = err * c + float(abs(value)) * 2.0 ** (2 - wb)
-        if em:  # plus N^-s D(s), N^-s from the table (none: err is inf)
-            top, top_err = powers.entry(m - k) if powers else (1, 0.0)
-            dd, d_err = _em_factor(s_hi, sc, m - k, k, bits)
-            if bits is None:
+        # H at scale 1/2, rounded to the rung's bits: N^-s D(s) meets it there, then round to wb
+        value, err, powers = _rung((2,) * (m - k - 1) + (1,), s_hi, 0, bits or wb, bits, powers,
+                                   0.5)
+        top, top_err = powers.entry(m - k) if powers else (1, 0.0)  # none: err is inf
+        dd, d_err = _em_factor(s_hi, sc, m - k, k, bits, pole)
+        if bits is None:
+            value += top * dd
+            z = value
+            if not pole:  # F = (s - 1)(H + N^-s Q) + N^(1-s)
+                value = value * (sc - 1) + (m - k) * top
+        else:
+            with mp.workprec(bits):
                 value += top * dd
-            else:  # the head was rounded to the rung's bits: the parts meet there, then round to wb
-                with mp.workprec(bits):
-                    value += top * dd
-                with mp.workprec(wb):
-                    value = complex(value) if ctx.is_fast else +value  # wb 53: to nearest double
-            tm, dm, mag, u = float(abs(top)), float(abs(dd)), float(abs(value)), 0.5 ** (bits or wb)
-            err += dm * top_err + (tm + top_err) * d_err + 8 * u * (tm * dm + mag)
-            err += 2.0 ** (1 - wb) * mag if bits else 0.0  # the rounding to wb
+                z = value
+                if not pole:
+                    value = value * mp.fsub(s_hi, 1, exact=True) + (m - k) * top
+            with mp.workprec(wb):
+                value = complex(value) if ctx.is_fast else +value  # wb 53: to nearest double
+        tm, dm, u = float(abs(top)), float(abs(dd)), 0.5 ** (bits or wb)
+        zm = float(abs(z)) if not pole else float(abs(value))
+        err += dm * top_err + (tm + top_err) * d_err + 8 * u * (tm * dm + zm)
+        if not pole:  # times s - 1, within lead, plus N N^-s
+            err = lead * err + (m - k) * (top_err + 8 * u * tm) + 8 * u * lead * zm
         if not math.isfinite(mag := float(abs(value))):  # the rung's range rule, with N^-s D(s)
             raise RangeError(f"the sum at s={sc} leaves the double range")
-        rem = math.exp(log_rem) if log_rem < 709.0 else math.inf
+        err += 2.0 ** (1 - wb) * mag if bits else 0.0  # the rounding to wb
+        rem = lead * math.exp(log_rem) if log_rem < 709.0 else math.inf
         result = GlobalEvalResult(ComplexPoint(value.real, value.imag), m, rem + err)
         if n > m:
             raise ConvergenceError(f"s={sc} needs more than the {m} terms of series cap "
@@ -312,41 +240,110 @@ def _series(s, ctx: PrecisionContext, series_cap: int = SERIES_CAP, floor: float
             continue
         if not target > 0.0:
             raise RangeError(f"the sum at s={sc} vanishes in doubles: no relative bound")
-        step = (_first_bits(wb, powers, max(mag, floor), w * c) if bits is None
+        step = (_first_bits(wb, powers, max(mag, floor), 0.5 * lead) if bits is None
                 else _more_bits(bits, err, target))
         bits, powers = math.ceil(step) if step <= _MAX_SUM_BITS else math.inf, None
 
 
+def _pole_factor(s_hi, ctx: PrecisionContext):
+    """(g, bound) of g = (1 - 2^(1-s)) / (s - 1) = ln 2 sum_j (-x)^j / (j+1)!, x = (s - 1) ln 2,
+    for |s - 1| < 1/2, at the working precision: summed from the smallest term, the terms and the
+    sum are within 8 units of |g| (each term's rounding grows by under 4 units a step, weighted by
+    |x|^j / (j+1)! <= 0.35^j / (j+1)!), and the rest after a term below 2^-wb within 2 of it."""
+    wb = ctx.working_bits
+    with _workprec(ctx):
+        ln2 = _LN2 if ctx.is_fast else mp.ln2
+        x, terms = (s_hi - 1) * -ln2, [1]
+        while abs(terms[-1]) > 2.0 ** -wb:
+            terms.append(terms[-1] * x / (len(terms) + 1))
+        g = sum(reversed(terms)) * ln2
+    return g, (8 * float(abs(g)) + 2 * float(abs(terms[-1]))) * 2.0 ** -wb
+
+
+def _exact(z: Fraction, ctx: PrecisionContext, terms: int, name: str) -> GlobalEvalResult:
+    """The rational z rounded once to the working bits (Python's correctly rounded quotient on the
+    fast tier), charged 2^-wb |value| unless that is exact."""
+    wb = ctx.working_bits
+    try:
+        v = (z.numerator / z.denominator if ctx.is_fast
+             else mp.fdiv(z.numerator, z.denominator, prec=wb))
+    except OverflowError:
+        v = math.inf
+    if not math.isfinite(mag := float(abs(v))):  # the rung's range rule
+        raise RangeError(f"{name} lies outside the double range")
+    d = z.denominator
+    exact = d & (d - 1) == 0 and abs(z.numerator).bit_length() <= wb
+    point = ComplexPoint(v, 0.0) if ctx.is_fast else ComplexPoint(v, mp.mpf(0))
+    return GlobalEvalResult(point, terms, 0.0 if exact else mag * 2.0 ** -wb)
+
+
+def _zeta_at(m: int) -> Fraction:
+    """zeta(-m) = -B_(m+1) / (m+1) exactly (-1/2 at m = 0) from ``_ratios``: zeta(1 - 2j) =
+    -(2j - 1)! B_2j / (2j)!, and zeta(-2j) = 0."""
+    j = (m + 1) // 2
+    return (Fraction(-1, 2) if m == 0 else Fraction(0) if m % 2 == 0 else
+            -math.factorial(m) * math.prod(Fraction(p, q) for p, q, _ in _ratios(j)[1:j + 1]))
+
+
+def _integer(s_hi, series_cap: int) -> int | None:
+    """m where s = -m, 0 <= m <= 2 series_cap, else None."""
+    if s_hi.imag != 0 or not -2 * series_cap <= s_hi.real <= 0 or s_hi.real != int(s_hi.real):
+        return None
+    return -int(s_hi.real)
+
+
 def eta_global(s, ctx: PrecisionContext = PrecisionContext(),
                series_cap: int = SERIES_CAP) -> GlobalEvalResult:
-    """Partial sum of the weighted series with its claimed tail bound."""
-    return _series(s, ctx, series_cap=series_cap)
+    """eta(s) = (1 - 2^(1-s)) zeta(s) (module docstring) with its bound; terms_used is zeta's N + K.
+    A target below 2^(7 - wb) leaves the parts' roundings no room: eta is then taken with 16 more
+    bits at a quarter of it and rounded once."""
+    sc, series_cap = _coerce_complex(s), _count(series_cap, "series_cap")
+    tol, wb = ctx.target_rel_err, ctx.working_bits
+    s_hi = sc if ctx.is_fast else _coerce_mpc(s)
+    if (m := _integer(s_hi, series_cap)) is not None:
+        return _exact((1 - 2 ** (m + 1)) * _zeta_at(m), ctx, 1 + (m + 1) // 2, f"eta({-m})")
+    if not tol >= 2.0 ** (7 - wb):
+        res = eta_global(s, PrecisionContext(wb + 16, tol / 4), series_cap)
+        v = res.value.to_mpc()
+        with mp.workprec(wb):
+            v = complex(v) if ctx.is_fast else +v
+        point = ComplexPoint(v.real, v.imag)
+        return GlobalEvalResult(point, res.terms_used, res.tail_bound + abs(point) * 2.0 ** -wb)
+    near = abs(sc - 1) < 0.5  # g F, else P zeta
+    try:  # the sum first: its rules refuse s beyond its reach
+        part = _series(s, PrecisionContext(wb, 0.75 * tol), series_cap, pole=not near)
+    except ConvergenceError as exc:
+        part = exc
+    a, a_err = _pole_factor(s_hi, ctx) if near else _evaluate(_P, s, ctx, 0, tol / 8)
+
+    def times(part: GlobalEvalResult) -> GlobalEvalResult:  # a part: the product, rounded
+        b = part.value.to_complex() if ctx.is_fast else part.value.to_mpc()
+        with _workprec(ctx):
+            v = a * b
+        am, bm = float(abs(a)), float(abs(b))
+        bound = am * part.tail_bound + (bm + part.tail_bound) * a_err + 4 * am * bm * 2.0 ** -wb
+        return GlobalEvalResult(ComplexPoint(v.real, v.imag), part.terms_used, bound)
+    if isinstance(part, ConvergenceError):
+        raise ConvergenceError(str(part), best=times(part.best)) from None
+    return times(part)
 
 
 def zeta_global(s, ctx: PrecisionContext = PrecisionContext(),
                 series_cap: int = SERIES_CAP) -> GlobalEvalResult:
     """zeta by Euler-Maclaurin on the whole plane (module docstring; terms_used is N + K).  At
-    s = -m, m <= 2 series_cap, the remainder vanishes at N = 1, K = ceil(m/2), and zeta(-m) =
-    -B_(m+1) / (m+1) (-1/2 at m = 0) is taken exactly from ``_ratios`` and rounded once.  A target
-    below 2^(6 - wb) is refused, and so is the exclusion disk (radius 1e-6) about the pole s = 1."""
+    s = -m, m <= 2 series_cap, the remainder vanishes at N = 1, K = ceil(m/2), and zeta(-m) is
+    taken exactly and rounded once.  A target below 2^(6 - wb) is refused, and so is the exclusion
+    disk (radius 1e-6) about the pole s = 1."""
     sc, series_cap = _coerce_complex(s), _count(series_cap, "series_cap")
     if math.hypot(sc.real - 1.0, sc.imag) < EXCLUSION_RADIUS:  # hypot: inf past the doubles
         raise SingularPrefactorError(f"s = {sc} lies in the exclusion disk at 1", center=1.0)
     tol, wb = ctx.target_rel_err, ctx.working_bits
     if not tol >= 2.0 ** (6 - wb):  # else the roundings of the sum would fill the target
         raise DomainError(f"zeta needs target_rel_err >= 2^(6 - {wb}), got {tol}")
-    s_hi = sc if ctx.is_fast else _coerce_mpc(s)
-    if s_hi.imag != 0 or not -2 * series_cap <= s_hi.real <= 0 or s_hi.real != int(s_hi.real):
-        return _series(s, ctx, series_cap=series_cap, em=True)
-    m = -int(s_hi.real)
-    j = (m + 1) // 2  # zeta(1 - 2j) = -(2j - 1)! B_2j / (2j)!, and zeta(-2j) = 0
-    z = (Fraction(-1, 2) if m == 0 else 0 if m % 2 == 0 else
-         -math.factorial(m) * math.prod(Fraction(p, q) for p, q, _ in _ratios(j)[1:j + 1]))
-    v = mp.fdiv(z.numerator, z.denominator, prec=wb)  # inexact at odd m (3 divides z's denominator)
-    if not math.isfinite(mag := float(abs(v))):  # the rung's range rule
-        raise RangeError(f"zeta({-m}) lies outside the double range")
-    point = ComplexPoint(float(v), 0.0) if ctx.is_fast else ComplexPoint(v, mp.mpf(0))
-    return GlobalEvalResult(point, 1 + j, m % 2 * mag * 2.0 ** -wb)
+    m = _integer(sc if ctx.is_fast else _coerce_mpc(s), series_cap)
+    if m is None:
+        return _series(s, ctx, series_cap=series_cap)
+    return _exact(_zeta_at(m), ctx, 1 + (m + 1) // 2, f"zeta({-m})")
 
 
 # ---------------------------------------------------------------------------
@@ -390,38 +387,88 @@ def functional_equation_residual(s, ctx: PrecisionContext = PrecisionContext()) 
 # Newton refinement of critical-line zeros
 # ---------------------------------------------------------------------------
 
+def _em_taylor(s: complex, n: int, k: int):
+    """The Taylor coefficients in d of N^-(s+d) D(s+d) about s (N = n, D as in ``_em_factor``), for
+    Newton's model: N^-s e^(-d ln N) times n/(w + d), w = s - 1, and q(d) = Q(s + d) of degree
+    2k - 1, formed by Horner to degree 10 (its coefficients fall by about 100 a degree at |d| <= 1).
+    Returns coefs(top, ln N, degree) = [c_0, ..., c_degree] for top = N^-s: c_j = N^-s ((n/w) u_j
+    + sum_i q_i (-ln N)^(j-i) / (j-i)!), u_j = (-ln N)^j / j! - u_(j-1) / w."""
+    ratios, w, v = _ratios(k), s - 1, [1.0] + [0.0] * 10
+    for j in range(k - 1, 0, -1):  # R_j = 1 + r_(j+1) (s + 2j - 1 + d) (s + 2j + d) / n^2 R_(j+1)
+        r, y1, y2 = ratios[j + 1][2] / (n * n), s + (2 * j - 1), s + 2 * j
+        a, b = r * y1 * y2, r * (y1 + y2)
+        v = [a * x + b * y + r * z for x, y, z in zip(v, [0.0] + v, [0.0, 0.0] + v)]
+        v[0] += 1
+    r = ratios[1][2] / n  # q = r_1 (s + d) / n R_1
+    q = [r * (s * x + y) for x, y in zip(v, [0.0] + v)]
+
+    def coefs(top: complex, ln_n: float, degree: int) -> list[complex]:
+        e, u, c = [1.0], 0j, []  # e_j = (-ln N)^j / j!
+        for j in range(degree + 1):
+            e.append(-e[-1] * ln_n / (j + 1))
+            u = e[j] - u / w
+            c.append(top * (n / w * u + sum(map(mul, q[:j + 1], e[j::-1]))))
+        return c
+    return coefs
+
+
 def refine_zero(t_initial: float, ctx: PrecisionContext = PrecisionContext()) -> ZeroRecord:
     """Newton-refine a critical-line ordinate from a capture point.
 
     Requires |eta(1/2 + i t_initial)| <= 0.5 (ordinate already near a zero).  Newton runs
     over real t (``finite_eta._line_newton``), so it stays on the line, with |dt| <= 0.5 and
-    S by Horner on one Taylor model per disk; only the final residual is certified, off the
-    last model where its bound and the series' remainder meet the absolute target, else anew.
-    Escaping |t - t0| > 1, a non-positive curvature of |S|**2 or failing to reach residual
-    1e-10 in 50 iterations raises ConvergenceError; an extended context raises DomainError.
-    S is eta's series, so its length bounds the reach: past t = 421 Borwein's divisor leaves
-    the doubles (RangeError).
+    zeta by Horner on one Taylor model per disk (``_em_taylor``); only the final residual |eta|
+    = |P| |zeta| is certified: H off the last model and N^-s D(s) anew, where their bounds and
+    Euler-Maclaurin's remainder meet the absolute target, else by a fresh sum.  Escaping |t - t0|
+    > 1, a non-positive curvature of |zeta|**2 or failing to reach residual 1e-10 in 50
+    iterations raises ConvergenceError; an extended context raises DomainError.  zeta's length
+    bounds the reach: past t = 1500 or so the sum needs more than the cap (ConvergenceError).
     """
     _fast_only(ctx, "refine_zero")
-    t0, tables = float(t_initial), []
+    t0, tol, last = float(t_initial), ctx.target_rel_err, []
 
-    def table_at(t: float):  # S's double table about 1/2 + i t, and its weights
-        table = _FastPowers(complex(0.5, t))  # filled by _series' first rung, to an absolute bound
-        start = abs(_series(table.s, ctx, floor=1.0, powers=table).value.to_complex())
-        if t == t0 and start > CAPTURE_THRESHOLD:  # the capture check
+    def model_at(t: float, reach):  # zeta's model about 1/2 + i t
+        table = _FastPowers(complex(0.5, t))  # filled by _taylor
+        m, k, _ = _em_plan(table.s, 2.0 ** -53, SERIES_CAP)  # its zero within a unit of zeta's
+        if m > SERIES_CAP + 1:
+            raise ConvergenceError(f"zeta at 1/2 + {t}i needs more than the {SERIES_CAP + 1} "
+                                   f"terms of series cap {SERIES_CAP}", best=t)
+        n, tail = m - k, _em_taylor(table.s, m - k, k)
+        coefs = (2,) * (n - 1) + (1,)
+        scale = 2.0 ** (1 - max(coefs).bit_length())  # the head's 2^-k sum c_b p_b is 2^(1-k) H
+
+        def zeta_reach(a0, a1, size):  # the radius from zeta's a_0 and a_1
+            c0, c1 = tail(table.entry(n)[0], table.log[n - 1], 1)
+            return reach(a0 + scale * c0, a1 + scale * c1, size)
+        head = _taylor(table, coefs, zeta_reach)
+        c = tail(table.entry(n)[0], table.log[n - 1], len(head.a) - 1)
+        model = head._replace(a=[a + scale * x for a, x in zip(head.a, c)])
+        if t == t0 and (start := abs(_evaluate(_P, table.s, ctx, 0, tol)[0] * model.a[0]) / scale
+                        ) > CAPTURE_THRESHOLD:  # the capture check, on |P zeta|
             raise DomainError(f"|eta(1/2 + {t0}i)| = {start:.3g} above capture threshold "
                               f"{CAPTURE_THRESHOLD}; start closer to a zero")
-        tables.append(table)
-        return table, _weights(len(table.re), _borwein(table.s))[0]  # the weights _series took
+        last[:] = table, head, n, k, scale
+        return model
 
-    t, iterations, model = _line_newton(table_at, t0, NEWTON_MAX_STEP, CAPTURE_RADIUS)
-    n, tc = len(tables[-1].re), tables[-1].s.imag  # S at t off the last model, times 2^k / d_n
-    d = t - tc
-    g, _, _, bound = _horner(model, 1j * d, (t - (d - (d - t))) - (tc + (d - t)))  # d's rounding
-    scale = 2.0 ** model.k / _weights(n, True)[1]  # Borwein's divisor: Re s = 1/2
-    err = (bound + 4 * 2.0 ** -53 * abs(g)) * scale + math.exp(_remainder(complex(0.5, t), n))
-    residual = (abs(g * scale) if abs(d) < model.rho and err <= ctx.target_rel_err
-                else abs(_series(complex(0.5, t), ctx, floor=1.0).value.to_complex()))
+    t, iterations, _ = _line_newton(model_at, t0, NEWTON_MAX_STEP, CAPTURE_RADIUS)
+    table, head, n, k, scale = last  # zeta at t: H off the head's model, N^-s D(s) anew
+    d, s = t - table.s.imag, complex(0.5, t)
+    e = (t - (d - (d - t))) - (table.s.imag + (d - t))  # d's rounding
+    g, _, _, bound = _horner(head, 1j * d, e)
+    (top, top_err), ln_n = table.entry(n), table.log[n - 1]  # N^-s at the centre, turned by
+    top_err += abs(top) * (2 * (abs(d) + abs(e)) * ln_n + 4) * 2.0 ** -53  # -d ln N: ln N, d, exp
+    top *= cmath.exp(-1j * d * ln_n)
+    dd, d_err = _em_factor(s, s, n, k, None)
+    x = 2.5 + 2 * k  # Edwards' bound at (N, K) = (n, k), as in _em_plan
+    rem = (sum(math.log(abs(s + j)) for j in range(2 * k + 1)) + 0.5 * math.log1p(t * t / x / x)
+           + _LN2 + 0.5 - (2 * k + 2) * _LN_2PI - x * math.log(n))
+    z = g / scale + top * dd
+    z_err = (bound / scale + abs(dd) * top_err + (abs(top) + top_err) * d_err
+             + 4 * 2.0 ** -53 * (abs(top * dd) + abs(z)) + math.exp(rem))
+    p, p_err = _evaluate(_P, s, ctx, 0, tol)
+    err = abs(p) * z_err + abs(z) * p_err + 4 * 2.0 ** -53 * abs(p * z)
+    residual = (abs(p * z) if abs(d) < head.rho and err <= tol
+                else abs(p) * abs(_series(s, ctx, floor=0.9 / abs(p)).value.to_complex()))
     if residual > REFINE_TOL:
         raise ConvergenceError(
             f"no convergence: residual {residual:.3g} above {REFINE_TOL} "

@@ -21,8 +21,8 @@ import math
 from dataclasses import dataclass
 
 from .errors import ConvergenceError, DomainError
-from .finite_eta import (Family, FiniteEtaSpec, _FastPowers, _line, _line_newton, _terms,
-                         derivative, evaluate)
+from .finite_eta import (Family, FiniteEtaSpec, _FastPowers, _line, _line_newton, _taylor,
+                         _terms, derivative, evaluate)
 from .hasse_global import ZeroRecord
 from .numerics import PrecisionContext, _count, _fast_only
 
@@ -171,8 +171,9 @@ def scan_line(cfg: ScanConfig, ctx: PrecisionContext = PrecisionContext(),
     for i in range(1, count - 1):
         if vals[i] < vals[i - 1] and vals[i] < vals[i + 1]:
             try:
-                t_star = _line_newton(lambda t: (_FastPowers(complex(sigma, t)), coefs), ts[i],
-                                      cfg.step, cfg.step)[0]
+                t_star = _line_newton(lambda t, reach: _taylor(_FastPowers(complex(sigma, t)),
+                                                               coefs, reach),
+                                      ts[i], cfg.step, cfg.step)[0]
             except (ConvergenceError, OverflowError):  # no minimum ahead, or beyond doubles
                 t_star = ts[i]
             s_star = complex(sigma, t_star)

@@ -69,6 +69,45 @@ def em_critical_zero(t0: float, prec: int = 100) -> mp.mpf:
 
 
 # ---------------------------------------------------------------------------
+# Hasse's series for eta as one weighted Dirichlet sum, and Sondow's bound
+# ---------------------------------------------------------------------------
+
+def euler_weights(n: int) -> tuple[tuple[int, ...], int]:
+    """(c, d): the partial sum S = sum_{m<n} 2^-(m+1) eta_m(s) of Hasse's series (Euler's
+    transform of the alternating series) as (1/d) sum_{k<n} c_k (k+1)^-s, with the integer
+    weights c_k = (-1)^k sum_{j>k} C(n, j) and d = 2^n."""
+    out, tail, c = [], 0, 1  # c = C(n, j) for j = n, n - 1, ..., 1
+    for j in range(n, 0, -1):
+        tail += c
+        out.append(-tail if j % 2 == 0 else tail)  # base j has the sign (-1)^(j-1)
+        c = c * j // (n - j + 1)
+    return tuple(reversed(out)), 1 << n
+
+
+_GAMMA_MIN = 0.8856  # Gamma(x) > 0.8856 for every x > 0 (its minimum is 0.885603...)
+
+
+def sondow_bound(s: complex, n: int) -> float:
+    """Sondow's (1994) bound on |eta(s) - S| for S of n terms, Re s > -n: eta - S = Gamma(s)^-1
+    int_0^1 (-ln y)^(s-1) ((1-y)/2)^n / (1+y) dy, so |eta - S| <= 2^-n (1/(sigma+n) +
+    Gamma(sigma, 1)) / |Gamma(s)|, with |Gamma(x)/Gamma(x+it)|^2 <= (1 + t^2/x^2)
+    sinh(pi t)/(pi t) after a shift to x >= 1 (0 at the poles of Gamma, where S is exact)."""
+    sigma, tau = s.real, abs(s.imag)
+    if sigma + n <= 0:
+        return math.inf  # the remainder integral diverges
+    m = max(0, math.ceil(1.0 - sigma))  # 1/Gamma(z) = z (z+1) ... (z+m-1) / Gamma(z+m)
+    y = math.pi * tau  # log sinh(y)/y, bounded above
+    log_g = (y - math.log(2.0 * y) if y > 20.0 else math.log(math.sinh(y) / y) if y else 0.0)
+    x = -n * math.log(2.0) + math.log(math.hypot(1.0, tau / (sigma + m))) + 0.5 * log_g
+    for j in range(m):
+        if not (d := math.hypot(sigma + j, tau)):
+            return 0.0
+        x += math.log(d)
+    gamma_1 = 1.0 if m == 0 else 1.0 / math.e / _GAMMA_MIN  # Gamma(x, 1) <= Gamma(x) or 1/e
+    return math.exp(x + math.log(1.0 / (_GAMMA_MIN * (sigma + n)) + gamma_1))
+
+
+# ---------------------------------------------------------------------------
 # brute-force series limits with iterated averaging
 # ---------------------------------------------------------------------------
 

@@ -29,7 +29,7 @@ from eta_forge import (
     refine_zero,
     zeta_global,
 )
-from eta_forge.hasse_global import SERIES_CAP, _series
+from eta_forge.hasse_global import SERIES_CAP
 
 CTX = PrecisionContext()
 
@@ -69,10 +69,12 @@ def test_eta_tail_bound_covers_truth():
 
 
 def test_eta_series_cap_error_carries_best():
+    # (s - 1) zeta is 1 at s = 1 with one term, so eta(1) = ln 2 needs no length; eta(2) does
+    assert eta_global(1.0, CTX, series_cap=3).terms_used == 1
     with pytest.raises(ConvergenceError) as err:
-        eta_global(1.0, CTX, series_cap=3)
+        eta_global(2.0, CTX, series_cap=3)
     assert err.value.best is not None
-    assert abs(err.value.best.value.to_complex() - math.log(2)) < 0.1
+    assert abs(err.value.best.value.to_complex() - math.pi ** 2 / 12) < 0.1
 
 
 def test_eta_hasse_vs_direct_sum_grid():
@@ -255,7 +257,7 @@ def test_weights_are_the_hasse_series():
     # sum_{n<=N} 2^-(n+1) eta_n(s) = 2^-(N+1) sum_k (-1)^k W_k (k+1)^-s with W_k the
     # tail sum_{j>k} C(N+1, j), base by base in exact rationals
     for big_n in range(61):
-        weights, d = hasse_global._weights(big_n + 1, False)
+        weights, d = oracles.euler_weights(big_n + 1)
         assert len(weights) == big_n + 1 and d == 2 ** (big_n + 1)
         for k, w in enumerate(weights):
             want = sum(Fraction((-1) ** k * math.comb(n, k), 2 ** (n + 1))
@@ -263,42 +265,21 @@ def test_weights_are_the_hasse_series():
             assert Fraction(w, d) == want
 
 
-def test_borwein_weights_are_exact_integers():
-    # Borwein's d_k = sum_{i<=k} n (n+i-1)! 4^i / ((n-i)! (2i)!): every summand is an
-    # integer, and the weights are (-1)^k (d_n - d_k) over the divisor d_n, in exact rationals
-    for n in range(1, 200):
-        d, partial = [], Fraction(0)
-        for i in range(n + 1):
-            term = Fraction(n * math.factorial(n + i - 1) * 4 ** i,
-                            math.factorial(n - i) * math.factorial(2 * i))
-            assert term.denominator == 1, (n, i)
-            partial += term
-            d.append(partial)
-        weights, divisor = hasse_global._weights(n, True)
-        assert divisor == d[n]
-        assert list(weights) == [(-1) ** k * (d[n] - d[k]) for k in range(n)]
-
-
 @pytest.mark.parametrize("bits", [53, 120])
 @pytest.mark.parametrize("order", [0, 1, 2])
 def test_series_finite_sums_match_evaluate(bits, order):
-    # the one weighted sum of 61 terms against sum_{n<=60} 2^-(n+1) eta_n^(order),
-    # each finite sum evaluated on its own, within the sum's rounding bound plus
-    # the finite sums' bounds: at order 0 the best value at series cap 60, at
-    # higher orders the weights dotted at that order on one table, which is how
-    # refine_zero takes its Newton slope; left of Re s = 1/2, where the series
-    # takes these weights (Borwein's on the line)
+    # the paper's bridge from the finite sums to eta: S_61 = sum_{n<=60} 2^-(n+1) eta_n, each
+    # finite sum evaluated on its own, meets eta_global within Sondow's bound plus both sides'
+    # bounds; at higher orders Euler's weights dotted on one table are the derivatives' sum
     ctx = CTX if bits == 53 else PrecisionContext.extended(bits)
     s = complex(0.3, 14.13)
     if order == 0:
-        with pytest.raises(ConvergenceError) as err:
-            _series(s, ctx, series_cap=60)
-        best = err.value.best
-        assert best.terms_used == 61
-        value, rounding = best.value.to_mpc(), best.tail_bound - math.exp(hasse_global._remainder(s, 61))
+        res = eta_global(s, ctx)
+        value, rounding = res.value.to_mpc(), res.tail_bound + oracles.sondow_bound(s, 61)
+        assert oracles.sondow_bound(s, 61) < 1e-7
     else:
         table = finite_eta._FastPowers(s) if bits == 53 else finite_eta._ExtPowers(s, bits + 16)
-        value, rounding = table.dot(hasse_global._weights(61, False)[0], order)
+        value, rounding = table.dot(oracles.euler_weights(61)[0], order)
         with mp.workprec(400):  # scaled by 2^-61 exactly
             value, rounding = mp.mpc(value) / 2 ** 61, float(rounding) / 2 ** 61
     with mp.workprec(400):
@@ -312,8 +293,8 @@ def test_series_finite_sums_match_evaluate(bits, order):
 
 
 def test_series_makes_one_exp_per_term(monkeypatch):
-    # one exp per base of the one power table: n transcendentals for n terms, with
-    # Borwein's weights on the line and the binomial tails left of it
+    # one exp per base of zeta's power table, N for N + K terms, and eta two more for the
+    # ladder's table of its prefactor 1 - 2 2^-s, on the line and left of it
     calls = []
 
     def exp(z):
@@ -324,15 +305,20 @@ def test_series_makes_one_exp_per_term(monkeypatch):
                                         if not k.startswith("_")})
     counting.exp = exp
     monkeypatch.setattr(finite_eta, "cmath", counting)
-    for s, terms in ((complex(0.5, 59.9), 74), (complex(0.49, 59.9), 186)):
+    for fn, s, terms, exps in ((zeta_global, complex(0.5, 59.9), 41, 26),  # N = 26, K = 15
+                               (eta_global, complex(0.5, 59.9), 41, 28),
+                               (eta_global, complex(0.49, 59.9), 42, 28),  # K = 16
+                               (zeta_global, complex(2.0, 3.0), 15, 8),
+                               (eta_global, complex(2.0, 3.0), 15, 10)):
         calls.clear()
-        res = eta_global(s, CTX)
-        assert len(calls) == res.terms_used == terms, s
+        res = fn(s, CTX)
+        assert len(calls) == exps and res.terms_used == terms, (s, fn)
 
 
 def test_extended_series_makes_one_exp_per_prime(monkeypatch):
     # the big-float table pays mp.exp only at the prime bases, and fills each
-    # composite from two earlier ones: pi(n) exps for n terms
+    # composite from two earlier ones: pi(N) exps for N bases, and eta one more for the
+    # prefactor's table over the bases 1 and 2
     calls = []
 
     def exp(z):
@@ -343,22 +329,20 @@ def test_extended_series_makes_one_exp_per_prime(monkeypatch):
                                         if not k.startswith("_")})
     counting.exp = exp
     monkeypatch.setattr(finite_eta, "mp", counting)
-    for s, terms, prime in ((complex(0.5, 14.13), 62, 18), (complex(0.49, 14.13), 153, 36)):
+    for fn, s, terms, exps in ((zeta_global, complex(0.5, 14.13), 47, 9),  # 9 primes to N = 23
+                               (eta_global, complex(0.5, 14.13), 47, 10),
+                               (eta_global, complex(0.49, 14.13), 47, 10)):
         calls.clear()
-        res = eta_global(s, PrecisionContext.extended(120))
-        primes = [b for b in range(2, res.terms_used + 1) if all(b % q for q in range(2, b))]
-        assert res.terms_used == terms, s
-        assert len(calls) == len(primes) == prime, s
+        res = fn(s, PrecisionContext.extended(120))
+        assert res.terms_used == terms and len(calls) == exps, (s, fn)
 
 
-# n per point on the fast tier and at 120 bits, from the a-priori
-# remainder bound (a relative target met in one pass, or after a longer sum when |value| < 1):
-# Borwein's weights on Re s >= 1/2, the binomial tails left of it (0.49 + 14.13i)
+# N + K per point on the fast tier and at 120 bits: eta's are zeta's, at 3/4 of the target
 A_PRIORI_TERMS = [
-    (complex(0.5, 14.13), 35, 62), (complex(0.5, 59.9), 74, 102),
-    (complex(2.0, 0.0), 18, 45), (complex(-5.5, 20.0), 119, 188),
-    (complex(0.3, 3.0), 51, 120), (complex(1.5, -11.0), 28, 55),
-    (complex(0.49, 14.13), 85, 153),
+    (complex(0.5, 14.13), 25, 47), (complex(0.5, 59.9), 41, 68),
+    (complex(2.0, 0.0), 15, 37), (complex(-5.5, 20.0), 31, 55),
+    (complex(0.3, 3.0), 17, 38), (complex(1.5, -11.0), 20, 42),
+    (complex(0.49, 14.13), 24, 47),
 ]
 
 
@@ -369,33 +353,30 @@ def test_series_terms_used_a_priori(s, fast, ext):
 
 
 def _sum_at(s, n, bits):
-    """S of n terms, with the weights the series takes at s, in big floats with guard bits
-    for the cancellation."""
-    coefs, d = hasse_global._weights(n, hasse_global._borwein(s))
+    """Hasse's partial sum of n terms in big floats, with guard bits for the cancellation."""
+    coefs, d = oracles.euler_weights(n)
     table = finite_eta._ExtPowers(s, bits + math.ceil((1 - min(0, s.real)) * math.log2(n)))
     return table.dot(coefs)[0] / d
 
 
-@pytest.mark.parametrize("sigma", [-20.0, -10.0, -5.5, -1.5, 0.0, 0.01, 0.49, 0.5, 0.75, 1.0,
-                                   2.0, 6.0])
-def test_remainder_bound_covers_altzeta(sigma):
-    # |S - eta| within the remainder bound at 300 bits, at the a-priori length
-    # of the fast tier and at about half of it: Borwein's bound from Re s = 1/2 on
+@pytest.mark.parametrize("sigma", [-20.0, -5.5, -1.5, 0.0, 0.49, 0.5, 1.0, 6.0])
+def test_sondow_bound_covers_altzeta(sigma):
+    # the bridge test's bound: |S - eta| within Sondow's bound at 300 bits, at the least length
+    # within 0.5e-13 and at about half of it
     with mp.workprec(300):
-        for t in (-150.0, -60.0, -20.0, -3.0, -0.5, 0.5, 3.0, 20.0, 60.0, 150.0):
+        for t in (-60.0, -3.0, -0.5, 0.5, 20.0, 60.0):
             s = complex(sigma, t)
             want = mp.altzeta(mp.mpc(s))
-            full = hasse_global._length(s, 0.5e-13, SERIES_CAP)
+            full = next(n for n in range(1 + max(0, math.floor(-sigma)), 1000)
+                        if oracles.sondow_bound(s, n) <= 0.5e-13)
             for n in {full, max(1 + math.floor(0.5 - sigma), full // 2)}:
-                if n <= SERIES_CAP + 1:
-                    bound = mp.exp(hasse_global._remainder(s, n))  # of the log
-                    assert abs(_sum_at(s, n, 300) - want) <= bound, (s, n)
+                assert abs(_sum_at(s, n, 300) - want) <= oracles.sondow_bound(s, n), (s, n)
 
 
 @pytest.mark.parametrize("m, d", [(3, 60), (7, 55), (2, 58), (0, 70)])
 def test_eta_next_to_a_pole_of_gamma(m, d):
-    # -m + 2^-d rounds to the double -m, a pole of Gamma, where 1/Gamma and the remainder
-    # bound are 0; the bound must still cover the remainder of the 120-bit s
+    # -m + 2^-d rounds to the double -m, where a factor s + m of Edwards' bound is 0; the
+    # bound must still cover the remainder of the 120-bit s
     ctx = PrecisionContext.extended(120)
     with mp.workprec(200):
         s = ComplexPoint(-m + mp.mpf(2) ** -d, mp.mpf(0))
@@ -403,21 +384,25 @@ def test_eta_next_to_a_pole_of_gamma(m, d):
     with mp.workprec(300):
         ref = mp.altzeta(s.to_mpc())
         assert abs(res.value.to_mpc() - ref) <= res.tail_bound <= ctx.target_rel_err * abs(ref)
-    exact = eta_global(ComplexPoint(mp.mpf(-m), mp.mpf(0)), ctx)  # exactly -m: an exact sum
-    assert exact.tail_bound == 0.0 and exact.terms_used == m + 1
+    exact = eta_global(ComplexPoint(mp.mpf(-m), mp.mpf(0)), ctx)  # exactly -m: exact rationals
+    assert exact.tail_bound == 0.0 and exact.terms_used == 1 + (m + 1) // 2
 
 
-def test_remainder_vanishes_at_the_trivial_zeros_of_gamma():
-    # 1/Gamma(s) = 0 at s = 0, -1, -2, ...: the sum is exact from N + 1 > -s on
-    for m in range(6):
-        assert hasse_global._remainder(complex(-m, 0.0), m + 1) == -math.inf  # log 0
-    assert eta_global(0.0, CTX).terms_used == 1
-    assert zeta_global(-2.0, CTX).tail_bound == 0.0
-    ext = zeta_global(-2, PrecisionContext.extended(120))
-    assert ext.value.re == 0 and ext.value.im == 0 and ext.tail_bound == 0.0
-    # summed in integers and scaled exactly: no rounding to charge
-    ext = eta_global(-3, PrecisionContext.extended(120))
-    assert ext.value.to_mpc() == mp.mpf("-0.125") and ext.tail_bound == 0.0
+@pytest.mark.parametrize("ctx", [CTX, PrecisionContext.extended(120)])
+def test_eta_at_non_positive_integers_is_exact(ctx):
+    # eta(-m) = (1 - 2^(m+1)) zeta(-m), one exact rational rounded once: 1/2 at 0, an exact 0
+    # with bound 0 at the trivial zeros, bound 0 wherever the rational is a short binary fraction
+    assert eta_global(0.0, ctx).value.to_complex() == 0.5
+    assert eta_global(-3, ctx).value.to_mpc() == mp.mpf("-0.125")
+    for m in range(61):
+        res = eta_global(-m, ctx)
+        with mp.workprec(400):
+            ref = mp.altzeta(-m)
+            err = abs(res.value.to_mpc() - ref)
+        assert res.terms_used == zeta_global(-m, ctx).terms_used
+        assert err <= res.tail_bound <= abs(ref) * 2.0 ** -ctx.working_bits * 1.01, m
+        if m in (0, 1, 3) or m % 2 == 0:  # 1/2, 1/4, -1/8 and the trivial zeros
+            assert err == 0 and res.tail_bound == 0.0, m
 
 
 @pytest.mark.parametrize("s", [complex(-20.0, 0.5), complex(-10.0, 3.0), complex(-1.5, 100.0),
@@ -426,9 +411,8 @@ def test_remainder_vanishes_at_the_trivial_zeros_of_gamma():
                                complex(0.5, 160.0), complex(0.5, 300.0), complex(2.0, 300.0),
                                complex(0.5, -350.0)])
 def test_fast_series_meets_its_target(s):
-    # the left half-plane escalates to big floats, |Im s| up to where Borwein's length leaves
-    # the double range (near 420 on the line) keeps the exact-phase table, and huge |s| needs
-    # no noise floor, where eta is 1
+    # the left half-plane escalates to big floats, |Im s| up to hundreds keeps the exact-phase
+    # table, and huge |s| needs no noise floor, where eta is 1
     res = eta_global(s, CTX)
     with mp.workprec(300):
         ref = mp.altzeta(mp.mpc(s))
@@ -436,32 +420,18 @@ def test_fast_series_meets_its_target(s):
         assert err <= res.tail_bound <= CTX.target_rel_err * abs(ref), s
 
 
-@pytest.mark.parametrize("t", [80.0, 90.0, 100.0])
+@pytest.mark.parametrize("t", [80.0, 100.0, 370.0])
 def test_extended_series_high_on_the_line(t):
-    # at 200 bits Borwein's weights reach 1/2 + 100i in under 200 terms (the binomial tails
-    # need more than the 400-term cap from 1/2 + 90i on): a bound within the target on both
+    # at 200 bits Euler-Maclaurin reaches 1/2 + 370i in under 250 terms, for eta as for zeta
+    # (Borwein's weights needed 411 there): a bound within the target on both
     ctx = PrecisionContext.extended(200)
     for fn, ref in ((eta_global, mp.altzeta), (zeta_global, mp.zeta)):
         res = fn(complex(0.5, t), ctx)
-        assert res.terms_used <= 200
+        assert res.terms_used <= 250
         with mp.workprec(300):
             want = ref(mp.mpc(0.5, t))
             err = abs(res.value.to_mpc() - want)
             assert err <= res.tail_bound <= ctx.target_rel_err * abs(want), fn
-
-
-@pytest.mark.parametrize("bits, terms", [(200, 411), (240, 427)])
-def test_extended_series_length_past_the_double_range(bits, terms):
-    # the remainder bound at the first length over the goal is beyond the double range, so
-    # the length is found in logs; from 423 Borwein terms on, the sum's scale 2^-e is below
-    # every double and stays an exact big float
-    ctx = PrecisionContext.extended(bits)
-    res = eta_global(complex(0.5, 370.0), ctx, series_cap=1000)
-    assert res.terms_used == terms
-    with mp.workprec(bits + 60):
-        want = mp.altzeta(mp.mpc(0.5, 370.0))
-        err = abs(res.value.to_mpc() - want)
-        assert err <= res.tail_bound <= ctx.target_rel_err * abs(want)
 
 
 def test_extended_series_keeps_full_precision_arguments():
@@ -491,13 +461,14 @@ def test_zeta_prefactor_near_its_zeros():
 
 
 def test_series_beyond_double_range_is_refused():
-    # the terms (k+1)^400 of the series at s = -400 leave the double range, and so does
-    # |zeta(-400.5)|, about 6e549; zeta(-400) is an exact trivial zero
-    for fn, s in ((eta_global, -400.0), (zeta_global, -400.5)):
+    # |eta(-401)| = (2^402 - 1) |zeta(-401)| leaves the double range, and so does |zeta(-400.5)|,
+    # about 6e549; zeta(-400) and eta(-400) are exact trivial zeros
+    for fn, s in ((eta_global, -401.0), (zeta_global, -400.5)):
         with pytest.raises(RangeError):
             fn(s, CTX)
-    res = zeta_global(-400.0, CTX)
-    assert res.value.to_complex() == 0 and res.tail_bound == 0.0
+    for fn in (zeta_global, eta_global):
+        res = fn(-400.0, CTX)
+        assert res.value.to_complex() == 0 and res.tail_bound == 0.0
     # the extended table's guard bits grow with -Re s
     with pytest.raises(RangeError):
         eta_global(-1e6, PrecisionContext.extended(120))
@@ -657,13 +628,13 @@ def _nearest_zero(t: float) -> float:
 
 
 def _traced_refine(t0, monkeypatch):
-    """refine_zero(t0) with the double tables it fills and the (centre, radius)
-    of each Newton model it builds."""
+    """refine_zero(t0) with the double tables of zeta it fills (not the prefactor's, over the
+    bases 1 and 2) and the (centre, radius) of each Newton model it builds."""
     tables, models = [], []
-    raw_init, raw_model = finite_eta._FastPowers.__init__, finite_eta._taylor
+    raw_init, raw_model = finite_eta._FastPowers.__init__, hasse_global._taylor
 
     def counting(self, s):
-        tables.append(s)
+        tables.append(self)
         raw_init(self, s)
 
     def recording(powers, coefs, reach):
@@ -672,37 +643,40 @@ def _traced_refine(t0, monkeypatch):
         return model
 
     monkeypatch.setattr(finite_eta._FastPowers, "__init__", counting)
-    monkeypatch.setattr(finite_eta, "_taylor", recording)
-    return refine_zero(t0, CTX), tables, models
+    monkeypatch.setattr(hasse_global, "_taylor", recording)
+    rec = refine_zero(t0, CTX)
+    return rec, [table.s for table in tables if len(table.re) > 2], models
 
 
-@pytest.mark.parametrize("t0, t, residual, iterations", [
-    (14.09, 14.134725141734695, 1.3705843765878167e-15, 4),
-    (59.30, 59.34704400260235, 2.2003156725024398e-15, 5),
+@pytest.mark.parametrize("t0, t, iterations", [
+    (14.09, 14.134725141734695, 4),
+    (59.30, 59.34704400260235, 5),
 ])
-def test_refine_runs_newton_on_one_model(t0, t, residual, iterations, monkeypatch):
-    # one double table for the Taylor model at the capture point, which also serves the
-    # capture check and the certified final residual: 1 table, where a table per Newton
-    # step took 7
+def test_refine_runs_newton_on_one_model(t0, t, iterations, monkeypatch):
+    # one double table for zeta's Taylor model at the capture point, which also serves the
+    # capture check and the certified final residual |P| |zeta|, within the absolute target of
+    # |eta| at t: 1 table, where a table per Newton step took 7
     rec, tables, models = _traced_refine(t0, monkeypatch)
-    assert (rec.t, rec.residual_eta, rec.iterations) == (t, residual, iterations)
+    assert (rec.t, rec.iterations) == (t, iterations)
     assert len(tables) == 1 and len(models) == 1
     assert abs(rec.t - _nearest_zero(t0)) <= 1e-12
+    with mp.workprec(200):
+        assert abs(rec.residual_eta - abs(mp.altzeta(mp.mpc(0.5, rec.t)))) <= CTX.target_rel_err
 
 
 @pytest.mark.parametrize("t0, iterations, models, tables", [
     (13.885, 5, 1, 1),   # 0.25 below the first zero: the model's radius holds every step
     (59.497, 6, 1, 1),   # 0.15 above the 13th
-    (72.337, 7, 1, 2),   # 0.27 and 0.30 above the 18th
-    (72.367, 6, 1, 2),
-    (98.99, 7, 2, 3),    # 0.16 to 0.21 above the 29th, where an iterate leaves the first
-    (99.00, 7, 2, 3),    # disk and gets a second model
-    (99.04, 7, 2, 3),
+    (72.337, 5, 1, 1),   # 0.27 and 0.30 above the 18th
+    (72.367, 4, 1, 1),
+    (98.99, 4, 1, 1),    # 0.16 to 0.21 above the 29th
+    (99.00, 4, 1, 1),
+    (99.04, 4, 1, 1),
 ])
 def test_refine_leaves_the_disk(t0, iterations, models, tables, monkeypatch):
     # the final residual comes off the last model where its bound at the zero meets the
-    # target; 0.19 to 0.30 from the model's centre near t = 72 and 99 it does not, and a
-    # fresh table serves
+    # target, as it does 0.15 to 0.30 from the model's centre; a second model would come only
+    # once an iterate left the first one's disk, and a fresh table only where the bound missed
     rec, filled, built = _traced_refine(t0, monkeypatch)
     assert abs(rec.t - _nearest_zero(t0)) <= 1e-12
     assert rec.iterations == iterations
@@ -735,21 +709,74 @@ def test_refine_sweep_of_the_first_zeros(k):
         assert abs(refine_zero(zero + d, CTX).t - zero) <= 1e-12, d
 
 
-@pytest.mark.parametrize("k", [60, 100, 150, 200])
+@pytest.mark.parametrize("k", [1, 60, 100, 200, 300, 500])
 def test_refine_far_up_the_line(k):
-    # t = 163 to 396: Borwein's length, not a fixed envelope, ends the fast tier, and the
-    # Taylor model's scale keeps Newton's squares of it within doubles
+    # t = 14 to 811: zeta's length, not a fixed envelope, ends the fast tier, and the Taylor
+    # model's scale keeps Newton's squares of it within doubles
     zero = float(mp.zetazero(k).imag)
     for d in (-0.05, 0.05):
         rec = refine_zero(zero + d, CTX)
         assert abs(rec.t - zero) <= 1e-12 and rec.residual_eta <= 1e-10, d
 
 
+@pytest.mark.parametrize("ctx", [CTX, PrecisionContext.extended(120)])
+@pytest.mark.parametrize("t", [450.0, 1000.0])
+def test_eta_far_up_the_line(t, ctx):
+    # eta reaches as far as zeta: 1/2 + 450i, where Borwein's divisor left the doubles, and
+    # 1/2 + 1000i, each within its bound of mpmath
+    res = eta_global(complex(0.5, t), ctx)
+    with mp.workprec(ctx.working_bits + 60):
+        want = mp.altzeta(mp.mpc(0.5, t))
+        assert abs(res.value.to_mpc() - want) <= res.tail_bound <= ctx.target_rel_err * abs(want)
+
+
+@pytest.mark.parametrize("ctx", [CTX, PrecisionContext.extended(120)])
+@pytest.mark.parametrize("k", [-3, -1, 1, 3])
+def test_eta_next_to_the_zeros_of_its_prefactor(k, ctx):
+    # 1 - 2^(1-s) vanishes at 1 + 2 pi i k / ln 2, and so does eta: next to it, and at the
+    # double nearest it, eta meets its bound against mpmath or raises a typed error
+    z = complex(1.0, 2.0 * math.pi * k / math.log(2.0))
+    for s in (z, z + 1e-12, z + 1e-8j, z + 0.05, z - 0.05j):
+        try:
+            res = eta_global(s, ctx)
+        except EtaForgeError:
+            continue
+        with mp.workprec(ctx.working_bits + 100):
+            want = mp.altzeta(mp.mpc(s))
+            err = abs(res.value.to_mpc() - want)
+            assert err <= res.tail_bound <= ctx.target_rel_err * abs(want), s
+
+
+@pytest.mark.parametrize("ctx", [CTX, PrecisionContext.extended(120)])
+def test_eta_at_and_next_to_one(ctx):
+    # zeta's pole meets the prefactor's zero: g = (1 - 2^(1-s)) / (s - 1) from its power
+    # series times (s - 1) zeta, so eta(1) = ln 2 and its neighbours return with their bounds
+    for s in (1.0, 1.0 + 1e-7, 1.0 - 1e-7, complex(1.0, 1e-7), complex(1.3, -0.2)):
+        res = eta_global(s, ctx)
+        with mp.workprec(ctx.working_bits + 60):
+            want = mp.altzeta(mp.mpc(s)) if s != 1.0 else mp.log(2)
+            err = abs(res.value.to_mpc() - want)
+            assert err <= res.tail_bound <= ctx.target_rel_err * abs(want), s
+
+
+@pytest.mark.parametrize("ctx", [PrecisionContext(53, 2.0 ** -52), PrecisionContext(53, 1e-15),
+                                 PrecisionContext(120, 2.0 ** -119)])
+def test_eta_at_a_target_near_one_unit(ctx):
+    # below 2^(7 - wb) the parts' roundings leave no room: eta is taken with 16 more bits
+    # and rounded once, and still meets the target
+    for s in (complex(0.3, 5.0), complex(0.5, 14.0), complex(-3.5, 2.0), complex(2.0, 1.0)):
+        res = eta_global(s, ctx)
+        with mp.workprec(300):
+            want = mp.altzeta(mp.mpc(s))
+            err = abs(res.value.to_mpc() - want)
+            assert err <= res.tail_bound <= ctx.target_rel_err * abs(want), s
+
+
 @pytest.mark.parametrize("fn, s, error", [
-    (eta_global, complex(0.5, 450.0), RangeError),  # Borwein's divisor passes doubles
-    (zeta_global, complex(-0.3, 5000.0), ConvergenceError),  # N + K beyond the 400-term cap
+    (eta_global, complex(-0.3, 5000.0), ConvergenceError),  # N + K beyond the 400-term cap
+    (zeta_global, complex(-0.3, 5000.0), ConvergenceError),
     (zeta_global, -400.5, RangeError),  # |zeta| about 6e549
-    (refine_zero, 1000.0, RangeError),
+    (refine_zero, 5000.0, ConvergenceError),
 ])
 def test_fast_tier_refuses_beyond_reach(fn, s, error):
     # the series' length, the cap or the double range decides: a typed error within 1 s
@@ -757,8 +784,9 @@ def test_fast_tier_refuses_beyond_reach(fn, s, error):
     with pytest.raises(error) as info:
         fn(s, CTX)
     assert time.perf_counter() - start < 1.0
-    if error is ConvergenceError:
-        assert info.value.best.terms_used == SERIES_CAP + 1
+    if error is ConvergenceError:  # the sum at the cap, or refine_zero's start
+        best = info.value.best
+        assert best == s if fn is refine_zero else best.terms_used == SERIES_CAP + 1
 
 
 @pytest.mark.parametrize("ctx", [CTX, PrecisionContext.extended(120)])
@@ -767,9 +795,7 @@ def test_fast_tier_refuses_beyond_reach(fn, s, error):
                                    (zeta_global, complex(-1.0, 1e308)),
                                    (zeta_global, complex(1.7e308, 1.7e308)), (refine_zero, 1.7e308)])
 def test_huge_ordinates_are_typed_refusals(fn, s, ctx):
-    # pi |Im s| passes the double range: the remainder bound is inf, not NaN
-    point = complex(0.5, s) if fn is refine_zero else s
-    assert hasse_global._remainder(point, 10) == math.inf
+    # |Im s| near the double range: the length beyond the cap, not a NaN or an inf
     with pytest.raises(EtaForgeError):
         fn(s, ctx)
 

@@ -366,6 +366,27 @@ def _child(code: str) -> list[str]:
     return proc.stdout.splitlines()
 
 
+_INTEGER_COMMANDS = """
+import sys
+from eta_forge.cli import run
+
+for argv in (["eta", "eval", "--family", "hasse", "--n", "3", "--s=-2"], ["zeta", "eval", "--s=-2"],
+             ["eta-global", "eval", "--s=-3"], ["funceq", "check", "--s", "2"]):
+    assert run(["--no-timing", *argv]) == 0
+print("mpmath" in sys.modules)
+"""
+
+
+def test_exact_integer_routes_never_import_mpmath():
+    # an exact integer sum, zeta(-2), eta(-3) and zeta(-1) are rounded once by Python's int and
+    # Fraction to float conversions on the fast tier
+    lines = _child(_INTEGER_COMMANDS)
+    values = [json.loads(line)["results"] for line in lines[:4]]
+    assert values[0]["value"] == {"re": "0.0", "im": "0.0"}
+    assert values[2]["value"] == {"re": "-0.125", "im": "0.0"}
+    assert lines[4] == "False"
+
+
 def test_the_fast_tier_never_imports_mpmath():
     # the fast tier's library calls and CLI commands leave mpmath unloaded; a 120-bit value
     # formed after them, in the same process, equals a fresh process's bit for bit
