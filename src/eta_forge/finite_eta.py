@@ -550,15 +550,17 @@ def _line(coefs: tuple[int, ...], sigma: float, ts, ctx: PrecisionContext):
     return vals
 
 
-def _evaluate(coefs: tuple[int, ...], s, ctx: PrecisionContext, order: int, tol: float):
+def _evaluate(coefs: tuple[int, ...], s, ctx: PrecisionContext, order: int, tol: float,
+              powers: _FastPowers | None = None):
     """(value, abs_err bound) of sum_b coefs[b-1] b**(-s) (-ln b)**order within
     tol * |value| (the ladder of the module docstring); the value is a complex
-    on the fast tier and an mpmath complex on the extended tier."""
+    on the fast tier and an mpmath complex on the extended tier.  A double
+    table at s passed in ``powers`` takes the first rung."""
     wb = ctx.working_bits
     s_hi = _coerce_complex(s) if ctx.is_fast else _coerce_mpc(s)
     bits = None  # first the integer route or the double table
     while True:  # then big floats with more bits while the bound misses the target
-        v, err, powers = _rung(coefs, s_hi, order, wb, bits)
+        v, err, powers = _rung(coefs, s_hi, order, wb, bits, powers if bits is None else None)
         mag = float(abs(v))
         # a NaN or an infinity never certifies; on the extended tier the double table only measures
         if err <= tol * mag < math.inf and (ctx.is_fast or not isinstance(powers, _FastPowers)):

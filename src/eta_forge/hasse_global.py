@@ -9,13 +9,15 @@ wherever sigma + 2K + 1 > 0 the remainder is at most |s+2K+1| / (sigma+2K+1) tim
 omitted term, so this one sum serves the whole plane.  N + K is the length that ``_em_plan``
 picks, the cap bounds and terms_used reports.
 
-eta = P zeta, P = 1 - 2^(1-s) = 1 - 2 2^-s a two-term sum on the finite sums' ladder, which
-escalates near P's zeros 1 + 2 pi i k / ln 2, where eta vanishes; the bound composes P's
-(tol/8 of |P|), zeta's (3 tol/4 of |zeta|) and the product's rounding.  Within 1/2 of s = 1,
-where P cancels and zeta has its pole, eta = g F instead: g = P/(s-1) = ln 2 sum_j (-x)^j/(j+1)!,
-x = (s-1) ln 2, and F = (s-1) zeta = (s-1)(H + N^-s Q) + N^(1-s), entire, whose remainder is
-|s-1| times zeta's; so eta(1) = ln 2.  At s = -m both are exact rationals, zeta(-m) = -B_(m+1) /
-(m+1) from ``_ratios``, rounded once (in Python's int and Fraction arithmetic on the fast tier).
+eta = P zeta, P = 1 - 2^(1-s) = 1 - 2 2^-s a two-term sum on the finite sums' ladder, whose
+first rung reads zeta's own double table and which escalates near P's zeros 1 + 2 pi i k / ln 2,
+where eta vanishes; the bound composes P's (tol/8 of |P|), zeta's (3 tol/4 of |zeta|) and the
+product's rounding.  Within 1/2 of s = 1, where P cancels, P = g (s-1) instead, s - 1 exact and
+g = P/(s-1) = ln 2 sum_j (-x)^j/(j+1)!, x = (s-1) ln 2.  Within 2^-wb of 1, where zeta's pole
+term may leave the doubles, eta = g F is g within |g| |s-1|: F = (s-1) zeta = 1 + sum_n (-1)^n gamma_n
+(s-1)^(n+1) / n!, gamma_0 = 0.577 and |gamma_n| <= 4 (n-1)! / pi^n (Berndt 1972), so |F - 1| <
+|s-1| there, and eta(1) = ln 2.  At s = -m both are exact rationals, zeta(-m) = -B_(m+1) / (m+1)
+from ``_ratios``, rounded once (in Python's int and Fraction arithmetic on the fast tier).
 
 Ladder: each pass is one rung of :mod:`eta_forge.finite_eta` over the coefficients, scaled
 exactly by 1/2, with s at full precision in big floats.  The fast tier accepts the double table
@@ -84,31 +86,35 @@ class ZeroRecord:
     iterations: int
 
 
-def _em_plan(sc: complex, goal: float, cap: int, m: int | None = None) -> tuple[int, int, float]:
-    """(N + K, K, log bound): the least N + K whose bound is within ``goal`` (beyond cap + 1 if
-    none is), or the split of N + K = m with the least bound; both are convex in K, so the scan
-    stops past the least.  Edwards' bound, from the least K with x = sigma + 2K + 1 > 0, is
-    exp(A - x ln N), A = ln (|s (s+1) ... (s+2K)| |s+2K+1| / x) + ln |B_2K+2| / (2K+2)!, with
-    |B_2j| / (2j)! = 2 zeta(2j) / (2 pi)^2j and ln zeta(2j) < 1/2."""
-    if (least := max(0, math.floor(-(sc.real + 1) / 2) + 1)) > cap:
-        raise RangeError(f"s = {sc} needs more Euler-Maclaurin corrections than cap {cap}")
-    tt, log, exp, log1p, floor = sc.imag * sc.imag, math.log, math.exp, math.log1p, math.floor
+def _em_bounds(sc: complex, end: int):
+    """(K, x, A) for each K < end with x = sigma + 2K + 1 > 0: Edwards' bound on the remainder at
+    (N, K) is exp(A - x ln N), A = ln (|s (s+1) ... (s+2K)| |s+2K+1| / x) + ln |B_2K+2| / (2K+2)!,
+    with |B_2j| / (2j)! = 2 zeta(2j) / (2 pi)^2j and ln zeta(2j) < 1/2."""
+    tt, log = sc.imag * sc.imag, math.log
     prod = log(math.hypot(sc.real, sc.imag) or 5e-324)  # ln |s (s+1) ... (s+2K)|
-    log_goal, best = (log(goal) if goal > 0.0 else -math.inf), None
     x, c = sc.real + 1, _LN2 + 0.5 - 2 * _LN_2PI  # x, and the Bernoulli factor's bound, at K = 0
-    for _ in range(least):  # on to the least K; a factor 0 in doubles is at most 2^-52 |s|
-        q = (x * x + tt) * ((x + 1) * (x + 1) + tt)
+    for k in range(end):
+        if x > 0:  # tt / x / x: inf, not the NaN of inf / inf
+            yield k, x, prod + 0.5 * math.log1p(tt / x / x) + c
+        q = (x * x + tt) * ((x + 1) * (x + 1) + tt)  # a factor 0 in doubles is at most 2^-52 |s|
         prod, x, c = prod + (0.5 * log(q) if q else log(-sc.real / 2 ** 52)), x + 2, c - 2 * _LN_2PI
-    for k in range(least, m or cap + 2):
-        a = prod + 0.5 * log1p(tt / x / x) + c  # tt / x / x: inf, not the NaN of inf / inf
+
+
+def _em_plan(sc: complex, goal: float, cap: int, m: int | None = None) -> tuple[int, int, float]:
+    """(N + K, K, log bound) by ``_em_bounds``: the least N + K whose bound is within ``goal``
+    (beyond cap + 1 if none is), or the split of N + K = m with the least bound; both are convex
+    in K, so the scan stops past the least."""
+    if max(0, math.floor(-(sc.real + 1) / 2) + 1) > cap:  # the least K with x > 0
+        raise RangeError(f"s = {sc} needs more Euler-Maclaurin corrections than cap {cap}")
+    log, exp, floor = math.log, math.exp, math.floor
+    log_goal, best = (log(goal) if goal > 0.0 else -math.inf), None
+    for k, x, a in _em_bounds(sc, m or cap + 2):
         n = m - k if m else 1 if a <= log_goal else floor(exp(min((a - log_goal) / x, 709))) + 1
         cost = a - x * log(n) if m else n + k
         if best and cost > best[0]:
             break
         if not best or cost < best[0]:
             best = (cost, n, k, a, x)
-        prod += 0.5 * log((x * x + tt) * ((x + 1) * (x + 1) + tt))
-        x, c = x + 2, c - 2 * _LN_2PI
     _, n, k, a, x = best
     return n + k, k, a - x * log(n)
 
@@ -128,16 +134,15 @@ def _ratios(k: int) -> list[tuple[int, int, float]]:
     return _RATIOS
 
 
-def _em_factor(s, sc: complex, n: int, k: int, bits: int | None, pole: bool = True):
+def _em_factor(s, sc: complex, n: int, k: int, bits: int | None):
     """(D, bound) of D(s) = n/(s-1) + sum_(j<=k) B_2j/(2j)! s (s+1) ... (s+2j-2) n^(1-2j), each term
-    the last times (s+2j-3) (s+2j-2) / n^2 and r_j (``_ratios``); ``pole`` False leaves out n/(s-1)
-    (Q).  In doubles (bits None), under 10 roundings per term, 9 for n/(s-1) and one per sum: (12k +
-    16) units of sum |terms|.  Else in integers of u = 2^-bits, s and each product truncated (<
-    sqrt 2 u): the error e in u grows by each factor's size and, for s's truncation, by sqrt 2 |T|
-    (|T| bounded in doubles)."""
+    the last times (s+2j-3) (s+2j-2) / n^2 and r_j (``_ratios``).  In doubles (bits None), under 10
+    roundings per term, 9 for n/(s-1) and one per sum: (12k + 16) units of sum |terms|.  Else in
+    integers of u = 2^-bits, s and each product truncated (< sqrt 2 u): the error e in u grows by
+    each factor's size and, for s's truncation, by sqrt 2 |T| (|T| bounded in doubles)."""
     ratios = _ratios(k)
     if bits is None:
-        d = n / (s - 1) if pole else 0j
+        d = n / (s - 1)
         size, term = abs(d), s / n
         for j in range(1, k + 1):
             term *= ratios[j][2]
@@ -146,12 +151,10 @@ def _em_factor(s, sc: complex, n: int, k: int, bits: int | None, pole: bool = Tr
         return d, (12 * k + 16) * size * 2.0 ** -53
     one, grow, s = 1 << bits, 1.0 + 2.0 ** -40, _coerce_mpc(s)  # grow: doubles' sizes rounded up
     sr, si = (to_int(mpf_shift(v._mpf_, bits)) for v in (s.real, s.imag))
-    dr = di = err = 0
-    if pole:
-        den = (sr - one) ** 2 + si ** 2  # n / (s - 1) = n conj(s - 1) / |s - 1|^2
-        dr, di = (n * (sr - one) << 2 * bits) // den, (-n * si << 2 * bits) // den
-        size = math.hypot(sc.real - 1, sc.imag)  # hypot: inf, not OverflowError, past doubles
-        err = 2.0 * n / size / size + 2.0  # and s's truncation
+    den = (sr - one) ** 2 + si ** 2  # n / (s - 1) = n conj(s - 1) / |s - 1|^2
+    dr, di = (n * (sr - one) << 2 * bits) // den, (-n * si << 2 * bits) // den
+    size = float(abs(s - 1)) / grow  # rounded down; inf, not OverflowError, past doubles
+    err = 2.0 * n / size / size + 2.0  # and s's truncation
     # T = s n, so that T_1 = T r_1 / n^2 as each later term is the last times its factors
     tr, ti, e, mag = sr * n, si * n, 1.5 * n, math.hypot(sc.real, sc.imag) * n * grow
     for j in range(1, k + 1):
@@ -168,61 +171,45 @@ def _em_factor(s, sc: complex, n: int, k: int, bits: int | None, pole: bool = Tr
 
 
 def _series(s, ctx: PrecisionContext, series_cap: int = SERIES_CAP, floor: float = 0.0,
-            pole: bool = True) -> GlobalEvalResult:
+            powers: _FastPowers | None = None) -> GlobalEvalResult:
     """zeta by Euler-Maclaurin (module docstring) within target_rel_err * max(|value|, floor):
-    ``floor`` 0 asks for a relative bound, 1 for an absolute one.  ``pole`` False takes F =
-    (s - 1) zeta instead."""
+    ``floor`` 0 asks for a relative bound, 1 for an absolute one; a double table at s passed in
+    ``powers`` takes the first rung."""
     sc, series_cap = _coerce_complex(s), _count(series_cap, "series_cap")
     if not cmath.isfinite(sc):  # a finite ComplexPoint beyond the double range
         raise RangeError(f"s = {sc} is beyond the double range of the series length")
     tol, wb, neg = ctx.target_rel_err, ctx.working_bits, max(0.0, -sc.real)
     s_hi = sc if ctx.is_fast else _coerce_mpc(s)
-    off = 0.0 if ctx.is_fast or s_hi == sc else 2.0 ** -52 * abs(sc) + 2.0 ** -1073  # sc's rounding
-    # F's remainder is |s - 1| times zeta's: lead bounds |s - 1| from above (1 for zeta)
-    lead = 1.0 if pole else abs(sc - 1) * (1 + 2.0 ** -50) + off or 5e-324
-
-    def plan(goal: float, m: int | None = None):
-        """(N + K, K, log bound) of the least N + K within goal, or of the split of m."""
-        return _em_plan(sc, goal / lead, series_cap, m)
 
     def longer(p):  # the plan p, or one term more than n
-        return p if p[0] > n else plan(0.0, n + 1)
+        return p if p[0] > n else _em_plan(sc, 0.0, series_cap, n + 1)
 
-    n, k, log_rem = plan(0.5 * tol * (floor or 1.0))  # |value| guessed as 1, or as the floor
+    n, k, log_rem = _em_plan(sc, 0.5 * tol * (floor or 1.0), series_cap)  # |value| guessed as 1
     # big floats start from terms up to n^neg and a value near 1
     bits = None if ctx.is_fast else wb + 16 + math.ceil((1 + neg) * math.log2(n))
-    powers = None
     while True:
-        m, k, log_rem = (n, k, log_rem) if n <= series_cap + 1 else plan(0.0, series_cap + 1)
+        m, k, log_rem = ((n, k, log_rem) if n <= series_cap + 1
+                         else _em_plan(sc, 0.0, series_cap, series_cap + 1))
         if bits is None and _LN2 + (1 + neg) * math.log(m - k) > 709:  # every partial sum
             raise RangeError(f"the series at s={sc} leaves the double range")
         # H at scale 1/2, rounded to the rung's bits: N^-s D(s) meets it there, then round to wb
         value, err, powers = _rung((2,) * (m - k - 1) + (1,), s_hi, 0, bits or wb, bits, powers,
                                    0.5)
         top, top_err = powers.entry(m - k) if powers else (1, 0.0)  # none: err is inf
-        dd, d_err = _em_factor(s_hi, sc, m - k, k, bits, pole)
+        dd, d_err = _em_factor(s_hi, sc, m - k, k, bits)
         if bits is None:
             value += top * dd
-            z = value
-            if not pole:  # F = (s - 1)(H + N^-s Q) + N^(1-s)
-                value = value * (sc - 1) + (m - k) * top
         else:
             with mp.workprec(bits):
                 value += top * dd
-                z = value
-                if not pole:
-                    value = value * mp.fsub(s_hi, 1, exact=True) + (m - k) * top
             with mp.workprec(wb):
                 value = complex(value) if ctx.is_fast else +value  # wb 53: to nearest double
-        tm, dm, u = float(abs(top)), float(abs(dd)), 0.5 ** (bits or wb)
-        zm = float(abs(z)) if not pole else float(abs(value))
-        err += dm * top_err + (tm + top_err) * d_err + 8 * u * (tm * dm + zm)
-        if not pole:  # times s - 1, within lead, plus N N^-s
-            err = lead * err + (m - k) * (top_err + 8 * u * tm) + 8 * u * lead * zm
-        if not math.isfinite(mag := float(abs(value))):  # the rung's range rule, with N^-s D(s)
+        tm, dm, mag, u = float(abs(top)), float(abs(dd)), float(abs(value)), 0.5 ** (bits or wb)
+        err += dm * top_err + (tm + top_err) * d_err + 8 * u * (tm * dm + mag)
+        if not math.isfinite(mag):  # the rung's range rule, with N^-s D(s)
             raise RangeError(f"the sum at s={sc} leaves the double range")
         err += 2.0 ** (1 - wb) * mag if bits else 0.0  # the rounding to wb
-        rem = lead * math.exp(log_rem) if log_rem < 709.0 else math.inf
+        rem = math.exp(log_rem) if log_rem < 709.0 else math.inf
         result = GlobalEvalResult(ComplexPoint(value.real, value.imag), m, rem + err)
         if n > m:
             raise ConvergenceError(f"s={sc} needs more than the {m} terms of series cap "
@@ -231,16 +218,16 @@ def _series(s, ctx: PrecisionContext, series_cap: int = SERIES_CAP, floor: float
         if rem + err <= target:
             return result
         if err < target:  # the value is smaller than guessed: a longer sum spares the bits
-            p = plan(0.9 * (target - err))
+            p = _em_plan(sc, 0.9 * (target - err), series_cap)
             if p[0] <= series_cap + 1:
                 n, k, log_rem = longer(p)
                 continue
         if rem > 0.5 * target:  # else a remainder that leaves half the target to the rounding
-            n, k, log_rem = longer(plan(0.5 * target))
+            n, k, log_rem = longer(_em_plan(sc, 0.5 * target, series_cap))
             continue
         if not target > 0.0:
             raise RangeError(f"the sum at s={sc} vanishes in doubles: no relative bound")
-        step = (_first_bits(wb, powers, max(mag, floor), 0.5 * lead) if bits is None
+        step = (_first_bits(wb, powers, max(mag, floor), 0.5) if bits is None
                 else _more_bits(bits, err, target))
         bits, powers = math.ceil(step) if step <= _MAX_SUM_BITS else math.inf, None
 
@@ -296,7 +283,8 @@ def eta_global(s, ctx: PrecisionContext = PrecisionContext(),
                series_cap: int = SERIES_CAP) -> GlobalEvalResult:
     """eta(s) = (1 - 2^(1-s)) zeta(s) (module docstring) with its bound; terms_used is zeta's N + K.
     A target below 2^(7 - wb) leaves the parts' roundings no room: eta is then taken with 16 more
-    bits at a quarter of it and rounded once."""
+    bits at a quarter of it and rounded once, within the target since PrecisionContext keeps it at
+    2^(1 - wb) or more."""
     sc, series_cap = _coerce_complex(s), _count(series_cap, "series_cap")
     tol, wb = ctx.target_rel_err, ctx.working_bits
     s_hi = sc if ctx.is_fast else _coerce_mpc(s)
@@ -309,12 +297,22 @@ def eta_global(s, ctx: PrecisionContext = PrecisionContext(),
             v = complex(v) if ctx.is_fast else +v
         point = ComplexPoint(v.real, v.imag)
         return GlobalEvalResult(point, res.terms_used, res.tail_bound + abs(point) * 2.0 ** -wb)
-    near = abs(sc - 1) < 0.5  # g F, else P zeta
+    if near := abs(sc - 1) < 0.5:  # P = g (s - 1), s - 1 exact (on doubles by Sterbenz's lemma)
+        g, g_err = _pole_factor(s_hi, ctx)
+        w = sc - 1 if ctx.is_fast else mp.fsub(s_hi, 1, exact=True)
+        if (dist := float(abs(w))) < 2.0 ** -wb:  # eta = g F, |F - 1| < |s - 1| there
+            return GlobalEvalResult(ComplexPoint(g.real, g.imag), 0, g_err + float(abs(g)) * dist)
+    table = _FastPowers(sc) if ctx.is_fast else None  # zeta's double table, and P's first rung
     try:  # the sum first: its rules refuse s beyond its reach
-        part = _series(s, PrecisionContext(wb, 0.75 * tol), series_cap, pole=not near)
+        part = _series(s, PrecisionContext(wb, 0.75 * tol), series_cap, powers=table)
     except ConvergenceError as exc:
         part = exc
-    a, a_err = _pole_factor(s_hi, ctx) if near else _evaluate(_P, s, ctx, 0, tol / 8)
+    if near:
+        with _workprec(ctx):
+            a = g * w
+        a_err = dist * g_err + 4 * float(abs(a)) * 2.0 ** -wb
+    else:
+        a, a_err = _evaluate(_P, s, ctx, 0, tol / 8, table)
 
     def times(part: GlobalEvalResult) -> GlobalEvalResult:  # a part: the product, rounded
         b = part.value.to_complex() if ctx.is_fast else part.value.to_mpc()
@@ -418,8 +416,9 @@ def refine_zero(t_initial: float, ctx: PrecisionContext = PrecisionContext()) ->
     Requires |eta(1/2 + i t_initial)| <= 0.5 (ordinate already near a zero).  Newton runs
     over real t (``finite_eta._line_newton``), so it stays on the line, with |dt| <= 0.5 and
     zeta by Horner on one Taylor model per disk (``_em_taylor``); only the final residual |eta|
-    = |P| |zeta| is certified: H off the last model and N^-s D(s) anew, where their bounds and
-    Euler-Maclaurin's remainder meet the absolute target, else by a fresh sum.  Escaping |t - t0|
+    = |P| |zeta| is certified: H off the last model, N^-s and 2^-s turned from its table and D(s)
+    anew, where their bounds and Euler-Maclaurin's remainder meet the absolute target, else by a
+    fresh sum.  Escaping |t - t0|
     > 1, a non-positive curvature of |zeta|**2 or failing to reach residual 1e-10 in 50
     iterations raises ConvergenceError; an extended context raises DomainError.  zeta's length
     bounds the reach: past t = 1500 or so the sum needs more than the cap (ConvergenceError).
@@ -443,7 +442,7 @@ def refine_zero(t_initial: float, ctx: PrecisionContext = PrecisionContext()) ->
         head = _taylor(table, coefs, zeta_reach)
         c = tail(table.entry(n)[0], table.log[n - 1], len(head.a) - 1)
         model = head._replace(a=[a + scale * x for a, x in zip(head.a, c)])
-        if t == t0 and (start := abs(_evaluate(_P, table.s, ctx, 0, tol)[0] * model.a[0]) / scale
+        if t == t0 and (start := abs((1 - 2 * table.entry(2)[0]) * model.a[0]) / scale
                         ) > CAPTURE_THRESHOLD:  # the capture check, on |P zeta|
             raise DomainError(f"|eta(1/2 + {t0}i)| = {start:.3g} above capture threshold "
                               f"{CAPTURE_THRESHOLD}; start closer to a zero")
@@ -455,17 +454,18 @@ def refine_zero(t_initial: float, ctx: PrecisionContext = PrecisionContext()) ->
     d, s = t - table.s.imag, complex(0.5, t)
     e = (t - (d - (d - t))) - (table.s.imag + (d - t))  # d's rounding
     g, _, _, bound = _horner(head, 1j * d, e)
-    (top, top_err), ln_n = table.entry(n), table.log[n - 1]  # N^-s at the centre, turned by
-    top_err += abs(top) * (2 * (abs(d) + abs(e)) * ln_n + 4) * 2.0 ** -53  # -d ln N: ln N, d, exp
-    top *= cmath.exp(-1j * d * ln_n)
+
+    def turned(b: int):  # b^-s at s from the centre's entry, turned by -d ln b: ln b, d, exp
+        (p, p_err), ln_b = table.entry(b), table.log[b - 1]
+        return (p * cmath.exp(-1j * d * ln_b),
+                p_err + abs(p) * (2 * (abs(d) + abs(e)) * ln_b + 4) * 2.0 ** -53)
+    (top, top_err), (two, two_err) = turned(n), turned(2)
     dd, d_err = _em_factor(s, s, n, k, None)
-    x = 2.5 + 2 * k  # Edwards' bound at (N, K) = (n, k), as in _em_plan
-    rem = (sum(math.log(abs(s + j)) for j in range(2 * k + 1)) + 0.5 * math.log1p(t * t / x / x)
-           + _LN2 + 0.5 - (2 * k + 2) * _LN_2PI - x * math.log(n))
+    rem = next(a - x * math.log(n) for j, x, a in _em_bounds(s, k + 1) if j == k)
     z = g / scale + top * dd
     z_err = (bound / scale + abs(dd) * top_err + (abs(top) + top_err) * d_err
              + 4 * 2.0 ** -53 * (abs(top * dd) + abs(z)) + math.exp(rem))
-    p, p_err = _evaluate(_P, s, ctx, 0, tol)
+    p, p_err = 1 - 2 * two, 2 * two_err + 2.0 ** -52 * abs(1 - 2 * two)  # P, rounded once
     err = abs(p) * z_err + abs(z) * p_err + 4 * 2.0 ** -53 * abs(p * z)
     residual = (abs(p * z) if abs(d) < head.rho and err <= tol
                 else abs(p) * abs(_series(s, ctx, floor=0.9 / abs(p)).value.to_complex()))

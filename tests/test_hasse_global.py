@@ -69,8 +69,8 @@ def test_eta_tail_bound_covers_truth():
 
 
 def test_eta_series_cap_error_carries_best():
-    # (s - 1) zeta is 1 at s = 1 with one term, so eta(1) = ln 2 needs no length; eta(2) does
-    assert eta_global(1.0, CTX, series_cap=3).terms_used == 1
+    # eta(1) = ln 2 is the prefactor's series alone, with no term of zeta; eta(2) needs a length
+    assert eta_global(1.0, CTX, series_cap=3).terms_used == 0
     with pytest.raises(ConvergenceError) as err:
         eta_global(2.0, CTX, series_cap=3)
     assert err.value.best is not None
@@ -293,8 +293,8 @@ def test_series_finite_sums_match_evaluate(bits, order):
 
 
 def test_series_makes_one_exp_per_term(monkeypatch):
-    # one exp per base of zeta's power table, N for N + K terms, and eta two more for the
-    # ladder's table of its prefactor 1 - 2 2^-s, on the line and left of it
+    # one exp per base of zeta's power table, N for N + K terms, on the line and left of it;
+    # eta takes its prefactor 1 - 2 2^-s off the same table
     calls = []
 
     def exp(z):
@@ -306,10 +306,10 @@ def test_series_makes_one_exp_per_term(monkeypatch):
     counting.exp = exp
     monkeypatch.setattr(finite_eta, "cmath", counting)
     for fn, s, terms, exps in ((zeta_global, complex(0.5, 59.9), 41, 26),  # N = 26, K = 15
-                               (eta_global, complex(0.5, 59.9), 41, 28),
-                               (eta_global, complex(0.49, 59.9), 42, 28),  # K = 16
+                               (eta_global, complex(0.5, 59.9), 41, 26),
+                               (eta_global, complex(0.49, 59.9), 42, 26),  # K = 16
                                (zeta_global, complex(2.0, 3.0), 15, 8),
-                               (eta_global, complex(2.0, 3.0), 15, 10)):
+                               (eta_global, complex(2.0, 3.0), 15, 8)):
         calls.clear()
         res = fn(s, CTX)
         assert len(calls) == exps and res.terms_used == terms, (s, fn)
@@ -420,14 +420,15 @@ def test_fast_series_meets_its_target(s):
         assert err <= res.tail_bound <= CTX.target_rel_err * abs(ref), s
 
 
-@pytest.mark.parametrize("t", [80.0, 100.0, 370.0])
+@pytest.mark.parametrize("t", [80.0, 90.0, 100.0, 370.0])
 def test_extended_series_high_on_the_line(t):
-    # at 200 bits Euler-Maclaurin reaches 1/2 + 370i in under 250 terms, for eta as for zeta
-    # (Borwein's weights needed 411 there): a bound within the target on both
+    # at 200 bits Euler-Maclaurin reaches 1/2 + 100i in under 200 terms and 1/2 + 370i in
+    # under 250, for eta as for zeta (Borwein's weights needed 411 at 370i): a bound within
+    # the target on both
     ctx = PrecisionContext.extended(200)
     for fn, ref in ((eta_global, mp.altzeta), (zeta_global, mp.zeta)):
         res = fn(complex(0.5, t), ctx)
-        assert res.terms_used <= 250
+        assert res.terms_used <= (200 if t <= 100.0 else 250)
         with mp.workprec(300):
             want = ref(mp.mpc(0.5, t))
             err = abs(res.value.to_mpc() - want)
@@ -764,12 +765,22 @@ def test_eta_at_and_next_to_one(ctx):
 def test_eta_at_a_target_near_one_unit(ctx):
     # below 2^(7 - wb) the parts' roundings leave no room: eta is taken with 16 more bits
     # and rounded once, and still meets the target
-    for s in (complex(0.3, 5.0), complex(0.5, 14.0), complex(-3.5, 2.0), complex(2.0, 1.0)):
+    for s in (complex(0.3, 5.0), complex(0.5, 14.0), complex(-3.5, 2.0), complex(2.0, 1.0),
+              complex(1.0 + 1e-7, 0.0)):
         res = eta_global(s, ctx)
         with mp.workprec(300):
             want = mp.altzeta(mp.mpc(s))
             err = abs(res.value.to_mpc() - want)
             assert err <= res.tail_bound <= ctx.target_rel_err * abs(want), s
+
+
+def test_eta_target_below_one_unit_never_arrives():
+    # the route above rounds once to wb bits, within any target of 2^(1 - wb) or more, and
+    # PrecisionContext refuses a tighter one before eta_global sees it
+    with pytest.raises(DomainError):
+        PrecisionContext(53, 1e-17)
+    res = eta_global(complex(0.5, 14.0), PrecisionContext(53, 2.0 ** -52))
+    assert res.tail_bound <= 2.0 ** -52 * abs(res.value.to_complex())
 
 
 @pytest.mark.parametrize("fn, s, error", [
