@@ -222,10 +222,10 @@ def _series(s, ctx: PrecisionContext, series_cap: int = SERIES_CAP, floor: float
             if p[0] <= series_cap + 1:
                 n, k, log_rem = longer(p)
                 continue
-        if rem > 0.5 * target:  # else a remainder that leaves half the target to the rounding
-            n, k, log_rem = longer(_em_plan(sc, 0.5 * target, series_cap))
+        if rem > 0.5 * target and err < mag:  # else a remainder that leaves half the target to
+            n, k, log_rem = longer(_em_plan(sc, 0.5 * target, series_cap))  # the rounding
             continue
-        if not target > 0.0:
+        if bits and not target > 0.0:  # a double table that cancels to 0 measures nothing
             raise RangeError(f"the sum at s={sc} vanishes in doubles: no relative bound")
         step = (_first_bits(wb, powers, max(mag, floor), 0.5) if bits is None
                 else _more_bits(bits, err, target))
