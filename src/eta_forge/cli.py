@@ -289,7 +289,8 @@ def _zero_refine(args, ctx):
 
 def _records(records, **diagnostics):
     rows = [{"n": r.spec.n, "sigma": r.sigma, "t": r.t,
-             "magnitude": r.magnitude, "decay": r.decay} for r in records]
+             "magnitude": r.magnitude, "decay": r.decay, "magnitude_err": r.magnitude_err}
+            for r in records]
     return {"records": rows}, {"count": len(rows), **diagnostics}
 
 
@@ -363,7 +364,7 @@ _S = ("--s", {})
 _BUDGET = ("--budget", {"type": _pos_int, "default": 200_000})
 _SIGMA = ("--sigma", {"type": _finite_float})
 _N_MAX = ("--n-max", {"type": _pos_int})
-_RECORDS = ("records", ("n", "sigma", "t", "magnitude", "decay"))
+_RECORDS = ("records", ("n", "sigma", "t", "magnitude", "decay", "magnitude_err"))
 
 COMMANDS = (
     Command("eta", "eval", _eta_eval, "evaluate a finite eta sum", (_FAMILY, _N, _S)),

@@ -14,23 +14,24 @@ entire in s.  HASSE vanishes exactly at s = 0, -1, ..., -(n-1); HSTAR at
 s = -2, -4, ..., -2(n-1).  Those zeros are checked in exact rational
 arithmetic, never in floating point.
 
-Summation: each tier fills a power table p_b = b^(-s), with ln b, for the bases b = 1,
-2, ...: one ``cmath.exp`` per base in doubles, with ln b in double-double from an integer
-series (``_log_dd``), and in big floats one ``mp.exp`` per prime base (b^(-s) is completely
-multiplicative) with every entry in fixed-point integers (``_ExtPowers``).  The dot product
-with the exact integer coefficients (times (-ln b)^k at order k) is ``math.fsum`` in doubles
-(each component rounded once) and an exact integer sum in big floats.  A table grows one base at a time, so a global series that lengthens keeps
-its powers, and one table serves every order.  One rung (``_rung``) takes each such sum, for
-these finite sums and for the global series alike: the double table at s rounded to a double
-(t ln b in double-double, about 2|Re s| ln n + 8 units of 2^-53 per term at any practical
-t), or big floats at given bits with s at full precision.  At order 0 and an integer s <= 0
-it sums the integer powers exactly, so a trivial zero is an exact 0 with bound 0.  It rounds
-the value to the working precision, charged only when inexact (an exact integer by Python's
-correctly rounded int to float conversion on the fast tier, so no big float is formed).  A
+Summation: each tier fills a power table p_b = b^(-s), with ln b, for the bases b = 1, 2, ...:
+one ``cmath.exp`` per base in doubles, with ln b in double-double from an integer series
+(``_log_dd``), and in big floats one ``mp.exp`` per prime base (b^(-s) is completely
+multiplicative) with every entry in fixed-point integers (``_ExtPowers``).  The dot product with
+the exact integer coefficients (times (-ln b)^k at order k) is ``math.fsum`` in doubles (each
+component rounded once) and an exact integer sum in big floats.  A table grows one base at a
+time, so a global series that lengthens keeps its powers, and one table serves every order.  One
+rung (``_rung``) takes each such sum, for these finite sums and for the global series alike: the
+double table at s rounded to a double (t ln b in double-double, about 2|Re s| ln n + 8 units of
+2^-53 per term at any practical t), or big floats at given bits with s at full precision.  At
+order 0 and an integer s <= 0 it sums the integer powers exactly, so a trivial zero is an exact
+0 with bound 0.  It rounds the value to the working precision, charged only when inexact (on the
+fast tier the exact integer sums, of integer powers or of a big-float table, by Python's
+correctly rounded int / int, ties to even as in mpmath, so no mpmath number is formed).  A
 double table with a term beyond the double range, or a value below its normal range, cannot
-measure: its bound is infinite.  A big-float value outside the normal double range (a flush to
-0 would look exact), a bound beyond it, an inexact 0 whose bound lies below it, or a sum
-needing over 65536 bits raises RangeError.
+measure: its bound is infinite.  A big-float value outside the normal double range (a flush to 0
+would look exact), a bound beyond it, an inexact 0 whose bound lies below it, or a sum needing
+over 65536 bits raises RangeError.
 
 Certification ladder (``_evaluate``), for any sum with integer
 coefficients: a result is returned only when its bound is within
@@ -40,22 +41,23 @@ fast tier it may be the answer, on both it measures the cancellation.
 Big floats start at wb + 16 + log2(sum |terms| / |value|) bits read off
 it (``_first_bits``), and retry with more bits while the bound misses.
 
-Line kernel (``_line``, fast tier): a grid point of sigma + it keeps its double table under
-the ladder's test.  Each b^(-s) only turns along the line, so the table is stepped by
-h = t - t_prev where h is exact (t <= 2 t_prev, Sterbenz): ``_FastPowers.step`` turns each
-entry by b^(-ih) from one rotation table per h, keeps sum |terms|, and charges every term
-that table's error model plus sqrt(5) units for the product.  A miss fills a fresh table
-only where its bound, the stepped one less the steps' charge, could pass; else the first
-big-float precision is read off the stepped table, so a run of misses fills one table.
-Each run of misses is cut into disks of radius about 0.55, each served by the Taylor model of a
-big-float table at its centre; a point whose bound misses tol * |value|, or a disk with no model,
-takes ``_evaluate``.  That model (``_taylor``, Odlyzko and Schoenhage 1988; Newton's too, on the
-double table) is S(s + d) = sum_(j<=K) a_j d^j + R_K, a_j = sum_b c_b p_b (-ln b)^j / j! 2^-k
-(2^k > |c_b|, so that Newton's squares stay in doubles), to the first K >= 1 whose |R_K| <=
-sum_b |c_b p_b| (rho ln b)^(K+1) / (K+1)! e^(rho ln b) meets the caller's goal.  ``_horner``
-gives S, S', S''/2 and S's bound at |d| <= rho: R_K, the a_j's errors (fill + shift |d|)
-e^(top |d|) + trunc sum_(1<=j<=K) |d|^j (``_orders``), 2 units per step of sum |a_j| |d|^j (4
-for a skew d), and an offset's rounding.
+Line kernel (``_line``, fast tier): a grid point of sigma + it keeps its double table under the
+ladder's test.  Each b^(-s) only turns along the line, so the table is stepped by h = t - t_prev
+where h is exact (t <= 2 t_prev, Sterbenz): ``_FastPowers.step`` turns each entry by b^(-ih)
+from one rotation table per h, keeps sum |terms|, and charges every term that table's error
+model plus sqrt(5) units for the product.  A miss fills a fresh table only where its bound, the
+stepped one less the steps' charge, could pass; else the first big-float precision is read off
+the stepped table, so a run of misses fills one table.  Each run of misses then fills one
+big-float table at its first point, at the run's largest first precision plus log2 of the depth
+D its steps reach plus 2, and steps it the same way (``_ExtPowers.step``, one rotation table per
+h and fixed point).  A stepped value that misses refills the table there at ``_more_bits``; only
+a fresh table that misses takes ``_evaluate``.  Newton's model (``_taylor``, Odlyzko and
+Schoenhage 1988, over either table) is S(s + d) = sum_(j<=K) a_j d^j + R_K, a_j = sum_b c_b p_b
+(-ln b)^j / j! 2^-k (2^k > |c_b|, so that Newton's squares stay in doubles), to the first K >= 1
+whose |R_K| <= sum_b |c_b p_b| (rho ln b)^(K+1) / (K+1)! e^(rho ln b) meets the caller's goal.
+``_horner`` gives S, S', S''/2 and S's bound at |d| <= rho: R_K, the a_j's errors (fill + shift
+|d|) e^(top |d|) + trunc sum_(1<=j<=K) |d|^j (``_orders``), 2 units per step of sum |a_j| |d|^j
+(4 for a skew d), and an offset's rounding.
 """
 
 from __future__ import annotations
@@ -94,7 +96,7 @@ ExactRational = Fraction
 _MAX_SUM_BITS = 1 << 16
 _TINY = 2.0 ** -1022  # the smallest normal double
 _LN_BITS = 180  # the fractional bits of ``_ln_fixed``
-_DISK, _MAX_ORDER = 0.55, 60  # the line kernel's Taylor models: radius in t, top degree
+_MAX_ORDER = 60  # the top degree of a Taylor model
 _Model = namedtuple("_Model", "a rho k fill shift trunc top tail")  # a Taylor model, ``_taylor``
 
 
@@ -304,20 +306,26 @@ class _ExtPowers:
     m_b = max(1, |b**(-s)|) and D = floor(log2 n) >= Omega(b), an entry is off by alpha m_b
     at most, 1 + alpha <= ((1 + 0.06 u) (1 + sqrt(2) u)**2)**D (a prime's truncation and exp,
     then per product the two errors, their product and one truncation), and L_b by 1.01 D u.
-    The dot's integer sums are exact; its bound (4 + 2k) D u sum |c_b| (ln b)**k m_b at order
-    k covers 1.03 (alpha + 1.5 k D u) times that sum."""
+    A step up the line (``step``) is one more such product per entry, by a rotation table of
+    modulus 1 and its own D = floor(log2 n): D grows by that D + 1 (``depth`` counts the steps'
+    share), and the stepped table no longer grows.  The dot's integer sums are exact; its bound
+    (4 + 2k) D u sum |c_b| (ln b)**k m_b at order k covers 1.03 (alpha + 1.5 k D u) times that
+    sum."""
 
     def __init__(self, s, bits: int):
-        self.s, self.bits, self.x = _coerce_mpc(s), bits, None
+        self.s, self.bits, self.x, self.depth = _coerce_mpc(s), bits, None, 0
 
     def _grow(self, size: int):
-        s, e_s = self.s, max(0, mp.mag(self.s))  # |s| <= 2**e_s
+        s = self.s
         if self.x is None:  # base 1, at the fixed point set by the first fill
             self.f = self.bits + math.ceil(min(1100.0, max(0.0, float(s.real) * math.log2(size))))
             self.x, self.y, self.log = [1 << self.f], [0], [0]
-        f = self.f
-        if len(self.x) < size and (-s.real * math.log2(size) > _MAX_SUM_BITS
-                                   or f + 8 + size.bit_length().bit_length() + e_s > _MAX_SUM_BITS):
+        if len(self.x) >= size:
+            return
+        assert not self.depth, "a stepped table does not grow"
+        f, e_s = self.f, max(0, mp.mag(s))  # |s| <= 2**e_s
+        if -s.real * math.log2(size) > _MAX_SUM_BITS \
+                or f + 8 + size.bit_length().bit_length() + e_s > _MAX_SUM_BITS:
             raise RangeError(f"a sum of {size} terms at s={s} is beyond {_MAX_SUM_BITS} bits")
         for b in range(len(self.x) + 1, size + 1):
             q, r = _least_factor(b) - 1, b // _least_factor(b) - 1
@@ -336,24 +344,40 @@ class _ExtPowers:
             self.y.append(y)
             self.log.append(lnb)
 
-    def dot(self, coefs: tuple[int, ...], order: int = 0, scale: float = 1.0):
-        """(value, abs_err bound) in mpmath: the exact sum, and the bound times ``scale`` = 2**j."""
+    def step(self, rot: _ExtPowers):
+        """Moves the full table to s + i h, ``rot`` = _ExtPowers(i h, f): each entry times rot's,
+        truncated toward 0 (conj(s) still gives the conjugate table), and D grows by rot's D + 1."""
+        f, n = self.f, len(self.x)
+        rot._grow(n)
+        xs, ys = [], []
+        for x, y, c, e in zip(self.x, self.y, rot.x, rot.y):
+            re, im = x * c - y * e, x * e + y * c
+            xs.append(re >> f if re >= 0 else -(-re >> f))
+            ys.append(im >> f if im >= 0 else -(-im >> f))
+        self.x, self.y, self.s = xs, ys, self.s + rot.s
+        self.depth += max(1, n.bit_length() - 1) + 1
+
+    def dot(self, coefs: tuple[int, ...], order: int = 0, scale: float = 1.0, exact: bool = False):
+        """(value, abs_err bound) in mpmath: the exact sum, and the bound times ``scale`` = 2**j;
+        ``exact``: the value as the integers [X, Y, e] of (X + i Y) 2**e."""
         self._grow(len(coefs))
         f, exp = self.f, -self.f * (order + 1)
         if order:
             coefs = [c * (-x) ** order for c, x in zip(coefs, self.log)]
-        total = mp.make_mpc((from_man_exp(sum(map(mul, coefs, self.x)), exp),
-                             from_man_exp(sum(map(mul, coefs, self.y)), exp)))
+        total = [sum(map(mul, coefs, self.x)), sum(map(mul, coefs, self.y)), exp]
         # >= sum |c_b| (ln b)**k m_b u**-(k+1); sigma < 0: |p_b| <= 2 (|X_b| + |Y_b|) u
         weight = (2 * sum(abs(c) * (abs(x) + abs(y)) for c, x, y in zip(coefs, self.x, self.y))
                   if self.s.real < 0 else sum(map(abs, coefs)) << f)
-        units = (4 + 2 * order) * max(1, len(coefs).bit_length() - 1)
-        return total, mp.make_mpf(from_man_exp(weight * units, exp - f, 53, round_up)) * scale
+        units = (4 + 2 * order) * (max(1, len(coefs).bit_length() - 1) + self.depth)
+        bound = from_man_exp(weight * units, exp - f + int(math.log2(scale)), 53, round_up)
+        if not exact:
+            total = mp.make_mpc(tuple(from_man_exp(v, exp) for v in total[:2]))
+        return total, mp.make_mpf(bound)
 
     def entry(self, b: int):
-        """A filled b**(-s) and its bound 4 D u m_b, D = floor(log2 b) (above), plus 2**-1070."""
+        """A filled b**(-s) and its bound 4 D u m_b, D = floor(log2 b) + depth, plus 2**-1070."""
         p = mp.make_mpc(tuple(from_man_exp(v[b - 1], -self.f) for v in (self.x, self.y)))
-        units = 4 * max(1, b.bit_length() - 1) * max(1.0, float(abs(p)))
+        units = 4 * (max(1, b.bit_length() - 1) + self.depth) * max(1.0, float(abs(p)))
         return p, math.ldexp(units, -self.f) + 2.0 ** -1070
 
     def _orders(self, coefs, cs, k: int):
@@ -383,6 +407,17 @@ def _more_bits(bits: float, err: float, target: float) -> float:
     """Working bits for the next big-float sum, whose bound falls as
     2**-bits, after one at ``bits`` gave the bound ``err`` above ``target``."""
     return bits + max(16.0, 8.0 + math.log2(err / target)) if target > 0.0 else math.inf
+
+
+def _round(x: int, exp: int) -> tuple[float, bool]:
+    """(x 2**exp, exp <= 0, to the nearest double, whether that rounded): Python's int / int rounds
+    correctly, ties to even as mpmath at 53 bits; inf beyond the double range."""
+    try:
+        v = x / (d := 1 << -exp)
+    except OverflowError:
+        return math.inf, True
+    n, m = v.as_integer_ratio()
+    return v, n * d != x * m
 
 
 def _first_bits(wb: int, powers, mag: float, scale: float = 1.0) -> float:
@@ -415,24 +450,22 @@ def _rung(coefs: tuple[int, ...], s, order: int, wb: int, bits: float | None = N
             raise RangeError(f"a sum of {len(coefs)} terms at s={s} needs more than "
                              f"{_MAX_SUM_BITS} working bits")
         powers = powers or _ExtPowers(s, math.ceil(bits))
-        total, err = powers.dot(coefs, order, scale)
-    if isinstance(total, int) and wb == 53:  # exact integers to a double: Python rounds once
-        try:
-            v = float(total)
-        except OverflowError:
-            v = math.inf
-        inexact, v = v != total, v * scale
-    else:
+        total, err = powers.dot(coefs, order, scale, wb == 53)  # wb 53: rounded in integers below
+    if wb > 53:
         with mp.workprec(wb):  # the final rounding to the working precision
             v = mp.mpc(total)
             inexact = v != total
             v *= scale
+    else:  # the exact integers (X + i Y) 2**e to doubles: Python rounds once
+        x, y, e = total if isinstance(total, list) else (total, 0, 0)
+        (x, r), (y, i) = _round(x, e), _round(y, e)
+        v, inexact = complex(x * scale, y * scale), r or i
     mag, bound = float(abs(v)), float(err)
     if inexact:
         bound += mag * 2.0 ** -wb
     if (err or inexact) and bound < _TINY:  # rounded below the normal range: cover that
         bound += 2.0 ** -1073
-    if not (math.isfinite(mag) and math.isfinite(bound)) or (v and mag < _TINY) \
+    if not (math.isfinite(mag) and math.isfinite(bound)) or ((v or inexact) and mag < _TINY) \
             or (err and not v and bound < _TINY):  # an inexact 0 that may be below it too
         raise RangeError(f"a sum of {len(coefs)} terms at s={s}: value or bound outside the "
                          "normal double range")
@@ -506,26 +539,10 @@ def _line_newton(model_at, t0: float, max_step: float, radius: float):
     return t, iterations, model
 
 
-def _disk(coefs: tuple[int, ...], sigma: float, ts, first_bits: float, tol: float):
-    """[(value, bound)] at each sigma + i t of the Taylor model about the middle tc of
-    ``ts`` (module docstring); None if no model is in reach of doubles and _MAX_ORDER."""
-    n, tc = len(coefs), 0.5 * (ts[0] + ts[-1])
-    ds, bits = [t - tc for t in ts], math.ceil(first_bits) + 2 * n.bit_length()
-    es = [(t - (d - (d - t))) - (tc + (d - t)) for t, d in zip(ts, ds)]  # t - tc - d (TwoSum)
-    rho = max(math.nextafter(abs(d), math.inf) if e else abs(d) for d, e in zip(ds, es))
-    try:
-        model = _taylor(_ExtPowers(complex(sigma, tc), bits), coefs,
-                        lambda a0, a1, size: (rho, 2.0 ** -16 * tol * abs(a0)))
-        out = [_horner(model, 1j * d, e) for d, e in zip(ds, es)]
-        return [(v * 2.0 ** model.k, bound * 2.0 ** model.k) for v, _, _, bound in out]
-    except (OverflowError, ConvergenceError):  # a term or a coefficient beyond doubles, or no K
-        return None
-
-
 def _line(coefs: tuple[int, ...], sigma: float, ts, ctx: PrecisionContext):
     """Fast-tier values of sum_b coefs[b-1] b**(-(sigma + i t)) at the increasing
     ordinates ``ts``, each within ctx.target_rel_err * |value| (module docstring)."""
-    vals, bits, tol, rots, powers = [], {}, ctx.target_rel_err, {}, None
+    vals, bits, tol, rots, powers, wb = [], {}, ctx.target_rel_err, {}, None, ctx.working_bits
     for i, t in enumerate(ts):
         keep = powers and ts[i - 1] <= t <= 2.0 * ts[i - 1]
         if keep:  # step by an exact h (Sterbenz)
@@ -535,18 +552,25 @@ def _line(coefs: tuple[int, ...], sigma: float, ts, ctx: PrecisionContext):
             keep = abs(v) >= _TINY and (err <= tol * abs(v) < math.inf
                                         or err - powers.sum_abs * powers.moved > tol * abs(v))
         if not keep:
-            v, err, powers = _rung(coefs, _coerce_complex(complex(sigma, t)), 0, ctx.working_bits)
+            v, err, powers = _rung(coefs, _coerce_complex(complex(sigma, t)), 0, wb)
         vals.append(complex(v))
         if not err <= tol * float(abs(v)) < math.inf:
-            bits[i] = _first_bits(ctx.working_bits, powers, float(abs(v)))
+            bits[i] = _first_bits(wb, powers, float(abs(v)))
     for _, run in groupby(enumerate(bits), lambda p: p[1] - p[0]):  # the runs of misses
-        run = [i for _, i in run]
-        count = 1 + int((ts[run[-1]] - ts[run[0]]) // (2 * _DISK))
-        for disk in (run[c * len(run) // count:(c + 1) * len(run) // count] for c in range(count)):
-            model = _disk(coefs, sigma, [ts[i] for i in disk], max(bits[i] for i in disk), tol)
-            for i, (v, bound) in zip(disk, model or [(0j, math.inf)] * len(disk)):
-                vals[i] = v if bound <= tol * abs(v) < math.inf else \
-                    _evaluate(coefs, complex(sigma, ts[i]), ctx, 0, tol)[0]
+        run, table = [i for _, i in run], None  # its steps take D to len(run) (D + 1) at most
+        prec = max(bits[i] for i in run) + math.log2(len(run) * max(2, len(coefs).bit_length())) + 2
+        for i in run:
+            s = _coerce_complex(complex(sigma, ts[i]))
+            if table and ts[i - 1] <= ts[i] <= 2.0 * ts[i - 1]:  # an exact h, as above
+                key = (ts[i] - ts[i - 1], table.f)  # one rotation table per h and fixed point
+                table.step(rots.get(key) or rots.setdefault(key, _ExtPowers(1j * key[0], table.f)))
+                v, err, _ = _rung(coefs, s, 0, wb, prec, table)
+                if err <= tol * abs(v) < math.inf:
+                    vals[i] = v
+                    continue
+                prec = _more_bits(prec, err, tol * abs(v))  # a miss refills at more bits
+            v, err, table = _rung(coefs, s, 0, wb, prec)
+            vals[i] = v if err <= tol * abs(v) < math.inf else _evaluate(coefs, s, ctx, 0, tol)[0]
     return vals
 
 

@@ -3,9 +3,9 @@
 A proto-zero at fixed sigma is a strict local minimum of |eta_n(sigma+it)|
 on the t-grid, polished by ``refine_zero``'s Newton (``finite_eta._line_newton``).
 The grid values come from ``finite_eta._line``: the double table where it
-certifies, one Taylor model per disk of cancelling points elsewhere.  Each state
+certifies, one big-float table per run of cancelling points elsewhere.  Each state
 b^(-sigma-it) turns by e^(-ih ln b) per grid step h (ln b = 2 pi hbar_b, below), so
-the kernel steps one double table along the line, filling afresh only on a miss.
+the kernel steps both tables along the line, filling afresh only on a miss.
 The "decay" of a record is the imaginary offset d of the ordinate that would
 deepen the minimum, from the first-order Newton step (see ``scan_line``).
 
@@ -142,6 +142,7 @@ class ProtoZeroRecord:
     t: float
     magnitude: float   # |eta_n(sigma + i t)| at the polished minimum
     decay: float       # imaginary t-offset that would deepen the minimum
+    magnitude_err: float = math.inf  # bound on |magnitude - |eta_n||; inf: none given
 
 
 @dataclass(frozen=True)
@@ -158,7 +159,8 @@ def scan_line(cfg: ScanConfig, ctx: PrecisionContext = PrecisionContext(),
     The grid values come from the line kernel; ``_line_newton``, on a Taylor model of the double
     table, polishes each minimum within a grid step, which stays if it raises.  The magnitude and
     the decay, Re(eta / eta') (the imaginary part of a Newton step in the complex ordinate t), come
-    from ``evaluate`` and ``derivative``.  Fast tier only (else DomainError); ``jobs`` does nothing.
+    from ``evaluate`` and ``derivative``; the magnitude's bound is evaluate's plus 2**-52 magnitude
+    for the rounding of abs.  Fast tier only (else DomainError); ``jobs`` does nothing.
     """
     _fast_only(ctx, "scan_line")
     spec, sigma, coefs = cfg.spec, cfg.sigma, _terms(cfg.spec.family, cfg.spec.n)
@@ -177,11 +179,12 @@ def scan_line(cfg: ScanConfig, ctx: PrecisionContext = PrecisionContext(),
             except (ConvergenceError, OverflowError):  # no minimum ahead, or beyond doubles
                 t_star = ts[i]
             s_star = complex(sigma, t_star)
-            val = evaluate(spec, s_star, ctx).value.to_complex()
+            res = evaluate(spec, s_star, ctx)
+            val = res.value.to_complex()
             dval = derivative(spec, s_star, ctx).value.to_complex()
-            decay = (val / dval).real if dval != 0 else 0.0
-            records.append(ProtoZeroRecord(
-                spec=spec, sigma=sigma, t=t_star, magnitude=abs(val), decay=decay))
+            decay, mag = (val / dval).real if dval != 0 else 0.0, abs(val)
+            records.append(ProtoZeroRecord(spec, sigma, t_star, mag, decay,
+                                           magnitude_err=res.abs_err + 2.0 ** -52 * mag))
     records.sort(key=lambda r: r.t)
     return records
 

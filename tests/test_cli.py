@@ -159,8 +159,19 @@ def test_jobs_variation_is_deterministic(capsys):
     _, out1 = invoke(["--jobs", "1"] + base[0:] , capsys)
     _, out4 = invoke(["--jobs", "4"] + base[0:], capsys)
     assert out1 == out4
-    assert out1.splitlines()[0] == "n,sigma,t,magnitude,decay"
+    assert out1.splitlines()[0] == "n,sigma,t,magnitude,decay,magnitude_err"
     assert len(out1.splitlines()) == 4  # header + 3 minima
+
+
+def test_proto_records_carry_their_magnitude_bound(capsys):
+    # each record's magnitude_err: evaluate's bound plus the rounding of abs, within the target
+    for argv in (["scan", "--n", "4", "--sigma", "0.5", "--t-min", "5", "--t-max", "12"],
+                 ["cloud", "--n-max", "2", "--sigma", "0.5", "--t-center", "9.06",
+                  "--half-width", "1"]):
+        code, env = invoke_json(["--no-timing", "proto", *argv], capsys)
+        records = env["results"]["records"]
+        assert code == 0 and records
+        assert all(0 < r["magnitude_err"] <= 1e-13 * r["magnitude"] for r in records)
 
 
 # ---------------------------------------------------------------------------

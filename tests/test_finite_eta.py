@@ -529,7 +529,7 @@ def test_huge_negative_arguments_are_refused_quickly(call):
 
 
 # ---------------------------------------------------------------------------
-# line kernel: one Taylor model per disk of cancelling grid points
+# line kernel: one big-float table stepped along each run of cancelling grid points
 # ---------------------------------------------------------------------------
 
 def _grid(n: int, t_min: float = 1.0, t_max: float = 14.0, fam: Family = H) -> list[float]:
@@ -537,76 +537,90 @@ def _grid(n: int, t_min: float = 1.0, t_max: float = 14.0, fam: Family = H) -> l
     return [t_min + i * step for i in range(int((t_max - t_min) / step) + 1)]
 
 
-def _check_line_models(n: int, sigma: float, ts: list[float], monkeypatch):
-    """Run the line kernel on ``ts``: every disk has a model that serves each of its
-    points within the target and within its bound of the oracle."""
-    models = []
-    raw_disk = finite_eta._disk
+def _check_line_runs(n: int, sigma: float, ts: list[float], monkeypatch) -> list:
+    """Run the line kernel on ``ts``: every big-float value of its runs, fresh or stepped,
+    serves its point within the target and within its bound of the oracle.  Returns the
+    points they served, as (t, stepped)."""
+    served, raw_rung = [], finite_eta._rung
 
-    def recording_disk(coefs, sg, ts, first_bits, tol):
-        out = raw_disk(coefs, sg, ts, first_bits, tol)
-        models.append((ts, out))
+    def recording_rung(coefs, s, order, wb, bits=None, powers=None, scale=1.0):
+        out = raw_rung(coefs, s, order, wb, bits, powers, scale)
+        if bits is not None:
+            served.append((s.imag, powers is not None, out[:2]))
         return out
 
-    monkeypatch.setattr(finite_eta, "_disk", recording_disk)
+    monkeypatch.setattr(finite_eta, "_rung", recording_rung)
     vals = dict(zip(ts, finite_eta._line(finite_eta._terms(H, n), sigma, ts, CTX)))
-    assert models  # these lines cancel too deeply for the double table
-    for disk, out in models:
-        assert out is not None
-        for t, (v, bound) in zip(disk, out):
-            assert bound <= CTX.target_rel_err * abs(v)  # the model serves every point
-            assert vals[t] == v
-            ref = oracles.eta_hasse_highprec(n, mp.mpc(sigma, t))
-            assert float(abs(mp.mpc(v) - ref)) <= bound
+    assert any(stepped for _, stepped, _ in served)  # these lines cancel too deeply for doubles
+    for t, _, (v, bound) in served:
+        assert bound <= CTX.target_rel_err * abs(v)  # the run's table serves every point
+        assert vals[t] == v
+        ref = oracles.eta_hasse_highprec(n, mp.mpc(sigma, t))
+        assert float(abs(mp.mpc(v) - ref)) <= bound
+    return [(t, stepped) for t, stepped, _ in served]
 
 
 @pytest.mark.parametrize("sigma", [0.25, 0.5, 0.75])
 @pytest.mark.parametrize("n", [8, 10, 12, 20])
-def test_line_kernel_models_are_within_their_bounds(n, sigma, monkeypatch):
-    _check_line_models(n, sigma, _grid(n), monkeypatch)  # cancelling below t = 14
+def test_line_kernel_runs_are_within_their_bounds(n, sigma, monkeypatch):
+    _check_line_runs(n, sigma, _grid(n), monkeypatch)  # cancelling below t = 14
 
 
 @pytest.mark.parametrize("n", [12, 20])
-def test_line_kernel_keeps_inexact_offsets_on_the_model(n, monkeypatch):
-    # near t = 0 an offset t - tc is not a double: Horner runs at the rounded
-    # offset and charges the rounding, so no grid point needs a big-float sum
+def test_line_kernel_refills_where_a_step_is_inexact(n, monkeypatch):
+    # near t = 0 an increment t - t_prev is not a double where t > 2 t_prev: the run fills a
+    # fresh big-float table there instead of stepping, so no grid point needs the ladder
     calls = []
     raw_evaluate = finite_eta._evaluate
     monkeypatch.setattr(finite_eta, "_evaluate", lambda *a: calls.append(a) or raw_evaluate(*a))
-    _check_line_models(n, 0.5, _grid(n, 0.05, 5.0), monkeypatch)
+    ts = _grid(n, 0.05, 5.0)
+    served = _check_line_runs(n, 0.5, ts, monkeypatch)
+    fresh = [t for t, stepped in served if not stepped]
+    assert fresh[0] == ts[0] and len(fresh) > 1
+    assert all(t > 2.0 * ts[ts.index(t) - 1] for t in fresh[1:])
     assert calls == []
 
 
-def test_line_kernel_disk_on_hstar_matches_oracle():
+def test_line_kernel_run_on_hstar_matches_oracle():
+    # one big-float table filled at the first of 11 points and stepped through the rest,
+    # one rotation table per increment, at the precision the double table measured at 2.5
     coefs, sigma, tol = finite_eta._terms(HS, 10), 0.5, CTX.target_rel_err
     ts = [2.0 + 0.1 * i for i in range(11)]
     v, _, powers = finite_eta._rung(coefs, complex(sigma, 2.5), 0, 53)
     first = finite_eta._first_bits(53, powers, abs(v))
-    out = finite_eta._disk(coefs, sigma, ts, first, tol)
-    assert out is not None
-    for t, (v, bound) in zip(ts, out):
+    table, rots = finite_eta._ExtPowers(complex(sigma, ts[0]), math.ceil(first)), {}
+    for k, t in enumerate(ts):
+        if k:
+            h = t - ts[k - 1]
+            table.step(rots.get(h) or rots.setdefault(h, finite_eta._ExtPowers(1j * h, table.f)))
+        v, bound, _ = finite_eta._rung(coefs, complex(sigma, t), 0, 53, first, table)
         ref = oracles.eta_hstar_highprec(10, mp.mpc(sigma, t))
         assert float(abs(mp.mpc(v) - ref)) <= bound <= tol * abs(v)
+    assert table.s == mp.mpc(sigma, ts[-1]) and len(rots) < 10
 
 
 def test_line_kernel_falls_back_to_evaluate(monkeypatch):
-    # a target of one ulp leaves no room for Horner's rounding: every model
-    # misses, and each grid value is evaluate's, to the last bit
-    ctx, n = PrecisionContext.fast(2.0 ** -52), 12
-    built = []
-    raw_disk = finite_eta._disk
+    # first big-float precisions far too low for the cancellation, at a target of one ulp:
+    # each run's fresh table misses at its first point, whose grid value is evaluate's to the
+    # last bit; the next point's stepped value misses too and refills at more bits, and
+    # stepping goes on from there without the ladder
+    ctx, n, calls = PrecisionContext.fast(2.0 ** -52), 12, {}
+    raw_evaluate = finite_eta._evaluate
 
-    def recording_disk(*args):
-        out = raw_disk(*args)
-        built.append(out)
-        return out
+    def recording_evaluate(coefs, s, *args):
+        calls[s.imag] = raw_evaluate(coefs, s, *args)
+        return calls[s.imag]
 
-    monkeypatch.setattr(finite_eta, "_disk", recording_disk)
+    monkeypatch.setattr(finite_eta, "_evaluate", recording_evaluate)
+    monkeypatch.setattr(finite_eta, "_first_bits", lambda wb, powers, mag: 8.0)
     ts = _grid(n, 1.0, 8.0)
-    vals = finite_eta._line(finite_eta._terms(H, n), 0.5, ts, ctx)
-    assert built and all(out is not None for out in built)
-    assert all(bound > ctx.target_rel_err * abs(v) for out in built for v, bound in out)
-    assert vals == [evaluate(spec(H, n), complex(0.5, t), ctx).value.to_complex() for t in ts]
+    vals = dict(zip(ts, finite_eta._line(finite_eta._terms(H, n), 0.5, ts, ctx)))
+    assert calls and all(vals[t] == v for t, (v, _) in calls.items())
+    assert len(calls) < len(ts) / 10
+    for t in ts:
+        ref = oracles.eta_hasse_highprec(n, complex(0.5, t), 200)
+        with mp.workprec(200):
+            assert abs(mp.mpc(vals[t]) - ref) <= ctx.target_rel_err * abs(ref), t
 
 
 def _first_model(run, monkeypatch):
@@ -622,10 +636,10 @@ def _first_model(run, monkeypatch):
                                            for sigma in (0.25, 0.5, 0.75)] + [(HS, 10, 0.5)])
 @pytest.mark.parametrize("table", ["double", "double, cancelling", "big-float, cancelling"])
 def test_taylor_model_holds_its_bound_at_complex_offsets(fam, n, sigma, table, monkeypatch):
-    # one model on either table, built by its user (Newton's first model on the double
-    # table, a line kernel's disk on the big-float one): at 16 offsets on the circle
-    # |d| = rho (real, imaginary and skew) and inside it, the value is within its bound of a
-    # 200-bit sum.  f' and f''/2 (not certified) match mp.diff to 1e-10 relative, except on
+    # one model on either table (Newton's first model on the double table, as its user builds
+    # it; on the big-float one, radius 0.5 and goal 2^-16 tol |a_0|): at 16 offsets on the
+    # circle |d| = rho (real, imaginary and skew) and inside it, the value is within its bound
+    # of a 200-bit sum.  f' and f''/2 (not certified) match mp.diff to 1e-10 relative, except on
     # the double table where the sum cancels (t = 5), whose rounding they carry
     coefs, tol = finite_eta._terms(fam, n), CTX.target_rel_err
     ref = {H: oracles.eta_hasse_highprec, HS: oracles.eta_hstar_highprec}[fam]
@@ -639,10 +653,10 @@ def test_taylor_model_holds_its_bound_at_complex_offsets(fam, n, sigma, table, m
                                                 reach), tc, 0.5, 1.0),
             monkeypatch)
     else:
-        ts = [tc - 0.5 + 0.1 * i for i in range(11)]
         v, _, powers = finite_eta._rung(coefs, complex(sigma, tc), 0, 53)
-        first = finite_eta._first_bits(53, powers, abs(v))
-        model = _first_model(lambda: finite_eta._disk(coefs, sigma, ts, first, tol), monkeypatch)
+        bits = math.ceil(finite_eta._first_bits(53, powers, abs(v))) + 2 * len(coefs).bit_length()
+        model = finite_eta._taylor(finite_eta._ExtPowers(complex(sigma, tc), bits), coefs,
+                                   lambda a0, a1, size: (0.5, 2.0 ** -16 * tol * abs(a0)))
     rho, scale = model.rho * (1 - 2.0 ** -40), 2.0 ** model.k
     offsets = [rho * cmath.exp(2j * math.pi * j / 16) for j in range(16)]
     offsets += [0j, 0.3 * rho * cmath.exp(1j), 0.7 * rho * cmath.exp(-2j), 0.5j * rho]
@@ -682,6 +696,37 @@ def test_stepped_power_table_holds_its_bound(sigma):
                 ref = oracles.eta_hasse_highprec(20, complex(sigma, t), 200, order)
                 with mp.workprec(200):
                     assert abs(mp.mpc(value) - ref) <= err, (k, order)
+
+
+@pytest.mark.parametrize("sigma", [-0.5, 0.5, 2.0])
+def test_stepped_big_float_table_matches_oracle(sigma):
+    # a big-float table moved up the line by up to 200 rotations (exact increments, as in the
+    # line kernel), each raising its depth D by the rotation's D + 1: after 1, 10, 100 and 200
+    # steps each dot product at orders 0-3, on HASSE 20, HSTAR 10 and mixed coefficients, holds
+    # its bound against a 640-bit sum; stepped from conj(s) by the conjugate rotations, the
+    # table is the conjugate table bit for bit after every step
+    rng = random.Random(sigma)
+    mixed = tuple(rng.randrange(-10 ** 6, 10 ** 6) for _ in range(30))
+    step = default_step(spec(H, 20))
+    ts = [100.0 - 200 * step + i * step for i in range(201)]
+    tables = [finite_eta._ExtPowers(complex(sigma, sign * ts[0]), 120) for sign in (1, -1)]
+    for table in tables:
+        table.dot(mixed)  # all 30 bases: a stepped table does not grow
+    up, down, rots = *tables, {}
+    for k, (tp, t) in enumerate(zip(ts, ts[1:]), 1):
+        h = t - tp
+        assert Fraction(tp) + Fraction(h) == Fraction(t)
+        for table, d in ((up, h), (down, -h)):
+            table.step(rots.get(d) or rots.setdefault(d, finite_eta._ExtPowers(1j * d, table.f)))
+        assert (down.x, down.y) == (up.x, [-y for y in up.y])
+        if k in (1, 10, 100, 200):
+            assert up.s == mp.mpc(sigma, t) and up.depth == k * (1 + 4)  # D of 30 bases: 4
+            for coefs in (finite_eta._terms(H, 20), finite_eta._terms(HS, 10), mixed):
+                for order in (0, 1, 2, 3):
+                    value, err = up.dot(coefs, order)
+                    ref = oracles.dirichlet_highprec(coefs, complex(sigma, t), 640, order)
+                    with mp.workprec(640):
+                        assert abs(mp.mpc(value) - ref) <= err, (k, order, len(coefs))
 
 
 @pytest.mark.parametrize("fam, n, sigma, t_min, t_max", [

@@ -223,9 +223,10 @@ def test_scan_far_up_the_line_stays_on_the_fast_tier(monkeypatch):
     assert escalations == []
 
 
-def test_cancelling_stretch_takes_one_table_per_disk(monkeypatch):
-    # all 122 grid points of this line below t = 14 cancel too deeply for the
-    # double table; one big-float table per disk of about ten of them serves them
+def test_cancelling_stretch_takes_one_table_per_run(monkeypatch):
+    # all 122 grid points of this line below t = 14 cancel too deeply for the double
+    # table; they form one run, served by one big-float table filled at its first point
+    # and stepped through the rest, with one rotation table per grid increment
     tables = []
     raw_extended = finite_eta._ExtPowers
 
@@ -236,7 +237,8 @@ def test_cancelling_stretch_takes_one_table_per_disk(monkeypatch):
     monkeypatch.setattr(finite_eta, "_ExtPowers", counting_extended)
     spec = FiniteEtaSpec(Family.HASSE, 20)
     scan_line(ScanConfig(spec, 0.5, 1.0, 14.0, default_step(spec)), CTX)
-    assert 0 < len(tables) <= 15
+    fills = [s for s, _ in tables if s.real]
+    assert fills == [complex(0.5, 1.0)] and len(tables) == 8
 
 
 @pytest.mark.parametrize("n, t_max, expected", [
@@ -246,15 +248,17 @@ def test_cancelling_stretch_takes_one_table_per_disk(monkeypatch):
                  ("90.49150809165904", "119799.14276203969", "-0.43642869821950875")]),
 ])
 def test_scan_records_are_frozen(n, t_max, expected):
-    # the grid values of a cancelling stretch come from a Taylor model, the polish
-    # from Newton on a model of the double table, the magnitude and the decay from
-    # evaluate and derivative; each record's magnitude is that of a 200-bit sum
+    # the grid values of a cancelling stretch come from a big-float table stepped along
+    # its run, the polish from Newton on a model of the double table, the magnitude and
+    # the decay from evaluate and derivative; each record's magnitude is that of a 200-bit
+    # sum, within the record's own bound, which meets the target
     spec = FiniteEtaSpec(Family.HASSE, n)
     records = scan_line(ScanConfig(spec, 0.5, 1.0, t_max, default_step(spec)), CTX)
     assert [(repr(r.t), repr(r.magnitude), repr(r.decay)) for r in records] == expected
     for r in records:
         ref = abs(oracles.eta_hasse_highprec(n, complex(0.5, r.t), prec=200))
         assert abs(r.magnitude - ref) <= 1e-13 * ref
+        assert abs(r.magnitude - ref) <= r.magnitude_err <= 1e-13 * r.magnitude
 
 
 def _line_minimum(n: int, sigma: float, t: float, oracle=oracles.eta_hasse_highprec):
@@ -313,10 +317,9 @@ def test_polish_finds_the_minimum_beyond_the_double_range():
 
 
 def test_line_beyond_the_double_range_stays_on_its_models(monkeypatch):
-    # every grid point misses the double table (its magnitudes sum past the double range),
-    # and so do the Taylor models' float magnitudes (largest 1.2e307) unless scaled by 2^-k:
-    # scaled, each disk's model serves its points, and the only big-float ladders left are
-    # each record's evaluate and derivative
+    # every grid point misses the double table (its magnitudes sum past the double range);
+    # the big-float tables stepped along the runs serve every point, and the only big-float
+    # ladders left are each record's evaluate and derivative
     calls = []
     raw_evaluate = finite_eta._evaluate
     monkeypatch.setattr(finite_eta, "_evaluate", lambda *a: calls.append(a) or raw_evaluate(*a))
