@@ -14,24 +14,24 @@ entire in s.  HASSE vanishes exactly at s = 0, -1, ..., -(n-1); HSTAR at
 s = -2, -4, ..., -2(n-1).  Those zeros are checked in exact rational
 arithmetic, never in floating point.
 
-Summation: each tier fills a power table p_b = b^(-s), with ln b, for the bases b = 1, 2, ...:
-one ``cmath.exp`` per base in doubles, with ln b in double-double from an integer series
-(``_log_dd``), and in big floats one ``mp.exp`` per prime base (b^(-s) is completely
-multiplicative) with every entry in fixed-point integers (``_ExtPowers``).  The dot product with
-the exact integer coefficients (times (-ln b)^k at order k) is ``math.fsum`` in doubles (each
-component rounded once) and an exact integer sum in big floats.  A table grows one base at a
-time, so a global series that lengthens keeps its powers, and one table serves every order.  One
-rung (``_rung``) takes each such sum, for these finite sums and for the global series alike: the
-double table at s rounded to a double (t ln b in double-double, about 2|Re s| ln n + 8 units of
-2^-53 per term at any practical t), or big floats at given bits with s at full precision.  At
-order 0 and an integer s <= 0 it sums the integer powers exactly, so a trivial zero is an exact
-0 with bound 0.  It rounds the value to the working precision, charged only when inexact (on the
-fast tier the exact integer sums, of integer powers or of a big-float table, by Python's
-correctly rounded int / int, ties to even as in mpmath, so no mpmath number is formed).  A
-double table with a term beyond the double range, or a value below its normal range, cannot
-measure: its bound is infinite.  A big-float value outside the normal double range (a flush to 0
-would look exact), a bound beyond it, an inexact 0 whose bound lies below it, or a sum needing
-over 65536 bits raises RangeError.
+Summation: each tier fills a power table p_b = b^(-s), with ln b, for the bases b = 1,
+2, ...: one ``cmath.exp`` per base in doubles, with ln b in double-double from an integer
+series (``_log_dd``), and in big floats one ``mp.exp`` per prime base (b^(-s) is completely
+multiplicative) with every entry in fixed-point integers (``_ExtPowers``).  The dot product
+with the exact integer coefficients (times (-ln b)^k at order k) is ``math.fsum`` in doubles
+(each component rounded once) and an exact integer sum in big floats.  A table grows one base at a time, so a global series that lengthens keeps
+its powers, and one table serves every order.  One rung (``_rung``) takes each such sum, for
+these finite sums and for the global series alike: the double table at s rounded to a double
+(t ln b in double-double, about 2|Re s| ln n + 8 units of 2^-53 per term at any practical
+t), or big floats at given bits with s at full precision.  At order 0 and an integer s <= 0
+it sums the integer powers exactly, so a trivial zero is an exact 0 with bound 0.  It rounds
+the value to the working precision, charged only when inexact (on the fast tier the exact
+integer sums, of integer powers or of a big-float table, by Python's correctly rounded int /
+int, ties to even as in mpmath, so no mpmath number is formed).  A double table with a term
+beyond the double range, or a value below its normal range, cannot measure: its bound is
+infinite.  A big-float value outside the normal double range (a flush to
+0 would look exact), a bound beyond it, an inexact 0 whose bound lies below it, or a sum
+needing over 65536 bits raises RangeError.
 
 Certification ladder (``_evaluate``), for any sum with integer
 coefficients: a result is returned only when its bound is within
@@ -41,23 +41,24 @@ fast tier it may be the answer, on both it measures the cancellation.
 Big floats start at wb + 16 + log2(sum |terms| / |value|) bits read off
 it (``_first_bits``), and retry with more bits while the bound misses.
 
-Line kernel (``_line``, fast tier): a grid point of sigma + it keeps its double table under the
-ladder's test.  Each b^(-s) only turns along the line, so the table is stepped by h = t - t_prev
-where h is exact (t <= 2 t_prev, Sterbenz): ``_FastPowers.step`` turns each entry by b^(-ih)
-from one rotation table per h, keeps sum |terms|, and charges every term that table's error
-model plus sqrt(5) units for the product.  A miss fills a fresh table only where its bound, the
-stepped one less the steps' charge, could pass; else the first big-float precision is read off
-the stepped table, so a run of misses fills one table.  Each run of misses then fills one
-big-float table at its first point, at the run's largest first precision plus log2 of the depth
-D its steps reach plus 2, and steps it the same way (``_ExtPowers.step``, one rotation table per
-h and fixed point).  A stepped value that misses refills the table there at ``_more_bits``; only
-a fresh table that misses takes ``_evaluate``.  Newton's model (``_taylor``, Odlyzko and
-Schoenhage 1988, over either table) is S(s + d) = sum_(j<=K) a_j d^j + R_K, a_j = sum_b c_b p_b
-(-ln b)^j / j! 2^-k (2^k > |c_b|, so that Newton's squares stay in doubles), to the first K >= 1
-whose |R_K| <= sum_b |c_b p_b| (rho ln b)^(K+1) / (K+1)! e^(rho ln b) meets the caller's goal.
-``_horner`` gives S, S', S''/2 and S's bound at |d| <= rho: R_K, the a_j's errors (fill + shift
-|d|) e^(top |d|) + trunc sum_(1<=j<=K) |d|^j (``_orders``), 2 units per step of sum |a_j| |d|^j
-(4 for a skew d), and an offset's rounding.
+Line kernel (``_line``, fast tier): a grid point of sigma + it keeps its double table under
+the ladder's test.  Each b^(-s) only turns along the line, so the table is stepped by
+h = t - t_prev where h is exact (t <= 2 t_prev, Sterbenz): ``_FastPowers.step`` turns each
+entry by b^(-ih) from one rotation table per h, keeps sum |terms|, and charges every term
+that table's error model plus sqrt(5) units for the product.  A miss fills a fresh table
+only where its bound, the stepped one less the steps' charge, could pass; else the first
+big-float precision is read off the stepped table, so a run of misses fills one table.
+Each run of misses then fills one big-float table at its first point, at the run's largest
+first precision plus log2 of the depth D its steps reach plus 2, and steps it the same way
+(``_ExtPowers.step``, one rotation table per h and fixed point).  A stepped value that misses
+refills the table there at ``_more_bits``; only a fresh table that misses takes ``_evaluate``.
+Newton's model (``_taylor``, Odlyzko and Schoenhage 1988, over either table) is
+S(s + d) = sum_(j<=K) a_j d^j + R_K, a_j = sum_b c_b p_b (-ln b)^j / j! 2^-k
+(2^k > |c_b|, so that Newton's squares stay in doubles), to the first K >= 1 whose |R_K| <=
+sum_b |c_b p_b| (rho ln b)^(K+1) / (K+1)! e^(rho ln b) meets the caller's goal.  ``_horner``
+gives S, S', S''/2 and S's bound at |d| <= rho: R_K, the a_j's errors (fill + shift |d|)
+e^(top |d|) + trunc sum_(1<=j<=K) |d|^j (``_orders``), 2 units per step of sum |a_j| |d|^j (4
+for a skew d), and an offset's rounding.
 """
 
 from __future__ import annotations
