@@ -49,9 +49,10 @@ that table's error model plus sqrt(5) units for the product.  A miss fills a fre
 only where its bound, the stepped one less the steps' charge, could pass; else the first
 big-float precision is read off the stepped table, so a run of misses fills one table.
 Each run of misses then fills one big-float table at its first point, at the run's largest
-first precision plus log2 of the depth D its steps reach plus 2, and steps it the same way
-(``_ExtPowers.step``, one rotation table per h and fixed point).  A stepped value that misses
-refills the table there at ``_more_bits``; only a fresh table that misses takes ``_evaluate``.
+first precision plus log2 of the depth D its steps reach plus 2, and steps it the same way, below
+t = 0 too, as its error model does not grow with |s| (``_ExtPowers.step``, one rotation table per
+h and fixed point).  A stepped value that misses refills the table there at ``_more_bits``; only
+a fresh table that misses takes ``_evaluate``.
 Newton's model (``_taylor``, Odlyzko and Schoenhage 1988, over either table) is
 S(s + d) = sum_(j<=K) a_j d^j + R_K, a_j = sum_b c_b p_b (-ln b)^j / j! 2^-k
 (2^k > |c_b|, so that Newton's squares stay in doubles), to the first K >= 1 whose |R_K| <=
@@ -308,10 +309,9 @@ class _ExtPowers:
     at most, 1 + alpha <= ((1 + 0.06 u) (1 + sqrt(2) u)**2)**D (a prime's truncation and exp,
     then per product the two errors, their product and one truncation), and L_b by 1.01 D u.
     A step up the line (``step``) is one more such product per entry, by a rotation table of
-    modulus 1 and its own D = floor(log2 n): D grows by that D + 1 (``depth`` counts the steps'
-    share), and the stepped table no longer grows.  The dot's integer sums are exact; its bound
-    (4 + 2k) D u sum |c_b| (ln b)**k m_b at order k covers 1.03 (alpha + 1.5 k D u) times that
-    sum."""
+    modulus 1 and its own D = floor(log2 n): D grows by that D + 1 (``depth``), and the table
+    no longer grows.  The dot's integer sums are exact; its bound (4 + 2k) D u sum |c_b|
+    (ln b)**k m_b at order k covers 1.03 (alpha + 1.5 k D u) times that sum."""
 
     def __init__(self, s, bits: int):
         self.s, self.bits, self.x, self.depth = _coerce_mpc(s), bits, None, 0
@@ -562,8 +562,8 @@ def _line(coefs: tuple[int, ...], sigma: float, ts, ctx: PrecisionContext):
         prec = max(bits[i] for i in run) + math.log2(len(run) * max(2, len(coefs).bit_length())) + 2
         for i in run:
             s = _coerce_complex(complex(sigma, ts[i]))
-            if table and ts[i - 1] <= ts[i] <= 2.0 * ts[i - 1]:  # an exact h, as above
-                key = (ts[i] - ts[i - 1], table.f)  # one rotation table per h and fixed point
+            if table and (ts[i] <= 2.0 * ts[i - 1] or 2.0 * ts[i] <= ts[i - 1]):  # Sterbenz
+                key = (ts[i] - ts[i - 1], table.f)  # h exact for either sign; one table per h, f
                 table.step(rots.get(key) or rots.setdefault(key, _ExtPowers(1j * key[0], table.f)))
                 v, err, _ = _rung(coefs, s, 0, wb, prec, table)
                 if err <= tol * abs(v) < math.inf:

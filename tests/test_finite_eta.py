@@ -736,6 +736,7 @@ def test_stepped_big_float_table_matches_oracle(sigma):
     pytest.param(H, 20, 0.5, 1.0794536268434705, 99.90899010419876,
                  id="20-1.0794536268434705-99.90899010419876"),
     (H, 20, -0.5, 1.0, 60.0),  # terms up to 21**0.5
+    (H, 20, 0.5, -14.0, -1.0),  # below t = 0 the big-float runs step too
     (H, 20, 2.0, 1.0, 60.0),
     (HS, 40, 0.5, 1.0, 40.0),
 ])
