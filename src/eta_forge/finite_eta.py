@@ -16,8 +16,9 @@ arithmetic, never in floating point.
 
 Summation: each tier fills a power table p_b = b^(-s), with ln b, for the bases b = 1,
 2, ...: one ``cmath.exp`` per base in doubles, with ln b in double-double from an integer
-series (``_log_dd``), and in big floats one ``mp.exp`` per prime base (b^(-s) is completely
-multiplicative) with every entry in fixed-point integers (``_ExtPowers``).  The dot product
+series (``_log_dd``), and in big floats one libmp ``mpc_exp`` per prime base, rounding as
+``mp.exp`` at its bits (b^(-s) is completely multiplicative), with every entry in fixed-point
+integers (``_ExtPowers``).  The dot product
 with the exact integer coefficients (times (-ln b)^k at order k) is ``math.fsum`` in doubles
 (each component rounded once) and an exact integer sum in big floats.  A table grows one base at a time, so a global series that lengthens keeps
 its powers, and one table serves every order.  One rung (``_rung``) takes each such sum, for
@@ -25,9 +26,10 @@ these finite sums and for the global series alike: the double table at s rounded
 (t ln b in double-double, about 2|Re s| ln n + 8 units of 2^-53 per term at any practical
 t), or big floats at given bits with s at full precision.  At order 0 and an integer s <= 0
 it sums the integer powers exactly, so a trivial zero is an exact 0 with bound 0.  It rounds
-the value to the working precision, charged only when inexact (on the fast tier the exact
-integer sums, of integer powers or of a big-float table, by Python's correctly rounded int /
-int, ties to even as in mpmath, so no mpmath number is formed).  A double table with a term
+the exact integer sum, of integer powers or of a big-float table, once to the working precision,
+charged only when inexact: on the fast tier by Python's correctly rounded int / int, ties to even
+as in mpmath, and above it by libmp's ``from_man_exp`` to nearest, as ``mp.mpc`` at those bits
+rounds, so no mpmath number is formed before the rounding.  A double table with a term
 beyond the double range, or a value below its normal range, cannot measure: its bound is
 infinite.  A big-float value outside the normal double range (a flush to
 0 would look exact), a bound beyond it, an inexact 0 whose bound lies below it, or a sum
@@ -78,7 +80,8 @@ from .errors import ConvergenceError, DomainError, RangeError, VerificationError
 from .numerics import (ComplexPoint, PrecisionContext, _coerce_complex, _coerce_mpc, _count,
                        _mpmath)
 
-mp = _mpmath(globals(), "from_man_exp", "mpf_shift", "round_up", "to_int")
+mp = _mpmath(globals(), "from_man_exp", "mpc_exp", "mpc_mul_mpf", "mpc_neg", "mpf_shift",
+             "round_nearest", "round_up", "to_int")
 
 __all__ = [
     "Family",
@@ -297,8 +300,9 @@ class _ExtPowers:
     """Extended-tier power table in fixed point: b**(-s) = (X_b + i Y_b) u and ln b = L_b u,
     u = 2**-f, in Python integers; the interface of :class:`_FastPowers`.
 
-    Only a prime q takes ``mp.exp``, at f + 8 + log2 max(ln q, |s| ln q) bits with s at full
-    precision, and ln q from ``_prime_log`` at those bits rounded up to a multiple of 64; a
+    Only a prime q takes an exp, libmp's ``mpc_exp`` of -s ln q on raw tuples (rounding as
+    ``mp.exp`` does), at f + 8 + log2 max(ln q, |s| ln q) bits with s at full precision, and
+    ln q from ``_prime_log`` at those bits rounded up to a multiple of 64; a
     composite b = q r, q its least prime factor, takes the product of the entries of q and r
     (b**(-s) is completely multiplicative), and L_q + L_r.  Every truncation is toward 0, so
     conj(s) gives the conjugate table bit for bit.  The first fill sets f = bits + sigma log2 n
@@ -324,7 +328,7 @@ class _ExtPowers:
         if len(self.x) >= size:
             return
         assert not self.depth, "a stepped table does not grow"
-        f, e_s = self.f, max(0, mp.mag(s))  # |s| <= 2**e_s
+        f, e_s, rnd = self.f, max(0, mp.mag(s)), round_nearest  # |s| <= 2**e_s
         if -s.real * math.log2(size) > _MAX_SUM_BITS \
                 or f + 8 + size.bit_length().bit_length() + e_s > _MAX_SUM_BITS:
             raise RangeError(f"a sum of {size} terms at s={s} is beyond {_MAX_SUM_BITS} bits")
@@ -332,10 +336,9 @@ class _ExtPowers:
             q, r = _least_factor(b) - 1, b // _least_factor(b) - 1
             if r == 0:  # a prime: one exp, and a log from the cache
                 wp = f + 8 + b.bit_length().bit_length() + e_s
-                lnb = _prime_log(b, -(-wp // 64) * 64)
-                with mp.workprec(wp):
-                    p = mp.exp(-s * lnb)
-                x, y, lnb = (to_int(mpf_shift(v._mpf_, f)) for v in (p.real, p.imag, lnb))
+                lnb = _prime_log(b, -(-wp // 64) * 64)._mpf_  # mp.exp(-s ln q) at wp, on tuples
+                p = mpc_exp(mpc_mul_mpf(mpc_neg(s._mpc_, wp, rnd), lnb, wp, rnd), wp, rnd)
+                x, y, lnb = (to_int(mpf_shift(v, f)) for v in p + (lnb,))
             else:  # b = q r: the product of the entries of q and r
                 x = self.x[q] * self.x[r] - self.y[q] * self.y[r]
                 y = self.x[q] * self.y[r] + self.y[q] * self.x[r]
@@ -451,14 +454,15 @@ def _rung(coefs: tuple[int, ...], s, order: int, wb: int, bits: float | None = N
             raise RangeError(f"a sum of {len(coefs)} terms at s={s} needs more than "
                              f"{_MAX_SUM_BITS} working bits")
         powers = powers or _ExtPowers(s, math.ceil(bits))
-        total, err = powers.dot(coefs, order, scale, wb == 53)  # wb 53: rounded in integers below
-    if wb > 53:
-        with mp.workprec(wb):  # the final rounding to the working precision
-            v = mp.mpc(total)
-            inexact = v != total
-            v *= scale
-    else:  # the exact integers (X + i Y) 2**e to doubles: Python rounds once
-        x, y, e = total if isinstance(total, list) else (total, 0, 0)
+        # the exact (X + i Y) 2**e, rounded once below (by from_man_exp as mp.mpc rounds, wb > 53)
+        total, err = powers.dot(coefs, order, scale, True)
+    x, y, e = total if isinstance(total, list) else (total, 0, 0)
+    if wb > 53:  # each part rounded once to wb bits by libmp, scale exact in the exponent
+        e += int(math.log2(scale))
+        v = tuple(from_man_exp(c, e, wb, round_nearest) for c in (x, y))
+        inexact = v != (from_man_exp(x, e), from_man_exp(y, e))
+        v = mp.make_mpc(v)
+    else:  # to doubles: Python rounds once
         (x, r), (y, i) = _round(x, e), _round(y, e)
         v, inexact = complex(x * scale, y * scale), r or i
     mag, bound = float(abs(v)), float(err)

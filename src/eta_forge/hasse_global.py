@@ -49,7 +49,8 @@ from .finite_eta import (_MAX_SUM_BITS, _FastPowers, _evaluate, _first_bits, _ho
 from .numerics import (ComplexPoint, PrecisionContext, _coerce_complex, _coerce_mpc, _count,
                        _fast_only, _mpmath, _workprec, cgamma)
 
-mp = _mpmath(globals(), "from_man_exp", "mpf_shift", "to_int")
+mp = _mpmath(globals(), "from_man_exp", "mpc_add", "mpc_mul", "mpc_pos", "mpc_to_complex",
+             "mpf_shift", "round_nearest", "to_int")
 
 __all__ = [
     "GlobalEvalResult",
@@ -199,11 +200,11 @@ def _series(s, ctx: PrecisionContext, series_cap: int = SERIES_CAP, floor: float
         dd, d_err = _em_factor(s_hi, sc, m - k, k, bits)
         if bits is None:
             value += top * dd
-        else:
-            with mp.workprec(bits):
-                value += top * dd
-            with mp.workprec(wb):
-                value = complex(value) if ctx.is_fast else +value  # wb 53: to nearest double
+        else:  # at bits, then rounded to wb (wb 53: to the nearest double), on libmp's tuples
+            rnd = round_nearest
+            value = mpc_add(value._mpc_, mpc_mul(top._mpc_, dd._mpc_, bits, rnd), bits, rnd)
+            value = (mpc_to_complex(value, rnd=rnd) if ctx.is_fast
+                     else mp.make_mpc(mpc_pos(value, wb, rnd)))
         tm, dm, mag, u = float(abs(top)), float(abs(dd)), float(abs(value)), 0.5 ** (bits or wb)
         err += dm * top_err + (tm + top_err) * d_err + 8 * u * (tm * dm + mag)
         if not math.isfinite(mag):  # the rung's range rule, with N^-s D(s)

@@ -195,12 +195,13 @@ def _coerce_complex(z) -> complex:
 def _coerce_mpc(z):
     """Accept ComplexPoint, mpmath number, complex, or real; return an mpmath
     complex that is never rounded to the ambient mpmath prec."""
-    if not isinstance(z, (ComplexPoint, mp.mpc, mp.mpf)):
+    if isinstance(z, mp.mpc):  # each part is exact as it stands: nothing to round
+        return z
+    if not isinstance(z, (ComplexPoint, mp.mpf)):
         z = _coerce_complex(z)
     re, im = (z.re, z.im) if isinstance(z, ComplexPoint) else (z.real, z.imag)
     bits = max(getattr(x, "_mpf_", (0, 0, 0, 53))[3] for x in (re, im))  # mantissa bit count
-    with mp.workprec(max(53, bits) + 8):
-        return mp.mpc(re, im)
+    return mp.make_mpc(tuple(mp.mpf(x, prec=max(53, bits) + 8)._mpf_ for x in (re, im)))
 
 
 def _wrap(z, ctx: PrecisionContext) -> ComplexPoint:

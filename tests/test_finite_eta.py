@@ -513,6 +513,71 @@ def test_extended_values_at_conjugate_arguments_are_exact_conjugates(bits):
                                                           a.tail_bound)
 
 
+def _object_table(s, f: int, n: int) -> tuple[list, list, list]:
+    """X_b, Y_b and L_b for b <= n by mpmath's number objects: each prime's mp.exp(-s ln q)
+    under workprec, truncated toward 0 at 2^-f, and each composite the product of two entries."""
+    s, e_s = mp.mpc(s), max(0, mp.mag(s))
+    xs, ys, logs = [1 << f], [0], [0]
+    for b in range(2, n + 1):
+        q = finite_eta._least_factor(b)
+        if q == b:
+            wp = f + 8 + b.bit_length().bit_length() + e_s
+            ln = finite_eta._prime_log(b, -(-wp // 64) * 64)
+            with mp.workprec(wp):
+                p = mp.exp(-s * ln)
+            x, y, ln = (int(mp.ldexp(v, f)) for v in (p.real, p.imag, ln))  # toward 0
+        else:
+            (a, c, la), (d, e, ld) = ((xs[i - 1], ys[i - 1], logs[i - 1]) for i in (q, b // q))
+            x, y, ln = a * d - c * e, a * e + c * d, la + ld
+            x, y = (x >> f if x >= 0 else -(-x >> f)), (y >> f if y >= 0 else -(-y >> f))
+        xs.append(x)
+        ys.append(y)
+        logs.append(ln)
+    return xs, ys, logs
+
+
+@pytest.mark.parametrize("bits", [60, 120, 200, 400])
+@pytest.mark.parametrize("s", [complex(-1.5, 21.0), 0.375j, complex(0.5, 14.134725),
+                               complex(3.0, -37.0)])
+def test_big_float_table_matches_the_object_route(s, bits):
+    # each prime's libmp mpc_exp rounds as mp.exp at the same bits, so every integer of the
+    # table is the one mpmath's objects give; 0.375j is a rotation table, _ExtPowers(i h, f)
+    table = finite_eta._ExtPowers(s, bits)
+    table._grow(80)
+    assert [table.x, table.y, table.log] == list(_object_table(s, table.f, 80))
+
+
+@pytest.mark.parametrize("wb", [120, 200])
+def test_big_float_rounding_matches_the_object_route(wb):
+    # the rung rounds the exact integers once to wb bits, scale 1/2 in the exponent, as
+    # mp.mpc(total) times scale at wb did; a rounding term only where that was inexact
+    rng = random.Random(wb)
+    for fam, n, order in ((H, 60, 0), (HS, 40, 0), (H, 30, 1), (HS, 20, 2), (H, 2, 0)):
+        s = complex(rng.uniform(-2.0, 3.0), rng.uniform(-40.0, 40.0))
+        coefs = finite_eta._terms(fam, n)
+        v, bound, table = finite_eta._rung(coefs, s, order, wb, wb + 40, scale=0.5)
+        total, err = table.dot(coefs, order, 0.5)
+        with mp.workprec(wb):
+            ref = mp.mpc(total)
+            inexact = ref != total
+            ref *= 0.5
+        assert inexact and v._mpc_ == ref._mpc_, (fam, n, order)
+        assert bound == float(err) + float(abs(ref)) * 2.0 ** -wb
+    # a sum that fits in wb bits, 3 p_1 = 3: no rounding term
+    v, bound, table = finite_eta._rung((3, 0, 0, 0), complex(0.5, 2.0), 0, wb, wb + 40, scale=0.5)
+    assert v == 1.5 and bound == float(table.dot((3, 0, 0, 0), 0, 0.5)[1]) > 0.0
+    # the integer route at s = -m: 0 below m = 60, then 217 to 236 significant bits; -3! exact
+    for n, m in ((60, 0), (60, 59), (60, 60), (60, 61), (60, 62), (3, 3)):
+        v, bound, _ = finite_eta._rung(finite_eta._terms(H, n), mp.mpc(-m), 0, wb, wb + 40,
+                                       scale=0.5)
+        total = finite_eta._integer_sum(finite_eta._terms(H, n), mp.mpc(-m), 0)
+        with mp.workprec(wb):
+            ref = mp.mpc(total)
+            inexact = ref != total
+            ref *= 0.5
+        assert v._mpc_ == ref._mpc_ and bound == (float(abs(ref)) * 2.0 ** -wb if inexact else 0.0)
+
+
 @pytest.mark.parametrize("call", [
     lambda ctx: evaluate(spec(H, 5), complex(-1e300, 1.0), ctx),
     lambda ctx: zeta_global(-1e300, ctx),

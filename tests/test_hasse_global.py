@@ -316,19 +316,17 @@ def test_series_makes_one_exp_per_term(monkeypatch):
 
 
 def test_extended_series_makes_one_exp_per_prime(monkeypatch):
-    # the big-float table pays mp.exp only at the prime bases, and fills each
+    # the big-float table pays libmp's mpc_exp only at the prime bases, and fills each
     # composite from two earlier ones: pi(N) exps for N bases, and eta one more for the
     # prefactor's table over the bases 1 and 2
     calls = []
 
-    def exp(z):
+    def exp(z, prec, rnd):
         calls.append(z)
-        return mp.exp(z)
+        return mp.libmp.mpc_exp(z, prec, rnd)
 
-    counting = types.SimpleNamespace(**{k: getattr(mp, k) for k in dir(mp)
-                                        if not k.startswith("_")})
-    counting.exp = exp
-    monkeypatch.setattr(finite_eta, "mp", counting)
+    finite_eta.mp.mpf(0)  # loads mpmath, which binds finite_eta's libmp names before the patch
+    monkeypatch.setattr(finite_eta, "mpc_exp", exp)
     for fn, s, terms, exps in ((zeta_global, complex(0.5, 14.13), 47, 9),  # 9 primes to N = 23
                                (eta_global, complex(0.5, 14.13), 47, 10),
                                (eta_global, complex(0.49, 14.13), 47, 10)):
