@@ -457,7 +457,7 @@ def _rung(coefs: tuple[int, ...], s, order: int, wb: int, bits: float | None = N
         # the exact (X + i Y) 2**e, rounded once below (by from_man_exp as mp.mpc rounds, wb > 53)
         total, err = powers.dot(coefs, order, scale, True)
     x, y, e = total if isinstance(total, list) else (total, 0, 0)
-    if wb > 53:  # each part rounded once to wb bits by libmp, scale exact in the exponent
+    if wb > 53:  # scale, a power of two, exact in the exponent
         e += int(math.log2(scale))
         v = tuple(from_man_exp(c, e, wb, round_nearest) for c in (x, y))
         inexact = v != (from_man_exp(x, e), from_man_exp(y, e))
