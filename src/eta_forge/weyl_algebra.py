@@ -10,8 +10,11 @@ The canonical form of any element is a finite sum of monomials a^i b^j
 Both hot paths work on plain ints and build exact objects once, at the
 end: normal ordering merges equal intermediate words into one integer
 multiplicity each (the cost follows distinct words, not rewrite paths), and
-products pack each coefficient polynomial's integer numerators into B-bit
-slots of two ints, B = bitlen(W S1 S2) + 2 (see ``WeylPoly.__mul__``).
+products, powers and commutators run on integer forms (one denominator D, the
+lcm of the coefficients' denominators, and integer digits per u^k a^i b^j),
+packed into B-bit slots of two ints, B = bitlen(W S1 S2) + 2 (``_product``).
+Every WeylPoly keeps its integer form once made, and each result's ``terms``
+are decoded once, one Fraction and one GaussRat per distinct digit.
 
 Reductions: the vacuum submodule is everything ending in b (dropping all
 monomials with j > 0); the observer submodule additionally kills leading
@@ -70,8 +73,8 @@ class GaussRat:
     def of(cls, x) -> "GaussRat":
         if isinstance(x, GaussRat):
             return x
-        if isinstance(x, (int, Fraction)):
-            return cls(Fraction(x))
+        if isinstance(x, (int, Fraction)):  # Fraction(x) of a Fraction would normalize it again
+            return cls(x if isinstance(x, Fraction) else Fraction(x))
         if isinstance(x, complex):
             raise DomainError("floating complex is not exact; build GaussRat from Fractions")
         raise DomainError(f"cannot make an exact scalar from {x!r}")
@@ -295,10 +298,10 @@ class WeylPoly:
     """Finite sum of normal-ordered monomials a^i b^j with polynomial
     coefficients (UPoly by default, SPoly for truncated-series work)."""
 
-    __slots__ = ("terms", "coeff_cls")
+    __slots__ = ("terms", "coeff_cls", "_ints")
 
     def __init__(self, terms=None, coeff_cls=UPoly):
-        self.coeff_cls = coeff_cls
+        self.coeff_cls, self._ints = coeff_cls, None
         self.terms = {}
         for (i, j), c in (terms or {}).items():
             if not isinstance(c, _SymbolPoly):
@@ -366,72 +369,40 @@ class WeylPoly:
 
         Crossing b^j past a^k uses the closed form
         b^j a^k = sum_r r! C(j,r) C(k,r) u^r a^(k-r) b^(j-r).
-        Each operand is written as integer numerators over one common
-        denominator, each coefficient polynomial packed into two ints (re, im)
-        of B-bit slots, sum_k c_k 2**(B k) (Kronecker substitution).  A product
-        slot is at most W S1 S2 in magnitude (S: an operand's sum of |re| + |im|,
-        W: the largest crossing weight), below 2**(B - 2): its signed digits
-        decode uniquely, one Fraction per nonzero digit.
+        Both operands enter by their integer forms (``_integer_form``), the sums run on
+        packed ints (``_product``) and the result is decoded once (``_decoded``).  It keeps
+        the integer form its digits came from, so a product that takes it as an operand
+        starts from integers: no Fraction is read or made between two products.
         """
         if not isinstance(other, WeylPoly):
             return self.scale(other)
         self._check(other)
-        cls = self.coeff_cls
-        (d1, s1, left), (d2, s2, right) = self._numerators(), other._numerators()
-        width = (s1 * s2 * max(_weights(max(self.terms, key=lambda ij: ij[1], default=(0, 0))[1],
-                                        max(other.terms, default=(0, 0))[0]))).bit_length() + 2
-        for side in (left, right):  # each coefficient polynomial as two ints of width-bit slots
-            for n, (ij, c) in enumerate(side):
-                re = im = 0
-                for k, a, b in c:
-                    re, im = re + (a << width * k), im + (b << width * k)
-                side[n] = (ij, re, im)
-        shift = width * cls.U_DEGREE  # u**r moves a packed polynomial r * shift bits up
-        out: dict[tuple[int, int], list[int]] = {}  # (i, j) -> packed [re, im]
-        for (i1, j1), a1, b1 in left:
-            for (i2, j2), a2, b2 in right:
-                re, im = a1 * a2 - b1 * b2, a1 * b2 + b1 * a2
-                for r, w in enumerate(_weights(j1, i2)):
-                    acc = out.setdefault((i1 + i2 - r, j1 + j2 - r), [0, 0])
-                    acc[0] += w * re << r * shift
-                    acc[1] += w * im << r * shift
-        den, half, mask = d1 * d2, 1 << width - 1, (1 << width) - 1
-        terms = {}
-        while out:  # popping frees each packed sum as its Fractions are made
-            ij, (re, im) = out.popitem()
-            coeffs = {}
-            while re or im:  # the signed digits, in [-half, half), of the lowest nonzero slot
-                at = (((re | im) & -(re | im)).bit_length() - 1) // width * width
-                a, b = (((re >> at) + half) & mask) - half, (((im >> at) + half) & mask) - half
-                coeffs[at // width] = GaussRat(Fraction(a, den) if a else _F0,
-                                               Fraction(b, den) if b else _F0)
-                re, im = re - (a << at), im - (b << at)
-            if coeffs:  # already canonical: int powers, nonzero GaussRats
-                terms[ij] = poly = object.__new__(cls)
-                poly.coeffs = coeffs
-        product = object.__new__(WeylPoly)
-        product.terms, product.coeff_cls = terms, cls
-        return product
+        return _decoded(_product(self._integer_form(), other._integer_form(),
+                                 self.coeff_cls.U_DEGREE), self.coeff_cls)
 
-    def _numerators(self):
-        """(D, S, [((i, j), [(k, re * D, im * D), ...]), ...]): integer numerators over D, the
-        lcm of every coefficient's denominators, and S, the sum of their |re| + |im|."""
-        den = math.lcm(*(x.denominator for poly in self.terms.values()
-                         for g in poly.coeffs.values() for x in (g.re, g.im)))
-        nums = [(ij, [(k, g.re.numerator * (den // g.re.denominator),
-                       g.im.numerator * (den // g.im.denominator)) for k, g in poly.coeffs.items()])
-                for ij, poly in self.terms.items()]
-        return den, sum(abs(a) + abs(b) for _, c in nums for _, a, b in c), nums
+    def _integer_form(self):
+        """(D, S, {(i, j): {k: (re * D, im * D)}}): integer digits over D, the lcm of the
+        denominators, and S, the sum of their |re| + |im|; a product fills it as it decodes."""
+        if self._ints is None:
+            den = math.lcm(*(x.denominator for poly in self.terms.values()
+                             for g in poly.coeffs.values() for x in (g.re, g.im)))
+            self._ints = _reduced(den, {ij: {k: (g.re.numerator * (den // g.re.denominator),
+                                                 g.im.numerator * (den // g.im.denominator))
+                                             for k, g in poly.coeffs.items()}
+                                        for ij, poly in self.terms.items()})
+        return self._ints
 
     def __rmul__(self, other):
         # scalars commute; everything else goes through __mul__
         return self.scale(other)
 
     def __pow__(self, k: int):
-        acc = WeylPoly.one(self.coeff_cls)
-        for _ in range(_count(k, "an operator power")):
-            acc = acc * self
-        return acc
+        """k - 1 chained products on the integer form, decoded once."""
+        k = _count(k, "an operator power")
+        acc = x = (self if k else WeylPoly.one(self.coeff_cls))._integer_form()
+        for _ in range(k - 1):
+            acc = _product(acc, x, self.coeff_cls.U_DEGREE)
+        return _decoded(acc, self.coeff_cls)
 
     # queries ----------------------------------------------------------------
     @property
@@ -468,6 +439,77 @@ class WeylPoly:
         return " ".join(bits)
 
     __repr__ = __str__
+
+
+def _product(x, y, shift: int, commute: bool = False):
+    """The integer form of x y, or of x y - y x with ``commute``, from integer forms x and y.
+
+    Each operand's coefficient polynomials are packed into two ints (re, im) of B-bit slots,
+    sum_k c_k 2**(B k) (Kronecker substitution); u**r moves a packed polynomial r * shift
+    slots up.  A product slot is at most W S_x S_y in magnitude (S: an operand's sum of
+    |re| + |im|, W: the largest crossing weight, summed over both orders for a commutator),
+    below 2**(B - 2), so its signed digits decode uniquely, over D_x D_y.
+    """
+    (dx, sx, rx), (dy, sy, ry) = x, y
+    orders = ((rx, ry, 1), (ry, rx, -1))[:1 + commute]  # left, right, sign
+    weight = sum(max(_weights(max((j for _, j in left), default=0),
+                              max((i for i, _ in right), default=0))) for left, right, _ in orders)
+    width = (weight * sx * sy).bit_length() + 2
+    out: dict[tuple[int, int], list[int]] = {}  # (i, j) -> packed [re, im]
+    for left, right, sign in orders:
+        right = _pack(right, width)
+        for (i1, j1), a1, b1 in _pack(left, width, sign):
+            for (i2, j2), a2, b2 in right:
+                re, im = a1 * a2 - b1 * b2, a1 * b2 + b1 * a2
+                for r, w in enumerate(_weights(j1, i2)):
+                    acc = out.setdefault((i1 + i2 - r, j1 + j2 - r), [0, 0])
+                    acc[0] += w * re << r * shift * width
+                    acc[1] += w * im << r * shift * width
+    half, mask = 1 << width - 1, (1 << width) - 1
+    rows = {}
+    for ij, (re, im) in out.items():
+        c, k = {}, 0
+        while re or im:  # the signed digits, in [-half, half), slot by slot from the lowest
+            a, b = ((re + half) & mask) - half, ((im + half) & mask) - half
+            if a or b:
+                c[k] = a, b
+            re, im, k = (re - a) >> width, (im - b) >> width, k + 1
+        if c:
+            rows[ij] = c
+    return _reduced(dx * dy, rows)
+
+
+def _pack(rows, width: int, sign: int = 1) -> list:
+    """[((i, j), re, im), ...]: each coefficient polynomial, times sign, as two ints of
+    width-bit slots."""
+    return [(ij, sign * sum(a << width * k for k, (a, _) in c.items()),
+             sign * sum(b << width * k for k, (_, b) in c.items())) for ij, c in rows.items()]
+
+
+def _reduced(den: int, rows: dict):
+    """The integer form (D, S, rows) of nonzero digits over den, both divided by their gcd, so
+    that D is the lcm of the decoded denominators and chained products do not grow it."""
+    nums = [x for c in rows.values() for ab in c.values() for x in ab]
+    g = math.gcd(den, *nums)
+    if g > 1:
+        rows = {ij: {k: (a // g, b // g) for k, (a, b) in c.items()} for ij, c in rows.items()}
+    return den // g, sum(map(abs, nums)) // g, rows
+
+
+def _decoded(ints, cls) -> "WeylPoly":
+    """The WeylPoly of an integer form, which it keeps.  Its coefficients are canonical by
+    construction (nonzero digits, int powers), so no constructor checks them; Fraction and
+    GaussRat are immutable, so each distinct digit and digit pair is made once."""
+    den, _, rows = ints
+    pairs = {ab for c in rows.values() for ab in c.values()}
+    fracs = {a: Fraction(a, den) for a in {a for ab in pairs for a in ab}}
+    pairs = {ab: GaussRat(fracs[ab[0]], fracs[ab[1]]) for ab in pairs}
+    out = object.__new__(WeylPoly)
+    out.terms, out.coeff_cls, out._ints = {}, cls, ints
+    for ij, c in rows.items():
+        out.terms[ij] = poly = object.__new__(cls)
+        poly.coeffs = {k: pairs[ab] for k, ab in c.items()}
+    return out
 
 
 @lru_cache(maxsize=1024)
@@ -597,11 +639,11 @@ def normal_order(word, choose=None) -> WeylPoly:
             for c1, w1 in ((c - 1, w[:k] + "AB" + w[k + 2:]), (c - lost, w[:k] + w[k + 2:])):
                 level = pending.setdefault(c1, {})
                 level[w1] = level.get(w1, 0) + mult
-    terms = {}
+    rows = {}
     for w, mult in pending.get(0, {}).items():
         i = w.count("A")
-        terms[(i, len(w) - i)] = UPoly({(len(w0) - len(w)) // 2: Fraction(mult)})
-    return WeylPoly(terms, UPoly)
+        rows[(i, len(w) - i)] = {(len(w0) - len(w)) // 2: (mult, 0)}
+    return _decoded(_reduced(1, rows), UPoly)
 
 
 def mod_vacuum(p: WeylPoly) -> WeylPoly:
@@ -616,7 +658,12 @@ def mod_observer(p: WeylPoly) -> WeylPoly:
 
 
 def commutator(x: WeylPoly, y: WeylPoly) -> WeylPoly:
-    return x * y - y * x
+    """x y - y x, from one packed sum of both orders on the integer forms, decoded once."""
+    if not (isinstance(x, WeylPoly) and isinstance(y, WeylPoly)):
+        return x * y - y * x  # a scalar commutes
+    x._check(y)
+    return _decoded(_product(x._integer_form(), y._integer_form(), x.coeff_cls.U_DEGREE,
+                             commute=True), x.coeff_cls)
 
 
 def substitute_u(p: WeylPoly, value) -> WeylPoly:
@@ -643,20 +690,21 @@ def lemma_suite(n_max: int) -> LemmaReport:
     Raises VerificationError naming the label of the first check that fails.
     """
     n_max = _count(n_max, "n_max", 1)
-    A, B, u = WeylPoly.gen_a(), WeylPoly.gen_b(), UPoly.gen()
+    A, B = WeylPoly.gen_a(), WeylPoly.gen_b()
     H = (A * B + B * A).scale(GaussRat(Fraction(1, 2)))
     checks = []
     for n in range(1, n_max + 1):
         an, bn = WeylPoly.monomial(n, 0), WeylPoly.monomial(0, n)
         rows = (  # label, left side, right side
-            (f"[b, a^{n}] = {n}u a^{n - 1}", commutator(B, an), WeylPoly.monomial(n - 1, 0, u * n)),
+            (f"[b, a^{n}] = {n}u a^{n - 1}", commutator(B, an),
+             WeylPoly.monomial(n - 1, 0, UPoly({1: n}))),
             (f"[a, b^{n}] = -{n}u b^{n - 1}", commutator(A, bn),
-             WeylPoly.monomial(0, n - 1, -u * n)),
+             WeylPoly.monomial(0, n - 1, UPoly({1: -n}))),
             (f"b^{n} a^{n} = u^{n} {n}! mod vacuum", mod_vacuum(bn * an),
              WeylPoly.scalar(UPoly({n: math.factorial(n)}))),
             (f"H a^{n} = u(k+1/2) a^{n} mod vacuum", mod_vacuum(H * an),
-             an.scale(UPoly({1: Fraction(2 * n + 1, 2)}))),
-            (f"[H, a^{n}] = {n}u a^{n}", commutator(H, an), an.scale(u * n)))
+             WeylPoly.monomial(n, 0, UPoly({1: Fraction(2 * n + 1, 2)}))),
+            (f"[H, a^{n}] = {n}u a^{n}", commutator(H, an), WeylPoly.monomial(n, 0, UPoly({1: n}))))
         for label, lhs, rhs in rows:
             if lhs != rhs:
                 raise VerificationError(f"{label} fails: {lhs} != {rhs}")
@@ -680,7 +728,8 @@ class UnitPhase:
     turns: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "turns", Fraction(self.turns) % 1)
+        turns = self.turns if isinstance(self.turns, Fraction) else Fraction(self.turns)
+        object.__setattr__(self, "turns", turns % 1)
 
     def __mul__(self, other: "UnitPhase") -> "UnitPhase":
         return UnitPhase(self.turns + other.turns)
@@ -742,7 +791,8 @@ class RestFrame:
     swaps_ab: bool          # w^2 == -u
 
     def __post_init__(self):
-        if self.h_scale != (self.w ** 2).inverse() or self.time_scale != self.w ** 2:
+        w2 = self.w ** 2
+        if self.time_scale != w2 or self.h_scale != w2.inverse():
             raise VerificationError("inconsistent rest-frame scalings")
 
 
@@ -753,13 +803,13 @@ def rest_frames(u) -> list[RestFrame]:
     or a UnitPhase.
     """
     up = _coerce_phase(u)
+    u2, minus_u = up ** 2, up.negated()
     out = []
     for k in range(4):
         w = UnitPhase(up.turns / 2 + Fraction(k, 4))
-        if (w ** 4) != (up ** 2):
+        w2 = w ** 2
+        if w2 ** 2 != u2:
             raise VerificationError(f"root enumeration failed at w={w}")
-        swaps = (w ** 2) == up.negated()
-        out.append(RestFrame(
-            w=w, h_scale=(w ** 2).inverse(), time_scale=w ** 2, swaps_ab=swaps))
+        out.append(RestFrame(w=w, h_scale=w2.inverse(), time_scale=w2, swaps_ab=w2 == minus_u))
     out.sort(key=lambda f: f.w.turns)
     return out

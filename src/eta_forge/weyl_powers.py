@@ -29,7 +29,7 @@ from .errors import DomainError, RangeError, VerificationError
 from .hasse_global import GlobalEvalResult
 from .numerics import (ComplexPoint, PrecisionContext, _coerce_complex, _coerce_mpc, _count,
                        _fast_only, _workprec)
-from .weyl_algebra import SPoly, WeylPoly, mod_observer
+from .weyl_algebra import SPoly, WeylPoly, _decoded, _reduced, mod_observer
 
 __all__ = [
     "Generator",
@@ -132,6 +132,11 @@ def clifford_contains(s, side=CliffordSide.A_SIDE) -> bool:
     B side is the mirror image under sigma -> 1 - sigma.  The disk
     inequality is strict, the band inequalities inclusive, exactly as the
     domain is defined.
+
+    Inside the bands (sigma-1)^2 + t^2 <= (3/4)^2 + (1/2)^2 = 13/16 < 1, so
+    the disk never binds.  The bands are their own mirror image, so the two
+    sides are the same rectangle and differ only where 1 - sigma rounds onto
+    a band edge (sigma = 1/4 - 2^-55 lies on the B side alone).
     """
     side = _letter(side, CliffordSide, "side")
     sc = _coerce_complex(s)
@@ -164,7 +169,7 @@ def operator_power_truncated(base, K: int) -> WeylPoly:
 
     Returns the canonical WeylPoly with SPoly coefficients (the phase u
     is normalized to 1 in this symbolic-s setting).  The coefficients are
-    summed as integer numerators over K! and divided once.
+    summed as integer numerators over K!, which are the result's integer form.
     """
     base, K = _letter(base, Generator, "base"), _count(K, "truncation order K")
     den = math.factorial(K)
@@ -178,9 +183,9 @@ def operator_power_truncated(base, K: int) -> WeylPoly:
             acc = num.setdefault(j, {})
             for deg, c in enumerate(ck):
                 acc[deg] = acc.get(deg, 0) + coef * c
-    return WeylPoly({(j, 0) if base is Generator.A else (0, j):
-                     SPoly({deg: Fraction(c, den) for deg, c in acc.items()})
-                     for j, acc in num.items()}, SPoly)
+    return _decoded(_reduced(den, {(j, 0) if base is Generator.A else (0, j):
+                                   {deg: (c, 0) for deg, c in acc.items() if c}
+                                   for j, acc in num.items()}), SPoly)
 
 
 def equilibrium_identity_check() -> SPoly:

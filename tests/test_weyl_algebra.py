@@ -275,6 +275,9 @@ def test_product_slots_hold_wide_and_cancelling_coefficients(cls):
         for x, y in ((p, q), (q, p), (p, -p)):
             got, want = x * y, _naive_product(x, y)
             assert got == want and str(got) == str(want)
+        # a commutator sums both orders in one set of slots, wide enough for both
+        got, want = commutator(p, q), _naive_product(p, q) - _naive_product(q, p)
+        assert got == want and str(got) == str(want)
     # slots that cancel to exactly 0: (P b - P V a)(T b + T V a) has no a b term
     for _ in range(10):
         P, T, V = rand_poly(), rand_poly(), rand_poly()
@@ -289,6 +292,30 @@ def test_product_slots_hold_wide_and_cancelling_coefficients(cls):
         weights = [math.factorial(r) * math.comb(7, r) ** 2 for r in range(8)]
         assert got == WeylPoly({(7 - r, 7 - r): cls({r * cls.U_DEGREE: sign * n * n * w})
                                 for r, w in enumerate(weights)}, cls)
+
+
+@pytest.mark.parametrize("cls", [UPoly, SPoly])
+def test_chained_products_keep_the_lcm_denominator(cls):
+    # p ** 6 chains five products on integer forms, each over D_x D_y before its gcd is taken
+    # out: the denominator it keeps is the lcm of its decoded ones, and its integer form is the
+    # one its terms give.  Odd parts over even denominators cancel in places, as (1 + i)^2 = 2i
+    # does, so that some of those lcms fall below D ** 6
+    rng = random.Random(66)
+    reduced = 0
+    for _ in range(20):
+        def part():
+            return Fraction(rng.choice((-3, -1, 1, 3)), rng.choice((2, 4, 6)))
+        p = WeylPoly({(rng.randint(0, 3), rng.randint(0, 3)): cls({rng.randint(0, 2):
+                                                                  GaussRat(part(), part())})
+                      for _ in range(rng.randint(1, 3))}, cls)
+        q = p ** 6
+        den = math.lcm(*(x.denominator for c in q.terms.values() for g in c.coeffs.values()
+                         for x in (g.re, g.im)))
+        assert q._integer_form()[0] == den
+        assert q._integer_form() == WeylPoly(q.terms, cls)._integer_form()
+        assert q == p * p * p * p * p * p == _naive_product(p ** 3, p ** 3)
+        reduced += den < p._integer_form()[0] ** 6
+    assert reduced
 
 
 @pytest.mark.parametrize("make", [lambda: UPoly({1.5: 1}), lambda: SPoly({Fraction(5, 2): 1}),

@@ -1,5 +1,6 @@
 import cmath
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -171,6 +172,30 @@ def test_clifford_negative_t_excluded():
 def test_clifford_refuses_a_side_that_is_not_a_or_b(side):
     with pytest.raises(DomainError):
         clifford_contains(0.5, side)
+
+
+def test_clifford_disk_never_binds_and_the_sides_differ_only_by_rounding():
+    # inside the bands (sigma - 1)^2 + t^2 is at most (3/4)^2 + (1/2)^2 = 13/16 < 1, so the
+    # membership is the bands alone; they are their own mirror under sigma -> 1 - sigma, so the
+    # B side differs from the A side only where 1 - sigma rounds onto a band edge
+    assert (0.25 - 1.0) ** 2 + 0.5 ** 2 == 0.8125
+    rng = random.Random(8125)
+    sigmas = [rng.uniform(-0.1, 1.1) for _ in range(400)]
+    for edge in (0.25, 0.75):
+        for toward in (0.0, 1.0):
+            x = edge
+            for _ in range(4):
+                sigmas.append(x)
+                x = math.nextafter(x, toward)
+    split = []
+    for sigma in sigmas:
+        for t in (0.0, rng.uniform(0.0, 0.5), 0.5, rng.uniform(-0.1, 0.6)):
+            bands = 0.25 <= sigma <= 0.75 and 0.0 <= t <= 0.5
+            assert clifford_contains(complex(sigma, t), "a") == bands
+            if clifford_contains(complex(sigma, t), "b") != bands:
+                assert 1.0 - sigma in (0.25, 0.75) and 0.0 <= t <= 0.5
+                split.append(sigma)
+    assert 0.25 - 2.0 ** -55 in split
 
 
 @pytest.mark.parametrize("side", ["b", "B", CliffordSide.B_SIDE])
