@@ -501,9 +501,9 @@ def _decoded(ints, cls) -> "WeylPoly":
     construction (nonzero digits, int powers), so no constructor checks them; Fraction and
     GaussRat are immutable, so each distinct digit and digit pair is made once."""
     den, _, rows = ints
-    pairs = {ab for c in rows.values() for ab in c.values()}
-    fracs = {a: Fraction(a, den) for a in {a for ab in pairs for a in ab}}
-    pairs = {ab: GaussRat(fracs[ab[0]], fracs[ab[1]]) for ab in pairs}
+    distinct = {ab for c in rows.values() for ab in c.values()}
+    fracs = {a: Fraction(a, den) for a in {a for ab in distinct for a in ab}}
+    pairs = {ab: GaussRat(fracs[ab[0]], fracs[ab[1]]) for ab in distinct}
     out = object.__new__(WeylPoly)
     out.terms, out.coeff_cls, out._ints = {}, cls, ints
     for ij, c in rows.items():
