@@ -301,10 +301,12 @@ def test_chained_products_keep_the_lcm_denominator(cls):
     # one its terms give.  Odd parts over even denominators cancel in places, as (1 + i)^2 = 2i
     # does, so that some of those lcms fall below D ** 6
     rng = random.Random(66)
+
+    def part():
+        return Fraction(rng.choice((-3, -1, 1, 3)), rng.choice((2, 4, 6)))
+
     reduced = 0
     for _ in range(20):
-        def part():
-            return Fraction(rng.choice((-3, -1, 1, 3)), rng.choice((2, 4, 6)))
         p = WeylPoly({(rng.randint(0, 3), rng.randint(0, 3)): cls({rng.randint(0, 2):
                                                                   GaussRat(part(), part())})
                       for _ in range(rng.randint(1, 3))}, cls)
