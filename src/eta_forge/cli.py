@@ -44,7 +44,7 @@ from . import __version__
 from .errors import EtaForgeError, RangeError
 from .finite_eta import Family, FiniteEtaSpec, evaluate, trivial_zero_report
 from .hasse_global import eta_global, functional_equation_residual, refine_zero, zeta_global
-from .kernel_integrals import integrate_L, verify_identity
+from .kernel_integrals import EVALUATION_BUDGET, integrate_L, verify_identity
 from .numerics import FAST_BITS, ComplexPoint, PrecisionContext, _mpmath, _workprec
 from .proto_zeros import ScanConfig, default_step, planck_resolution, proto_cloud, scan_line
 from .weyl_algebra import UnitPhase, lemma_suite, normal_order, rest_frames
@@ -233,8 +233,9 @@ def resolve_settings(args: argparse.Namespace) -> dict:
 
 def _context(settings: dict) -> PrecisionContext:
     bits, tol = settings["precision_bits"], settings["tol"]
-    if tol is None:
-        tol = 1e-13 if bits <= FAST_BITS else 2.0 ** (8 - bits)
+    if tol is None:  # the tier's own default target
+        tier = PrecisionContext.fast() if bits <= FAST_BITS else PrecisionContext.extended(bits)
+        tol = tier.target_rel_err
     return PrecisionContext(bits, tol)
 
 
@@ -361,7 +362,7 @@ GROUPS = {"eta": "finite eta families", "integral": "kernel integrals",
 _FAMILY = ("--family", {})
 _N = ("--n", {"type": _nonneg_int})
 _S = ("--s", {})
-_BUDGET = ("--budget", {"type": _pos_int, "default": 200_000})
+_BUDGET = ("--budget", {"type": _pos_int, "default": EVALUATION_BUDGET})
 _SIGMA = ("--sigma", {"type": _finite_float})
 _N_MAX = ("--n-max", {"type": _pos_int})
 _RECORDS = ("records", ("n", "sigma", "t", "magnitude", "decay", "magnitude_err"))

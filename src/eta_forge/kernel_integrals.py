@@ -27,11 +27,12 @@ and one multiply per s.  When the level cap (or the budget) ends a piece
 with the error estimate above the target, integrate_L refuses.
 
 The sine poles are the multiples of q.  Those strictly inside the window
-are pole-free points: the finite sum vanishes there and cancels the pole.
-Inside a guard radius of 1e-3 around one of them the closed form is 0/0
-and is evaluated by a three-term local expansion of the finite sum
-against the sine factor.  Near any other multiple of q the sine pole is
-genuine and a PoleError is raised.
+are pole-free points s = qj: the finite sum vanishes there and cancels the
+pole.  The sine is reduced exactly by its nearest pole
+(``numerics._sin_pi``), so next to a pole-free point the closed form keeps
+its relative accuracy while both factors vanish, and at the point itself it
+is the limit -q (-1)^j eta'(w(qj)) / m!.  Within a guard radius of 1e-3 of
+any other multiple of q the sine pole is genuine and a PoleError is raised.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from functools import lru_cache, partial
 
 from .errors import ConvergenceError, DomainError, PoleError, RangeError
 from .finite_eta import Family, FiniteEtaSpec, derivative, evaluate
-from .numerics import ComplexPoint, PrecisionContext, _coerce_complex, _fast_only
+from .numerics import ComplexPoint, PrecisionContext, _coerce_complex, _fast_only, _sin_pi
 
 __all__ = [
     "QuadratureResult",
@@ -263,51 +264,40 @@ def integrate_L(family: Family, n: int, s, ctx: PrecisionContext = PrecisionCont
 
 
 # ---------------------------------------------------------------------------
-# closed form with guarded pole-free limits
+# closed form, with the limit at pole-free points
 # ---------------------------------------------------------------------------
 
 def _nearest_sine_pole(k: _KernelFamily, sc: complex) -> complex:
     return complex(k.q * round(sc.real / k.q), 0.0)
 
 
-def _limit_expansion(k: _KernelFamily, s0: int, eps: complex, ctx: PrecisionContext) -> complex:
-    """Three-term expansion of the 0/0 ratio around pole-free point s0."""
-    d1, d2, d3 = (derivative(k.spec, complex(k.argument(s0)), ctx, order=j).value.to_complex()
-                  for j in (1, 2, 3))
-    num = -d1 + (eps / 2) * d2 - (eps * eps / 6) * d3
-    sine_corr = 1.0 + (math.pi / k.q * eps) ** 2 / 6.0
-    sign = -1.0 if (s0 // k.q) % 2 else 1.0
-    return sign * float(k.q) * num * sine_corr / math.factorial(k.m)
-
-
 def rhs_closed_form(family: Family, n: int, s, ctx: PrecisionContext = PrecisionContext()) -> ComplexPoint:
     """Closed form of L_n(s); takes the finite limit at pole-free points.
 
-    Raises PoleError (with the nearest pole) inside the guard radius of a
-    genuine pole of the sine prefactor.  Double precision only: an extended
-    context raises DomainError.
+    Raises PoleError (with the nearest pole) inside the guard radius of a genuine
+    pole of the sine prefactor, and RangeError where the sine leaves the doubles.
+    Double precision only: an extended context raises DomainError.
     """
     _fast_only(ctx, "rhs_closed_form")
     k = _describe(family, n)
     sc = _coerce_complex(s)
     pole = _nearest_sine_pole(k, sc)
-    if abs(sc - pole) < POLE_GUARD_RADIUS:
-        s0 = int(pole.real)
-        if 0 < s0 < k.window[1]:
-            v = _limit_expansion(k, s0, sc - pole, ctx)
-            return ComplexPoint(v.real, v.imag)
-        raise PoleError(
-            f"closed form has a genuine pole at s = {s0} "
-            f"(family {family.value}, n = {n})", location=pole,
-        )
-    eta = evaluate(k.spec, k.argument(sc), ctx).value.to_complex()
-    phase = math.pi * sc
-    if k.q != 1:  # a complex division by 1 would turn inf + iy into inf + i nan
-        phase /= k.q
-    try:
-        v = math.pi / cmath.sin(phase) * eta / math.factorial(k.m)
-    except (ValueError, OverflowError):  # pi s beyond double range
-        raise RangeError(f"the closed form's sine factor is out of double range at s = {sc}") from None
+    if abs(sc - pole) < POLE_GUARD_RADIUS and not 0 < pole.real < k.window[1]:
+        raise PoleError(f"closed form has a genuine pole at s = {int(pole.real)} "
+                        f"(family {family.value}, n = {n})", location=pole)
+    if sc == pole:  # the pole-free point s = qj: the limit -q (-1)^j eta'(w(qj))
+        d = derivative(k.spec, k.argument(sc), ctx, order=1).value.to_complex()
+        v = (k.q if int(pole.real) // k.q % 2 else -k.q) * d
+    else:
+        eta = evaluate(k.spec, k.argument(sc), ctx).value.to_complex()
+        try:  # sin(pi s / q) overflows from |Im s| / q about 226, and is inf where pi Im s / q is
+            sin = _sin_pi(sc / k.q)
+        except OverflowError:
+            sin = complex(math.inf)
+        if cmath.isinf(sin):
+            raise RangeError(f"the closed form's sine factor is out of double range at s = {sc}")
+        v = math.pi / sin * eta
+    v /= math.factorial(k.m)
     return ComplexPoint(v.real, v.imag)
 
 

@@ -287,18 +287,25 @@ _LANCZOS_COEFS = (
 )
 
 
-def _is_nonpositive_int(re: float, im: float) -> bool:
-    return im == 0.0 and re <= 0.0 and re == math.floor(re)
+def _sin_pi(z: complex) -> complex:
+    """sin(pi z) as (-1)^n sin(pi (z - n)), n = round(Re z): z - n is exact (Sterbenz's lemma),
+    so the value stays relatively accurate next to the integers, where it vanishes."""
+    n = round(z.real)
+    v = cmath.sin(math.pi * complex(z.real - n, z.imag))
+    return -v if n % 2 else v
 
 
 def _gamma_lanczos(z: complex) -> complex:
     if z.real < 0.5:  # reflection: Gamma(z) Gamma(1-z) = pi / sin(pi z)
         g = _gamma_lanczos(1.0 - z)
         if abs(z.imag) <= 200.0:
-            return math.pi / (cmath.sin(math.pi * z) * g)
-        x, y = math.pi * z.real, math.pi * abs(z.imag)  # sin(pi z) overflows from y about 710:
-        e, h = math.exp(-2.0 * y), math.exp(-0.5 * y)  # take it times e**-y, e**-y in halves
-        sin = complex(math.sin(x) * (1.0 + e), math.copysign(1.0 - e, z.imag) * math.cos(x)) / 2
+            return math.pi / (_sin_pi(z) * g)
+        # sin(pi z) overflows from |Im z| about 226: take it times e**-(pi |Im z|), that in halves,
+        # reduced as in _sin_pi: (-1)^n (sin(pi x) + i sgn(Im z) cos(pi x)) / 2, x = Re z - n, as
+        # the dropped e**-(2 pi |Im z|) is below 1e-545
+        n = round(z.real)
+        x, h = math.pi * (z.real - n), math.exp(-0.5 * (math.pi * abs(z.imag)))
+        sin = complex(math.sin(x), math.copysign(math.cos(x), z.imag)) / (-2 if n % 2 else 2)
         return math.pi * h / (sin * g) * h
     z = z - 1.0
     x = _LANCZOS_COEFS[0]
@@ -313,7 +320,7 @@ def cgamma(z, ctx: PrecisionContext = PrecisionContext()) -> ComplexPoint:
     fast tier a value that is not a normal double raises RangeError."""
     if ctx.is_fast:
         w = _coerce_complex(z)
-        if _is_nonpositive_int(w.real, w.imag):
+        if w.imag == 0.0 and w.real <= 0.0 and w.real == math.floor(w.real):
             raise PoleError(f"Gamma pole at {w}", location=w)
         try:
             g = _gamma_lanczos(w)

@@ -81,6 +81,18 @@ def test_usage_error_exit_two(capsys):
     assert exc.value.code == 2
 
 
+def test_rest_frames_at_a_fraction_of_a_turn(capsys):
+    # u = e^(2 pi i / 3): w = e^(2 pi i k), k = 1/6, 5/12, 2/3, 11/12, and exactly the w with
+    # w^2 = -u swap a and b
+    code, env = invoke_json(["--no-timing", "weyl", "rest-frames", "--u", "1/3"], capsys)
+    assert code == 0
+    assert [(f["w"], f["swaps_ab"]) for f in env["results"]["frames"]] == [
+        (f"e^(2*pi*i*{k})", k in ("5/12", "11/12")) for k in ("1/6", "5/12", "2/3", "11/12")]
+    with pytest.raises(SystemExit) as exc:
+        run(["--no-timing", "weyl", "rest-frames", "--u", "1/0"])
+    assert exc.value.code == 2
+
+
 def test_negative_n_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         run(["eta", "eval", "--family", "hasse", "--n", "-1", "--s", "1"])

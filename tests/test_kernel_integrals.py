@@ -247,10 +247,42 @@ def test_rhs_genuine_pole_raises():
         rhs_closed_form(HS, 2, 2e-4, CTX)  # s=0 is a genuine pole
 
 
+def _closed_form_200(fam, n, s):
+    """pi / sin(pi s / q) * eta(w(s)) / m! at 200 bits for a double s; at a multiple s = qj of
+    q, its limit -q (-1)^j eta'(w(qj)) / m!."""
+    q, m, eta = ((1, n, oracles.eta_hasse_highprec) if fam is H
+                 else (2, 2 * n, oracles.eta_hstar_highprec))
+    with mp.workprec(200):
+        sm = mp.mpc(s)
+        w = 1 - sm if fam is H else -sm
+        if s.imag == 0 and s.real % q == 0:
+            return -q * (-1) ** int(s.real // q) * eta(n, w, 200, order=1) / math.factorial(m)
+        return mp.pi / mp.sinpi(sm / q) * eta(n, w, 200) / math.factorial(m)
+
+
 def test_rhs_out_of_double_range_is_a_range_error():
+    # Re s = +-1e308 are even integers, so the sine's argument reduces exactly to 5i or 2i
     for fam, n, s in ((H, 0, 1e308 + 5j), (H, 1, -1e308 + 2j), (H, 3, -1e308 + 2j)):
+        got, ref = rhs_closed_form(fam, n, s, CTX).to_complex(), _closed_form_200(fam, n, s)
+        assert abs(got - ref) <= CTX.target_rel_err * abs(ref), s
+    # the sine itself overflows, or pi Im s does
+    for fam, n, s in ((H, 3, 0.5 + 1000j), (H, 3, 0.5 + 1e308j), (H, 0, 1e308 + 1e308j)):
         with pytest.raises(RangeError):
             rhs_closed_form(fam, n, s, CTX)
+
+
+def test_rhs_keeps_its_digits_next_to_pole_free_points():
+    # both factors of the closed form vanish at a pole-free point: with the sine reduced
+    # exactly by that point, the ratio stays relatively accurate inside the guard radius
+    # and out of it, and the point itself takes the limit
+    offsets = (0, 1e-10, 1e-6, 1e-4, 5e-4, 9.9e-4, 1.01e-3, 0.01, 0.3, 5e-4j, 1e-4 + 1e-4j)
+    for fam, n in ((H, 3), (H, 4), (H, 7), (HS, 3), (HS, 5)):
+        q = 1 if fam is H else 2
+        for s0 in range(q, int(convergence_window(fam, n)[1]), q):
+            for eps in offsets:
+                s = complex(s0) + eps
+                got, ref = rhs_closed_form(fam, n, s, CTX).to_complex(), _closed_form_200(fam, n, s)
+                assert abs(got - ref) <= 2e-13 * abs(ref), (fam, n, s)
 
 
 def test_rhs_limit_expansion_continuity():

@@ -369,6 +369,9 @@ def test_commutator_examples():
     assert commutator(B, A ** 3) == WeylPoly.monomial(2, 0).scale(U * 3)
     assert commutator(A, B ** 2) == WeylPoly.monomial(0, 1).scale(U * (-2))
     assert commutator(A, A).is_zero
+    # a scalar commutes with everything
+    assert commutator(3, A) == 0 and commutator(B, Fraction(1, 2)) == 0
+    assert commutator(2, 5) == 0
 
 
 def test_lemma_suite_small_and_exact():
