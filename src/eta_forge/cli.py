@@ -483,8 +483,6 @@ def run(argv=None) -> int:
         parser.error(str(exc))
     except EtaForgeError as exc:
         return _fail(command, args, exc)
-    except OverflowError as exc:
-        return _fail(command, args, RangeError(f"overflow: {exc}"))
 
     if args.format == "csv":
         key, columns = cmd.csv

@@ -78,7 +78,7 @@ from operator import mul
 
 from .errors import ConvergenceError, DomainError, RangeError, VerificationError
 from .numerics import (ComplexPoint, PrecisionContext, _coerce_complex, _coerce_mpc, _count,
-                       _mpmath)
+                       _mpmath, _workprec)
 
 mp = _mpmath(globals(), "from_man_exp", "mpc_exp", "mpc_mul_mpf", "mpc_neg", "mpf_shift",
              "round_nearest", "round_up", "to_int")
@@ -557,7 +557,7 @@ def _line(coefs: tuple[int, ...], sigma: float, ts, ctx: PrecisionContext):
             keep = abs(v) >= _TINY and (err <= tol * abs(v) < math.inf
                                         or err - powers.sum_abs * powers.moved > tol * abs(v))
         if not keep:
-            v, err, powers = _rung(coefs, _coerce_complex(complex(sigma, t)), 0, wb)
+            v, err, powers = _rung(coefs, complex(sigma, t), 0, wb)
         vals.append(complex(v))
         if not err <= tol * float(abs(v)) < math.inf:
             bits[i] = _first_bits(wb, powers, float(abs(v)))
@@ -565,7 +565,7 @@ def _line(coefs: tuple[int, ...], sigma: float, ts, ctx: PrecisionContext):
         run, table = [i for _, i in run], None  # its steps take D to len(run) (D + 1) at most
         prec = max(bits[i] for i in run) + math.log2(len(run) * max(2, len(coefs).bit_length())) + 2
         for i in run:
-            s = _coerce_complex(complex(sigma, ts[i]))
+            s = complex(sigma, ts[i])
             if table and (ts[i] <= 2.0 * ts[i - 1] or 2.0 * ts[i] <= ts[i - 1]):  # Sterbenz
                 key = (ts[i] - ts[i - 1], table.f)  # h exact for either sign; one table per h, f
                 table.step(rots.get(key) or rots.setdefault(key, _ExtPowers(1j * key[0], table.f)))
@@ -585,9 +585,9 @@ def _evaluate(coefs: tuple[int, ...], s, ctx: PrecisionContext, order: int, tol:
     tol * |value| (the ladder of the module docstring); the value is a complex
     on the fast tier and an mpmath complex on the extended tier.  A double
     table at s passed in ``powers`` takes the first rung."""
-    wb = ctx.working_bits
-    s_hi = _coerce_complex(s) if ctx.is_fast else _coerce_mpc(s)
-    bits = None  # first the integer route or the double table
+    wb, bits = ctx.working_bits, None  # bits: first the integer route or the double table
+    with _workprec(ctx):
+        s_hi = _coerce_complex(s) if ctx.is_fast else _coerce_mpc(s)
     while True:  # then big floats with more bits while the bound misses the target
         v, err, powers = _rung(coefs, s_hi, order, wb, bits, powers if bits is None else None)
         mag = float(abs(v))

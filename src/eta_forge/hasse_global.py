@@ -46,8 +46,8 @@ from operator import mul
 from .errors import ConvergenceError, DomainError, RangeError, SingularPrefactorError
 from .finite_eta import (_MAX_SUM_BITS, _FastPowers, _evaluate, _first_bits, _horner,
                          _line_newton, _more_bits, _rung, _taylor)
-from .numerics import (ComplexPoint, PrecisionContext, _coerce_complex, _coerce_mpc, _count,
-                       _fast_only, _mpmath, _workprec, cgamma)
+from .numerics import (ComplexPoint, PrecisionContext, _coerce_complex, _coerce_mpc, _cos, _count,
+                       _fast_only, _mpmath, _sin, _workprec, cgamma)
 
 mp = _mpmath(globals(), "from_man_exp", "mpc_add", "mpc_mul", "mpc_pos", "mpc_to_complex",
              "mpf_shift", "round_nearest", "to_int")
@@ -177,8 +177,6 @@ def _series(s, ctx: PrecisionContext, series_cap: int = SERIES_CAP, floor: float
     ``floor`` 0 asks for a relative bound, 1 for an absolute one; a double table at s passed in
     ``powers`` takes the first rung."""
     sc, series_cap = _coerce_complex(s), _count(series_cap, "series_cap")
-    if not cmath.isfinite(sc):  # a finite ComplexPoint beyond the double range
-        raise RangeError(f"s = {sc} is beyond the double range of the series length")
     tol, wb, neg = ctx.target_rel_err, ctx.working_bits, max(0.0, -sc.real)
     s_hi = sc if ctx.is_fast else _coerce_mpc(s)
 
@@ -288,11 +286,12 @@ def eta_global(s, ctx: PrecisionContext = PrecisionContext(),
     2^(1 - wb) or more."""
     sc, series_cap = _coerce_complex(s), _count(series_cap, "series_cap")
     tol, wb = ctx.target_rel_err, ctx.working_bits
-    s_hi = sc if ctx.is_fast else _coerce_mpc(s)
+    with _workprec(ctx):
+        s_hi = sc if ctx.is_fast else _coerce_mpc(s)
     if (m := _integer(s_hi, series_cap)) is not None:
         return _exact((1 - 2 ** (m + 1)) * _zeta_at(m), ctx, 1 + (m + 1) // 2, f"eta({-m})")
     if not tol >= 2.0 ** (7 - wb):
-        res = eta_global(s, PrecisionContext(wb + 16, tol / 4), series_cap)
+        res = eta_global(s_hi, PrecisionContext(wb + 16, tol / 4), series_cap)
         v = res.value.to_mpc()
         with mp.workprec(wb):
             v = complex(v) if ctx.is_fast else +v
@@ -305,7 +304,7 @@ def eta_global(s, ctx: PrecisionContext = PrecisionContext(),
             return GlobalEvalResult(ComplexPoint(g.real, g.imag), 0, g_err + float(abs(g)) * dist)
     table = _FastPowers(sc) if ctx.is_fast else None  # zeta's double table, and P's first rung
     try:  # the sum first: its rules refuse s beyond its reach
-        part = _series(s, PrecisionContext(wb, 0.75 * tol), series_cap, powers=table)
+        part = _series(s_hi, PrecisionContext(wb, 0.75 * tol), series_cap, powers=table)
     except ConvergenceError as exc:
         part = exc
     if near:
@@ -313,7 +312,7 @@ def eta_global(s, ctx: PrecisionContext = PrecisionContext(),
             a = g * w
         a_err = dist * g_err + 4 * float(abs(a)) * 2.0 ** -wb
     else:
-        a, a_err = _evaluate(_P, s, ctx, 0, tol / 8, table)
+        a, a_err = _evaluate(_P, s_hi, ctx, 0, tol / 8, table)
 
     def times(part: GlobalEvalResult) -> GlobalEvalResult:  # a part: the product, rounded
         b = part.value.to_complex() if ctx.is_fast else part.value.to_mpc()
@@ -334,14 +333,15 @@ def zeta_global(s, ctx: PrecisionContext = PrecisionContext(),
     taken exactly and rounded once.  A target below 2^(6 - wb) is refused, and so is the exclusion
     disk (radius 1e-6) about the pole s = 1."""
     sc, series_cap = _coerce_complex(s), _count(series_cap, "series_cap")
-    if math.hypot(sc.real - 1.0, sc.imag) < EXCLUSION_RADIUS:  # hypot: inf past the doubles
+    if abs(sc - 1.0) < EXCLUSION_RADIUS:
         raise SingularPrefactorError(f"s = {sc} lies in the exclusion disk at 1", center=1.0)
     tol, wb = ctx.target_rel_err, ctx.working_bits
     if not tol >= 2.0 ** (6 - wb):  # else the roundings of the sum would fill the target
         raise DomainError(f"zeta needs target_rel_err >= 2^(6 - {wb}), got {tol}")
-    m = _integer(sc if ctx.is_fast else _coerce_mpc(s), series_cap)
-    if m is None:
-        return _series(s, ctx, series_cap=series_cap)
+    with _workprec(ctx):
+        s_hi = sc if ctx.is_fast else _coerce_mpc(s)
+    if (m := _integer(s_hi, series_cap)) is None:
+        return _series(s_hi, ctx, series_cap=series_cap)
     return _exact(_zeta_at(m), ctx, 1 + (m + 1) // 2, f"zeta({-m})")
 
 
@@ -360,10 +360,10 @@ def functional_equation_residual(s, ctx: PrecisionContext = PrecisionContext()) 
     sides are formed in doubles on the fast tier and in mpmath at the
     working precision on the extended tier.
     """
-    sc = _coerce_complex(s)
-    fast, wb = ctx.is_fast, ctx.working_bits
+    sc, fast, wb = _coerce_complex(s), ctx.is_fast, ctx.working_bits
     value = ComplexPoint.to_complex if fast else ComplexPoint.to_mpc
-    s_hi = sc if fast else _coerce_mpc(s)
+    with _workprec(ctx):
+        s_hi = sc if fast else _coerce_mpc(s)
     s_1 = 1.0 - sc if fast else mp.fsub(1, s_hi, prec=wb)
     z_s = value(zeta_global(s_hi, ctx).value)
     z1 = value(zeta_global(s_1, ctx).value)
@@ -373,7 +373,7 @@ def functional_equation_residual(s, ctx: PrecisionContext = PrecisionContext()) 
     reflected = abs(sc - 2 * round(sc.real / 2.0)) < 0.25  # near an even integer
     gam = value(cgamma(s_hi if reflected else s_1, ctx))
     with _workprec(ctx):  # the extended tier's roundings
-        pi, cos, sin = (math.pi, cmath.cos, cmath.sin) if fast else (mp.pi, mp.cos, mp.sin)
+        pi, cos, sin = (math.pi, _cos, _sin) if fast else (mp.pi, mp.cos, mp.sin)
         lhs, half = z_s / z1, pi * s_hi / 2
         scale = (2 * pi) ** (s_hi - 1)
         rhs = scale * pi / (cos(half) * gam) if reflected else scale * 2 * sin(half) * gam
@@ -425,7 +425,9 @@ def refine_zero(t_initial: float, ctx: PrecisionContext = PrecisionContext()) ->
     bounds the reach: past t = 1500 or so the sum needs more than the cap (ConvergenceError).
     """
     _fast_only(ctx, "refine_zero")
-    t0, tol, last = float(t_initial), ctx.target_rel_err, []
+    if (t0 := _coerce_complex(t_initial)).imag:
+        raise DomainError(f"t_initial must be real, got {t_initial!r}")
+    t0, tol, last = t0.real, ctx.target_rel_err, []
 
     def model_at(t: float, reach):  # zeta's model about 1/2 + i t
         table = _FastPowers(complex(0.5, t))  # filled by _taylor

@@ -237,13 +237,14 @@ def integrate_L(family: Family, n: int, s, ctx: PrecisionContext = PrecisionCont
     Double precision only: an extended context raises DomainError.
     """
     _fast_only(ctx, "integrate_L")
-    sc = _coerce_complex(s)
-    lo, hi = _describe(family, n).window
+    sc, (lo, hi) = _coerce_complex(s), _describe(family, n).window
     if not (lo < sc.real < hi):
         raise DomainError(
             f"Re(s) = {sc.real} outside convergence window ({lo}, {hi}) "
             f"for family {family.value}, n = {n}"
         )
+    if not math.isfinite(sc.imag * _nodes(0)[0][-1]):  # the phase at the least node, u ~ e^-1722
+        raise RangeError(f"L_n(s) at s={sc}: the integrand's phase is beyond the double range")
     # The post-condition allows max(1e-12, target_rel_err * |value|); aiming
     # at the 1e-12 floor is always at least as tight.
     tol = 1e-12 if tol_abs is None else tol_abs
@@ -275,12 +276,13 @@ def rhs_closed_form(family: Family, n: int, s, ctx: PrecisionContext = Precision
     """Closed form of L_n(s); takes the finite limit at pole-free points.
 
     Raises PoleError (with the nearest pole) inside the guard radius of a genuine
-    pole of the sine prefactor, and RangeError where the sine leaves the doubles.
+    pole of the sine prefactor, and RangeError where the sine or m! leaves the doubles.
     Double precision only: an extended context raises DomainError.
     """
     _fast_only(ctx, "rhs_closed_form")
-    k = _describe(family, n)
-    sc = _coerce_complex(s)
+    k, sc = _describe(family, n), _coerce_complex(s)
+    if k.m > 170:
+        raise RangeError(f"the closed form's {k.m}! is beyond the double range")
     pole = _nearest_sine_pole(k, sc)
     if abs(sc - pole) < POLE_GUARD_RADIUS and not 0 < pole.real < k.window[1]:
         raise PoleError(f"closed form has a genuine pole at s = {int(pole.real)} "
@@ -290,13 +292,7 @@ def rhs_closed_form(family: Family, n: int, s, ctx: PrecisionContext = Precision
         v = (k.q if int(pole.real) // k.q % 2 else -k.q) * d
     else:
         eta = evaluate(k.spec, k.argument(sc), ctx).value.to_complex()
-        try:  # sin(pi s / q) overflows from |Im s| / q about 226, and is inf where pi Im s / q is
-            sin = _sin_pi(sc / k.q)
-        except OverflowError:
-            sin = complex(math.inf)
-        if cmath.isinf(sin):
-            raise RangeError(f"the closed form's sine factor is out of double range at s = {sc}")
-        v = math.pi / sin * eta
+        v = math.pi / _sin_pi(sc / k.q) * eta  # the sine leaves the doubles from |Im s| / q ~ 226
     v /= math.factorial(k.m)
     return ComplexPoint(v.real, v.imag)
 

@@ -14,6 +14,12 @@ mpmath loads on the first big float: an extended context, or a fast sum that
 escalates.  Until then each module's ``mp`` is one lazy handle (``_mpmath``);
 the fast tier never reads it, so a fast-tier process never imports mpmath.
 
+Arguments pass one gate per tier: a non-number (None, a string), NaN or inf raises DomainError.
+The fast tier's (``_coerce_complex``) returns a finite hardware complex and raises RangeError for
+a finite value beyond the doubles (10**400, mpf 1e400), as a cmath function that fails or leaves
+them does (``_cmath``).  The extended tier's (``_coerce_mpc``) takes ints, doubles and mpmath
+numbers exactly and rounds a Fraction once at the working bits plus 16, never through a double.
+
 Branch convention: principal logarithm with Im in (-pi, pi] everywhere.
 
 All operations are pure; identical inputs and context give bit-identical
@@ -46,7 +52,6 @@ __all__ = [
 RealValue = float
 
 FAST_BITS = 53
-_LN_OVERFLOW = 709.782712893384  # exp() overflows a double beyond this
 
 
 class _Mpmath:
@@ -183,31 +188,54 @@ def _workprec(ctx: PrecisionContext):
 
 
 def _coerce_complex(z) -> complex:
-    """Accept ComplexPoint, complex, or real; return a hardware complex (NaN, inf: DomainError)."""
-    if isinstance(z, ComplexPoint):
-        return z.to_complex()  # finite components, though they may overflow a double
-    w = complex(z)
-    if not cmath.isfinite(w):
-        raise DomainError(f"non-finite argument {z!r}")
+    """The fast tier's gate (module docstring): z as a finite hardware complex."""
+    if isinstance(z, str):  # complex() would parse it
+        raise DomainError(f"not a number: {z!r}")
+    try:
+        w = complex(z.to_complex() if isinstance(z, ComplexPoint) else z)
+        abs(w)  # raises for a modulus beyond the doubles too
+    except OverflowError as exc:  # an int or a Fraction beyond the doubles
+        raise RangeError(f"{z!r} is beyond the double range") from exc
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"not a number: {z!r}") from exc
+    if not cmath.isfinite(w):  # inf from a finite ComplexPoint or mpmath number: beyond the doubles
+        beyond = isinstance(z, ComplexPoint) or z == z and abs(z) != math.inf
+        raise (RangeError if beyond else DomainError)(f"{z!r} is not a finite double")
     return w
 
 
 def _coerce_mpc(z):
-    """Accept ComplexPoint, mpmath number, complex, or real; return an mpmath
-    complex that is never rounded to the ambient mpmath prec."""
-    if isinstance(z, mp.mpc):  # each part is exact as it stands: nothing to round
-        return z
-    if not isinstance(z, (ComplexPoint, mp.mpf)):
-        z = _coerce_complex(z)
-    re, im = (z.re, z.im) if isinstance(z, ComplexPoint) else (z.real, z.imag)
-    bits = max(getattr(x, "_mpf_", (0, 0, 0, 53))[3] for x in (re, im))  # mantissa bit count
-    return mp.make_mpc(tuple(mp.mpf(x, prec=max(53, bits) + 8)._mpf_ for x in (re, im)))
+    """The extended tier's gate (module docstring): z as a finite mpmath complex, never rounded
+    through a double."""
+    try:
+        with mp.extraprec(16):  # a Fraction, at the caller's working bits and a guard
+            w = (mp.make_mpc(tuple(mp.convert(x, False)._mpf_ for x in (z.re, z.im)))
+                 if isinstance(z, ComplexPoint) else mp.convert(z, False))
+    except (TypeError, ValueError, AttributeError) as exc:  # AttributeError: an mpc part
+        raise DomainError(f"not a number: {z!r}") from exc
+    if not mp.isfinite(w):
+        raise DomainError(f"non-finite argument {z!r}")
+    return w if isinstance(w, mp.mpc) else mp.make_mpc((w._mpf_, mp.libmp.fzero))
+
+
+def _cmath(f):
+    """cmath's function f, raising RangeError where it fails or leaves the doubles."""
+    def mapped(z: complex) -> complex:
+        try:
+            w = f(z)
+        except (ValueError, OverflowError):
+            w = complex(math.inf)
+        if not cmath.isfinite(w):
+            raise RangeError(f"{f.__name__}{z} is beyond the double range")
+        return w
+    return mapped
+
+
+_exp, _sin, _cos = _cmath(cmath.exp), _cmath(cmath.sin), _cmath(cmath.cos)
 
 
 def _wrap(z, ctx: PrecisionContext) -> ComplexPoint:
-    if isinstance(z, complex):
-        return ComplexPoint(z.real, z.imag)
-    return ComplexPoint.from_mpc(z)
+    return ComplexPoint(z.real, z.imag) if isinstance(z, complex) else ComplexPoint.from_mpc(z)
 
 
 # ---------------------------------------------------------------------------
@@ -215,28 +243,18 @@ def _wrap(z, ctx: PrecisionContext) -> ComplexPoint:
 # ---------------------------------------------------------------------------
 
 def cexp(z, ctx: PrecisionContext = PrecisionContext()) -> ComplexPoint:
-    """exp(z).  Raises RangeError if Re(z) exceeds the exponent range."""
-    if ctx.is_fast:
-        w = _coerce_complex(z)
-        if w.real > _LN_OVERFLOW:
-            raise RangeError(f"exp overflow: Re(z) = {w.real} exceeds double range")
-        return _wrap(cmath.exp(w), ctx)
-    with mp.workprec(ctx.working_bits):
-        return _wrap(mp.exp(_coerce_mpc(z)), ctx)
+    """exp(z).  Raises RangeError where the value leaves the doubles (fast tier)."""
+    with _workprec(ctx):
+        return _wrap(_exp(_coerce_complex(z)) if ctx.is_fast else mp.exp(_coerce_mpc(z)), ctx)
 
 
 def cln(z, ctx: PrecisionContext = PrecisionContext()) -> ComplexPoint:
     """Principal log, Im in (-pi, pi].  z = 0 is a domain error."""
-    if ctx.is_fast:
-        w = _coerce_complex(z)
+    with _workprec(ctx):
+        w = _coerce_complex(z) if ctx.is_fast else _coerce_mpc(z)
         if w == 0:
             raise DomainError("log of zero")
-        return _wrap(cmath.log(w), ctx)
-    with mp.workprec(ctx.working_bits):
-        w = _coerce_mpc(z)
-        if w == 0:
-            raise DomainError("log of zero")
-        return _wrap(mp.log(w), ctx)
+        return _wrap(cmath.log(w) if ctx.is_fast else mp.log(w), ctx)
 
 
 def cpow(z, s, ctx: PrecisionContext = PrecisionContext()) -> ComplexPoint:
@@ -245,28 +263,21 @@ def cpow(z, s, ctx: PrecisionContext = PrecisionContext()) -> ComplexPoint:
     z = 0 returns 0 when Re(s) > 0 and is a domain error otherwise.
     s = 1 returns z unchanged (keeps the identity exact in structure).
     """
-    zc = _coerce_complex(z) if ctx.is_fast else _coerce_mpc(z)
-    sc = _coerce_complex(s) if ctx.is_fast else _coerce_mpc(s)
-    if zc == 0:
-        if (sc.real if ctx.is_fast else mp.re(sc)) > 0:
-            return _wrap(0.0j, ctx) if ctx.is_fast else _wrap(mp.mpc(0), ctx)
-        raise DomainError("0**s undefined for Re(s) <= 0")
-    if sc == 1:
-        return _wrap(zc, ctx)
-    if ctx.is_fast:
-        return _wrap(cmath.exp(sc * cmath.log(zc)), ctx)
-    with mp.workprec(ctx.working_bits):
-        return _wrap(mp.exp(sc * mp.log(zc)), ctx)
+    fast = ctx.is_fast
+    with _workprec(ctx):
+        zc, sc = (_coerce_complex(x) if fast else _coerce_mpc(x) for x in (z, s))
+        if zc == 0:
+            if (sc.real if fast else mp.re(sc)) > 0:
+                return _wrap(0.0j if fast else mp.mpc(0), ctx)
+            raise DomainError("0**s undefined for Re(s) <= 0")
+        if sc == 1:
+            return _wrap(zc, ctx)
+        return _wrap(_exp(sc * cmath.log(zc)) if fast else mp.exp(sc * mp.log(zc)), ctx)
 
 
 def csin(z, ctx: PrecisionContext = PrecisionContext()) -> ComplexPoint:
-    if ctx.is_fast:
-        try:
-            return _wrap(cmath.sin(_coerce_complex(z)), ctx)
-        except OverflowError as exc:
-            raise RangeError(f"sin overflow at |Im z| too large: {exc}") from exc
-    with mp.workprec(ctx.working_bits):
-        return _wrap(mp.sin(_coerce_mpc(z)), ctx)
+    with _workprec(ctx):
+        return _wrap(_sin(_coerce_complex(z)) if ctx.is_fast else mp.sin(_coerce_mpc(z)), ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +302,7 @@ def _sin_pi(z: complex) -> complex:
     """sin(pi z) as (-1)^n sin(pi (z - n)), n = round(Re z): z - n is exact (Sterbenz's lemma),
     so the value stays relatively accurate next to the integers, where it vanishes."""
     n = round(z.real)
-    v = cmath.sin(math.pi * complex(z.real - n, z.imag))
+    v = _sin(math.pi * complex(z.real - n, z.imag))
     return -v if n % 2 else v
 
 
@@ -318,21 +329,18 @@ def _gamma_lanczos(z: complex) -> complex:
 def cgamma(z, ctx: PrecisionContext = PrecisionContext()) -> ComplexPoint:
     """Complex Gamma.  Poles at the non-positive integers raise PoleError; on the
     fast tier a value that is not a normal double raises RangeError."""
-    if ctx.is_fast:
-        w = _coerce_complex(z)
-        if w.imag == 0.0 and w.real <= 0.0 and w.real == math.floor(w.real):
-            raise PoleError(f"Gamma pole at {w}", location=w)
-        try:
-            g = _gamma_lanczos(w)
-        except (OverflowError, ZeroDivisionError):  # beyond doubles, or 1/Gamma(1-z) underflowed
-            g = complex(math.inf)
-        if not (cmath.isfinite(g) and max(abs(g.real), abs(g.imag)) >= sys.float_info.min):
-            raise RangeError(
-                f"Gamma({w}) is outside the fast tier's range: Lanczos overflows from "
-                "Re z near 143 and |Gamma| must be a normal double; use an extended context")
-        return _wrap(g, ctx)
-    with mp.workprec(ctx.working_bits):
-        w = _coerce_mpc(z)
-        if mp.im(w) == 0 and mp.re(w) <= 0 and mp.re(w) == mp.floor(mp.re(w)):
+    with _workprec(ctx):
+        w = _coerce_complex(z) if ctx.is_fast else _coerce_mpc(z)
+        if w.imag == 0 and w.real <= 0 and w.real == int(w.real):
             raise PoleError(f"Gamma pole at {complex(w)}", location=complex(w))
-        return _wrap(mp.gamma(w), ctx)
+        if not ctx.is_fast:
+            return _wrap(mp.gamma(w), ctx)
+    try:
+        g = _gamma_lanczos(w)
+    except (OverflowError, ZeroDivisionError):  # beyond doubles, or 1/Gamma(1-z) underflowed
+        g = complex(math.inf)
+    if not (cmath.isfinite(g) and max(abs(g.real), abs(g.imag)) >= sys.float_info.min):
+        raise RangeError(
+            f"Gamma({w}) is outside the fast tier's range: Lanczos overflows from "
+            "Re z near 143 and |Gamma| must be a normal double; use an extended context")
+    return _wrap(g, ctx)

@@ -24,7 +24,7 @@ from .errors import ConvergenceError, DomainError
 from .finite_eta import (Family, FiniteEtaSpec, _FastPowers, _line, _line_newton, _taylor,
                          _terms, derivative, evaluate)
 from .hasse_global import ZeroRecord
-from .numerics import PrecisionContext, _count, _fast_only
+from .numerics import PrecisionContext, _coerce_complex, _count, _fast_only
 
 __all__ = [
     "PlanckInfo",
@@ -118,6 +118,10 @@ class ScanConfig:
     step: float
 
     def __post_init__(self):
+        for name in ("sigma", "t_min", "t_max", "step"):  # real numbers, through the fast gate
+            if (x := _coerce_complex(getattr(self, name))).imag:
+                raise DomainError(f"{name} must be real, got {getattr(self, name)!r}")
+            object.__setattr__(self, name, x.real)
         if not self.t_min < self.t_max:
             raise DomainError(f"need t_min < t_max, got [{self.t_min}, {self.t_max}]")
         if not self.step > 0:

@@ -69,9 +69,9 @@ def binom_coeff(s, k: int, ctx: PrecisionContext = PrecisionContext()) -> Comple
     A product of k exact-integer-shifted factors; relative error grows at
     most linearly in k.
     """
-    k = _count(k, "k")
-    acc, z = (1.0 + 0.0j, _coerce_complex(s)) if ctx.is_fast else (_coerce_mpc(1), _coerce_mpc(s))
+    k, fast = _count(k, "k"), ctx.is_fast
     with _workprec(ctx):  # the extended tier's roundings
+        acc, z = (1.0 + 0.0j, _coerce_complex(s)) if fast else (_coerce_mpc(1), _coerce_mpc(s))
         for j in range(k):
             acc *= (z - j) / (j + 1)
     return ComplexPoint(acc.real, acc.imag)
@@ -96,24 +96,16 @@ def pi_s(s, ctx: PrecisionContext = PrecisionContext()) -> GlobalEvalResult:
     if not sc.real > 0:
         raise DomainError(
             f"Re(s) = {sc.real} <= 0: the coefficient series risks divergence; refusing")
-    if sc.imag == 0.0 and sc.real == int(sc.real):
-        n = int(sc.real)
-        if n <= 1023:
-            # terminating binomial sum: exactly 2^n
-            return GlobalEvalResult(ComplexPoint(float(2 ** n), 0.0), n + 1, 0.0)
-    total_terms = _HEAD + _COLS + 2
-    c = 1.0 + 0.0j
-    partials = []
-    acc = 0.0 + 0.0j
-    scale = 0.0
+    if sc.imag == 0.0 and sc.real == (n := int(sc.real)) <= 1023:  # terminating: exactly 2^n
+        return GlobalEvalResult(ComplexPoint(float(2 ** n), 0.0), n + 1, 0.0)
+    total_terms, c, acc, scale, partials = _HEAD + _COLS + 2, 1.0 + 0.0j, 0.0j, 0.0, []
     for k in range(total_terms):
         acc += c
         partials.append(acc)
         scale = max(scale, abs(acc))
         c *= (sc - k) / (k + 1)
-    row = partials[_HEAD:]
+    row, last_change = partials[_HEAD:], math.inf
     prev_top = row[0]
-    last_change = math.inf
     while len(row) > 1:
         row = [(row[i] + row[i + 1]) / 2.0 for i in range(len(row) - 1)]
         last_change = abs(row[0] - prev_top)

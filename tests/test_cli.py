@@ -349,6 +349,22 @@ def test_boundary_inputs_give_strict_json_or_usage_error(argv, expected, capsys)
         assert env["error"]["type"] == "RangeError"
 
 
+@pytest.mark.parametrize("argv", [
+    ["integral", "compute", "--family", "hasse", "--n", "3", "--s", "0.5+1e306i"],
+    ["integral", "compute", "--family", "hstar", "--n", "3", "--s", "0.5+1e306i"],
+    ["verify", "thm1", "--n", "3", "--s", "1-1e306i"],
+    ["verify", "thm2", "--n", "3", "--s", "1-1e306i"],
+    ["verify", "thm1", "--n", "90", "--s", "0.5"],  # the closed form's 180! leaves the doubles
+])
+def test_a_quadrature_beyond_the_doubles_is_a_range_error(argv, capsys):
+    # the phase of u^(s-1) at the quadrature's least node, or the closed form's m!, leaves the
+    # doubles: a RangeError envelope, not a traceback
+    code, out, err = _run_captured(["--no-timing"] + argv, capsys)
+    assert code == 1
+    assert "Traceback" not in out and "Traceback" not in err
+    assert _strict_json(out)["error"]["type"] == "RangeError"
+
+
 def test_zeta_at_a_trivial_zero_beyond_the_double_terms_is_exact(capsys):
     # zeta(-400) is taken exactly, -B_401 / 401 = 0: no sum of terms (k+1)^400 is formed
     code, env = invoke_json(["--no-timing", "zeta", "eval", "--s", "-400"], capsys)
@@ -392,7 +408,8 @@ def test_jobs_and_budget_must_be_positive(value, capsys, tmp_path, monkeypatch):
 
 
 _S_PART = st.one_of(st.floats(-60, 60),
-                    st.sampled_from([1e17, -1e17, 1e300, -1e300, math.nan, math.inf, -math.inf]))
+                    st.sampled_from([1e17, -1e17, 1e300, -1e300, 1e306, -1e306,
+                                     1.7976931348623157e308, math.nan, math.inf, -math.inf]))
 
 
 @settings(max_examples=60, suppress_health_check=[HealthCheck.function_scoped_fixture])
