@@ -45,11 +45,13 @@ it (``_first_bits``), and retry with more bits while the bound misses.
 
 Line kernel (``_line``, fast tier): a grid point of sigma + it keeps its double table under
 the ladder's test.  Each b^(-s) only turns along the line, so the table is stepped by
-h = t - t_prev where h is exact (t <= 2 t_prev, Sterbenz): ``_FastPowers.step`` turns each
-entry by b^(-ih) from one rotation table per h, keeps sum |terms|, and charges every term
-that table's error model plus sqrt(5) units for the product.  A miss fills a fresh table
-only where its bound, the stepped one less the steps' charge, could pass; else the first
-big-float precision is read off the stepped table, so a run of misses fills one table.
+h = t - t_prev where h is exact (t <= 2 t_prev, Sterbenz): ``_FastPowers.step`` turns the
+terms c_b p_b of the table's last order-0 dot, one complex list rounded once as that dot rounds
+them, by b^(-ih) from one rotation table per h, keeps sum |terms|, and charges every term the
+fill's error model once and per step that table's plus sqrt(5) units for the product; a stepped
+table serves that sum only.  A miss fills a fresh table only where its bound, the stepped one
+less the steps' charge, could pass; else the first big-float precision is read off the stepped
+table, so a run of misses fills one table.
 Each run of misses then fills one big-float table at its first point, at the run's largest
 first precision plus log2 of the depth D its steps reach plus 2, and steps it the same way, below
 t = 0 too, as its error model does not grow with |s| (``_ExtPowers.step``, one rotation table per
@@ -201,14 +203,15 @@ class _FastPowers:
     of t and the cached ln b, plus t times its low part); one ``cmath.exp``
     takes ph and the residue pe is applied as a first-order rotation, so
     the per-term error does not grow with t until (|s| ln b 2**-52)**2 does,
-    or :meth:`step` turns a filled table's entries up its vertical line.
+    or :meth:`step` turns the terms of its last sum up its vertical line.
     """
 
     def __init__(self, s: complex):
         self.s, self.moved, self.charge, self.last = s, 0.0, 0.0, None  # moved: per-term step error
-        self.re, self.im, self.mag, self.log = [], [], [], []
+        self.re, self.im, self.mag, self.log, self.terms = [], [], [], [], None
 
     def _grow(self, size: int):
+        assert self.terms is None, "a stepped table serves only its own sum"
         sigma, t = self.s.real, self.s.imag
         t_hi, t_lo = _split(t)
         for b in range(len(self.re) + 1, size + 1):
@@ -229,46 +232,48 @@ class _FastPowers:
         phase = abs(self.s) * max_log
         drift = phase * 2.0 ** -52  # squared as a product: inf, not OverflowError, at huge |s|
         return ((2.0 * abs(self.s.real) * max_log + 8.0 + 2.0 * order) * 2.0 ** -53
-                + phase * 2.0 ** -100 + drift * drift + self.moved)
+                + phase * 2.0 ** -100 + drift * drift)
 
     def step(self, rot: _FastPowers) -> tuple[complex, float]:
-        """Moves the table to s + i h, ``rot`` = _FastPowers(i h), |s + i h| >= |s|: p_b times
-        b**(-i h), |p_b|, ln b and ``sum_abs`` kept.  Each term is charged rot's own error model
-        plus sqrt(5) units of 2**-53 for the complex product (Brent, Percival and Zimmermann
-        2007).  Returns the last dot, which must be of order 0 (its sum_abs), at s + i h."""
-        assert self.last is not None, "sum_abs is kept from an order-0 dot only"
-        if len(rot.re) < len(self.re):  # rot's charge per step: its _rel covers any shorter table
-            rot._grow(len(self.re))
-            rot.charge = rot._rel(len(self.re), 0) + math.sqrt(5.0) * 2.0 ** -53
-        self.re, self.im = ([x * c - y * e for x, y, c, e in zip(self.re, self.im, rot.re, rot.im)],
-                            [x * e + y * c for x, y, c, e in zip(self.re, self.im, rot.re, rot.im)])
+        """The last dot, of order 0, at s + i h, ``rot`` = _FastPowers(i h): its terms c_b p_b, each
+        rounded once as that dot rounds it, times b**(-i h) as one complex list; ``sum_abs`` kept.
+        Each term is charged the fill's model at its s once, and per step rot's own plus sqrt(5)
+        units for the product (Brent, Percival and Zimmermann 2007).  Serves that sum only."""
+        if self.terms is None:  # the first step: the fill's terms, and their error model
+            assert self.last is not None, "sum_abs is kept from an order-0 dot only"
+            coefs, self.fill = self.last, self._rel(len(self.last), 0) + 2.0 ** -52
+            self.terms = list(map(complex, map(mul, coefs, self.re), map(mul, coefs, self.im)))
+        if len(rot.re) < len(self.terms):  # rot's charge per step: its _rel covers any shorter table
+            rot._grow(len(self.terms))
+            rot.charge = rot._rel(len(self.terms), 0) + math.sqrt(5.0) * 2.0 ** -53
+            rot.turn = list(map(complex, rot.re, rot.im))
+        self.terms = terms = list(map(mul, self.terms, rot.turn))
         self.moved += rot.charge
         self.s += rot.s
-        return self._sum(self.last, 0)
+        return (complex(math.fsum([z.real for z in terms]), math.fsum([z.imag for z in terms])),
+                self.sum_abs * (self.fill + self.moved))
 
     def dot(self, coefs: tuple[int, ...], order: int = 0) -> tuple[complex, float]:
         """(value, abs_err bound) of sum_i coefs[i] * p_(i+1) * (-ln(i+1))**order.
 
-        The bound is the per-term error model (transcendental, phase, product
-        and step roundings) over the summed magnitudes, kept as ``sum_abs``
+        The bound is the per-term error model (transcendental, phase and product
+        roundings) over the summed magnitudes, kept as ``sum_abs``
         for :func:`_first_bits`; ``math.fsum`` rounds each component once.
         Raises OverflowError beyond the double range.
         """
         self._grow(len(coefs))
-        self.last = None if order else coefs  # the coefs whose sum_abs step keeps
+        self.last = None if order else coefs  # the coefs whose terms step keeps
         if order:
             coefs = [c * (-x) ** order for c, x in zip(coefs, self.log)]
         self.sum_abs = sum(map(mul, map(abs, coefs), self.mag))
         if self.sum_abs == math.inf:
             raise OverflowError("finite sum beyond the double range")
-        return self._sum(coefs, order)
-
-    def _sum(self, coefs, order: int) -> tuple[complex, float]:
         val = complex(math.fsum(map(mul, coefs, self.re)), math.fsum(map(mul, coefs, self.im)))
         return val, self.sum_abs * (self._rel(len(coefs), order) + 2.0 ** -52)
 
     def entry(self, b: int) -> tuple[complex, float]:
         """A filled b**(-s) and its bound: the dot's per-term model, plus 2**-1070 for a flush."""
+        self._grow(b)
         p = complex(self.re[b - 1], self.im[b - 1])
         return p, abs(p) * self._rel(b, 0) + 2.0 ** -1070
 

@@ -46,8 +46,8 @@ from operator import mul
 from .errors import ConvergenceError, DomainError, RangeError, SingularPrefactorError
 from .finite_eta import (_MAX_SUM_BITS, _FastPowers, _evaluate, _first_bits, _horner,
                          _line_newton, _more_bits, _rung, _taylor)
-from .numerics import (ComplexPoint, PrecisionContext, _coerce_complex, _coerce_mpc, _cos, _count,
-                       _fast_only, _mpmath, _sin, _workprec, cgamma)
+from .numerics import (ComplexPoint, PrecisionContext, _coerce_complex, _coerce_mpc, _coerce_real,
+                       _cos, _count, _fast_only, _mpmath, _sin, _workprec, cgamma)
 
 mp = _mpmath(globals(), "from_man_exp", "mpc_add", "mpc_mul", "mpc_pos", "mpc_to_complex",
              "mpf_shift", "round_nearest", "to_int")
@@ -425,9 +425,7 @@ def refine_zero(t_initial: float, ctx: PrecisionContext = PrecisionContext()) ->
     bounds the reach: past t = 1500 or so the sum needs more than the cap (ConvergenceError).
     """
     _fast_only(ctx, "refine_zero")
-    if (t0 := _coerce_complex(t_initial)).imag:
-        raise DomainError(f"t_initial must be real, got {t_initial!r}")
-    t0, tol, last = t0.real, ctx.target_rel_err, []
+    t0, tol, last = _coerce_real(t_initial, "t_initial"), ctx.target_rel_err, []
 
     def model_at(t: float, reach):  # zeta's model about 1/2 + i t
         table = _FastPowers(complex(0.5, t))  # filled by _taylor

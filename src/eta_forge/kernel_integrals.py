@@ -47,7 +47,8 @@ from functools import lru_cache, partial
 
 from .errors import ConvergenceError, DomainError, PoleError, RangeError
 from .finite_eta import Family, FiniteEtaSpec, derivative, evaluate
-from .numerics import ComplexPoint, PrecisionContext, _coerce_complex, _fast_only, _sin_pi
+from .numerics import (ComplexPoint, PrecisionContext, _coerce_complex, _coerce_real, _fast_only,
+                       _sin_pi)
 
 __all__ = [
     "QuadratureResult",
@@ -121,9 +122,7 @@ def _power(x: float, q: int) -> float:
 
 def _kernel(k: _KernelFamily, x: float) -> float:
     xq = _power(x, k.q)
-    p = 1.0
-    for bq in k.powers:
-        p *= xq + bq
+    p = math.prod(xq + bq for bq in k.powers)  # left to right, as a loop of p *= xq + bq
     if math.isinf(p):
         raise RangeError(f"kernel overflow at x={x}, n={k.spec.n}")
     return p
@@ -131,7 +130,7 @@ def _kernel(k: _KernelFamily, x: float) -> float:
 
 def kernel_value(family: Family, n: int, x: float) -> float:
     """Kernel at real x > 0, evaluated as the factored product."""
-    if not x > 0:
+    if not (x := _coerce_real(x, "x")) > 0:
         raise DomainError(f"kernel argument must be positive, got {x}")
     return _kernel(_describe(family, n), x)
 

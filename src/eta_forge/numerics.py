@@ -204,6 +204,13 @@ def _coerce_complex(z) -> complex:
     return w
 
 
+def _coerce_real(x, name: str) -> float:
+    """x through the fast gate as a float; a nonzero imaginary part is a DomainError."""
+    if (w := _coerce_complex(x)).imag:
+        raise DomainError(f"{name} must be real, got {x!r}")
+    return w.real
+
+
 def _coerce_mpc(z):
     """The extended tier's gate (module docstring): z as a finite mpmath complex, never rounded
     through a double."""

@@ -24,7 +24,7 @@ from .errors import ConvergenceError, DomainError
 from .finite_eta import (Family, FiniteEtaSpec, _FastPowers, _line, _line_newton, _taylor,
                          _terms, derivative, evaluate)
 from .hasse_global import ZeroRecord
-from .numerics import PrecisionContext, _coerce_complex, _count, _fast_only
+from .numerics import PrecisionContext, _coerce_real, _count, _fast_only
 
 __all__ = [
     "PlanckInfo",
@@ -59,11 +59,8 @@ def is_prime(p: int) -> bool:
             return True
         if p % small == 0:
             return False
-    d = p - 1
-    r = 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
+    r = ((p - 1) & (1 - p)).bit_length() - 1  # p - 1 = d 2**r, d odd
+    d = (p - 1) >> r
     for a in _MR_BASES:
         x = pow(a, d, p)
         if x in (1, p - 1):
@@ -92,11 +89,7 @@ def planck_resolution(p: int) -> PlanckInfo:
 
 
 def _largest_participating_prime(spec: FiniteEtaSpec) -> int | None:
-    top = max(spec.bases, default=1)
-    for q in range(top, 1, -1):
-        if is_prime(q):
-            return q
-    return None
+    return next((q for q in range(max(spec.bases, default=1), 1, -1) if is_prime(q)), None)
 
 
 def default_step(spec: FiniteEtaSpec) -> float:
@@ -119,9 +112,7 @@ class ScanConfig:
 
     def __post_init__(self):
         for name in ("sigma", "t_min", "t_max", "step"):  # real numbers, through the fast gate
-            if (x := _coerce_complex(getattr(self, name))).imag:
-                raise DomainError(f"{name} must be real, got {getattr(self, name)!r}")
-            object.__setattr__(self, name, x.real)
+            object.__setattr__(self, name, _coerce_real(getattr(self, name), name))
         if not self.t_min < self.t_max:
             raise DomainError(f"need t_min < t_max, got [{self.t_min}, {self.t_max}]")
         if not self.step > 0:
@@ -203,6 +194,8 @@ def proto_cloud(n_max: int, sigma: float, t_center: float, half_width: float,
     """
     _fast_only(ctx, "proto_cloud")
     n_max = _count(n_max, "n_max", 1)
+    sigma, t_center, half_width = (_coerce_real(x, name) for x, name in (
+        (sigma, "sigma"), (t_center, "t_center"), (half_width, "half_width")))
     if half_width < 0:
         raise DomainError("half_width must be >= 0")
     if half_width == 0:
@@ -213,8 +206,7 @@ def proto_cloud(n_max: int, sigma: float, t_center: float, half_width: float,
         cfg = ScanConfig(spec=spec, sigma=sigma,
                          t_min=t_center - half_width, t_max=t_center + half_width,
                          step=default_step(spec))
-        out.extend(scan_line(cfg, ctx, jobs=jobs))
-    out.sort(key=lambda r: (r.spec.n, r.t))
+        out.extend(scan_line(cfg, ctx, jobs=jobs))  # each sorted by t: out by (n, t)
     return out
 
 
@@ -235,8 +227,5 @@ def compare_to_global(records: list[ProtoZeroRecord], zero: ZeroRecord) -> Cloud
     per_n = {n: abs(r.t - zero.t) for n, r in sorted(nearest.items())}
     wsum = sum(0.5 ** (n + 1) for n in nearest)
     centroid = sum(0.5 ** (n + 1) * r.t for n, r in nearest.items()) / wsum
-    return CloudComparison(
-        per_n_distance=per_n,
-        centroid_t=centroid,
-        centroid_distance=abs(centroid - zero.t),
-    )
+    return CloudComparison(per_n_distance=per_n, centroid_t=centroid,
+                           centroid_distance=abs(centroid - zero.t))

@@ -74,6 +74,8 @@ def binom_coeff(s, k: int, ctx: PrecisionContext = PrecisionContext()) -> Comple
         acc, z = (1.0 + 0.0j, _coerce_complex(s)) if fast else (_coerce_mpc(1), _coerce_mpc(s))
         for j in range(k):
             acc *= (z - j) / (j + 1)
+    if fast and not cmath.isfinite(acc):
+        raise RangeError(f"binom_coeff at s={s!r}, k={k} is beyond the double range")
     return ComplexPoint(acc.real, acc.imag)
 
 

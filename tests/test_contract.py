@@ -32,7 +32,9 @@ from eta_forge import (
     evaluate,
     functional_equation_residual,
     integrate_L,
+    kernel_value,
     pi_s,
+    proto_cloud,
     refine_zero,
     rhs_closed_form,
     scan_line,
@@ -88,6 +90,10 @@ FUNCTIONS = {
     "clifford_contains": (lambda s, ctx: clifford_contains(s),
                           lambda res, ctx: type(res) is bool),
     "scan_line": (lambda s, ctx: scan_line(ScanConfig(_H3, s, 14.0, 15.0, 0.1), ctx), _records),
+    # real arguments: x of the kernel, and the centre of a proto-zero cloud
+    "kernel_value": (lambda s, ctx: kernel_value(Family.HSTAR, 2, s),
+                     lambda res, ctx: type(res) is float and math.isfinite(res)),
+    "proto_cloud": (lambda s, ctx: proto_cloud(2, 0.5, s, 0.5, ctx), _records),
 }
 
 _PART = st.one_of(
@@ -190,3 +196,17 @@ def test_scan_config_refuses_a_bad_sigma(sigma, error):
 def test_refine_zero_refuses_a_bad_ordinate(t0, error):
     with pytest.raises(error):
         refine_zero(t0)
+
+
+@pytest.mark.parametrize("call, error", [
+    pytest.param(lambda: kernel_value(Family.HASSE, 3, 10 ** 400), RangeError, id="x 10**400"),
+    pytest.param(lambda: kernel_value(Family.HASSE, 3, None), DomainError, id="x None"),
+    pytest.param(lambda: kernel_value(Family.HASSE, 3, 2 + 1j), DomainError, id="x complex"),
+    pytest.param(lambda: proto_cloud(2, 0.5, 14.0, None), DomainError, id="half_width None"),
+    pytest.param(lambda: proto_cloud(2, 0.5, None, 1.0), DomainError, id="t_center None"),
+    pytest.param(lambda: proto_cloud(2, None, 14.0, 0.0), DomainError, id="sigma None"),
+    pytest.param(lambda: proto_cloud(2, 0.5, 14.0, _BIG), RangeError, id="half_width mpf 1e400"),
+])
+def test_real_arguments_pass_the_fast_gate(call, error):
+    with pytest.raises(error):
+        call()

@@ -1,6 +1,7 @@
 import cmath
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -58,6 +59,13 @@ def test_binom_takes_an_integral_float_k():
 def test_binom_rejects_non_integral_k(k):
     with pytest.raises(DomainError):
         binom_coeff(0.5, k, CTX)
+
+
+@pytest.mark.parametrize("s, k", [(1e200, 3), (complex(1e160, 1e160), 2), (-1e300, 2)])
+def test_binom_beyond_the_doubles_is_a_range_error_naming_s_and_k(s, k):
+    # a product that leaves the doubles is a RangeError, not a non-finite ComplexPoint
+    with pytest.raises(RangeError, match=re.escape(f"s={s!r}, k={k}")):
+        binom_coeff(s, k, CTX)
 
 
 def test_binom_matches_exact_polynomial():
