@@ -16,12 +16,12 @@ arithmetic, never in floating point.
 
 Summation: each tier fills a power table p_b = b^(-s), with ln b, for the bases b = 1,
 2, ...: one ``cmath.exp`` per base in doubles, with ln b in double-double from an integer
-series (``_log_dd``), and in big floats one libmp ``mpc_exp`` per prime base, rounding as
-``mp.exp`` at its bits (b^(-s) is completely multiplicative), with every entry in fixed-point
-integers (``_ExtPowers``).  The dot product
-with the exact integer coefficients (times (-ln b)^k at order k) is ``math.fsum`` in doubles
-(each component rounded once) and an exact integer sum in big floats.  A table grows one base at a time, so a global series that lengthens keeps
-its powers, and one table serves every order.  One rung (``_rung``) takes each such sum, for
+series (``_log_dd``), and in big floats one fixed-point exp and cos/sin per prime base, by
+libmp's own kernels (b^(-s) is completely multiplicative), with every entry in fixed-point
+integers (``_ExtPowers``).  The dot product with the exact integer coefficients (times
+(-ln b)^k at order k) is ``math.fsum`` in doubles (each component rounded once) and an exact
+integer sum in big floats.  A table grows one base at a time, so a global series that lengthens
+keeps its powers, and one table serves every order.  One rung (``_rung``) takes each such sum, for
 these finite sums and for the global series alike: the double table at s rounded to a double
 (t ln b in double-double, about 2|Re s| ln n + 8 units of 2^-53 per term at any practical
 t), or big floats at given bits with s at full precision.  At order 0 and an integer s <= 0
@@ -82,8 +82,8 @@ from .errors import ConvergenceError, DomainError, RangeError, VerificationError
 from .numerics import (ComplexPoint, PrecisionContext, _coerce_complex, _coerce_mpc, _count,
                        _mpmath, _workprec)
 
-mp = _mpmath(globals(), "from_man_exp", "mpc_exp", "mpc_mul_mpf", "mpc_neg", "mpf_shift",
-             "round_nearest", "round_up", "to_int")
+mp = _mpmath(globals(), "cos_sin_basecase", "exp_basecase", "from_man_exp", "ln2_fixed",
+             "pi_fixed", "round_nearest", "round_up")
 
 __all__ = [
     "Family",
@@ -191,6 +191,11 @@ def _log_dd(b: int) -> tuple[float, float, float, float]:
     top = float(x)
     hi = math.ldexp(top, e - _LN_BITS)
     return (hi, math.ldexp(x - int(top), e - _LN_BITS)) + _split(hi)
+
+
+def _trunc(v: int, k: int) -> int:
+    """v 2**-k as an integer: truncated toward 0 for k >= 0, exact for k < 0."""
+    return (v >> k if v >= 0 else -(-v >> k)) if k >= 0 else v << -k
 
 
 class _FastPowers:
@@ -305,22 +310,23 @@ class _ExtPowers:
     """Extended-tier power table in fixed point: b**(-s) = (X_b + i Y_b) u and ln b = L_b u,
     u = 2**-f, in Python integers; the interface of :class:`_FastPowers`.
 
-    Only a prime q takes an exp, libmp's ``mpc_exp`` of -s ln q on raw tuples (rounding as
-    ``mp.exp`` does), at f + 8 + log2 max(ln q, |s| ln q) bits with s at full precision, and
-    ln q from ``_prime_log`` at those bits rounded up to a multiple of 64; a
-    composite b = q r, q its least prime factor, takes the product of the entries of q and r
-    (b**(-s) is completely multiplicative), and L_q + L_r.  Every truncation is toward 0, so
-    conj(s) gives the conjugate table bit for bit.  The first fill sets f = bits + sigma log2 n
-    for sigma > 0, at most bits + 1100 (below every double), so that its u sum |c_b| <=
-    2**-bits sum |terms|.  A term beyond 2**_MAX_SUM_BITS, or a prime needing more bits,
-    raises RangeError before any integer is formed.  With
-    m_b = max(1, |b**(-s)|) and D = floor(log2 n) >= Omega(b), an entry is off by alpha m_b
-    at most, 1 + alpha <= ((1 + 0.06 u) (1 + sqrt(2) u)**2)**D (a prime's truncation and exp,
-    then per product the two errors, their product and one truncation), and L_b by 1.01 D u.
-    A step up the line (``step``) is one more such product per entry, by a rotation table of
-    modulus 1 and its own D = floor(log2 n): D grows by that D + 1 (``depth``), and the table
-    no longer grows.  The dot's integer sums are exact; its bound (4 + 2k) D u sum |c_b|
-    (ln b)**k m_b at order k covers 1.03 (alpha + 1.5 k D u) times that sum."""
+    Only a prime q takes an exp: -s ln q = x + i y in integers of 2**-g, g = wp + 20 guard bits,
+    wp = f + 8 + log2 max(ln q, |s| ln q), from s at full precision and ln q by ``_prime_log`` at
+    wp rounded up to a multiple of 64; x and |y| reduced by ln 2 and pi/2 (Brent and Zimmermann
+    2010, 4.3) for libmp's ``exp_basecase`` (not at Re s = 0) and ``cos_sin_basecase``, each
+    assumed within 64 units of 2**-g (tested), then e cos and e sin truncated at u.  A composite
+    b = q r, q its least prime factor, takes the product of the entries of q and r (b**(-s) is
+    completely multiplicative), and L_q + L_r.  Every truncation is toward 0 and t's sign enters
+    only the sine's, so conj(s) gives the conjugate table bit for bit.  The first fill sets f =
+    bits + sigma log2 n for sigma > 0, at most bits + 1100 (below every double), so that its
+    u sum |c_b| <= 2**-bits sum |terms|.  A term beyond 2**_MAX_SUM_BITS, or a prime needing more
+    bits, raises RangeError before any integer is formed.  With m_b = max(1, |b**(-s)|) and D =
+    floor(log2 n) >= Omega(b), an entry is off by alpha m_b, 1 + alpha <= ((1 + 0.06 u) (1 +
+    sqrt(2) u)**2)**D (a prime's exp and truncation, then per product the two errors, their
+    product and one truncation), and L_b by 1.01 D u.  A step (``step``) is one more such product
+    per entry, by a rotation table of modulus 1 and its own D = floor(log2 n): D grows by that
+    D + 1 (``depth``), and the table no longer grows.  The dot's sums are exact; its bound
+    (4 + 2k) D u sum |c_b| (ln b)**k m_b at order k covers 1.03 (alpha + 1.5 k D u) that sum."""
 
     def __init__(self, s, bits: int):
         self.s, self.bits, self.x, self.depth = _coerce_mpc(s), bits, None, 0
@@ -333,17 +339,22 @@ class _ExtPowers:
         if len(self.x) >= size:
             return
         assert not self.depth, "a stepped table does not grow"
-        f, e_s, rnd = self.f, max(0, mp.mag(s)), round_nearest  # |s| <= 2**e_s
+        f, e_s = self.f, max(0, mp.mag(s))  # |s| <= 2**e_s
         if -s.real * math.log2(size) > _MAX_SUM_BITS \
                 or f + 8 + size.bit_length().bit_length() + e_s > _MAX_SUM_BITS:
             raise RangeError(f"a sum of {size} terms at s={s} is beyond {_MAX_SUM_BITS} bits")
+        (neg, sm, se, _), (tneg, tm, te, _) = s._mpc_  # sigma = +-sm 2**se, |t| = tm 2**te
         for b in range(len(self.x) + 1, size + 1):
             q, r = _least_factor(b) - 1, b // _least_factor(b) - 1
-            if r == 0:  # a prime: one exp, and a log from the cache
-                wp = f + 8 + b.bit_length().bit_length() + e_s
-                lnb = _prime_log(b, -(-wp // 64) * 64)._mpf_  # mp.exp(-s ln q) at wp, on tuples
-                p = mpc_exp(mpc_mul_mpf(mpc_neg(s._mpc_, wp, rnd), lnb, wp, rnd), wp, rnd)
-                x, y, lnb = (to_int(mpf_shift(v, f)) for v in p + (lnb,))
+            if r == 0:  # a prime: -s ln q = x + i y at g bits, then its exp and cos/sin
+                g = f + 28 + b.bit_length().bit_length() + e_s  # wp + 20 guard bits
+                _, lm, le, _ = _prime_log(b, -((20 - g) // 64) * 64)._mpf_  # ln q = lm 2**le
+                n, x = divmod(_trunc((sm if neg else -sm) * lm, -se - le - g), ln2_fixed(g))
+                k, y = divmod(_trunc(tm * lm, -te - le - g), pi_fixed(g - 1))  # |y| mod pi/2
+                e, v = exp_basecase(x, g) if x else 1 << g, cos_sin_basecase(y, g)
+                v += (-v[0], -v[1])  # cos(y + k pi/2) = v[-k % 4], -sgn(t) sin = v[2 tneg - 1 - k]
+                x, y = (_trunc(e * v[i & 3], 2 * g - f - n) for i in (-k, 2 * tneg - 1 - k))
+                lnb = _trunc(lm, -le - f)
             else:  # b = q r: the product of the entries of q and r
                 x = self.x[q] * self.x[r] - self.y[q] * self.y[r]
                 y = self.x[q] * self.y[r] + self.y[q] * self.x[r]

@@ -56,9 +56,9 @@ FAST_BITS = 53
 
 class _Mpmath:
     """mpmath, imported on the first attribute read.  A module holds ``mp = _mpmath(globals(),
-    *names)``, names from :mod:`mpmath.libmp`; the first read imports mpmath and rebinds ``mp``
-    and those names in every such module, so that the extended tier's loops then look them up
-    as plain globals.  Once mpmath is imported, the call binds them at once."""
+    *names)``, names from :mod:`mpmath.libmp` or else its ``libelefun``; the first read imports
+    mpmath and rebinds ``mp`` and those names in every such module, so that the extended tier's
+    loops then look them up as plain globals.  Once mpmath is imported, the call binds them."""
 
     def __init__(self):
         self.users = []
@@ -69,9 +69,10 @@ class _Mpmath:
 
     def _load(self):
         import mpmath
+        lib = mpmath.libmp
         for namespace, names in self.users:
             namespace["mp"] = mpmath
-            namespace.update((n, getattr(mpmath.libmp, n)) for n in names)
+            namespace.update((n, getattr(lib, n, None) or getattr(lib.libelefun, n)) for n in names)
         return mpmath
 
     def __getattr__(self, name: str):

@@ -9,6 +9,7 @@ import mpmath as mp
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from mpmath.libmp import libelefun
 
 import oracles
 from eta_forge import finite_eta
@@ -513,38 +514,82 @@ def test_extended_values_at_conjugate_arguments_are_exact_conjugates(bits):
                                                           a.tail_bound)
 
 
-def _object_table(s, f: int, n: int) -> tuple[list, list, list]:
-    """X_b, Y_b and L_b for b <= n by mpmath's number objects: each prime's mp.exp(-s ln q)
-    under workprec, truncated toward 0 at 2^-f, and each composite the product of two entries."""
-    s, e_s = mp.mpc(s), max(0, mp.mag(s))
-    xs, ys, logs = [1 << f], [0], [0]
-    for b in range(2, n + 1):
-        q = finite_eta._least_factor(b)
-        if q == b:
-            wp = f + 8 + b.bit_length().bit_length() + e_s
-            ln = finite_eta._prime_log(b, -(-wp // 64) * 64)
-            with mp.workprec(wp):
-                p = mp.exp(-s * ln)
-            x, y, ln = (int(mp.ldexp(v, f)) for v in (p.real, p.imag, ln))  # toward 0
-        else:
-            (a, c, la), (d, e, ld) = ((xs[i - 1], ys[i - 1], logs[i - 1]) for i in (q, b // q))
-            x, y, ln = a * d - c * e, a * e + c * d, la + ld
-            x, y = (x >> f if x >= 0 else -(-x >> f)), (y >> f if y >= 0 else -(-y >> f))
-        xs.append(x)
-        ys.append(y)
-        logs.append(ln)
-    return xs, ys, logs
+def _object_prime(s, f: int, q: int):
+    """mp.exp(-s ln q) by mpmath's number objects under workprec, at the bits the table's
+    prime path starts from, and L_q: ln q from the same cache truncated at 2^-f."""
+    s = mp.mpc(s)
+    wp = f + 8 + q.bit_length().bit_length() + max(0, mp.mag(s))
+    ln = finite_eta._prime_log(q, -(-wp // 64) * 64)
+    with mp.workprec(wp):
+        return mp.exp(-s * ln), int(mp.ldexp(ln, f))
 
 
-@pytest.mark.parametrize("bits", [60, 120, 200, 400])
-@pytest.mark.parametrize("s", [complex(-1.5, 21.0), 0.375j, complex(0.5, 14.134725),
-                               complex(3.0, -37.0)])
-def test_big_float_table_matches_the_object_route(s, bits):
-    # each prime's libmp mpc_exp rounds as mp.exp at the same bits, so every integer of the
-    # table is the one mpmath's objects give; 0.375j is a rotation table, _ExtPowers(i h, f)
+def _table_cases() -> list[tuple[complex, int]]:
+    """(s, bits): four fixed s at 60-400 bits, 12 seeded s with sigma in [-20, 5] and |t| <= 2000
+    at 60-1000 bits, and three rotation tables (Re s = 0)."""
+    rng = random.Random(38)
+    return ([(s, bits) for s in (complex(-1.5, 21.0), 0.375j, complex(0.5, 14.134725),
+                                 complex(3.0, -37.0)) for bits in (60, 120, 200, 400)]
+            + [(complex(rng.uniform(-20.0, 5.0), rng.uniform(-2000.0, 2000.0)),
+                rng.choice((60, 120, 250, 600, 1000))) for _ in range(12)]
+            + [(1j * rng.uniform(-3.0, 3.0), bits) for bits in (60, 200, 1000)])
+
+
+_TABLE_CASES = _table_cases()
+
+
+@pytest.mark.parametrize("s, bits", _TABLE_CASES)
+def test_big_float_table_holds_its_bound(s, bits):
+    # every entry, prime or composite, is within entry()'s bound 4 D u m_b of exp(-s ln b) at
+    # 640 bits beyond the fixed point, and L_b within 1.01 D u of ln b; a purely imaginary s is
+    # a rotation table, _ExtPowers(i h, f), whose primes skip the exp
     table = finite_eta._ExtPowers(s, bits)
     table._grow(80)
-    assert [table.x, table.y, table.log] == list(_object_table(s, table.f, 80))
+    with mp.workprec(table.f + 640):
+        z, u = mp.mpc(s), mp.ldexp(1, -table.f)
+        for b in range(1, 81):
+            p, bound = table.entry(b)
+            assert abs(p - mp.exp(-z * mp.log(b))) <= bound, (b, s, bits)
+            assert abs(table.log[b - 1] * u - mp.log(b)) <= 1.01 * max(1, b.bit_length() - 1) * u
+
+
+@pytest.mark.parametrize("s, bits", _TABLE_CASES)
+def test_big_float_primes_match_the_object_route(s, bits):
+    # each prime's fixed-point exp and cos/sin is within m_b u / 16 of mp.exp(-s ln q) at the
+    # same bits before its truncation toward 0 at u = 2^-f: X_q lies between the truncations
+    # of Re mp.exp -+ m_b u / 16, and so does Y_q; L_q is the same integer
+    table = finite_eta._ExtPowers(s, bits)
+    table._grow(80)
+    for q in (b for b in range(2, 81) if finite_eta._least_factor(b) == b):
+        p, log = _object_prime(s, table.f, q)
+        with mp.workprec(4 * table.f + 256):
+            x, y = (mp.ldexp(v, table.f) for v in (p.real, p.imag))
+            slack = mp.ldexp(max(1, abs(p)), table.f - 4)  # m_b / 16 in units of u
+            for got, v in ((table.x[q - 1], x), (table.y[q - 1], y)):
+                assert int(v - slack) <= got <= int(v + slack), (q, s, bits)
+        assert table.log[q - 1] == log
+
+
+@pytest.mark.parametrize("prec", sorted({60, 120, 1000, 2000} | {
+    c + d for c in (libelefun.COS_SIN_CACHE_PREC, libelefun.EXP_COSH_CUTOFF) for d in (-1, 0, 1)}))
+def test_fixed_point_kernels_hold_a_few_units(prec):
+    # the big-float table relies on libmp's fixed-point exp_basecase and cos_sin_basecase, which
+    # are not mpmath's public API: each stays within 64 units of 2^-prec of mpf_exp and
+    # mpf_cos_sin, on both sides of the precisions where it switches to exponential_series, at
+    # reduced arguments near 0, near ln 2 (exp's range) and near pi/2 (cos/sin's)
+    lib, rng = mp.libmp, random.Random(prec)
+    ln2, pi2 = lib.ln2_fixed(prec), lib.pi_fixed(prec - 1)
+    near = [0, 1, 2, 1 << prec // 2, 1 << prec - 8]
+    for x, top in [(x, ln2) for x in near + [ln2 - 1, ln2 - 2, ln2 - (1 << prec // 2)]] \
+            + [(x, pi2) for x in near + [pi2 - 1, pi2 - 2, pi2 - (1 << prec // 2)]] \
+            + [(rng.randrange(top), top) for top in (ln2, pi2) for _ in range(10)]:
+        arg = lib.from_man_exp(x, -prec)
+        if top == ln2:
+            got, ref = [libelefun.exp_basecase(x, prec)], [lib.mpf_exp(arg, prec + 80)]
+        else:
+            got, ref = libelefun.cos_sin_basecase(x, prec), lib.mpf_cos_sin(arg, prec + 80)
+        for g, r in zip(got, ref):
+            assert abs((g << 64) - lib.to_fixed(r, prec + 64)) <= 64 << 64, (x, prec)
 
 
 @pytest.mark.parametrize("wb", [120, 200])

@@ -316,23 +316,24 @@ def test_series_makes_one_exp_per_term(monkeypatch):
 
 
 def test_extended_series_makes_one_exp_per_prime(monkeypatch):
-    # the big-float table pays libmp's mpc_exp only at the prime bases, and fills each
-    # composite from two earlier ones: pi(N) exps for N bases, and eta one more for the
-    # prefactor's table over the bases 1 and 2
-    calls = []
-
-    def exp(z, prec, rnd):
-        calls.append(z)
-        return mp.libmp.mpc_exp(z, prec, rnd)
+    # the big-float table pays libmp's fixed-point exp and cos/sin kernels only at the prime
+    # bases, and fills each composite from two earlier ones: pi(N) of each for N bases, and eta
+    # one more for the prefactor's table over the bases 1 and 2
+    calls = {"exp_basecase": [], "cos_sin_basecase": []}
 
     finite_eta.mp.mpf(0)  # loads mpmath, which binds finite_eta's libmp names before the patch
-    monkeypatch.setattr(finite_eta, "mpc_exp", exp)
+    for name, made in calls.items():
+        def counted(x, prec, made=made, kernel=getattr(finite_eta, name)):
+            made.append(x)
+            return kernel(x, prec)
+        monkeypatch.setattr(finite_eta, name, counted)
     for fn, s, terms, exps in ((zeta_global, complex(0.5, 14.13), 47, 9),  # 9 primes to N = 23
                                (eta_global, complex(0.5, 14.13), 47, 10),
                                (eta_global, complex(0.49, 14.13), 47, 10)):
-        calls.clear()
+        for made in calls.values():
+            made.clear()
         res = fn(s, PrecisionContext.extended(120))
-        assert res.terms_used == terms and len(calls) == exps, (s, fn)
+        assert res.terms_used == terms and [len(v) for v in calls.values()] == [exps] * 2, (s, fn)
 
 
 # N + K per point on the fast tier and at 120 bits: eta's are zeta's, at 3/4 of the target
